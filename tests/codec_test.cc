@@ -9,17 +9,24 @@
 
 #include "cluster/codec.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/communicator.h"
 #include "common/random.h"
 #include "core/model_io.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "quadrants/train_distributed.h"
 
 namespace vero {
@@ -436,6 +443,268 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
   EXPECT_GT(cluster.TotalStats().absorbed_delay_seconds, 4.9);
   EXPECT_GT(cluster.TotalStats().codec_wire_bytes, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Layer grid: op x codec x mitigation x W. Codec and mitigation are layers
+// of one collective, so every cell must report the same CollectiveOp stream
+// as the strict/off cell, lossless cells must deliver the same bytes (minus
+// deferred slots), and each layer's metrics appear only when it is on.
+// ---------------------------------------------------------------------------
+
+enum class GridOp { kAllReduceSum, kAllGather, kAllToAll };
+
+using GridParam = std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
+
+constexpr int kGridCalls = 2;
+constexpr size_t kGridValues = 192;
+constexpr double kGridDelaySeconds = 5.0;
+
+CollectiveOp GridCollectiveOp(GridOp op) {
+  switch (op) {
+    case GridOp::kAllReduceSum:
+      return CollectiveOp::kAllReduceSum;
+    case GridOp::kAllGather:
+      return CollectiveOp::kAllGather;
+    case GridOp::kAllToAll:
+      return CollectiveOp::kAllToAll;
+  }
+  return CollectiveOp::kAny;
+}
+
+std::vector<double> GridValues(int call, int sender, int dest) {
+  return MakeHistogram(kGridValues, 0.1,
+                       9000 + 100 * call + 10 * sender + dest);
+}
+
+std::vector<uint8_t> GridBytes(const std::vector<double>& values) {
+  std::vector<uint8_t> bytes(values.size() * sizeof(double));
+  std::memcpy(bytes.data(), values.data(), bytes.size());
+  return bytes;
+}
+
+// Issues one call of the cell's op. All-reduce results come back as a
+// single packed-double slot so every op compares the same way.
+Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
+                   const CodecSpec& codec, const MitigationOptions& mitigation,
+                   std::vector<std::vector<uint8_t>>* slots,
+                   MitigationOutcome* outcome) {
+  const int r = ctx.rank();
+  switch (op) {
+    case GridOp::kAllReduceSum: {
+      std::vector<double> data = GridValues(call, r, 0);
+      const Status status =
+          ctx.AllReduceBoundedSumCodec(data, codec, mitigation, outcome);
+      slots->assign(1, GridBytes(data));
+      return status;
+    }
+    case GridOp::kAllGather:
+      return ctx.AllGatherBoundedCodec(GridBytes(GridValues(call, r, 0)), slots,
+                                       codec, mitigation, outcome);
+    case GridOp::kAllToAll: {
+      std::vector<std::vector<uint8_t>> to_each(ctx.world_size());
+      for (int d = 0; d < ctx.world_size(); ++d) {
+        to_each[d] = GridBytes(GridValues(call, r, d));
+      }
+      return ctx.AllToAllBoundedCodec(std::move(to_each), slots, codec,
+                                      mitigation, outcome);
+    }
+  }
+  return Status::Internal("unknown grid op");
+}
+
+struct GridRun {
+  // slots[call][rank], outcomes[call][rank].
+  std::vector<std::vector<std::vector<std::vector<uint8_t>>>> slots;
+  std::vector<std::vector<MitigationOutcome>> outcomes;
+  std::vector<uint64_t> num_ops;
+  // Per rank: (collective name, op_id) of every collective span.
+  std::vector<std::vector<std::pair<std::string, int64_t>>> op_ids;
+  // comm.<Op>.ops counter values.
+  std::map<std::string, uint64_t> op_counts;
+  std::vector<std::string> metric_names;
+};
+
+GridRun RunGridCell(GridOp op, CollectiveCompression compression,
+                    MitigationMode mode, int w) {
+  obs::ObsOptions obs_options;
+  obs_options.trace = true;
+  obs::RunObserver observer(obs_options);
+  Cluster cluster(w);
+  cluster.AttachObserver(&observer);
+  cluster.InstallFaultPlan(FaultPlan().Delay(w - 1, GridCollectiveOp(op),
+                                             /*occurrence=*/0,
+                                             kGridDelaySeconds));
+  const CodecSpec codec = Spec(compression, 64);
+  MitigationOptions mitigation;
+  mitigation.mode = mode;
+  mitigation.deadline_seconds = 0.01;
+
+  GridRun run;
+  run.slots.assign(kGridCalls,
+                   std::vector<std::vector<std::vector<uint8_t>>>(w));
+  run.outcomes.assign(kGridCalls, std::vector<MitigationOutcome>(w));
+  cluster.Run([&](WorkerContext& ctx) {
+    for (int call = 0; call < kGridCalls; ++call) {
+      VERO_COMM_OK(IssueGridOp(ctx, op, call, codec, mitigation,
+                               &run.slots[call][ctx.rank()],
+                               &run.outcomes[call][ctx.rank()]));
+    }
+  });
+  for (int r = 0; r < w; ++r) {
+    run.num_ops.push_back(cluster.worker_stats(r).num_ops);
+  }
+  run.op_ids.resize(w);
+  for (const obs::TraceEvent& ev : observer.trace().MergedEvents()) {
+    if (std::string(ev.category) != "collective") continue;
+    run.op_ids[ev.rank].emplace_back(ev.name, ev.op_id);
+  }
+  for (const auto& entry : observer.metrics().Merged().entries) {
+    run.metric_names.push_back(entry.name);
+    const std::string& name = entry.name;
+    if (name.rfind("comm.", 0) == 0 && name.size() > 4 &&
+        name.compare(name.size() - 4, 4, ".ops") == 0) {
+      run.op_counts[name] = entry.counter;
+    }
+  }
+  return run;
+}
+
+bool IsCodecMetric(const std::string& name) {
+  auto ends_with = [&](const char* suffix) {
+    const std::string s(suffix);
+    return name.size() >= s.size() &&
+           name.compare(name.size() - s.size(), s.size(), s) == 0;
+  };
+  return name.rfind("codec.", 0) == 0 || ends_with(".raw_bytes") ||
+         ends_with(".compressed_bytes");
+}
+
+bool IsMitigationMetric(const std::string& name) {
+  return name.rfind("staleness.", 0) == 0 ||
+         name.rfind("speculation.", 0) == 0;
+}
+
+class CollectiveLayerGridTest : public ::testing::TestWithParam<GridParam> {};
+
+TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
+  const auto [op, compression, mode, w] = GetParam();
+  const GridRun ref = RunGridCell(op, CollectiveCompression::kOff,
+                                  MitigationMode::kStrict, w);
+  const GridRun run = RunGridCell(op, compression, mode, w);
+
+  // One CollectiveOp stream in every cell: same per-op counts, same
+  // per-rank op count, same (name, op_id) sequence on every rank.
+  EXPECT_EQ(run.op_counts, ref.op_counts);
+  EXPECT_EQ(run.num_ops, ref.num_ops);
+  EXPECT_EQ(run.op_ids, ref.op_ids);
+  for (int r = 0; r < w; ++r) {
+    ASSERT_EQ(run.op_ids[r].size(), static_cast<size_t>(kGridCalls));
+    for (int call = 0; call < kGridCalls; ++call) {
+      EXPECT_EQ(run.op_ids[r][call].second, call);
+    }
+  }
+
+  // A rank is deferred only by bounded mode with a peer to close without
+  // it, and only on the delayed call; every rank sees the same mask.
+  const bool defers = mode == MitigationMode::kBoundedStaleness && w > 1;
+  for (int call = 0; call < kGridCalls; ++call) {
+    for (int r = 0; r < w; ++r) {
+      std::vector<uint8_t> expected(w, 1);
+      if (defers && call == 0) expected[w - 1] = 0;
+      EXPECT_EQ(run.outcomes[call][r].contributed, expected)
+          << "call " << call << " rank " << r;
+    }
+  }
+
+  const bool lossless = compression != CollectiveCompression::kQuantized;
+  for (int call = 0; call < kGridCalls; ++call) {
+    const std::vector<uint8_t>& mask = run.outcomes[call][0].contributed;
+    for (int r = 0; r < w; ++r) {
+      const auto& got = run.slots[call][r];
+      const auto& want = ref.slots[call][r];
+      ASSERT_EQ(got.size(), want.size()) << "call " << call << " rank " << r;
+      if (op == GridOp::kAllReduceSum) {
+        // The serial reduction adds contributors in rank order from 0.0.
+        std::vector<double> sum(kGridValues, 0.0);
+        for (int s = 0; s < w; ++s) {
+          if (!mask[s]) continue;
+          const std::vector<double> v = GridValues(call, s, 0);
+          for (size_t i = 0; i < kGridValues; ++i) sum[i] += v[i];
+        }
+        if (lossless) {
+          EXPECT_EQ(got[0], GridBytes(sum)) << "call " << call << " rank " << r;
+          if (mask == std::vector<uint8_t>(w, 1)) {
+            EXPECT_EQ(got[0], want[0]);
+          }
+        } else {
+          EXPECT_EQ(got[0], run.slots[call][0][0]) << "replicated, rank " << r;
+        }
+        continue;
+      }
+      for (int s = 0; s < w; ++s) {
+        if (!mask[s]) {
+          EXPECT_TRUE(got[s].empty()) << "deferred slot " << s;
+        } else if (lossless) {
+          EXPECT_EQ(got[s], want[s]) << "call " << call << " rank " << r
+                                     << " slot " << s;
+        } else {
+          EXPECT_EQ(got[s].size(), want[s].size());
+          if (op == GridOp::kAllGather) {
+            EXPECT_EQ(got[s], run.slots[call][0][s]) << "replicated decode";
+          }
+        }
+      }
+    }
+  }
+
+  // Each layer's metric names exist only when that layer ran (never at
+  // W=1, where the op short-circuits before either layer).
+  const bool codec_on = compression != CollectiveCompression::kOff && w > 1;
+  const bool mitigation_on = mode != MitigationMode::kStrict && w > 1;
+  bool saw_codec = false, saw_mitigation = false;
+  for (const std::string& name : run.metric_names) {
+    if (IsCodecMetric(name)) {
+      saw_codec = true;
+      EXPECT_TRUE(codec_on) << name;
+    }
+    if (IsMitigationMetric(name)) {
+      saw_mitigation = true;
+      EXPECT_TRUE(mitigation_on) << name;
+    }
+  }
+  EXPECT_EQ(saw_codec, codec_on);
+  EXPECT_EQ(saw_mitigation, mitigation_on);
+}
+
+std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
+  static const char* const kOpNames[] = {"AllReduceSum", "AllGather",
+                                         "AllToAll"};
+  const auto [op, compression, mode, w] = info.param;
+  std::string name = kOpNames[static_cast<int>(op)];
+  name += "_";
+  name += CollectiveCompressionToString(compression);
+  name += "_";
+  name += MitigationModeToString(mode);
+  name += "_W" + std::to_string(w);
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CollectiveLayerGridTest,
+    ::testing::Combine(
+        ::testing::Values(GridOp::kAllReduceSum, GridOp::kAllGather,
+                          GridOp::kAllToAll),
+        ::testing::Values(CollectiveCompression::kOff,
+                          CollectiveCompression::kSparseDelta,
+                          CollectiveCompression::kQuantized),
+        ::testing::Values(MitigationMode::kStrict,
+                          MitigationMode::kBoundedStaleness,
+                          MitigationMode::kSpeculative),
+        ::testing::Values(1, 2, 3)),
+    GridName);
 
 // ---------------------------------------------------------------------------
 // End-to-end: distributed training under compression.
