@@ -64,9 +64,9 @@ void Qd3IndexAblation() {
   for (Qd3IndexPolicy policy :
        {Qd3IndexPolicy::kLinearScanOnly, Qd3IndexPolicy::kBinarySearchOnly,
         Qd3IndexPolicy::kMixed}) {
-    const DistResult result =
-        RunQuadrant(data, Quadrant::kQD3, 8, PaperParams(8),
-                    NetworkModel::Lab1Gbps(), nullptr, policy);
+    const DistResult result = RunQuadrantSpec(
+        data, Quadrant::kQD3,
+        {.workers = 8, .params = PaperParams(8), .qd3_policy = policy});
     const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
     std::printf("%-16s %14.4f %14.4f\n", Qd3IndexPolicyToString(policy),
                 s.mean.hist_seconds, s.mean.comp_seconds());

@@ -32,7 +32,7 @@ const char* QuadrantTag(Quadrant q) {
 }
 
 // State behind --report / --trace-dir / --anatomy; one report entry per
-// RunQuadrant.
+// RunQuadrantSpec.
 struct BenchObsState {
   std::string report_path;
   std::string trace_dir;
@@ -252,20 +252,6 @@ DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
     s.anatomy_reports.push_back(result.anatomy.ToJson());
   }
   return result;
-}
-
-DistResult RunQuadrant(const Dataset& train, Quadrant quadrant, int workers,
-                       const GbdtParams& params, const NetworkModel& network,
-                       const Dataset* valid, Qd3IndexPolicy qd3_policy,
-                       TransformEncoding encoding) {
-  BenchRunSpec spec;
-  spec.workers = workers;
-  spec.params = params;
-  spec.network = network;
-  spec.valid = valid;
-  spec.qd3_policy = qd3_policy;
-  spec.encoding = encoding;
-  return RunQuadrantSpec(train, quadrant, spec);
 }
 
 std::string FormatBytes(double bytes) {

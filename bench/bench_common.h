@@ -16,7 +16,7 @@ namespace vero {
 namespace bench {
 
 /// Parses the shared bench flags and arms the run-report machinery:
-///   --report <out.json>   collect one RunReport per RunQuadrant call and
+///   --report <out.json>   collect one RunReport per RunQuadrantSpec call and
 ///                         write a "vero.bench_report.v1" JSON file at exit
 ///   --trace-dir <dir>     also record per-phase / per-collective traces and
 ///                         write one Chrome trace JSON per run into <dir>
@@ -55,9 +55,8 @@ Dataset MakeWorkload(uint32_t n, uint32_t d, uint32_t c, double density,
                      uint64_t seed);
 
 /// Everything one bench run needs beyond the workload and the quadrant.
-/// The long-standing RunQuadrant signature delegates here; failure-sweep
-/// benches use the spec directly to install fault plans and force metric
-/// collection without threading ever more positional arguments around.
+/// Benches fill it with designated initializers, so fault plans and forced
+/// metric collection need no ever-growing positional argument list.
 struct BenchRunSpec {
   int workers = 4;
   GbdtParams params;
@@ -71,7 +70,7 @@ struct BenchRunSpec {
   /// Checkpoint / recovery policy for sweeps that inject crashes or
   /// schedule resizes (defaults match DistTrainOptions: no checkpoints, one
   /// recovery attempt, degrade-to-survivors).
-  CheckpointOptions checkpoint;
+  CheckpointOptions checkpoint = {};
   int max_recovery_attempts = 1;
   bool elastic_rejoin = false;
   /// Attach a RunObserver even without --report/--trace-dir, so the caller
@@ -84,22 +83,13 @@ struct BenchRunSpec {
   bool force_trace = false;
   /// Appended to the generated "runNNN-<quadrant>-wW" report label; sweep
   /// scripts group cells by this suffix.
-  std::string label;
+  std::string label = {};
 };
 
 /// Runs `trees` rounds of a quadrant on a fresh cluster built from `spec`
 /// and returns the result (convergence curve omitted unless `spec.valid`).
 DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
                            const BenchRunSpec& spec);
-
-/// Back-compat wrapper over RunQuadrantSpec.
-DistResult RunQuadrant(const Dataset& train, Quadrant quadrant, int workers,
-                       const GbdtParams& params,
-                       const NetworkModel& network = NetworkModel::Lab1Gbps(),
-                       const Dataset* valid = nullptr,
-                       Qd3IndexPolicy qd3_policy = Qd3IndexPolicy::kMixed,
-                       TransformEncoding encoding =
-                           TransformEncoding::kBlockified);
 
 /// Default paper hyper-parameters (§5.1): L=8, q=20; T from BenchTrees().
 GbdtParams PaperParams(uint32_t num_layers = 8);

@@ -40,8 +40,9 @@ void Main() {
                 train.num_classes(), w.workers);
     for (Quadrant q :
          {Quadrant::kQD1, Quadrant::kQD2, Quadrant::kQD4}) {
-      const DistResult result = RunQuadrant(
-          train, q, w.workers, params, NetworkModel::Lab1Gbps(), &valid);
+      const DistResult result = RunQuadrantSpec(
+          train, q,
+          {.workers = w.workers, .params = params, .valid = &valid});
       std::printf("%s\n  time(s): ", QuadrantToString(q));
       for (const IterationStats& it : result.curve) {
         std::printf(" %8.3f", it.elapsed_seconds);

@@ -63,8 +63,12 @@ void Main() {
     std::vector<double> times(systems.size());
     std::vector<double> quality(systems.size());
     for (size_t s = 0; s < systems.size(); ++s) {
-      const DistResult result = RunQuadrant(train, systems[s].quadrant,
-                                            workers, params, network, &valid);
+      const DistResult result = RunQuadrantSpec(
+          train, systems[s].quadrant,
+          {.workers = workers,
+           .params = params,
+           .network = network,
+           .valid = &valid});
       times[s] = result.TrainSeconds() / params.num_trees;
       quality[s] = EvaluateModel(result.model, valid).value;
       if (systems[s].quadrant == Quadrant::kQD4) vero_time = times[s];

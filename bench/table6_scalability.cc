@@ -40,8 +40,8 @@ void Main() {
     std::printf("%-10s %14s %10s\n", "machines", "run time(s)", "speedup");
     double base_time = 0.0;
     for (int w : {2, 4, 6, 8}) {
-      const DistResult result =
-          RunQuadrant(data, Quadrant::kQD4, w, PaperParams(8));
+      const DistResult result = RunQuadrantSpec(
+          data, Quadrant::kQD4, {.workers = w, .params = PaperParams(8)});
       const double time = result.TrainSeconds();
       if (w == 2) base_time = time;
       std::printf("%-10d %14.3f %9.1fx\n", w, time, base_time / time);

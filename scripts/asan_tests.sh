@@ -5,7 +5,9 @@
 # across incarnations, so lifetime bugs (use-after-free of worker state,
 # out-of-bounds shard math after a resize) show up here first; UBSan guards
 # the wire-format arithmetic in the delta-checkpoint and histogram-
-# compression codecs.
+# compression codecs. The build is Debug so VERO_DCHECK and the codec
+# layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry), which
+# compile out under NDEBUG, run too.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -14,18 +16,19 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$BUILD_DIR" --target \
   fault_tolerance_test elastic_recovery_test elasticity_test \
   checkpoint_rotation_test delta_checkpoint_test integrity_test \
-  straggler_mitigation_test codec_test communicator_test serve_test
+  straggler_mitigation_test codec_test communicator_test \
+  communicator_stress_test serve_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 for t in fault_tolerance_test elastic_recovery_test elasticity_test \
          checkpoint_rotation_test delta_checkpoint_test integrity_test \
          straggler_mitigation_test codec_test communicator_test \
-         serve_test; do
+         communicator_stress_test serve_test; do
   echo "== ASan/UBSan: $t =="
   "$BUILD_DIR/tests/$t"
 done

@@ -33,8 +33,7 @@ PHASE_NAMES = {
     "sketch-build", "transform-encode", "transform-decode", "label-broadcast",
 }
 COLLECTIVE_NAMES = {
-    "AllReduceSum", "ReduceScatterSum", "AllGather", "Broadcast", "Gather",
-    "AllToAll", "Barrier",
+    "AllReduceSum", "AllGather", "Broadcast", "Gather", "AllToAll", "Barrier",
 }
 CATEGORIES = {"phase", "collective", "driver"}
 

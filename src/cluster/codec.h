@@ -10,9 +10,9 @@
 namespace vero {
 
 /// Histogram-payload compression applied underneath the collectives (the
-/// codec layer of WorkerContext::AllReduceSumCodec and friends). `kOff`
-/// delegates to the uncompressed path and stays bit-identical to seed; the
-/// two sparse modes are lossless (raw f64 bit patterns are preserved,
+/// codec layer of WorkerContext::AllReduceSum / AllGather / AllToAll, set
+/// via CollectiveOptions::codec). `kOff` skips the layer and stays
+/// bit-identical to seed; the two sparse modes are lossless (raw f64 bit patterns are preserved,
 /// including -0.0, denormals, and NaN payloads); `kQuantized` trades a
 /// documented per-block error bound for 16-bit values on the wire. See
 /// docs/wire_formats.md for the frame layout.
@@ -36,9 +36,9 @@ enum class CollectiveCompression {
 const char* CollectiveCompressionToString(CollectiveCompression mode);
 
 /// Per-call codec policy, derived from GbdtParams by CodecFromParams (see
-/// dist_common.h) and passed by the trainers to the codec collectives.
-/// Mirrors the MitigationOptions pattern: `enabled() == false` routes to the
-/// existing uncompressed collectives with bit-identical accounting.
+/// dist_common.h) and passed by the trainers in CollectiveOptions::codec.
+/// Mirrors the MitigationOptions pattern: `enabled() == false` leaves the
+/// collective uncompressed with bit-identical accounting.
 struct CodecSpec {
   CollectiveCompression mode = CollectiveCompression::kOff;
   /// Values per independently-encoded block; the trainers pass one

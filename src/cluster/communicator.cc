@@ -566,103 +566,193 @@ size_t WorkerContext::SliceEnd(size_t n, int rank) const {
   return n * (rank + 1) / w;
 }
 
-Status WorkerContext::AllReduceSum(std::span<double> data) {
+namespace {
+
+/// Every layered op fills a caller's outcome, so strict callers can merge
+/// over `contributed` exactly like mitigated ones.
+void ResetOutcome(MitigationOutcome* outcome, int w) {
+  if (outcome == nullptr) return;
+  *outcome = MitigationOutcome{};
+  outcome->contributed.assign(w, 1);
+}
+
+}  // namespace
+
+// The three layered collectives share one spine: Prepare -> publish ->
+// rendezvous -> transfer -> Charge -> ApplyFaults (via FinishMitigated).
+// The codec layer encodes before publishing, decodes on arrival and calls
+// RecordCodec; the mitigation layer publishes a delay slot, plans who is
+// deferred or speculated (PlanMitigation), skips deferred payloads and
+// finishes through FinishMitigated. With both layers off no frame is built,
+// no plan state is read, and the rendezvous count is the strict one.
+
+Status WorkerContext::AllReduceSum(std::span<double> data,
+                                   const CollectiveOptions& opts,
+                                   MitigationOutcome* outcome) {
+  const int w = world_size();
+  ResetOutcome(outcome, w);
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  const int w = world_size();
   if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
+  const bool mitigated = opts.mitigation.enabled();
+  const bool coded = opts.codec.enabled();
+  CodecStats cstats;
+  std::vector<uint8_t> frame;
+  if (coded) {
+    CodecEncode(data, opts.codec, &frame, &cstats);
+    cluster_->ptrs_[rank_] = &frame;
+  }
   cluster_->mutable_ptrs_[rank_] = data.data();
   cluster_->sizes_[rank_] = data.size();
+  if (mitigated) cluster_->delay_slots_[rank_] = decision.delay_seconds;
   bool serial = false;
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
   if (serial) {
-    // Serial participant: sum everyone into the shared buffer.
+    // Serial participant: sum everyone into the shared buffer in rank order
+    // 0..W-1, which lossless frames reproduce bit-for-bit.
+    if (mitigated) cluster_->PlanMitigation(opts.mitigation);
     const size_t n = cluster_->sizes_[0];
     for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
     cluster_->reduce_buffer_.assign(n, 0.0);
+    std::vector<double> decoded;
     for (int r = 0; r < w; ++r) {
+      if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
+        continue;
+      }
       const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
+      if (coded) {
+        VERO_CHECK_OK(CodecDecode(
+            *static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]),
+            &decoded));
+        VERO_CHECK_EQ(decoded.size(), n);
+        src = decoded.data();
+      }
       for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
     }
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
+  MitigatedCall call;
+  double deferred_mass = 0.0;
+  if (mitigated) {
+    call = ReadMitigationPlan(outcome);
+    // The dropped contribution, measured before the copy-out overwrites it.
+    if (call.my == RankClass::kDeferred) {
+      for (double v : data) deferred_mass += v;
+    }
+  }
+  // copy_n, not memcpy: an empty buffer may have a null data() pointer.
+  std::copy_n(cluster_->reduce_buffer_.data(), data.size(), data.data());
   // Silent corruption lands in this rank's copy of the aggregate, after the
   // transport (and its CRC/retry machinery) delivered it clean.
   MaybeSilentCorrupt(decision, data);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  // Ring all-reduce volume: each worker sends (and receives) the buffer
-  // twice, minus its own 1/W share, in 2*(W-1) pipelined steps.
-  const uint64_t bytes = data.size() * sizeof(double);
-  const uint64_t wire = 2 * bytes * (w - 1) / w;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  return ApplyFaults(CollectiveOp::kAllReduceSum, decision, wire, wire);
-}
-
-Status WorkerContext::ReduceScatterSum(std::span<double> data) {
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kReduceScatterSum, &decision));
-  const int w = world_size();
-  if (w == 1) return ApplyFaults(CollectiveOp::kReduceScatterSum, decision, 0, 0);
-  cluster_->mutable_ptrs_[rank_] = data.data();
-  cluster_->sizes_[rank_] = data.size();
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    const size_t n = cluster_->sizes_[0];
-    for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
-    cluster_->reduce_buffer_.assign(n, 0.0);
+  // Every published frame counts toward the ring volume — a deferred rank's
+  // frame still crossed the wire, it is just dropped on arrival. Frames were
+  // published before the first rendezvous, so this read is race-free and
+  // identical on every rank.
+  uint64_t total_encoded = 0;
+  if (coded) {
     for (int r = 0; r < w; ++r) {
-      const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
+      total_encoded +=
+          static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r])->size();
     }
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const size_t begin = SliceBegin(data.size(), rank_);
-  const size_t end = SliceEnd(data.size(), rank_);
-  std::memcpy(data.data() + begin, cluster_->reduce_buffer_.data() + begin,
-              (end - begin) * sizeof(double));
-  MaybeSilentCorrupt(decision, data.subspan(begin, end - begin));
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
 
-  // Ring reduce-scatter volume: (W-1)/W of the buffer per worker.
-  const uint64_t bytes = data.size() * sizeof(double);
-  const uint64_t wire = bytes * (w - 1) / w;
-  Charge(CollectiveOp::kReduceScatterSum, wire, wire);
-  return ApplyFaults(CollectiveOp::kReduceScatterSum, decision, wire, wire);
+  // Ring all-reduce volume: each worker sends (and receives) the buffer
+  // twice, minus its own 1/W share, in 2*(W-1) pipelined steps. Under the
+  // codec the per-rank buffer is the mean encoded frame (the ring moves
+  // everyone's data through everyone, so the mean is what each link
+  // carries); equal frames reduce exactly to the dense accounting. A late
+  // payload is charged like an on-time one.
+  const uint64_t raw_wire = 2 * (data.size() * sizeof(double)) * (w - 1) / w;
+  const uint64_t wire =
+      coded ? 2 * (total_encoded / w) * (w - 1) / w : raw_wire;
+  Charge(CollectiveOp::kAllReduceSum, wire, wire);
+  if (coded) {
+    RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
+                cstats);
+  }
+  const uint64_t extra = call.serving_for >= 0 ? wire : 0;
+  return FinishMitigated(CollectiveOp::kAllReduceSum, opts.mitigation,
+                         decision, call, extra, extra, wire, wire,
+                         deferred_mass);
 }
 
 Status WorkerContext::AllGather(const std::vector<uint8_t>& mine,
-                                std::vector<std::vector<uint8_t>>* all) {
+                                std::vector<std::vector<uint8_t>>* all,
+                                const CollectiveOptions& opts,
+                                MitigationOutcome* outcome) {
+  const int w = world_size();
+  ResetOutcome(outcome, w);
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  const int w = world_size();
   all->assign(w, {});
   if (w == 1) {
     (*all)[0] = mine;
     return ApplyFaults(CollectiveOp::kAllGather, decision, 0, 0);
   }
-  cluster_->ptrs_[rank_] = &mine;
+  const bool mitigated = opts.mitigation.enabled();
+  const bool coded = opts.codec.enabled();
+  CodecStats cstats;
+  std::vector<uint8_t> frame;
+  if (coded) CodecEncodeBytes(mine, opts.codec, &frame, &cstats);
+  const std::vector<uint8_t>& outgoing = coded ? frame : mine;
+  cluster_->ptrs_[rank_] = &outgoing;
   bool serial = false;
+  MitigatedCall call;
+  if (mitigated) {
+    cluster_->delay_slots_[rank_] = decision.delay_seconds;
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    if (serial) cluster_->PlanMitigation(opts.mitigation);
+  }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t received = 0;
+  if (mitigated) call = ReadMitigationPlan(outcome);
+  uint64_t received = 0, raw_received = 0;
+  double deferred_mass = 0.0;
   std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
     const auto* src =
         static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    (*all)[r] = *src;
     if (r != rank_) {
       received += src->size();
-      remote.push_back(&(*all)[r]);
+      if (coded) {
+        // Raw-equivalent volume from the frame header, so a deferred
+        // rank's frame (never decoded) is accounted too.
+        uint64_t raw = 0;
+        VERO_CHECK_OK(CodecFrameRawSize(*src, &raw));
+        raw_received += raw;
+      }
     }
+    if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
+      if (r == rank_) deferred_mass = static_cast<double>(mine.size());
+      continue;  // dropped on arrival, on every rank — slot stays empty
+    }
+    if (coded) {
+      // Every rank decodes every frame — its own included — so a lossy
+      // codec's reconstruction is replicated-deterministic cluster-wide.
+      VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
+    } else {
+      (*all)[r] = *src;
+    }
+    if (r != rank_) remote.push_back(&(*all)[r]);
   }
   MaybeSilentCorrupt(decision, remote);
+  const uint64_t sent = outgoing.size() * (w - 1);
+  uint64_t extra_sent = 0;
+  if (call.serving_for >= 0) {
+    const auto* src = static_cast<const std::vector<uint8_t>*>(
+        cluster_->ptrs_[call.serving_for]);
+    extra_sent = src->size() * (w - 1);
+  }
+  if (coded) DebugCheckCodecSymmetry(sent, received);
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const uint64_t sent = mine.size() * (w - 1);
   Charge(CollectiveOp::kAllGather, sent, received);
-  return ApplyFaults(CollectiveOp::kAllGather, decision, sent, received);
+  if (coded) {
+    RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
+                sent, received, cstats);
+  }
+  return FinishMitigated(CollectiveOp::kAllGather, opts.mitigation, decision,
+                         call, extra_sent, 0, sent, received, deferred_mass);
 }
 
 Status WorkerContext::Broadcast(std::vector<uint8_t>* data, int root) {
@@ -724,40 +814,97 @@ Status WorkerContext::Gather(const std::vector<uint8_t>& mine, int root,
 }
 
 Status WorkerContext::AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                               std::vector<std::vector<uint8_t>>* from_each) {
+                               std::vector<std::vector<uint8_t>>* from_each,
+                               const CollectiveOptions& opts,
+                               MitigationOutcome* outcome) {
+  const int w = world_size();
+  ResetOutcome(outcome, w);
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  const int w = world_size();
   VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
   from_each->assign(w, {});
   if (w == 1) {
     (*from_each)[0] = std::move(to_each[0]);
     return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
   }
-  cluster_->ptrs_[rank_] = &to_each;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    (*from_each)[r] = (*src)[rank_];
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      remote.push_back(&(*from_each)[r]);
+  const bool mitigated = opts.mitigation.enabled();
+  const bool coded = opts.codec.enabled();
+  CodecStats cstats;
+  std::vector<std::vector<uint8_t>> frames;
+  if (coded) {
+    frames.resize(w);
+    for (int r = 0; r < w; ++r) {
+      CodecEncodeBytes(to_each[r], opts.codec, &frames[r], &cstats);
     }
   }
+  const std::vector<std::vector<uint8_t>>& outgoing = coded ? frames : to_each;
+  cluster_->ptrs_[rank_] = &outgoing;
+  bool serial = false;
+  MitigatedCall call;
+  if (mitigated) {
+    cluster_->delay_slots_[rank_] = decision.delay_seconds;
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    if (serial) cluster_->PlanMitigation(opts.mitigation);
+  }
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  if (mitigated) call = ReadMitigationPlan(outcome);
+  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
+  double deferred_mass = 0.0;
+  std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
-    if (r != rank_) sent += to_each[r].size();
+    const std::vector<uint8_t>& in =
+        (*static_cast<const std::vector<std::vector<uint8_t>>*>(
+            cluster_->ptrs_[r]))[rank_];
+    if (r != rank_) {
+      received += in.size();
+      if (coded) {
+        uint64_t raw = 0;
+        VERO_CHECK_OK(CodecFrameRawSize(in, &raw));
+        raw_received += raw;
+      }
+    }
+    // A deferred rank's buffers are dropped everywhere, self-slice included,
+    // so receivers that skip non-contributors stay replicated-deterministic.
+    if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) continue;
+    if (coded) {
+      VERO_CHECK_OK(CodecDecodeBytes(in, &(*from_each)[r]));
+    } else {
+      (*from_each)[r] = in;
+    }
+    if (r != rank_) remote.push_back(&(*from_each)[r]);
+  }
+  for (int r = 0; r < w; ++r) {
+    if (r != rank_) {
+      sent += outgoing[r].size();
+      raw_sent += to_each[r].size();
+    }
   }
   MaybeSilentCorrupt(decision, remote);
+  if (call.my == RankClass::kDeferred) {
+    for (const auto& buf : to_each) {
+      deferred_mass += static_cast<double>(buf.size());
+    }
+  }
+  uint64_t extra_sent = 0;
+  if (call.serving_for >= 0) {
+    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
+        cluster_->ptrs_[call.serving_for]);
+    for (int r = 0; r < w; ++r) {
+      if (r != call.serving_for) extra_sent += (*src)[r].size();
+    }
+  }
+  if (coded) DebugCheckCodecSymmetry(sent, received);
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
   Charge(CollectiveOp::kAllToAll, sent, received);
-  return ApplyFaults(CollectiveOp::kAllToAll, decision, sent, received);
+  if (coded) {
+    RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent,
+                received, cstats);
+  }
+  return FinishMitigated(CollectiveOp::kAllToAll, opts.mitigation, decision,
+                         call, extra_sent, 0, sent, received, deferred_mass);
 }
 
-// ---- Straggler-mitigated collectives --------------------------------------
+// ---- Straggler-mitigation layer -------------------------------------------
 
 void Cluster::PlanMitigation(const MitigationOptions& opts) {
   ClassifyStragglers(opts, delay_slots_, stale_streaks_, &mit_class_,
@@ -809,6 +956,7 @@ Status WorkerContext::FinishMitigated(CollectiveOp op,
                                       uint64_t extra_sent,
                                       uint64_t extra_received, uint64_t sent,
                                       uint64_t received, double deferred_mass) {
+  if (!opts.enabled()) return ApplyFaults(op, decision, sent, received);
   ObsHandles* oh = nullptr;
   if constexpr (obs::kObsEnabled) {
     if (obs_handles_ != nullptr) {
@@ -879,516 +1027,6 @@ Status WorkerContext::FinishMitigated(CollectiveOp op,
     }
   }
   return ApplyFaults(op, decision, sent, received);
-}
-
-Status WorkerContext::AllReduceBoundedSum(std::span<double> data,
-                                          const MitigationOptions& opts,
-                                          MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllReduceSum(data);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  cluster_->mutable_ptrs_[rank_] = data.data();
-  cluster_->sizes_[rank_] = data.size();
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    cluster_->PlanMitigation(opts);
-    const size_t n = cluster_->sizes_[0];
-    for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    for (int r = 0; r < w; ++r) {
-      if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-      const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  double deferred_mass = 0.0;
-  if (call.my == RankClass::kDeferred) {
-    // The dropped contribution, measured before the copy-out overwrites it.
-    for (double v : data) deferred_mass += v;
-  }
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  // Volume is charged exactly as in the strict collective: a late payload
-  // still crosses the wire, it is just dropped on arrival.
-  const uint64_t bytes = data.size() * sizeof(double);
-  const uint64_t wire = 2 * bytes * (w - 1) / w;
-  const uint64_t extra = call.serving_for >= 0 ? wire : 0;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  return FinishMitigated(CollectiveOp::kAllReduceSum, opts, decision, call,
-                         extra, extra, wire, wire, deferred_mass);
-}
-
-Status WorkerContext::AllGatherBounded(const std::vector<uint8_t>& mine,
-                                       std::vector<std::vector<uint8_t>>* all,
-                                       const MitigationOptions& opts,
-                                       MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllGather(mine, all);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  all->assign(w, {});
-  cluster_->ptrs_[rank_] = &mine;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    if (r != rank_) received += src->size();
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) {
-      if (r == rank_) deferred_mass = static_cast<double>(src->size());
-      continue;  // dropped on arrival, on every rank — slot stays empty
-    }
-    (*all)[r] = *src;
-    if (r != rank_) remote.push_back(&(*all)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<uint8_t>*>(
-        cluster_->ptrs_[call.serving_for]);
-    extra_sent = src->size() * (w - 1);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const uint64_t sent = mine.size() * (w - 1);
-  Charge(CollectiveOp::kAllGather, sent, received);
-  return FinishMitigated(CollectiveOp::kAllGather, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-Status WorkerContext::AllToAllBounded(
-    std::vector<std::vector<uint8_t>> to_each,
-    std::vector<std::vector<uint8_t>>* from_each,
-    const MitigationOptions& opts, MitigationOutcome* outcome) {
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllToAll(std::move(to_each), from_each);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  cluster_->ptrs_[rank_] = &to_each;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t sent = 0, received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    if (r != rank_) received += (*src)[rank_].size();
-    // A deferred rank's buffers are dropped everywhere, self-slice included,
-    // so receivers that skip non-contributors stay replicated-deterministic.
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-    (*from_each)[r] = (*src)[rank_];
-    if (r != rank_) remote.push_back(&(*from_each)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) sent += to_each[r].size();
-  }
-  if (call.my == RankClass::kDeferred) {
-    for (const auto& buf : to_each) {
-      deferred_mass += static_cast<double>(buf.size());
-    }
-  }
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[call.serving_for]);
-    for (int r = 0; r < w; ++r) {
-      if (r != call.serving_for) extra_sent += (*src)[r].size();
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  return FinishMitigated(CollectiveOp::kAllToAll, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-// ---- Compressed (codec) collectives ---------------------------------------
-//
-// Same rendezvous structure and CollectiveOp stream as the uncompressed
-// collectives — only the bytes that cross the (simulated) wire change. The
-// serial reduction decodes rank frames in rank order 0..W-1, which for the
-// lossless modes reproduces the dense summation order bit-for-bit.
-
-Status WorkerContext::AllReduceSumCodec(std::span<double> data,
-                                        const CodecSpec& codec) {
-  if (!codec.enabled()) return AllReduceSum(data);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  const int w = world_size();
-  if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
-
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncode(data, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->sizes_[rank_] = frame.size();
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    const size_t n = data.size();
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    std::vector<double> decoded;
-    for (int r = 0; r < w; ++r) {
-      const auto* src =
-          static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-      VERO_CHECK_OK(CodecDecode(*src, &decoded));
-      VERO_CHECK_EQ(decoded.size(), n);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += decoded[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  // All frame sizes were published before the first rendezvous, so this
-  // read is race-free and identical on every rank.
-  uint64_t total_encoded = 0;
-  for (int r = 0; r < w; ++r) total_encoded += cluster_->sizes_[r];
-  DebugCheckCodecSymmetry(total_encoded, total_encoded);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  // Ring all-reduce over encoded frames: the dense formula with the
-  // per-rank buffer size replaced by the mean encoded frame size (the ring
-  // moves everyone's data through everyone, so the mean is what each link
-  // carries). Equal frames reduce exactly to the dense accounting.
-  const uint64_t raw_bytes = data.size() * sizeof(double);
-  const uint64_t raw_wire = 2 * raw_bytes * (w - 1) / w;
-  const uint64_t wire = 2 * (total_encoded / w) * (w - 1) / w;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
-              cstats);
-  return ApplyFaults(CollectiveOp::kAllReduceSum, decision, wire, wire);
-}
-
-Status WorkerContext::AllGatherCodec(const std::vector<uint8_t>& mine,
-                                     std::vector<std::vector<uint8_t>>* all,
-                                     const CodecSpec& codec) {
-  if (!codec.enabled()) return AllGather(mine, all);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  const int w = world_size();
-  all->assign(w, {});
-  if (w == 1) {
-    (*all)[0] = mine;
-    return ApplyFaults(CollectiveOp::kAllGather, decision, 0, 0);
-  }
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncodeBytes(mine, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0, raw_received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    // Every rank decodes every frame — its own included — so a lossy
-    // codec's reconstruction is replicated-deterministic cluster-wide.
-    VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
-    if (r != rank_) {
-      received += src->size();
-      raw_received += (*all)[r].size();
-      remote.push_back(&(*all)[r]);
-    }
-  }
-  MaybeSilentCorrupt(decision, remote);
-  sent = frame.size() * (w - 1);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllGather, sent, received);
-  RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
-              sent, received, cstats);
-  return ApplyFaults(CollectiveOp::kAllGather, decision, sent, received);
-}
-
-Status WorkerContext::AllToAllCodec(std::vector<std::vector<uint8_t>> to_each,
-                                    std::vector<std::vector<uint8_t>>* from_each,
-                                    const CodecSpec& codec) {
-  if (!codec.enabled()) return AllToAll(std::move(to_each), from_each);
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  const int w = world_size();
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  if (w == 1) {
-    (*from_each)[0] = std::move(to_each[0]);
-    return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
-  }
-  CodecStats cstats;
-  std::vector<std::vector<uint8_t>> frames(w);
-  for (int r = 0; r < w; ++r) {
-    CodecEncodeBytes(to_each[r], codec, &frames[r], &cstats);
-  }
-  cluster_->ptrs_[rank_] = &frames;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    VERO_CHECK_OK(CodecDecodeBytes((*src)[rank_], &(*from_each)[r]));
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      raw_received += (*from_each)[r].size();
-      remote.push_back(&(*from_each)[r]);
-    }
-  }
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) {
-      sent += frames[r].size();
-      raw_sent += to_each[r].size();
-    }
-  }
-  MaybeSilentCorrupt(decision, remote);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent, received,
-              cstats);
-  return ApplyFaults(CollectiveOp::kAllToAll, decision, sent, received);
-}
-
-Status WorkerContext::AllReduceBoundedSumCodec(std::span<double> data,
-                                               const CodecSpec& codec,
-                                               const MitigationOptions& opts,
-                                               MitigationOutcome* outcome) {
-  if (!codec.enabled()) return AllReduceBoundedSum(data, opts, outcome);
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllReduceSumCodec(data, codec);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncode(data, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->sizes_[rank_] = frame.size();
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    cluster_->PlanMitigation(opts);
-    const size_t n = data.size();
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    std::vector<double> decoded;
-    for (int r = 0; r < w; ++r) {
-      if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-      const auto* src =
-          static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-      VERO_CHECK_OK(CodecDecode(*src, &decoded));
-      VERO_CHECK_EQ(decoded.size(), n);
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += decoded[i];
-    }
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  double deferred_mass = 0.0;
-  if (call.my == RankClass::kDeferred) {
-    for (double v : data) deferred_mass += v;
-  }
-  std::memcpy(data.data(), cluster_->reduce_buffer_.data(),
-              data.size() * sizeof(double));
-  MaybeSilentCorrupt(decision, data);
-  // A deferred rank's frame still crossed the wire (it is just dropped on
-  // arrival), so every published frame counts toward the ring volume.
-  uint64_t total_encoded = 0;
-  for (int r = 0; r < w; ++r) total_encoded += cluster_->sizes_[r];
-  DebugCheckCodecSymmetry(total_encoded, total_encoded);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-
-  const uint64_t raw_bytes = data.size() * sizeof(double);
-  const uint64_t raw_wire = 2 * raw_bytes * (w - 1) / w;
-  const uint64_t wire = 2 * (total_encoded / w) * (w - 1) / w;
-  const uint64_t extra = call.serving_for >= 0 ? wire : 0;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
-  RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
-              cstats);
-  return FinishMitigated(CollectiveOp::kAllReduceSum, opts, decision, call,
-                         extra, extra, wire, wire, deferred_mass);
-}
-
-Status WorkerContext::AllGatherBoundedCodec(
-    const std::vector<uint8_t>& mine, std::vector<std::vector<uint8_t>>* all,
-    const CodecSpec& codec, const MitigationOptions& opts,
-    MitigationOutcome* outcome) {
-  if (!codec.enabled()) return AllGatherBounded(mine, all, opts, outcome);
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) return AllGatherCodec(mine, all, codec);
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllGather, &decision));
-  all->assign(w, {});
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  CodecEncodeBytes(mine, codec, &frame, &cstats);
-  cluster_->ptrs_[rank_] = &frame;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t received = 0, raw_received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    if (r != rank_) {
-      received += src->size();
-      // The deferred rank's frame crossed the wire too; its raw-equivalent
-      // volume comes from the frame header (the payload is never decoded).
-      uint64_t raw = 0;
-      VERO_CHECK_OK(CodecFrameRawSize(*src, &raw));
-      raw_received += raw;
-    }
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) {
-      if (r == rank_) deferred_mass = static_cast<double>(mine.size());
-      continue;  // dropped on arrival, on every rank — slot stays empty
-    }
-    VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
-    if (r != rank_) remote.push_back(&(*all)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<uint8_t>*>(
-        cluster_->ptrs_[call.serving_for]);
-    extra_sent = src->size() * (w - 1);
-  }
-  const uint64_t sent = frame.size() * (w - 1);
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllGather, sent, received);
-  RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
-              sent, received, cstats);
-  return FinishMitigated(CollectiveOp::kAllGather, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
-}
-
-Status WorkerContext::AllToAllBoundedCodec(
-    std::vector<std::vector<uint8_t>> to_each,
-    std::vector<std::vector<uint8_t>>* from_each, const CodecSpec& codec,
-    const MitigationOptions& opts, MitigationOutcome* outcome) {
-  if (!codec.enabled()) {
-    return AllToAllBounded(std::move(to_each), from_each, opts, outcome);
-  }
-  const int w = world_size();
-  if (outcome != nullptr) {
-    *outcome = MitigationOutcome{};
-    outcome->contributed.assign(w, 1);
-  }
-  if (!opts.enabled() || w == 1) {
-    return AllToAllCodec(std::move(to_each), from_each, codec);
-  }
-
-  FaultDecision decision;
-  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
-  VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
-  from_each->assign(w, {});
-  CodecStats cstats;
-  std::vector<std::vector<uint8_t>> frames(w);
-  for (int r = 0; r < w; ++r) {
-    CodecEncodeBytes(to_each[r], codec, &frames[r], &cstats);
-  }
-  cluster_->ptrs_[rank_] = &frames;
-  cluster_->delay_slots_[rank_] = decision.delay_seconds;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) cluster_->PlanMitigation(opts);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  const MitigatedCall call = ReadMitigationPlan(outcome);
-  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
-  double deferred_mass = 0.0;
-  std::vector<std::vector<uint8_t>*> remote;
-  for (int r = 0; r < w; ++r) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[r]);
-    if (r != rank_) {
-      received += (*src)[rank_].size();
-      uint64_t raw = 0;
-      VERO_CHECK_OK(CodecFrameRawSize((*src)[rank_], &raw));
-      raw_received += raw;
-    }
-    // A deferred rank's buffers are dropped everywhere, self-slice included,
-    // so receivers that skip non-contributors stay replicated-deterministic.
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-    VERO_CHECK_OK(CodecDecodeBytes((*src)[rank_], &(*from_each)[r]));
-    if (r != rank_) remote.push_back(&(*from_each)[r]);
-  }
-  MaybeSilentCorrupt(decision, remote);
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) {
-      sent += frames[r].size();
-      raw_sent += to_each[r].size();
-    }
-  }
-  if (call.my == RankClass::kDeferred) {
-    for (const auto& buf : to_each) {
-      deferred_mass += static_cast<double>(buf.size());
-    }
-  }
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[call.serving_for]);
-    for (int r = 0; r < w; ++r) {
-      if (r != call.serving_for) extra_sent += (*src)[r].size();
-    }
-  }
-  DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
-  RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent, received,
-              cstats);
-  return FinishMitigated(CollectiveOp::kAllToAll, opts, decision, call,
-                         extra_sent, 0, sent, received, deferred_mass);
 }
 
 }  // namespace vero

@@ -54,14 +54,35 @@ class ClusterAbort : public std::exception {
       throw ::vero::ClusterAbort(std::move(_vero_comm_status));   \
   } while (0)
 
+/// Per-call layers of AllReduceSum / AllGather / AllToAll. Both default to
+/// off, which is the plain strict collective (bit-identical to seed,
+/// including the metric name set).
+///
+/// - `codec`: payloads are encoded (CodecEncode) before they cross the
+///   simulated wire and decoded on arrival; the network model prices the
+///   encoded frames. See docs/wire_formats.md.
+/// - `mitigation`: straggler handling (bounded staleness or speculative
+///   re-execution). See docs/straggler_mitigation.md.
+///
+/// Either layer reports the SAME CollectiveOp to the fault injector,
+/// metrics and traces, so one FaultPlan replays with identical occurrence
+/// matching (op-id lockstep) across every combination. Only apply the codec
+/// to packed-double payloads (histograms), never to serialized structs.
+struct CollectiveOptions {
+  // The `= {}` lets call sites name one layer ({.mitigation = m}) without
+  // tripping -Wmissing-field-initializers.
+  CodecSpec codec = {};
+  MitigationOptions mitigation = {};
+};
+
 /// Per-worker handle to the simulated cluster: rank, collectives, and
 /// communication accounting. All collectives are SPMD — every worker of the
 /// cluster must call the same operation in the same order (like MPI).
 ///
 /// Byte accounting charges each worker the volume an efficient real
-/// implementation would move (ring all-reduce / reduce-scatter, flat
-/// broadcast/gather), and simulated time follows the cluster's NetworkModel;
-/// the data itself moves through shared memory so results are exact.
+/// implementation would move (ring all-reduce, flat broadcast/gather), and
+/// simulated time follows the cluster's NetworkModel; the data itself moves
+/// through shared memory so results are exact.
 ///
 /// Failure semantics: every collective returns a Status instead of
 /// deadlocking. kUnavailable means a participant (possibly this worker, via
@@ -77,24 +98,42 @@ class WorkerContext {
   int rank() const { return rank_; }
   int world_size() const;
 
+  // ---- Layered collectives ------------------------------------------------
+  // `outcome`, when given, is always filled: `contributed` is all-ones
+  // unless bounded-staleness mitigation deferred a rank (W=1 and strict
+  // calls never defer). Mitigation: ranks whose announced delay exceeds
+  // deadline_seconds (at most max_stale_ranks, never past a rank's
+  // staleness_bound streak) are dropped from the result on EVERY rank while
+  // their delay is absorbed off the critical path and the on-time ranks pay
+  // the deadline; a deferred payload still crosses the wire and is charged.
+  // Speculative mode has a backup re-serve the slow rank's share (charged
+  // as waste) and keeps the result exact. Codec: raw-vs-wire volume lands
+  // in CommStats codec_raw_bytes / codec_wire_bytes and the lazily created
+  // comm.<Op>.raw_bytes / compressed_bytes counters.
+
   /// In-place element-wise sum across workers; everyone ends with the total.
-  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker.
-  Status AllReduceSum(std::span<double> data);
+  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker; with
+  /// the codec on, bytes is the mean encoded frame. The serial reduction
+  /// adds ranks in order 0..W-1, so lossless codecs give bit-identical sums
+  /// and kQuantized the same reconstructed aggregate on every rank.
+  Status AllReduceSum(std::span<double> data,
+                      const CollectiveOptions& opts = {},
+                      MitigationOutcome* outcome = nullptr);
 
-  /// In-place reduce-scatter: after the call, worker r's slice
-  /// [SliceBegin(n, r), SliceEnd(n, r)) of `data` holds the element-wise
-  /// sum; the rest of the buffer is unspecified.
-  /// Accounting: ring reduce-scatter, bytes * (W-1)/W sent per worker.
-  Status ReduceScatterSum(std::span<double> data);
-
-  /// Slice boundaries used by ReduceScatterSum (contiguous, near-equal).
+  /// Contiguous, near-equal slice boundaries of an n-element buffer (QD2's
+  /// feature-sliced histogram exchange).
   size_t SliceBegin(size_t n, int rank) const;
   size_t SliceEnd(size_t n, int rank) const;
 
   /// Every worker contributes `mine`; all receive all contributions indexed
-  /// by rank. Accounting: each worker sends its buffer to W-1 peers.
+  /// by rank. Accounting: each worker sends its buffer to W-1 peers. A
+  /// deferred rank's slot stays empty on every rank; with the codec on,
+  /// every rank decodes every frame (its own included) so lossy
+  /// reconstruction is replicated-deterministic.
   Status AllGather(const std::vector<uint8_t>& mine,
-                   std::vector<std::vector<uint8_t>>* all);
+                   std::vector<std::vector<uint8_t>>* all,
+                   const CollectiveOptions& opts = {},
+                   MitigationOutcome* outcome = nullptr);
 
   /// Root's `data` is copied to everyone. Accounting: root sends
   /// bytes * (W-1); others receive bytes.
@@ -108,95 +147,13 @@ class WorkerContext {
   /// Personalized all-to-all: `to_each[r]` goes to worker r; returns
   /// `from_each[s]` = buffer sent by worker s to this worker.
   /// to_each must have world_size entries (self-entry is delivered free).
+  /// Every buffer sent BY a deferred rank is dropped cluster-wide (its
+  /// self-slice included), so receivers that skip non-contributors stay
+  /// replicated-deterministic.
   Status AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                  std::vector<std::vector<uint8_t>>* from_each);
-
-  // ---- Straggler-mitigated collectives -----------------------------------
-  // Each is a 1:1 replacement for its strict counterpart: it reports the
-  // SAME CollectiveOp to the fault injector / metrics / traces, so one
-  // FaultPlan replays with identical occurrence matching across strict,
-  // bounded-staleness, and speculative runs. With opts.mode == kStrict they
-  // delegate to the strict implementation (bit-identical to seed).
-  // Semantics and accounting are documented in docs/straggler_mitigation.md.
-
-  /// Bounded/speculative all-reduce. Bounded mode: ranks whose announced
-  /// delay exceeds opts.deadline_seconds (at most opts.max_stale_ranks, and
-  /// never past a rank's staleness_bound streak) are excluded from the sum
-  /// on EVERY rank; their delay is absorbed off the critical path while the
-  /// on-time ranks pay the deadline. Speculative mode: a backup re-serves
-  /// the slow rank's share (duplicated volume charged as waste) and the
-  /// result equals the strict sum exactly.
-  Status AllReduceBoundedSum(std::span<double> data,
-                             const MitigationOptions& opts,
-                             MitigationOutcome* outcome = nullptr);
-
-  /// Bounded/speculative all-gather. In bounded mode a deferred rank's slot
-  /// in `all` stays empty on every rank (outcome->contributed marks it);
-  /// speculative mode always delivers every payload.
-  Status AllGatherBounded(const std::vector<uint8_t>& mine,
-                          std::vector<std::vector<uint8_t>>* all,
-                          const MitigationOptions& opts,
-                          MitigationOutcome* outcome = nullptr);
-
-  /// Bounded/speculative personalized all-to-all. In bounded mode every
-  /// buffer sent BY a deferred rank is dropped cluster-wide (including its
-  /// own self-slice), so receivers that skip non-contributors via
-  /// outcome->contributed stay replicated-deterministic.
-  Status AllToAllBounded(std::vector<std::vector<uint8_t>> to_each,
-                         std::vector<std::vector<uint8_t>>* from_each,
-                         const MitigationOptions& opts,
-                         MitigationOutcome* outcome = nullptr);
-
-  // ---- Compressed (codec) collectives ------------------------------------
-  // Each is a 1:1 replacement for its uncompressed counterpart with a
-  // CollectiveCompression codec layered underneath: payloads are encoded
-  // (CodecEncode) before they cross the simulated wire and decoded on
-  // arrival, and the network model prices the encoded frames. Every variant
-  // reports the SAME CollectiveOp with the same rendezvous count, so one
-  // FaultPlan and one CollectiveOp stream replays identically across modes
-  // (op-id lockstep preserved). With codec.enabled() == false they delegate
-  // to the uncompressed implementation — bit-identical to seed, including
-  // the metric name set. Raw-vs-wire volume lands in CommStats
-  // codec_raw_bytes / codec_wire_bytes and the comm.<Op>.raw_bytes /
-  // comm.<Op>.compressed_bytes counters. See docs/wire_formats.md.
-
-  /// Compressed all-reduce. Lossless modes produce bit-identical sums to
-  /// AllReduceSum (frames decode to the exact bit patterns and the serial
-  /// reduction visits ranks in the same order); kQuantized yields the same
-  /// reconstructed aggregate on every rank. Accounting: ring all-reduce
-  /// over the mean encoded frame, 2 * (total_encoded/W) * (W-1)/W.
-  Status AllReduceSumCodec(std::span<double> data, const CodecSpec& codec);
-
-  /// Compressed all-gather; every rank decodes every frame (its own
-  /// included) so lossy reconstruction is replicated-deterministic.
-  Status AllGatherCodec(const std::vector<uint8_t>& mine,
-                        std::vector<std::vector<uint8_t>>* all,
-                        const CodecSpec& codec);
-
-  /// Compressed personalized all-to-all (per-destination frames; the self
-  /// frame is decoded locally and charged nothing, like the strict op).
-  Status AllToAllCodec(std::vector<std::vector<uint8_t>> to_each,
-                       std::vector<std::vector<uint8_t>>* from_each,
-                       const CodecSpec& codec);
-
-  /// Codec + straggler mitigation composed: delegates to
-  /// AllReduceBoundedSum when the codec is off and to AllReduceSumCodec
-  /// when mitigation is off, and otherwise applies both layers (deferred
-  /// frames still cross the wire and are charged at their encoded size).
-  Status AllReduceBoundedSumCodec(std::span<double> data,
-                                  const CodecSpec& codec,
-                                  const MitigationOptions& opts,
-                                  MitigationOutcome* outcome = nullptr);
-  Status AllGatherBoundedCodec(const std::vector<uint8_t>& mine,
-                               std::vector<std::vector<uint8_t>>* all,
-                               const CodecSpec& codec,
-                               const MitigationOptions& opts,
-                               MitigationOutcome* outcome = nullptr);
-  Status AllToAllBoundedCodec(std::vector<std::vector<uint8_t>> to_each,
-                              std::vector<std::vector<uint8_t>>* from_each,
-                              const CodecSpec& codec,
-                              const MitigationOptions& opts,
-                              MitigationOutcome* outcome = nullptr);
+                  std::vector<std::vector<uint8_t>>* from_each,
+                  const CollectiveOptions& opts = {},
+                  MitigationOutcome* outcome = nullptr);
 
   /// Pure synchronization (no bytes charged).
   Status Barrier();
@@ -271,9 +228,11 @@ class WorkerContext {
 
   /// Debug-build cluster-wide invariant: the bytes every sender Charge()d
   /// equal the bytes receivers were charged for, i.e. sum over ranks of
-  /// (sent - received) is exactly zero for this op. Rides the instrument
-  /// channel (no bytes, invisible to the fault injector); compiled out
-  /// under NDEBUG.
+  /// (sent - received) is exactly zero for this op. Checked by the codec
+  /// layer of AllGather / AllToAll, where per-rank frames differ (the ring
+  /// all-reduce charges every rank sent == received by construction). Rides
+  /// the instrument channel (no bytes, invisible to the fault injector);
+  /// compiled out under NDEBUG.
   void DebugCheckCodecSymmetry(uint64_t sent, uint64_t received);
 
   /// Consults the fault injector (if any) at the top of a collective.
@@ -325,12 +284,14 @@ class WorkerContext {
   };
   MitigatedCall ReadMitigationPlan(MitigationOutcome* outcome) const;
 
-  /// Shared epilogue of the mitigated collectives: routes this rank's
-  /// injected delay to sim_seconds or absorbed_delay_seconds per its
-  /// RankClass, charges deadline waits and speculative duplicate volume
-  /// (mirrored into the per-op byte counters so exact accounting holds),
-  /// records the staleness.* / speculation.* metrics, then finishes via
-  /// ApplyFaults with the possibly-neutralized decision.
+  /// Epilogue of the layered collectives. With mitigation off it is plain
+  /// ApplyFaults (no staleness.* / speculation.* metrics are created).
+  /// Otherwise it routes this rank's injected delay to sim_seconds or
+  /// absorbed_delay_seconds per its RankClass, charges deadline waits and
+  /// speculative duplicate volume (mirrored into the per-op byte counters so
+  /// exact accounting holds), records the staleness.* / speculation.*
+  /// metrics, then finishes via ApplyFaults with the possibly-neutralized
+  /// decision.
   Status FinishMitigated(CollectiveOp op, const MitigationOptions& opts,
                          FaultDecision decision, const MitigatedCall& call,
                          uint64_t extra_sent, uint64_t extra_received,

@@ -8,8 +8,6 @@ const char* CollectiveOpToString(CollectiveOp op) {
   switch (op) {
     case CollectiveOp::kAllReduceSum:
       return "AllReduceSum";
-    case CollectiveOp::kReduceScatterSum:
-      return "ReduceScatterSum";
     case CollectiveOp::kAllGather:
       return "AllGather";
     case CollectiveOp::kBroadcast:

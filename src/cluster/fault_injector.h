@@ -11,16 +11,15 @@ namespace vero {
 /// per-op occurrence counters; kAny matches every operation type.
 enum class CollectiveOp {
   kAllReduceSum = 0,
-  kReduceScatterSum = 1,
-  kAllGather = 2,
-  kBroadcast = 3,
-  kGather = 4,
-  kAllToAll = 5,
-  kBarrier = 6,
-  kAny = 7,
+  kAllGather = 1,
+  kBroadcast = 2,
+  kGather = 3,
+  kAllToAll = 4,
+  kBarrier = 5,
+  kAny = 6,
 };
 
-inline constexpr int kNumCollectiveOps = 7;
+inline constexpr int kNumCollectiveOps = 6;
 static_assert(kNumCollectiveOps == static_cast<int>(CollectiveOp::kAny),
               "kNumCollectiveOps must count every concrete op; update it "
               "when adding CollectiveOp values before kAny");

@@ -7,12 +7,13 @@
 
 namespace vero {
 
-/// Straggler-mitigation policy of the bounded collectives
-/// (WorkerContext::AllReduceBoundedSum / AllGatherBounded / AllToAllBounded).
-/// See docs/straggler_mitigation.md for semantics and accuracy caveats.
+/// Straggler-mitigation policy of the collectives' mitigation layer
+/// (WorkerContext::AllReduceSum / AllGather / AllToAll, set via
+/// CollectiveOptions::mitigation). See docs/straggler_mitigation.md for
+/// semantics and accuracy caveats.
 enum class MitigationMode {
-  /// Fully synchronous: the bounded collectives delegate to their strict
-  /// counterparts and the accounting is bit-identical to seed.
+  /// Fully synchronous: the layer is off and the accounting is
+  /// bit-identical to seed.
   kStrict = 0,
   /// Return once W - max_stale_ranks ranks contribute within
   /// deadline_seconds; a late rank's contribution is dropped for the call

@@ -42,27 +42,13 @@ class Barrier {
   Barrier(const Barrier&) = delete;
   Barrier& operator=(const Barrier&) = delete;
 
-  /// Blocks until all participants have arrived. Returns true for exactly one
-  /// caller per cycle (the "serial" participant), which can run a one-shot
-  /// reduction step. Waits forever and ignores breakage; only safe when no
-  /// failure source exists (legacy callers, tests).
-  bool ArriveAndWait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    const uint64_t my_phase = phase_;
-    if (++waiting_ == num_participants_) {
-      waiting_ = 0;
-      ++phase_;
-      cv_.notify_all();
-      return true;
-    }
-    cv_.wait(lock, [&] { return phase_ != my_phase; });
-    return false;
-  }
-
-  /// Like ArriveAndWait, but failure-aware: returns kBroken immediately if
-  /// the barrier is already broken, and kTimeout (breaking the barrier for
-  /// everyone) if all participants fail to arrive within `timeout_seconds`.
-  /// A timeout of <= 0 waits forever (but still observes Break()).
+  /// Blocks until all participants have arrived. Returns kSerial for
+  /// exactly one caller per cycle (the "serial" participant, which can run a
+  /// one-shot reduction step) and kFollower for the rest. Failure-aware:
+  /// returns kBroken immediately if the barrier is already broken, and
+  /// kTimeout (breaking the barrier for everyone) if all participants fail
+  /// to arrive within `timeout_seconds`. A timeout of <= 0 waits forever
+  /// (but still observes Break()).
   BarrierWait ArriveAndWaitFor(double timeout_seconds) {
     std::unique_lock<std::mutex> lock(mu_);
     if (broken_) return BarrierWait::kBroken;

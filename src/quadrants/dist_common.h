@@ -31,11 +31,11 @@
 namespace vero {
 
 /// Maps GbdtParams' straggler-mitigation knobs onto the collective-level
-/// MitigationOptions consumed by the bounded collectives.
+/// MitigationOptions of CollectiveOptions::mitigation.
 MitigationOptions MitigationFromParams(const GbdtParams& params);
 
 /// Maps GbdtParams' histogram-compression knobs onto the collective-level
-/// CodecSpec consumed by the codec collectives. `dims` is the leaf-vector
+/// CodecSpec of CollectiveOptions::codec. `dims` is the leaf-vector
 /// width: the per-block granularity is one feature's histogram
 /// (q * dims * 2 doubles), so the dense/sparse switch tracks per-feature
 /// nonzero density.

@@ -62,8 +62,8 @@ std::vector<SplitCandidate> FeatureParallelTrainer::FindLayerSplits(
   }
   std::vector<std::vector<uint8_t>> all;
   MitigationOutcome outcome;
-  VERO_COMM_OK(ctx_.AllGatherBounded(SerializeSplits(local), &all, mitigation_,
-                                     &outcome));
+  VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
+                              {.mitigation = mitigation_}, &outcome));
   std::vector<SplitCandidate> best;
   for (int r = 0; r < ctx_.world_size(); ++r) {
     if (!outcome.contributed[r]) continue;

@@ -48,64 +48,55 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     const std::vector<NodeId>& frontier) {
   const std::vector<SplitCandidate> local = LocalBestSplits(frontier);
   std::vector<SplitCandidate> best;
-  if (mitigation_.enabled()) {
-    // Mitigated path for both vertical flows: the master-coordinated
-    // exchange has no useful bounded form (a master stalled on a straggler's
-    // gather IS the bottleneck mitigation removes), so it degrades to the
-    // symmetric all-gather. A deferred rank's candidates are skipped
-    // identically on every rank; since dropped candidates never win, the
-    // winning split's feature owner is always a live participant of the
-    // placement broadcast that follows.
+  if (mitigation_.enabled() || !MasterCoordinatesSplits()) {
+    // Yggdrasil: all workers exchange local bests and resolve locally.
+    // Mitigated Vero takes this path too: the master-coordinated exchange
+    // has no useful bounded form (a master stalled on a straggler's gather
+    // IS the bottleneck mitigation removes). A deferred rank's candidates
+    // are skipped identically on every rank; since dropped candidates never
+    // win, the winning split's feature owner is always a live participant
+    // of the placement broadcast that follows. In strict mode every rank
+    // contributes, so the merge visits all ranks in order.
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx_.AllGatherBounded(SerializeSplits(local), &all,
-                                       mitigation_, &outcome));
+    VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
+                                {.mitigation = mitigation_}, &outcome));
     for (int r = 0; r < ctx_.world_size(); ++r) {
       if (!outcome.contributed[r]) continue;
       MergeBestSplits(DeserializeSplits(all[r]), &best);
     }
     return best;
   }
-  if (MasterCoordinatesSplits()) {
-    // Vero: master gathers local bests, resolves, broadcasts the winners.
-    const std::vector<uint8_t> mine = SerializeSplits(local);
-    std::vector<std::vector<uint8_t>> gathered;
-    VERO_COMM_OK(ctx_.Gather(mine, /*root=*/0, &gathered));
-    if (auditor_.enabled()) {
-      // Pairwise evidence for the asymmetric gather: every rank attests
-      // what it sent to the master; only the master has receive-side
-      // evidence (all other pairs carry the skip sentinel).
-      const int w = ctx_.world_size();
-      std::vector<uint64_t> sent_digest(w, kAuditSkip);
-      std::vector<uint64_t> recv_digest(w, kAuditSkip);
-      sent_digest[0] = AuditDigestBytes(mine.data(), mine.size());
-      if (ctx_.rank() == 0) {
-        for (int r = 0; r < w; ++r) {
-          recv_digest[r] =
-              AuditDigestBytes(gathered[r].data(), gathered[r].size());
-        }
-      }
-      auditor_.PushPairwise("vertical-gather", sent_digest, recv_digest,
-                            /*exact=*/true);
-    }
-    std::vector<uint8_t> decision;
+  // Vero: master gathers local bests, resolves, broadcasts the winners.
+  const std::vector<uint8_t> mine = SerializeSplits(local);
+  std::vector<std::vector<uint8_t>> gathered;
+  VERO_COMM_OK(ctx_.Gather(mine, /*root=*/0, &gathered));
+  if (auditor_.enabled()) {
+    // Pairwise evidence for the asymmetric gather: every rank attests
+    // what it sent to the master; only the master has receive-side
+    // evidence (all other pairs carry the skip sentinel).
+    const int w = ctx_.world_size();
+    std::vector<uint64_t> sent_digest(w, kAuditSkip);
+    std::vector<uint64_t> recv_digest(w, kAuditSkip);
+    sent_digest[0] = AuditDigestBytes(mine.data(), mine.size());
     if (ctx_.rank() == 0) {
-      for (const auto& buf : gathered) {
-        MergeBestSplits(DeserializeSplits(buf), &best);
+      for (int r = 0; r < w; ++r) {
+        recv_digest[r] =
+            AuditDigestBytes(gathered[r].data(), gathered[r].size());
       }
-      decision = SerializeSplits(best);
     }
-    VERO_COMM_OK(ctx_.Broadcast(&decision, /*root=*/0));
-    best = DeserializeSplits(decision);
-  } else {
-    // Yggdrasil: all workers exchange local bests and resolve locally.
-    std::vector<std::vector<uint8_t>> all;
-    VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all));
-    for (const auto& buf : all) {
+    auditor_.PushPairwise("vertical-gather", sent_digest, recv_digest,
+                          /*exact=*/true);
+  }
+  std::vector<uint8_t> decision;
+  if (ctx_.rank() == 0) {
+    for (const auto& buf : gathered) {
       MergeBestSplits(DeserializeSplits(buf), &best);
     }
+    decision = SerializeSplits(best);
   }
-  return best;
+  VERO_COMM_OK(ctx_.Broadcast(&decision, /*root=*/0));
+  return DeserializeSplits(decision);
 }
 
 void VerticalTrainerBase::ApplyLayerSplits(

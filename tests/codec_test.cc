@@ -284,7 +284,8 @@ TEST(CodecCollectiveTest, LosslessAllReduceMatchesStrictBitwise) {
     std::vector<std::vector<double>> data = coded;
     Cluster cluster(w);
     cluster.Run([&](WorkerContext& ctx) {
-      VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()], Spec(mode, 64)));
+      VERO_COMM_OK(
+          ctx.AllReduceSum(data[ctx.rank()], {.codec = Spec(mode, 64)}));
     });
     for (int r = 0; r < w; ++r) {
       EXPECT_TRUE(BitIdentical(strict[r], data[r]))
@@ -298,33 +299,15 @@ TEST(CodecCollectiveTest, LosslessAllReduceMatchesStrictBitwise) {
   }
 }
 
-TEST(CodecCollectiveTest, OffModeDelegatesBitIdentically) {
-  const int w = 3;
-  std::vector<std::vector<double>> a(w), b(w);
-  for (int r = 0; r < w; ++r) {
-    a[r] = MakeHistogram(600, 0.5, 41 + r);
-    b[r] = a[r];
-  }
-  Cluster ca(w), cb(w);
-  ca.Run([&](WorkerContext& ctx) { VERO_COMM_OK(ctx.AllReduceSum(a[ctx.rank()])); });
-  cb.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(
-        ctx.AllReduceSumCodec(b[ctx.rank()], Spec(CollectiveCompression::kOff)));
-  });
-  for (int r = 0; r < w; ++r) EXPECT_TRUE(BitIdentical(a[r], b[r]));
-  EXPECT_EQ(ca.TotalStats().bytes_sent, cb.TotalStats().bytes_sent);
-  EXPECT_EQ(cb.TotalStats().codec_raw_bytes, 0u);
-  EXPECT_EQ(cb.TotalStats().codec_wire_bytes, 0u);
-}
-
 TEST(CodecCollectiveTest, QuantizedAllReduceIsReplicatedDeterministic) {
   const int w = 4;
   std::vector<std::vector<double>> data(w);
   for (int r = 0; r < w; ++r) data[r] = MakeHistogram(512, 0.6, 51 + r);
   Cluster cluster(w);
   cluster.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()],
-                                       Spec(CollectiveCompression::kQuantized, 64)));
+    VERO_COMM_OK(ctx.AllReduceSum(
+        data[ctx.rank()],
+        {.codec = Spec(CollectiveCompression::kQuantized, 64)}));
   });
   for (int r = 1; r < w; ++r) {
     EXPECT_TRUE(BitIdentical(data[0], data[r])) << "rank " << r;
@@ -355,10 +338,12 @@ TEST(CodecCollectiveTest, AllGatherAndAllToAllLosslessMatchStrict) {
   const CodecSpec spec = Spec(CollectiveCompression::kSparseDelta, 64);
   cc.Run([&](WorkerContext& ctx) {
     const int r = ctx.rank();
-    VERO_COMM_OK(ctx.AllGatherCodec(payload(r, r), &coded_gather[r], spec));
+    VERO_COMM_OK(
+        ctx.AllGather(payload(r, r), &coded_gather[r], {.codec = spec}));
     std::vector<std::vector<uint8_t>> to_each(w);
     for (int d = 0; d < w; ++d) to_each[d] = payload(r, d);
-    VERO_COMM_OK(ctx.AllToAllCodec(std::move(to_each), &coded_a2a[r], spec));
+    VERO_COMM_OK(
+        ctx.AllToAll(std::move(to_each), &coded_a2a[r], {.codec = spec}));
   });
   for (int r = 0; r < w; ++r) {
     EXPECT_EQ(strict_gather[r], coded_gather[r]) << "gather rank " << r;
@@ -393,7 +378,7 @@ TEST(CodecCollectiveTest, FaultPlanReplaysIdenticallyAcrossModes) {
     cluster.Run([&](WorkerContext& ctx) {
       for (int round = 0; round < 3; ++round) {
         CodecSpec spec = Spec(mode, 64);
-        VERO_COMM_OK(ctx.AllReduceSumCodec(data[ctx.rank()], spec));
+        VERO_COMM_OK(ctx.AllReduceSum(data[ctx.rank()], {.codec = spec}));
       }
     });
     Outcome out;
@@ -428,8 +413,8 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
   for (int r = 0; r < w; ++r) data[r] = MakeHistogram(640, 0.05, 81 + r);
   std::vector<MitigationOutcome> outcomes(w);
   cluster.Run([&](WorkerContext& ctx) {
-    VERO_COMM_OK(ctx.AllReduceBoundedSumCodec(
-        data[ctx.rank()], Spec(CollectiveCompression::kSparseDelta, 64), opts,
+    VERO_COMM_OK(ctx.AllReduceSum(
+        data[ctx.rank()], {Spec(CollectiveCompression::kSparseDelta, 64), opts},
         &outcomes[ctx.rank()]));
   });
   // Rank 2's contribution was deferred — identically on every rank — and
@@ -453,7 +438,8 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
 
 enum class GridOp { kAllReduceSum, kAllGather, kAllToAll };
 
-using GridParam = std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
+using GridParam =
+    std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
 
 constexpr int kGridCalls = 2;
 constexpr size_t kGridValues = 192;
@@ -493,20 +479,20 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
     case GridOp::kAllReduceSum: {
       std::vector<double> data = GridValues(call, r, 0);
       const Status status =
-          ctx.AllReduceBoundedSumCodec(data, codec, mitigation, outcome);
+          ctx.AllReduceSum(data, {codec, mitigation}, outcome);
       slots->assign(1, GridBytes(data));
       return status;
     }
     case GridOp::kAllGather:
-      return ctx.AllGatherBoundedCodec(GridBytes(GridValues(call, r, 0)), slots,
-                                       codec, mitigation, outcome);
+      return ctx.AllGather(GridBytes(GridValues(call, r, 0)), slots,
+                           {codec, mitigation}, outcome);
     case GridOp::kAllToAll: {
       std::vector<std::vector<uint8_t>> to_each(ctx.world_size());
       for (int d = 0; d < ctx.world_size(); ++d) {
         to_each[d] = GridBytes(GridValues(call, r, d));
       }
-      return ctx.AllToAllBoundedCodec(std::move(to_each), slots, codec,
-                                      mitigation, outcome);
+      return ctx.AllToAll(std::move(to_each), slots, {codec, mitigation},
+                          outcome);
     }
   }
   return Status::Internal("unknown grid op");
@@ -560,28 +546,20 @@ GridRun RunGridCell(GridOp op, CollectiveCompression compression,
   }
   for (const auto& entry : observer.metrics().Merged().entries) {
     run.metric_names.push_back(entry.name);
-    const std::string& name = entry.name;
-    if (name.rfind("comm.", 0) == 0 && name.size() > 4 &&
-        name.compare(name.size() - 4, 4, ".ops") == 0) {
-      run.op_counts[name] = entry.counter;
+    if (entry.name.starts_with("comm.") && entry.name.ends_with(".ops")) {
+      run.op_counts[entry.name] = entry.counter;
     }
   }
   return run;
 }
 
 bool IsCodecMetric(const std::string& name) {
-  auto ends_with = [&](const char* suffix) {
-    const std::string s(suffix);
-    return name.size() >= s.size() &&
-           name.compare(name.size() - s.size(), s.size(), s) == 0;
-  };
-  return name.rfind("codec.", 0) == 0 || ends_with(".raw_bytes") ||
-         ends_with(".compressed_bytes");
+  return name.starts_with("codec.") || name.ends_with(".raw_bytes") ||
+         name.ends_with(".compressed_bytes");
 }
 
 bool IsMitigationMetric(const std::string& name) {
-  return name.rfind("staleness.", 0) == 0 ||
-         name.rfind("speculation.", 0) == 0;
+  return name.starts_with("staleness.") || name.starts_with("speculation.");
 }
 
 class CollectiveLayerGridTest : public ::testing::TestWithParam<GridParam> {};

@@ -32,25 +32,6 @@ TEST_P(CommStressTest, AllReduceRandomSizes) {
   }
 }
 
-TEST_P(CommStressTest, ReduceScatterSliceSums) {
-  const int w = GetParam();
-  Cluster cluster(w);
-  for (size_t n : {size_t{1}, size_t{7}, size_t{w * 3 + 1}, size_t{513}}) {
-    cluster.Run([&](WorkerContext& ctx) {
-      std::vector<double> data(n);
-      for (size_t i = 0; i < n; ++i) data[i] = i + 0.25 * ctx.rank();
-      ctx.ReduceScatterSum(data);
-      const size_t begin = ctx.SliceBegin(n, ctx.rank());
-      const size_t end = ctx.SliceEnd(n, ctx.rank());
-      const double rank_quarter_sum = 0.25 * w * (w - 1) / 2.0;
-      for (size_t i = begin; i < end; ++i) {
-        ASSERT_DOUBLE_EQ(data[i], w * static_cast<double>(i) +
-                                      rank_quarter_sum);
-      }
-    });
-  }
-}
-
 TEST_P(CommStressTest, AllToAllVariableSizes) {
   const int w = GetParam();
   Cluster cluster(w);
@@ -105,10 +86,13 @@ TEST_P(CommStressTest, LongMixedSequenceRemainsConsistent) {
           break;
         }
         case 1: {
-          std::vector<double> data(w + rng.Uniform(64), 2.0);
-          ctx.ReduceScatterSum(data);
-          const size_t b = ctx.SliceBegin(data.size(), ctx.rank());
-          ASSERT_DOUBLE_EQ(data[b], 2.0 * w);
+          std::vector<std::vector<uint8_t>> to(w);
+          for (int dest = 0; dest < w; ++dest) {
+            to[dest].assign(1 + rng.Uniform(16), static_cast<uint8_t>(dest));
+          }
+          std::vector<std::vector<uint8_t>> from;
+          ctx.AllToAll(std::move(to), &from);
+          ASSERT_EQ(from[w - 1].back(), ctx.rank());
           break;
         }
         case 2: {
@@ -162,10 +146,6 @@ Status CallCollective(WorkerContext& ctx, CollectiveOp op) {
       std::vector<double> data(8, 1.0);
       return ctx.AllReduceSum(data);
     }
-    case CollectiveOp::kReduceScatterSum: {
-      std::vector<double> data(w + 3, 2.0);
-      return ctx.ReduceScatterSum(data);
-    }
     case CollectiveOp::kAllGather: {
       std::vector<uint8_t> mine(4, static_cast<uint8_t>(ctx.rank()));
       std::vector<std::vector<uint8_t>> all;
@@ -201,10 +181,9 @@ Status CallCollective(WorkerContext& ctx, CollectiveOp op) {
 // fired first) instead of hanging.
 TEST(CommFaultTest, CrashMatrixNeverDeadlocks) {
   constexpr CollectiveOp kOps[] = {
-      CollectiveOp::kAllReduceSum, CollectiveOp::kReduceScatterSum,
-      CollectiveOp::kAllGather,    CollectiveOp::kBroadcast,
-      CollectiveOp::kGather,       CollectiveOp::kAllToAll,
-      CollectiveOp::kBarrier,
+      CollectiveOp::kAllReduceSum, CollectiveOp::kAllGather,
+      CollectiveOp::kBroadcast,    CollectiveOp::kGather,
+      CollectiveOp::kAllToAll,     CollectiveOp::kBarrier,
   };
   const int w = 3;
   for (CollectiveOp op : kOps) {

@@ -351,9 +351,8 @@ TEST_P(ObsQuadrantTest, TraceSpansMatchTreeCostModel) {
   EXPECT_EQ(train_span_bytes, run.result.train_bytes_sent);
 
   // Registry invariant: the per-op counters decompose the CommStats totals.
-  const char* kOps[] = {"AllReduceSum", "ReduceScatterSum", "AllGather",
-                        "Broadcast",    "Gather",           "AllToAll",
-                        "Barrier"};
+  const char* kOps[] = {"AllReduceSum", "AllGather", "Broadcast",
+                        "Gather",       "AllToAll",  "Barrier"};
   uint64_t op_bytes = 0;
   uint64_t op_count = 0;
   for (const char* op : kOps) {

@@ -1,5 +1,5 @@
 // Straggler mitigation: bounded-staleness aggregation and speculative
-// re-execution. Covers the deterministic classifier, the bounded collectives'
+// re-execution. Covers the deterministic classifier, the mitigation layer's
 // exact accounting (staleness.* / speculation.* locked to the network cost
 // model), a property-based staleness-bound/mass-conservation sweep, and the
 // end-to-end fault-grid contract: strict mode stays bit-identical to seed
@@ -159,46 +159,6 @@ TEST(ClassifyStragglersTest, SpeculationWithoutBackupFallsBackToStrict) {
 // Bounded collective semantics + exact accounting against the cost model.
 // ---------------------------------------------------------------------------
 
-TEST(BoundedCollectiveTest, StrictModeDelegatesBitIdentically) {
-  const size_t n = 32;
-  std::vector<double> strict_result, bounded_result;
-  CommStats strict_stats, bounded_stats;
-  for (int use_bounded = 0; use_bounded < 2; ++use_bounded) {
-    Cluster cluster(4);
-    cluster.InstallFaultPlan(
-        FaultPlan().Delay(1, CollectiveOp::kAllReduceSum, 0, 0.5));
-    cluster.Run([&](WorkerContext& ctx) {
-      std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
-      MitigationOutcome outcome;
-      if (use_bounded) {
-        VERO_COMM_OK(
-            ctx.AllReduceBoundedSum(data, MitigationOptions{}, &outcome));
-        EXPECT_FALSE(outcome.self_deferred);
-        EXPECT_EQ(outcome.contributed,
-                  std::vector<uint8_t>(4, 1));
-      } else {
-        VERO_COMM_OK(ctx.AllReduceSum(data));
-      }
-      if (ctx.rank() == 0) {
-        if (use_bounded) {
-          bounded_result = data;
-        } else {
-          strict_result = data;
-        }
-      }
-    });
-    (use_bounded ? bounded_stats : strict_stats) = cluster.TotalStats();
-  }
-  EXPECT_EQ(strict_result, bounded_result);
-  EXPECT_EQ(strict_stats.bytes_sent, bounded_stats.bytes_sent);
-  EXPECT_EQ(strict_stats.num_ops, bounded_stats.num_ops);
-  EXPECT_DOUBLE_EQ(strict_stats.sim_seconds, bounded_stats.sim_seconds);
-  EXPECT_DOUBLE_EQ(strict_stats.fault_delay_seconds,
-                   bounded_stats.fault_delay_seconds);
-  EXPECT_EQ(bounded_stats.deferred_contributions, 0u);
-  EXPECT_DOUBLE_EQ(bounded_stats.absorbed_delay_seconds, 0.0);
-}
-
 TEST(BoundedCollectiveTest, BoundedAccountingLockedToCostModel) {
   const int w = 4;
   const size_t n = 16;
@@ -212,7 +172,8 @@ TEST(BoundedCollectiveTest, BoundedAccountingLockedToCostModel) {
   cluster.Run([&](WorkerContext& ctx) {
     std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, Bounded(kDeadline), &outcome));
+    VERO_COMM_OK(ctx.AllReduceSum(data, {.mitigation = Bounded(kDeadline)},
+                                  &outcome));
     EXPECT_EQ(outcome.deferred_ranks, 1);
     EXPECT_EQ(outcome.self_deferred, ctx.rank() == 2);
     EXPECT_EQ(outcome.contributed[2], 0);
@@ -277,7 +238,8 @@ TEST(BoundedCollectiveTest, SpeculativeAccountingLockedToCostModel) {
   cluster.Run([&](WorkerContext& ctx) {
     std::vector<double> data(n, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, Speculative(), &outcome));
+    VERO_COMM_OK(
+        ctx.AllReduceSum(data, {.mitigation = Speculative()}, &outcome));
     EXPECT_EQ(outcome.speculated_ranks, 1);
     EXPECT_EQ(outcome.self_speculated, ctx.rank() == 3);
     // Speculation keeps the data exact: every rank contributes.
@@ -332,13 +294,13 @@ TEST(BoundedCollectiveTest, ForcedSyncAtStalenessBound) {
     const MitigationOptions opts = Bounded(0.01, /*bound=*/1);
     std::vector<double> data(8, static_cast<double>(ctx.rank() + 1));
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data, opts, &outcome));
+    VERO_COMM_OK(ctx.AllReduceSum(data, {.mitigation = opts}, &outcome));
     EXPECT_EQ(outcome.self_deferred, ctx.rank() == 1);
     for (double v : data) EXPECT_DOUBLE_EQ(v, 1.0 + 3.0 + 4.0);
     // Second late call: rank 1's streak hit the bound, so it is forced to
     // contribute (full strict price) instead of going stale again.
     std::vector<double> data2(8, static_cast<double>(ctx.rank() + 1));
-    VERO_COMM_OK(ctx.AllReduceBoundedSum(data2, opts, &outcome));
+    VERO_COMM_OK(ctx.AllReduceSum(data2, {.mitigation = opts}, &outcome));
     EXPECT_FALSE(outcome.self_deferred);
     EXPECT_EQ(outcome.self_forced, ctx.rank() == 1);
     for (double v : data2) EXPECT_DOUBLE_EQ(v, 1.0 + 2.0 + 3.0 + 4.0);
@@ -360,7 +322,8 @@ TEST(BoundedCollectiveTest, AllGatherBoundedDropsDeferredSlotEverywhere) {
         static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllGatherBounded(mine, &all, Bounded(0.01), &outcome));
+    VERO_COMM_OK(
+        ctx.AllGather(mine, &all, {.mitigation = Bounded(0.01)}, &outcome));
     EXPECT_EQ(outcome.contributed[2], 0);
     // The deferred slot is empty on EVERY rank, including rank 2 itself.
     EXPECT_TRUE(all[2].empty());
@@ -386,8 +349,8 @@ TEST(BoundedCollectiveTest, AllToAllBoundedDropsDeferredSenderEverywhere) {
     }
     std::vector<std::vector<uint8_t>> from_each;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllToAllBounded(std::move(to_each), &from_each,
-                                     Bounded(0.01), &outcome));
+    VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each,
+                              {.mitigation = Bounded(0.01)}, &outcome));
     EXPECT_EQ(outcome.contributed[0], 0);
     // Everything sent BY rank 0 is dropped — its self-slice included — so
     // skip-by-mask receivers agree on every rank.
@@ -409,7 +372,8 @@ TEST(BoundedCollectiveTest, SpeculativeAllGatherChargesBackupReexecution) {
     const std::vector<uint8_t> mine(100, static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllGatherBounded(mine, &all, Speculative(), &outcome));
+    VERO_COMM_OK(
+        ctx.AllGather(mine, &all, {.mitigation = Speculative()}, &outcome));
     // Exact delivery: every slot filled.
     for (int r = 0; r < 4; ++r) EXPECT_EQ(all[r].size(), 100u);
   });
@@ -463,7 +427,7 @@ TEST(StalenessPropertyTest, BoundHeldAndMassConservedUnderRandomDelays) {
           data[i] = (rank + 1) * 100.0 + call + static_cast<double>(i) * 0.5;
         }
         MitigationOutcome outcome;
-        VERO_COMM_OK(ctx.AllReduceBoundedSum(data, opts, &outcome));
+        VERO_COMM_OK(ctx.AllReduceSum(data, {.mitigation = opts}, &outcome));
         outcomes[call][rank] = outcome;
         if (rank == 0) {
           std::lock_guard<std::mutex> lock(results_mu);

@@ -16,7 +16,9 @@ TEST(BarrierTest, ExactlyOneSerialParticipantPerCycle) {
   for (size_t t = 0; t < n; ++t) {
     threads.emplace_back([&] {
       for (int cycle = 0; cycle < 50; ++cycle) {
-        if (barrier.ArriveAndWait()) serial_count.fetch_add(1);
+        if (barrier.ArriveAndWaitFor(0) == BarrierWait::kSerial) {
+          serial_count.fetch_add(1);
+        }
       }
     });
   }
@@ -34,12 +36,12 @@ TEST(BarrierTest, SynchronizesPhases) {
     threads.emplace_back([&] {
       for (int cycle = 0; cycle < 100; ++cycle) {
         phase_sum.fetch_add(1);
-        barrier.ArriveAndWait();
+        barrier.ArriveAndWaitFor(0);
         // Between barriers every thread must have incremented.
         if (phase_sum.load() < static_cast<int>(n) * (cycle + 1)) {
           violated.store(true);
         }
-        barrier.ArriveAndWait();
+        barrier.ArriveAndWaitFor(0);
       }
     });
   }
