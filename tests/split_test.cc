@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <random>
+
 #include "common/serialize.h"
 
 namespace vero {
@@ -174,6 +179,254 @@ TEST(SplitFinderTest, LeftRightStatsSumToNodeStats) {
   ASSERT_TRUE(best.valid);
   EXPECT_NEAR(best.left_stats[0].g + best.right_stats[0].g, node[0].g, 1e-12);
   EXPECT_NEAR(best.left_stats[0].h + best.right_stats[0].h, node[0].h, 1e-12);
+}
+
+// ---- Exactness oracle ------------------------------------------------------
+//
+// A verbatim copy of the original SplitFinder::FindBest (one GradStats per
+// feature from Histogram::FeatureTotal, every feature scanned, SplitValue
+// read per candidate). The production scan must return bit-identical
+// candidates on every input below.
+
+constexpr double kRefMinSideHessian = 1e-10;
+
+double RefSideHessian(const GradStats& stats) {
+  double h = 0.0;
+  for (const GradPair& s : stats) h += s.h;
+  return h;
+}
+
+SplitCandidate ReferenceFindBest(double reg_lambda, double reg_gamma,
+                                 double min_split_gain, const Histogram& hist,
+                                 const GradStats& node_stats,
+                                 const std::vector<FeatureId>& global_ids,
+                                 const CandidateSplits& splits,
+                                 const std::vector<bool>* feature_mask) {
+  const uint32_t dims = hist.num_dims();
+  SplitCandidate best;
+  const double parent_term = GainTerm(node_stats, reg_lambda);
+
+  GradStats left(dims), right(dims), prefix(dims), missing(dims);
+  for (uint32_t f = 0; f < hist.num_features(); ++f) {
+    const FeatureId global_f = global_ids[f];
+    if (feature_mask != nullptr && !(*feature_mask)[global_f]) continue;
+    const uint32_t nbins = splits.NumBins(global_f);
+    if (nbins < 2) continue;
+
+    GradStats present = hist.FeatureTotal(f);
+    for (uint32_t k = 0; k < dims; ++k) {
+      missing[k] = node_stats[k] - present[k];
+    }
+
+    std::fill(prefix.begin(), prefix.end(), GradPair{});
+    for (uint32_t b = 0; b + 1 < nbins; ++b) {
+      for (uint32_t k = 0; k < dims; ++k) prefix[k] += hist.at(f, b, k);
+
+      for (int missing_left = 0; missing_left <= 1; ++missing_left) {
+        for (uint32_t k = 0; k < dims; ++k) {
+          left[k] = prefix[k];
+          if (missing_left != 0) left[k] += missing[k];
+          right[k] = node_stats[k] - left[k];
+        }
+        if (RefSideHessian(left) < kRefMinSideHessian ||
+            RefSideHessian(right) < kRefMinSideHessian) {
+          continue;
+        }
+        const double gain =
+            0.5 * (GainTerm(left, reg_lambda) + GainTerm(right, reg_lambda) -
+                   parent_term) -
+            reg_gamma;
+        if (gain < min_split_gain) continue;
+        SplitCandidate candidate;
+        candidate.valid = true;
+        candidate.feature = global_f;
+        candidate.split_bin = static_cast<BinId>(b);
+        candidate.split_value = splits.SplitValue(global_f, b);
+        candidate.default_left = (missing_left != 0);
+        candidate.gain = gain;
+        if (candidate.IsBetterThan(best)) {
+          candidate.left_stats = left;
+          candidate.right_stats = right;
+          best = candidate;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+void ExpectSameStats(const GradStats& got, const GradStats& want,
+                     const char* side, int trial) {
+  ASSERT_EQ(got.size(), want.size()) << side << " trial " << trial;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(SameBits(got[k].g, want[k].g))
+        << side << "[" << k << "].g trial " << trial << ": " << got[k].g
+        << " vs " << want[k].g;
+    EXPECT_TRUE(SameBits(got[k].h, want[k].h))
+        << side << "[" << k << "].h trial " << trial << ": " << got[k].h
+        << " vs " << want[k].h;
+  }
+}
+
+void ExpectSameCandidate(const SplitCandidate& got, const SplitCandidate& want,
+                         int trial) {
+  EXPECT_EQ(got.valid, want.valid) << "trial " << trial;
+  EXPECT_EQ(got.feature, want.feature) << "trial " << trial;
+  EXPECT_EQ(got.split_bin, want.split_bin) << "trial " << trial;
+  EXPECT_TRUE(SameBits(got.split_value, want.split_value))
+      << "trial " << trial << ": " << got.split_value << " vs "
+      << want.split_value;
+  EXPECT_EQ(got.default_left, want.default_left) << "trial " << trial;
+  EXPECT_TRUE(SameBits(got.gain, want.gain))
+      << "trial " << trial << ": " << got.gain << " vs " << want.gain;
+  ExpectSameStats(got.left_stats, want.left_stats, "left_stats", trial);
+  ExpectSameStats(got.right_stats, want.right_stats, "right_stats", trial);
+}
+
+// How one local feature's histogram column is filled.
+enum class FeatureFill {
+  kAllZero,        // every cell +0.0
+  kZeroHessian,    // h == 0 in every bin, g != 0
+  kSignedZeros,    // mix of +0.0 / -0.0 in g and h
+  kSmallIntegers,  // coarse values: many exact gain ties across bins
+  kRandom,         // continuous values
+  kDuplicate,      // copy of the previous feature: forced cross-feature tie
+  kNumFills,
+};
+
+TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
+  std::mt19937_64 rng(20190717);
+  auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  auto pick = [&rng](uint32_t n) {
+    return static_cast<uint32_t>(rng() % n);
+  };
+  int valid_results = 0, invalid_results = 0, skippable_features = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const uint32_t dims = (trial % 2 == 0) ? 1 : 3;
+    const uint32_t q = 2 + pick(7);
+    const uint32_t num_local = 1 + pick(10);
+    const uint32_t num_global = num_local + pick(6);
+
+    // Candidate splits for the global feature space; NumBins ranges over
+    // [0, q], so nbins < q and unsplittable (< 2) features both occur.
+    std::vector<std::vector<float>> split_values(num_global);
+    for (auto& values : split_values) {
+      const uint32_t nbins = pick(q + 1);
+      float v = static_cast<float>(uniform(-5.0, 0.0));
+      for (uint32_t b = 0; b < nbins; ++b) {
+        v += static_cast<float>(uniform(0.1, 2.0));
+        values.push_back(v);
+      }
+    }
+    const CandidateSplits splits(q, split_values);
+
+    // Local feature f maps to a distinct global id.
+    std::vector<FeatureId> all_ids(num_global);
+    for (uint32_t g = 0; g < num_global; ++g) all_ids[g] = g;
+    std::shuffle(all_ids.begin(), all_ids.end(), rng);
+    std::vector<FeatureId> global_ids(all_ids.begin(),
+                                      all_ids.begin() + num_local);
+
+    Histogram hist(num_local, q, dims);
+    for (uint32_t f = 0; f < num_local; ++f) {
+      auto fill = static_cast<FeatureFill>(
+          pick(static_cast<uint32_t>(FeatureFill::kNumFills)));
+      if (fill == FeatureFill::kDuplicate && f == 0) fill = FeatureFill::kRandom;
+      bool zero_h = true;
+      for (uint32_t b = 0; b < q; ++b) {
+        for (uint32_t k = 0; k < dims; ++k) {
+          GradPair& cell = hist.at(f, b, k);
+          switch (fill) {
+            case FeatureFill::kAllZero:
+              cell = GradPair{};
+              break;
+            case FeatureFill::kZeroHessian:
+              cell.g = uniform(-3.0, 3.0);
+              cell.h = (pick(2) == 0) ? 0.0 : -0.0;
+              break;
+            case FeatureFill::kSignedZeros:
+              cell.g = (pick(3) == 0) ? -0.0 : static_cast<double>(pick(3));
+              cell.h = (pick(2) == 0) ? -0.0 : 0.5 * pick(3);
+              break;
+            case FeatureFill::kSmallIntegers:
+              cell.g = static_cast<double>(pick(5)) - 2.0;
+              cell.h = 0.5 * pick(3);
+              break;
+            case FeatureFill::kRandom:
+              cell.g = uniform(-4.0, 4.0);
+              cell.h = (pick(8) == 0) ? 0.0 : uniform(0.0, 2.0);
+              break;
+            case FeatureFill::kDuplicate:
+              cell = hist.at(f - 1, b, k);
+              break;
+            case FeatureFill::kNumFills:
+              break;
+          }
+          zero_h = zero_h && cell.h == 0.0;
+        }
+      }
+      if (zero_h) ++skippable_features;
+    }
+
+    // Node totals: the first feature's present mass plus a random missing
+    // bucket (sometimes none, sometimes negative-hessian noise).
+    GradStats node = hist.FeatureTotal(0);
+    for (uint32_t k = 0; k < dims; ++k) {
+      switch (pick(4)) {
+        case 0:
+          break;
+        case 1:
+          node[k].g += uniform(-3.0, 3.0);
+          node[k].h += uniform(0.0, 3.0);
+          break;
+        case 2:
+          node[k].g += static_cast<double>(pick(5)) - 2.0;
+          node[k].h += 0.5 * pick(4);
+          break;
+        default:
+          node[k].g = uniform(-5.0, 5.0);
+          node[k].h = uniform(-0.5, 6.0);
+          break;
+      }
+    }
+    if (pick(40) == 0) {
+      node[pick(dims)].h = (pick(2) == 0)
+                               ? std::numeric_limits<double>::infinity()
+                               : std::numeric_limits<double>::quiet_NaN();
+    }
+
+    std::vector<bool> mask;
+    const bool masked = pick(3) == 0;
+    if (masked) {
+      mask.resize(num_global);
+      for (uint32_t g = 0; g < num_global; ++g) mask[g] = pick(3) != 0;
+    }
+    const double lambda = (pick(2) == 0) ? 1.0 : 0.25;
+    const double gamma = (pick(3) == 0) ? 0.3 : 0.0;
+    const double min_gain = (pick(3) == 0) ? 0.05 : 0.0;
+
+    const SplitFinder finder(lambda, gamma, min_gain);
+    const std::vector<bool>* mask_ptr = masked ? &mask : nullptr;
+    const SplitCandidate got =
+        finder.FindBest(hist, node, global_ids, splits, mask_ptr);
+    const SplitCandidate want = ReferenceFindBest(
+        lambda, gamma, min_gain, hist, node, global_ids, splits, mask_ptr);
+    ExpectSameCandidate(got, want, trial);
+    if (::testing::Test::HasFailure()) return;
+    (want.valid ? valid_results : invalid_results) += 1;
+  }
+  // The generator must actually exercise both outcomes and the zero-hessian
+  // features a sparsity-aware scan may skip.
+  EXPECT_GT(valid_results, 500);
+  EXPECT_GT(invalid_results, 50);
+  EXPECT_GT(skippable_features, 1000);
 }
 
 }  // namespace
