@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <string>
@@ -441,9 +442,38 @@ enum class GridOp { kAllReduceSum, kAllGather, kAllToAll };
 using GridParam =
     std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
 
-constexpr int kGridCalls = 2;
-constexpr size_t kGridValues = 192;
+constexpr int kGridCalls = 6;
 constexpr double kGridDelaySeconds = 5.0;
+// Calls on which the last rank is late: a bulk payload, and one shorter
+// than W so bounded mode defers a rank while some ranks own no slice.
+constexpr int kGridDelayedCalls[] = {0, 2};
+
+bool GridCallDelayed(int call) {
+  for (int c : kGridDelayedCalls) {
+    if (c == call) return true;
+  }
+  return false;
+}
+
+// Payload length of each call: a bulk shape, then the reduce-scatter slice
+// edges of a W-rank all-reduce (empty, shorter than W, W - 1, W + 1) and an
+// odd bulk length no W divides.
+size_t GridLength(int call, int w) {
+  switch (call) {
+    case 0:
+      return 192;
+    case 1:
+      return 0;
+    case 2:
+      return 1;
+    case 3:
+      return static_cast<size_t>(w - 1);
+    case 4:
+      return static_cast<size_t>(w + 1);
+    default:
+      return 1001;
+  }
+}
 
 CollectiveOp GridCollectiveOp(GridOp op) {
   switch (op) {
@@ -457,9 +487,23 @@ CollectiveOp GridCollectiveOp(GridOp op) {
   return CollectiveOp::kAny;
 }
 
-std::vector<double> GridValues(int call, int sender, int dest) {
-  return MakeHistogram(kGridValues, 0.1,
-                       9000 + 100 * call + 10 * sender + dest);
+std::vector<double> GridValues(int call, int w, int sender, int dest) {
+  std::vector<double> values = MakeHistogram(
+      GridLength(call, w), 0.1, 9000 + 100 * call + 10 * sender + dest);
+  // Leading specials: signed zeros, an order-sensitive 1e300 cancellation,
+  // Inf + -Inf, NaN and a cancelling pair.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {
+      -0.0,
+      sender == 0 ? 1e300 : (sender == w - 1 ? -1e300 : 1.0),
+      sender == 0 ? kInf : (sender == 1 ? -kInf : 0.0),
+      sender == w - 1 ? std::numeric_limits<double>::quiet_NaN() : 0.5,
+      sender % 2 == 0 ? 0.3 : -0.3,
+  };
+  for (size_t i = 0; i < values.size() && i < std::size(specials); ++i) {
+    values[i] = specials[i];
+  }
+  return values;
 }
 
 std::vector<uint8_t> GridBytes(const std::vector<double>& values) {
@@ -477,19 +521,20 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
   const int r = ctx.rank();
   switch (op) {
     case GridOp::kAllReduceSum: {
-      std::vector<double> data = GridValues(call, r, 0);
+      std::vector<double> data = GridValues(call, ctx.world_size(), r, 0);
       const Status status =
           ctx.AllReduceSum(data, {codec, mitigation}, outcome);
       slots->assign(1, GridBytes(data));
       return status;
     }
     case GridOp::kAllGather:
-      return ctx.AllGather(GridBytes(GridValues(call, r, 0)), slots,
+      return ctx.AllGather(GridBytes(GridValues(call, ctx.world_size(), r, 0)),
+                           slots,
                            {codec, mitigation}, outcome);
     case GridOp::kAllToAll: {
       std::vector<std::vector<uint8_t>> to_each(ctx.world_size());
       for (int d = 0; d < ctx.world_size(); ++d) {
-        to_each[d] = GridBytes(GridValues(call, r, d));
+        to_each[d] = GridBytes(GridValues(call, ctx.world_size(), r, d));
       }
       return ctx.AllToAll(std::move(to_each), slots, {codec, mitigation},
                           outcome);
@@ -517,9 +562,12 @@ GridRun RunGridCell(GridOp op, CollectiveCompression compression,
   obs::RunObserver observer(obs_options);
   Cluster cluster(w);
   cluster.AttachObserver(&observer);
-  cluster.InstallFaultPlan(FaultPlan().Delay(w - 1, GridCollectiveOp(op),
-                                             /*occurrence=*/0,
-                                             kGridDelaySeconds));
+  FaultPlan plan;
+  for (int call : kGridDelayedCalls) {
+    plan.Delay(w - 1, GridCollectiveOp(op), static_cast<uint64_t>(call),
+               kGridDelaySeconds);
+  }
+  cluster.InstallFaultPlan(plan);
   const CodecSpec codec = Spec(compression, 64);
   MitigationOptions mitigation;
   mitigation.mode = mode;
@@ -583,12 +631,12 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
   }
 
   // A rank is deferred only by bounded mode with a peer to close without
-  // it, and only on the delayed call; every rank sees the same mask.
+  // it, and only on the delayed calls; every rank sees the same mask.
   const bool defers = mode == MitigationMode::kBoundedStaleness && w > 1;
   for (int call = 0; call < kGridCalls; ++call) {
     for (int r = 0; r < w; ++r) {
       std::vector<uint8_t> expected(w, 1);
-      if (defers && call == 0) expected[w - 1] = 0;
+      if (defers && GridCallDelayed(call)) expected[w - 1] = 0;
       EXPECT_EQ(run.outcomes[call][r].contributed, expected)
           << "call " << call << " rank " << r;
     }
@@ -602,12 +650,19 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
       const auto& want = ref.slots[call][r];
       ASSERT_EQ(got.size(), want.size()) << "call " << call << " rank " << r;
       if (op == GridOp::kAllReduceSum) {
-        // The serial reduction adds contributors in rank order from 0.0.
-        std::vector<double> sum(kGridValues, 0.0);
-        for (int s = 0; s < w; ++s) {
-          if (!mask[s]) continue;
-          const std::vector<double> v = GridValues(call, s, 0);
-          for (size_t i = 0; i < kGridValues; ++i) sum[i] += v[i];
+        // Each element sums the contributors in rank order from 0.0,
+        // whichever rank owns its slice of the reduce-scatter. W=1 returns
+        // the buffer untouched (a -0.0 stays -0.0).
+        std::vector<double> sum;
+        if (w == 1) {
+          sum = GridValues(call, w, 0, 0);
+        } else {
+          sum.assign(GridLength(call, w), 0.0);
+          for (int s = 0; s < w; ++s) {
+            if (!mask[s]) continue;
+            const std::vector<double> v = GridValues(call, w, s, 0);
+            for (size_t i = 0; i < sum.size(); ++i) sum[i] += v[i];
+          }
         }
         if (lossless) {
           EXPECT_EQ(got[0], GridBytes(sum)) << "call " << call << " rank " << r;
@@ -681,7 +736,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(MitigationMode::kStrict,
                           MitigationMode::kBoundedStaleness,
                           MitigationMode::kSpeculative),
-        ::testing::Values(1, 2, 3)),
+        ::testing::Values(1, 2, 3, 4)),
     GridName);
 
 // ---------------------------------------------------------------------------

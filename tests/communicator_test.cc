@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+
 namespace vero {
 namespace {
 
@@ -193,6 +198,158 @@ TEST(CommunicatorTest, MixedSequenceStaysConsistent) {
       ctx.Barrier();
     }
   });
+}
+
+// Per-element payload of the slice-edge sweep: signed zeros, an
+// order-sensitive 1e300 cancellation, Inf + -Inf, NaN and cancelling pairs
+// up front, then a mostly-zero tail so the sparse codec takes sparse blocks.
+double EdgeValue(int rank, int w, size_t i) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (i >= 16 && i % 5 != 0) return (rank % 2 == 0) ? 0.0 : -0.0;
+  switch (i % 8) {
+    case 0:
+      return -0.0;
+    case 1:
+      // Rank order gives (1e300 + 1 + ...) - 1e300 == 0; any other order
+      // that adds -1e300 first keeps the small terms.
+      return rank == 0 ? 1e300 : (rank == w - 1 ? -1e300 : 1.0);
+    case 2:
+      return rank == 0 ? kInf : (rank == 1 ? -kInf : 0.0);
+    case 3:
+      return rank == w - 1 ? std::numeric_limits<double>::quiet_NaN() : 2.5;
+    case 4:
+      return (rank % 2 == 0 ? 0.1 : -0.1) * static_cast<double>(i + 1);
+    case 5:
+      return rank == 1 ? kInf : -3.0;
+    case 6:
+      return 0.0;
+    default:
+      return (rank + 1) * 0.1 + static_cast<double>(i) * 1e-3;
+  }
+}
+
+std::vector<size_t> EdgeLengths(int w) {
+  // Empty, shorter than W (some ranks own an empty slice), W - 1, W + 1 and
+  // an odd bulk length that no W divides.
+  return {0, 1, static_cast<size_t>(w - 1), static_cast<size_t>(w + 1), 1001};
+}
+
+TEST(CommunicatorTest, AllReduceSliceEdgesMatchRankOrderSum) {
+  for (const int w : {2, 3, 4}) {
+    for (const bool coded : {false, true}) {
+      for (const bool bounded : {false, true}) {
+        SCOPED_TRACE("W=" + std::to_string(w) + " codec=" +
+                     std::to_string(coded) + " bounded=" +
+                     std::to_string(bounded));
+        const std::vector<size_t> lengths = EdgeLengths(w);
+        Cluster cluster(w);
+        CollectiveOptions opts;
+        if (coded) {
+          opts.codec.mode = CollectiveCompression::kSparseDelta;
+          opts.codec.block_values = 64;
+        }
+        if (bounded) {
+          // The last rank is late on the n=1 call, so bounded mode closes
+          // the round without it while some ranks own no element at all.
+          opts.mitigation.mode = MitigationMode::kBoundedStaleness;
+          opts.mitigation.deadline_seconds = 0.01;
+          cluster.InstallFaultPlan(FaultPlan().Delay(
+              w - 1, CollectiveOp::kAllReduceSum, /*occurrence=*/1, 5.0));
+        }
+        // results[call][rank], masks[call][rank].
+        std::vector<std::vector<std::vector<double>>> results(
+            lengths.size(), std::vector<std::vector<double>>(w));
+        std::vector<std::vector<std::vector<uint8_t>>> masks(
+            lengths.size(), std::vector<std::vector<uint8_t>>(w));
+        cluster.Run([&](WorkerContext& ctx) {
+          for (size_t call = 0; call < lengths.size(); ++call) {
+            std::vector<double> data(lengths[call]);
+            for (size_t i = 0; i < data.size(); ++i) {
+              data[i] = EdgeValue(ctx.rank(), w, i);
+            }
+            MitigationOutcome outcome;
+            VERO_COMM_OK(ctx.AllReduceSum(data, opts, &outcome));
+            results[call][ctx.rank()] = std::move(data);
+            masks[call][ctx.rank()] = outcome.contributed;
+          }
+        });
+        for (size_t call = 0; call < lengths.size(); ++call) {
+          const std::vector<uint8_t>& mask = masks[call][0];
+          std::vector<uint8_t> expected_mask(w, 1);
+          if (bounded && call == 1) expected_mask[w - 1] = 0;
+          EXPECT_EQ(mask, expected_mask) << "call " << call;
+          std::vector<double> sum(lengths[call], 0.0);
+          for (int s = 0; s < w; ++s) {
+            if (!mask[s]) continue;
+            for (size_t i = 0; i < sum.size(); ++i) {
+              sum[i] += EdgeValue(s, w, i);
+            }
+          }
+          for (int r = 0; r < w; ++r) {
+            EXPECT_EQ(masks[call][r], mask) << "call " << call;
+            ASSERT_EQ(results[call][r].size(), sum.size());
+            EXPECT_EQ(std::memcmp(results[call][r].data(), sum.data(),
+                                  sum.size() * sizeof(double)),
+                      0)
+                << "call " << call << " (n=" << sum.size() << ") rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A silent corruption is this rank's receive-side damage: whichever slice
+// the flipped element falls in, every other rank must still hold the clean
+// sum bit for bit (no peer may copy a slice after its owner corrupted it).
+TEST(CommunicatorTest, SilentCorruptionStaysOnTheCorruptedRank) {
+  const int w = 4;
+  const size_t n = 103;
+  auto value = [](int rank, size_t i) {
+    return (rank + 1) * 1.25 + static_cast<double>(i) * 0.01;
+  };
+  std::vector<double> clean(n, 0.0);
+  for (int s = 0; s < w; ++s) {
+    for (size_t i = 0; i < n; ++i) clean[i] += value(s, i);
+  }
+  for (int victim = 0; victim < w; ++victim) {
+    std::set<int> slices_hit;
+    for (uint64_t seed = 1; seed <= 64 && slices_hit.size() < w; ++seed) {
+      Cluster cluster(w);
+      cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
+          victim, CollectiveOp::kAllReduceSum, /*occurrence=*/0, seed));
+      std::vector<std::vector<double>> results(w);
+      cluster.Run([&](WorkerContext& ctx) {
+        std::vector<double> data(n);
+        for (size_t i = 0; i < n; ++i) data[i] = value(ctx.rank(), i);
+        VERO_COMM_OK(ctx.AllReduceSum(data));
+        results[ctx.rank()] = std::move(data);
+      });
+      for (int r = 0; r < w; ++r) {
+        if (r == victim) continue;
+        EXPECT_EQ(std::memcmp(results[r].data(), clean.data(),
+                              n * sizeof(double)),
+                  0)
+            << "victim " << victim << " seed " << seed << " leaked to rank "
+            << r;
+      }
+      std::vector<size_t> flipped;
+      for (size_t i = 0; i < n; ++i) {
+        if (std::memcmp(&results[victim][i], &clean[i], sizeof(double)) != 0) {
+          flipped.push_back(i);
+        }
+      }
+      ASSERT_EQ(flipped.size(), 1u) << "victim " << victim << " seed " << seed;
+      // Slice r of an n-element reduce-scatter is [n*r/W, n*(r+1)/W).
+      for (int r = 0; r < w; ++r) {
+        if (flipped[0] >= n * r / w && flipped[0] < n * (r + 1) / w) {
+          slices_hit.insert(r);
+        }
+      }
+    }
+    EXPECT_EQ(slices_hit.size(), static_cast<size_t>(w))
+        << "seed sweep missed a slice for victim " << victim;
+  }
 }
 
 TEST(CommStatsTest, Arithmetic) {

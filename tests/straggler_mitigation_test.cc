@@ -6,6 +6,7 @@
 // under any delay plan, speculative mode reproduces the strict model exactly,
 // and bounded mode beats strict wall time within an asserted loss tolerance.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -456,14 +457,17 @@ TEST(StalenessPropertyTest, BoundHeldAndMassConservedUnderRandomDelays) {
       }
       const std::vector<uint8_t>& mask = outcomes[call][0].contributed;
       // Property 2: the result is exactly the rank-ascending sum of the
-      // contributing ranks (bit-exact — same order as the serial reducer).
+      // contributing ranks from 0.0 (bitwise — every slice owner adds its
+      // elements in that order).
       for (size_t i = 0; i < n; ++i) {
         double expect = 0.0;
         for (int r = 0; r < w; ++r) {
           if (mask[r]) expect += value(r, call, i);
         }
-        EXPECT_DOUBLE_EQ(results[call][i], expect)
-            << "seed " << seed << " call " << call << " elem " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(results[call][i]),
+                  std::bit_cast<uint64_t>(expect))
+            << "seed " << seed << " call " << call << " elem " << i << ": "
+            << results[call][i] << " vs " << expect;
       }
       // Property 3: mass conservation — aggregated mass plus the deferred
       // ranks' held-back mass equals the full-cohort mass.
