@@ -582,8 +582,8 @@ void ResetOutcome(MitigationOutcome* outcome, int w) {
 // rendezvous -> transfer -> Charge -> ApplyFaults (via FinishMitigated).
 // The codec layer encodes before publishing, decodes on arrival and calls
 // RecordCodec; the mitigation layer publishes a delay slot, plans who is
-// deferred or speculated (PlanMitigation), skips deferred payloads and
-// finishes through FinishMitigated. With both layers off no frame is built,
+// deferred or speculated (PlanMitigation) in one extra plan rendezvous,
+// skips deferred payloads and finishes through FinishMitigated. With both layers off no frame is built,
 // no plan state is read, and the rendezvous count is the strict one.
 
 Status WorkerContext::AllReduceSum(std::span<double> data,
@@ -596,55 +596,76 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
   const bool mitigated = opts.mitigation.enabled();
   const bool coded = opts.codec.enabled();
+  const size_t n = data.size();
   CodecStats cstats;
   std::vector<uint8_t> frame;
+  std::vector<double> decoded;
+  // The buffer this rank publishes. Peers only read slice r of rank r's
+  // buffer, and only rank r writes it (its reduced slice), so the ranks
+  // reduce their slices concurrently without a shared scratch buffer.
+  double* published = data.data();
   if (coded) {
     CodecEncode(data, opts.codec, &frame, &cstats);
+    // Publish the decoded frame, not the raw payload: peers would decode
+    // the same bytes, so a lossy codec's reconstruction is what everyone
+    // sums.
+    VERO_CHECK_OK(CodecDecode(frame, &decoded));
+    VERO_CHECK_EQ(decoded.size(), n);
+    published = decoded.data();
     cluster_->ptrs_[rank_] = &frame;
   }
-  cluster_->mutable_ptrs_[rank_] = data.data();
-  cluster_->sizes_[rank_] = data.size();
-  if (mitigated) cluster_->delay_slots_[rank_] = decision.delay_seconds;
+  cluster_->mutable_ptrs_[rank_] = published;
+  cluster_->sizes_[rank_] = n;
   bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (serial) {
-    // Serial participant: sum everyone into the shared buffer in rank order
-    // 0..W-1, which lossless frames reproduce bit-for-bit.
-    if (mitigated) cluster_->PlanMitigation(opts.mitigation);
-    const size_t n = cluster_->sizes_[0];
-    for (int r = 1; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
-    cluster_->reduce_buffer_.assign(n, 0.0);
-    std::vector<double> decoded;
-    for (int r = 0; r < w; ++r) {
-      if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
-        continue;
-      }
-      const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-      if (coded) {
-        VERO_CHECK_OK(CodecDecode(
-            *static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]),
-            &decoded));
-        VERO_CHECK_EQ(decoded.size(), n);
-        src = decoded.data();
-      }
-      for (size_t i = 0; i < n; ++i) cluster_->reduce_buffer_[i] += src[i];
-    }
+  MitigatedCall call;
+  if (mitigated) {
+    cluster_->delay_slots_[rank_] = decision.delay_seconds;
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    if (serial) cluster_->PlanMitigation(opts.mitigation);
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  MitigatedCall call;
+  for (int r = 0; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
   double deferred_mass = 0.0;
   if (mitigated) {
     call = ReadMitigationPlan(outcome);
-    // The dropped contribution, measured before the copy-out overwrites it.
+    // The dropped contribution, measured before the reduction overwrites it.
     if (call.my == RankClass::kDeferred) {
       for (double v : data) deferred_mass += v;
     }
   }
-  // copy_n, not memcpy: an empty buffer may have a null data() pointer.
-  std::copy_n(cluster_->reduce_buffer_.data(), data.size(), data.data());
-  // Silent corruption lands in this rank's copy of the aggregate, after the
-  // transport (and its CRC/retry machinery) delivered it clean.
-  MaybeSilentCorrupt(decision, data);
+
+  // Reduce-scatter: this rank sums its slice over the contributors in rank
+  // order 0..W-1 starting from 0.0 — the per-element order of a single
+  // serial reducer, so lossless codecs give bit-identical sums — and writes
+  // it back into its own published buffer. Each block is read from every
+  // source before it is written.
+  constexpr size_t kBlock = 256;
+  double acc[kBlock];
+  for (size_t b = SliceBegin(n, rank_), e = SliceEnd(n, rank_); b < e;
+       b += kBlock) {
+    const size_t len = std::min(kBlock, e - b);
+    std::fill_n(acc, len, 0.0);
+    for (int r = 0; r < w; ++r) {
+      if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
+        continue;
+      }
+      const double* src =
+          static_cast<const double*>(cluster_->mutable_ptrs_[r]) + b;
+      for (size_t i = 0; i < len; ++i) acc[i] += src[i];
+    }
+    std::copy_n(acc, len, published + b);
+  }
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+
+  // All-gather: copy every other owner's reduced slice out of its buffer
+  // (and, under the codec, this rank's own slice out of its decoded frame).
+  for (int r = 0; r < w; ++r) {
+    if (r == rank_ && !coded) continue;
+    const size_t b = SliceBegin(n, r), e = SliceEnd(n, r);
+    if (b == e) continue;
+    const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
+    std::copy(src + b, src + e, data.data() + b);
+  }
   // Every published frame counts toward the ring volume — a deferred rank's
   // frame still crossed the wire, it is just dropped on arrival. Frames were
   // published before the first rendezvous, so this read is race-free and
@@ -657,6 +678,10 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
     }
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  // Silent corruption lands in this rank's copy of the aggregate, after the
+  // transport (and its CRC/retry machinery) delivered it clean — and after
+  // the last rendezvous, so no peer is still copying this rank's slice.
+  MaybeSilentCorrupt(decision, data);
 
   // Ring all-reduce volume: each worker sends (and receives) the buffer
   // twice, minus its own 1/W share, in 2*(W-1) pipelined steps. Under the
@@ -664,7 +689,7 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   // everyone's data through everyone, so the mean is what each link
   // carries); equal frames reduce exactly to the dense accounting. A late
   // payload is charged like an on-time one.
-  const uint64_t raw_wire = 2 * (data.size() * sizeof(double)) * (w - 1) / w;
+  const uint64_t raw_wire = 2 * (n * sizeof(double)) * (w - 1) / w;
   const uint64_t wire =
       coded ? 2 * (total_encoded / w) * (w - 1) / w : raw_wire;
   Charge(CollectiveOp::kAllReduceSum, wire, wire);

@@ -112,10 +112,16 @@ class WorkerContext {
   // comm.<Op>.raw_bytes / compressed_bytes counters.
 
   /// In-place element-wise sum across workers; everyone ends with the total.
-  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker; with
-  /// the codec on, bytes is the mean encoded frame. The serial reduction
-  /// adds ranks in order 0..W-1, so lossless codecs give bit-identical sums
-  /// and kQuantized the same reconstructed aggregate on every rank.
+  /// Runs as the ring it is charged as: a reduce-scatter (rank r sums slice
+  /// [SliceBegin(n, r), SliceEnd(n, r)) of every contributor into its own
+  /// published buffer) followed by an all-gather of the reduced slices.
+  /// Every element adds the contributors in rank order 0..W-1 starting from
+  /// 0.0, so lossless codecs give bit-identical sums and kQuantized the same
+  /// reconstructed aggregate on every rank (each rank publishes its decoded
+  /// frame). Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per
+  /// worker; with the codec on, bytes is the mean encoded frame. W=1 returns
+  /// `data` untouched. After a failed call `data` is unspecified (possibly
+  /// partly reduced); recovery restarts from a checkpoint.
   Status AllReduceSum(std::span<double> data,
                       const CollectiveOptions& opts = {},
                       MitigationOutcome* outcome = nullptr);
@@ -409,8 +415,9 @@ class Cluster {
 
   /// Serial-section step of a mitigated collective: classifies stragglers
   /// from the delays published in delay_slots_ and updates the per-rank
-  /// consecutive-deferral streaks. Must run with all ranks parked between
-  /// two rendezvous (same exclusivity contract as reduce_buffer_).
+  /// consecutive-deferral streaks. Runs on the serial participant of the
+  /// collective's plan rendezvous, while every other rank is parked before
+  /// the next one.
   void PlanMitigation(const MitigationOptions& opts);
 
   const int num_workers_;
@@ -428,7 +435,6 @@ class Cluster {
   std::vector<const void*> ptrs_;
   std::vector<void*> mutable_ptrs_;
   std::vector<size_t> sizes_;
-  std::vector<double> reduce_buffer_;
   std::vector<double> instrument_slots_;
 
   // Mitigated-collective plan state: each rank publishes its injected delay
