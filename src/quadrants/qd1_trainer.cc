@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <span>
 
 #include "common/logging.h"
 
@@ -72,7 +73,9 @@ std::vector<SplitCandidate> Qd1Trainer::FindLayerSplits(
   // All-reduce the concatenated layer histograms; afterwards every worker
   // holds the aggregated histograms (XGBoost then lets each worker evaluate
   // all features redundantly — deterministic, so no extra broadcast).
-  std::vector<double> buffer(frontier.size() * per_node);
+  const size_t total = frontier.size() * per_node;
+  if (layer_buffer_.size() < total) layer_buffer_.resize(total);
+  const std::span<double> buffer(layer_buffer_.data(), total);
   for (size_t i = 0; i < frontier.size(); ++i) {
     const Histogram* hist = pool_.Get(frontier[i]);
     std::memcpy(buffer.data() + i * per_node, hist->raw_data(),

@@ -47,6 +47,10 @@ class Qd1Trainer : public DistTrainerBase {
   uint32_t num_local_rows_ = 0;
   /// Maps a live node id to its slot in the current layer (-1 otherwise).
   std::vector<int32_t> slot_of_node_;
+  /// The concatenated layer histograms FindLayerSplits all-reduces. Grows
+  /// to the widest layer and never shrinks, so the steady state allocates
+  /// (and page-faults) nothing per layer.
+  std::vector<double> layer_buffer_;
 };
 
 }  // namespace vero
