@@ -11,12 +11,6 @@ namespace {
 // A side must carry some hessian mass to be a meaningful child.
 constexpr double kMinSideHessian = 1e-10;
 
-double SideHessian(const GradStats& stats) {
-  double h = 0.0;
-  for (const GradPair& s : stats) h += s.h;
-  return h;
-}
-
 }  // namespace
 
 bool SplitCandidate::IsBetterThan(const SplitCandidate& other,
@@ -82,17 +76,41 @@ SplitCandidate SplitFinder::FindBest(const Histogram& hist,
 
   SplitCandidate best;
   const double parent_term = GainTerm(node_stats, reg_lambda_);
+  // A feature whose bins all have h == 0 (in every dim) cannot split this
+  // node: every candidate leaves one side with hessian exactly 0 — the
+  // present side directly, the other as node.h - (0 + (node.h - 0)) — which
+  // kMinSideHessian rejects. That identity needs finite node hessians, so
+  // the skip (XGBoost's sparsity-aware scan) is off otherwise.
+  bool finite_node = true;
+  for (const GradPair& s : node_stats) {
+    finite_node = finite_node && std::isfinite(s.h);
+  }
 
-  GradStats left(dims), right(dims), prefix(dims), missing(dims);
+  GradStats left(dims), right(dims), prefix(dims), missing(dims),
+      present(dims);
+  // Scratch for the per-candidate ordering test; its stats are only filled
+  // when it becomes the best, and SplitValue is read for the final winner.
+  SplitCandidate candidate;
+  candidate.valid = true;
   for (uint32_t f = 0; f < hist.num_features(); ++f) {
     const FeatureId global_f = global_ids[f];
     if (feature_mask != nullptr && !(*feature_mask)[global_f]) continue;
     const uint32_t nbins = splits.NumBins(global_f);
     if (nbins < 2) continue;  // Constant or unseen feature: unsplittable.
 
-    // Missing-value bucket: node total minus the mass present in this
-    // feature's bins.
-    GradStats present = hist.FeatureTotal(f);
+    // Mass present in this feature's bins, summed like
+    // Histogram::FeatureTotal; the node total minus it is the missing-value
+    // bucket.
+    std::fill(present.begin(), present.end(), GradPair{});
+    bool any_hessian = false;
+    for (uint32_t b = 0; b < hist.num_bins(); ++b) {
+      const GradPair* cell = &hist.at(f, b, 0);
+      for (uint32_t k = 0; k < dims; ++k) {
+        present[k] += cell[k];
+        any_hessian = any_hessian || cell[k].h != 0.0;
+      }
+    }
+    if (!any_hessian && finite_node) continue;
     for (uint32_t k = 0; k < dims; ++k) {
       missing[k] = node_stats[k] - present[k];
     }
@@ -102,37 +120,41 @@ SplitCandidate SplitFinder::FindBest(const Histogram& hist,
     // only meaningful when missing mass exists; enumerate bins
     // [0, nbins - 2] like standard histogram algorithms.
     for (uint32_t b = 0; b + 1 < nbins; ++b) {
-      for (uint32_t k = 0; k < dims; ++k) prefix[k] += hist.at(f, b, k);
+      const GradPair* cell = &hist.at(f, b, 0);
+      for (uint32_t k = 0; k < dims; ++k) prefix[k] += cell[k];
 
       for (int missing_left = 0; missing_left <= 1; ++missing_left) {
+        double left_h = 0.0, right_h = 0.0;
         for (uint32_t k = 0; k < dims; ++k) {
           left[k] = prefix[k];
           if (missing_left != 0) left[k] += missing[k];
           right[k] = node_stats[k] - left[k];
+          left_h += left[k].h;
+          right_h += right[k].h;
         }
-        if (SideHessian(left) < kMinSideHessian ||
-            SideHessian(right) < kMinSideHessian) {
-          continue;
-        }
+        if (left_h < kMinSideHessian || right_h < kMinSideHessian) continue;
         const double gain =
             0.5 * (GainTerm(left, reg_lambda_) + GainTerm(right, reg_lambda_) -
                    parent_term) -
             reg_gamma_;
         if (gain < min_split_gain_) continue;
-        SplitCandidate candidate;
-        candidate.valid = true;
         candidate.feature = global_f;
         candidate.split_bin = static_cast<BinId>(b);
-        candidate.split_value = splits.SplitValue(global_f, b);
         candidate.default_left = (missing_left != 0);
         candidate.gain = gain;
         if (candidate.IsBetterThan(best)) {
-          candidate.left_stats = left;
-          candidate.right_stats = right;
-          best = candidate;
+          // The displaced best becomes the next scratch; the two stats
+          // buffers circulate instead of being reallocated.
+          std::swap(best, candidate);
+          candidate.valid = true;
+          best.left_stats.assign(left.begin(), left.end());
+          best.right_stats.assign(right.begin(), right.end());
         }
       }
     }
+  }
+  if (best.valid) {
+    best.split_value = splits.SplitValue(best.feature, best.split_bin);
   }
   return best;
 }
