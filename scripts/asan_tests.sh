@@ -5,9 +5,12 @@
 # across incarnations, so lifetime bugs (use-after-free of worker state,
 # out-of-bounds shard math after a resize) show up here first; UBSan guards
 # the wire-format arithmetic in the delta-checkpoint and histogram-
-# compression codecs. The build is Debug so VERO_DCHECK and the codec
-# layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry), which
-# compile out under NDEBUG, run too.
+# compression codecs. dist_trainer_test drives every quadrant end to end,
+# including QD1's persistent layer buffer through the in-place
+# reduce-scatter/all-gather AllReduceSum, where each rank writes its slice
+# into a buffer its peers read. The build is Debug so VERO_DCHECK and the
+# codec layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry),
+# which compile out under NDEBUG, run too.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -21,14 +24,14 @@ cmake --build "$BUILD_DIR" --target \
   fault_tolerance_test elastic_recovery_test elasticity_test \
   checkpoint_rotation_test delta_checkpoint_test integrity_test \
   straggler_mitigation_test codec_test communicator_test \
-  communicator_stress_test serve_test
+  communicator_stress_test serve_test dist_trainer_test
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 for t in fault_tolerance_test elastic_recovery_test elasticity_test \
          checkpoint_rotation_test delta_checkpoint_test integrity_test \
          straggler_mitigation_test codec_test communicator_test \
-         communicator_stress_test serve_test; do
+         communicator_stress_test serve_test dist_trainer_test; do
   echo "== ASan/UBSan: $t =="
   "$BUILD_DIR/tests/$t"
 done
