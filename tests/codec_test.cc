@@ -507,9 +507,9 @@ std::vector<double> GridValues(int call, int w, int sender, int dest) {
 }
 
 std::vector<uint8_t> GridBytes(const std::vector<double>& values) {
-  std::vector<uint8_t> bytes(values.size() * sizeof(double));
-  std::memcpy(bytes.data(), values.data(), bytes.size());
-  return bytes;
+  const auto* first = reinterpret_cast<const uint8_t*>(values.data());
+  // Not memcpy: an empty payload may have a null data().
+  return std::vector<uint8_t>(first, first + values.size() * sizeof(double));
 }
 
 // Issues one call of the cell's op. All-reduce results come back as a
@@ -528,9 +528,9 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
       return status;
     }
     case GridOp::kAllGather:
-      return ctx.AllGather(GridBytes(GridValues(call, ctx.world_size(), r, 0)),
-                           slots,
-                           {codec, mitigation}, outcome);
+      return ctx.AllGather(
+          GridBytes(GridValues(call, ctx.world_size(), r, 0)), slots,
+          {codec, mitigation}, outcome);
     case GridOp::kAllToAll: {
       std::vector<std::vector<uint8_t>> to_each(ctx.world_size());
       for (int d = 0; d < ctx.world_size(); ++d) {

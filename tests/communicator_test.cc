@@ -228,6 +228,13 @@ double EdgeValue(int rank, int w, size_t i) {
   }
 }
 
+// Bitwise equality; memcmp alone is undefined on an empty vector's data().
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 std::vector<size_t> EdgeLengths(int w) {
   // Empty, shorter than W (some ranks own an empty slice), W - 1, W + 1 and
   // an odd bulk length that no W divides.
@@ -287,10 +294,7 @@ TEST(CommunicatorTest, AllReduceSliceEdgesMatchRankOrderSum) {
           }
           for (int r = 0; r < w; ++r) {
             EXPECT_EQ(masks[call][r], mask) << "call " << call;
-            ASSERT_EQ(results[call][r].size(), sum.size());
-            EXPECT_EQ(std::memcmp(results[call][r].data(), sum.data(),
-                                  sum.size() * sizeof(double)),
-                      0)
+            EXPECT_TRUE(SameBits(results[call][r], sum))
                 << "call " << call << " (n=" << sum.size() << ") rank " << r;
           }
         }
@@ -314,7 +318,8 @@ TEST(CommunicatorTest, SilentCorruptionStaysOnTheCorruptedRank) {
   }
   for (int victim = 0; victim < w; ++victim) {
     std::set<int> slices_hit;
-    for (uint64_t seed = 1; seed <= 64 && slices_hit.size() < w; ++seed) {
+    for (uint64_t seed = 1;
+         seed <= 64 && slices_hit.size() < static_cast<size_t>(w); ++seed) {
       Cluster cluster(w);
       cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
           victim, CollectiveOp::kAllReduceSum, /*occurrence=*/0, seed));
@@ -327,9 +332,7 @@ TEST(CommunicatorTest, SilentCorruptionStaysOnTheCorruptedRank) {
       });
       for (int r = 0; r < w; ++r) {
         if (r == victim) continue;
-        EXPECT_EQ(std::memcmp(results[r].data(), clean.data(),
-                              n * sizeof(double)),
-                  0)
+        EXPECT_TRUE(SameBits(results[r], clean))
             << "victim " << victim << " seed " << seed << " leaked to rank "
             << r;
       }

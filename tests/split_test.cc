@@ -338,7 +338,9 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
     for (uint32_t f = 0; f < num_local; ++f) {
       auto fill = static_cast<FeatureFill>(
           pick(static_cast<uint32_t>(FeatureFill::kNumFills)));
-      if (fill == FeatureFill::kDuplicate && f == 0) fill = FeatureFill::kRandom;
+      if (fill == FeatureFill::kDuplicate && f == 0) {
+        fill = FeatureFill::kRandom;
+      }
       bool zero_h = true;
       for (uint32_t b = 0; b < q; ++b) {
         for (uint32_t k = 0; k < dims; ++k) {
