@@ -583,8 +583,9 @@ void ResetOutcome(MitigationOutcome* outcome, int w) {
 // The codec layer encodes before publishing, decodes on arrival and calls
 // RecordCodec; the mitigation layer publishes a delay slot, plans who is
 // deferred or speculated (PlanMitigation) in one extra plan rendezvous,
-// skips deferred payloads and finishes through FinishMitigated. With both layers off no frame is built,
-// no plan state is read, and the rendezvous count is the strict one.
+// skips deferred payloads and finishes through FinishMitigated. With both
+// layers off no frame is built, no plan state is read, and the rendezvous
+// count is the strict one.
 
 Status WorkerContext::AllReduceSum(std::span<double> data,
                                    const CollectiveOptions& opts,
