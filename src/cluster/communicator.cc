@@ -663,7 +663,6 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   for (int r = 0; r < w; ++r) {
     if (r == rank_ && !coded) continue;
     const size_t b = SliceBegin(n, r), e = SliceEnd(n, r);
-    if (b == e) continue;
     const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
     std::copy(src + b, src + e, data.data() + b);
   }
