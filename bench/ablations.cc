@@ -66,7 +66,9 @@ void Qd3IndexAblation() {
         Qd3IndexPolicy::kMixed}) {
     const DistResult result = RunQuadrantSpec(
         data, Quadrant::kQD3,
-        {.workers = 8, .params = PaperParams(8), .qd3_policy = policy});
+        {.workers = 8,
+         .options = {.params = PaperParams(8)},
+         .qd3_policy = policy});
     const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
     std::printf("%-16s %14.4f %14.4f\n", Qd3IndexPolicyToString(policy),
                 s.mean.hist_seconds, s.mean.comp_seconds());

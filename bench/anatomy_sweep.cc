@@ -145,7 +145,7 @@ void Main() {
     for (int w : worker_counts) {
       BenchRunSpec spec;
       spec.workers = w;
-      spec.params = params;
+      spec.options.params = params;
       spec.network = net;
       spec.force_trace = true;
       char label[32];

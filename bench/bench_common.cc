@@ -197,18 +197,12 @@ DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
   if (spec.fault_plan != nullptr) {
     cluster.InstallFaultPlan(*spec.fault_plan);
   }
-  DistTrainOptions options;
-  options.params = spec.params;
-  options.transform.encoding = spec.encoding;
-  options.checkpoint = spec.checkpoint;
-  options.max_recovery_attempts = spec.max_recovery_attempts;
-  options.elastic_rejoin = spec.elastic_rejoin;
   const bool observe =
       ObsRequested() ||
       (obs::kObsEnabled && (spec.force_observe || spec.force_trace));
   if (!observe) {
-    return TrainDistributed(cluster, train, quadrant, options, spec.valid,
-                            spec.qd3_policy);
+    return TrainDistributed(cluster, train, quadrant, spec.options,
+                            spec.valid, spec.qd3_policy);
   }
 
   BenchObsState& s = ObsState();
@@ -217,7 +211,7 @@ DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
       !s.trace_dir.empty() || !s.anatomy_path.empty() || spec.force_trace;
   obs::RunObserver observer(obs_options);
   cluster.AttachObserver(&observer);
-  DistResult result = TrainDistributed(cluster, train, quadrant, options,
+  DistResult result = TrainDistributed(cluster, train, quadrant, spec.options,
                                        spec.valid, spec.qd3_policy);
 
   char label[64];

@@ -59,20 +59,16 @@ Dataset MakeWorkload(uint32_t n, uint32_t d, uint32_t c, double density,
 /// metric collection need no ever-growing positional argument list.
 struct BenchRunSpec {
   int workers = 4;
-  GbdtParams params;
+  /// Hyper-parameters plus every distributed setting (transform encoding,
+  /// checkpoints, recovery budget, mitigation, codec, integrity), passed to
+  /// TrainDistributed unchanged.
+  DistTrainOptions options;
   NetworkModel network = NetworkModel::Lab1Gbps();
   const Dataset* valid = nullptr;
   Qd3IndexPolicy qd3_policy = Qd3IndexPolicy::kMixed;
-  TransformEncoding encoding = TransformEncoding::kBlockified;
   /// Installed on the fresh cluster before training (not owned; may be
   /// null). Lets sweeps replay the exact same delay schedule per mode.
   const FaultPlan* fault_plan = nullptr;
-  /// Checkpoint / recovery policy for sweeps that inject crashes or
-  /// schedule resizes (defaults match DistTrainOptions: no checkpoints, one
-  /// recovery attempt, degrade-to-survivors).
-  CheckpointOptions checkpoint = {};
-  int max_recovery_attempts = 1;
-  bool elastic_rejoin = false;
   /// Attach a RunObserver even without --report/--trace-dir, so the caller
   /// can read result.report.metrics (e.g. staleness.* counters) for its own
   /// comparison tables.

@@ -32,20 +32,6 @@ namespace vero {
 namespace bench {
 namespace {
 
-const char* ModeTag(HistogramCompression mode) {
-  switch (mode) {
-    case HistogramCompression::kOff:
-      return "off";
-    case HistogramCompression::kSparse:
-      return "sparse";
-    case HistogramCompression::kSparseDelta:
-      return "sparse_delta";
-    case HistogramCompression::kQuantized:
-      return "quantized";
-  }
-  return "unknown";
-}
-
 const char* QuadrantTag(Quadrant quadrant) {
   return quadrant == Quadrant::kQD1 ? "qd1" : "qd2";
 }
@@ -155,11 +141,11 @@ void Main(int argc, char** argv) {
 
   const double kDensities[] = {0.02, 0.05, 0.1, 0.5, 1.0};
   const Quadrant kQuadrants[] = {Quadrant::kQD1, Quadrant::kQD2};
-  const HistogramCompression kModes[] = {
-      HistogramCompression::kOff,
-      HistogramCompression::kSparse,
-      HistogramCompression::kSparseDelta,
-      HistogramCompression::kQuantized,
+  const CollectiveCompression kModes[] = {
+      CollectiveCompression::kOff,
+      CollectiveCompression::kSparse,
+      CollectiveCompression::kSparseDelta,
+      CollectiveCompression::kQuantized,
   };
 
   std::vector<Row> rows;
@@ -170,16 +156,16 @@ void Main(int argc, char** argv) {
                                        /*seed=*/31);
     for (Quadrant quadrant : kQuadrants) {
       const size_t cell_begin = rows.size();
-      for (HistogramCompression mode : kModes) {
+      for (CollectiveCompression mode : kModes) {
         BenchRunSpec spec;
         spec.workers = 4;
-        spec.params = PaperParams(6);
-        spec.params.num_candidate_splits = 32;
-        spec.params.compression = mode;
+        spec.options.params = PaperParams(6);
+        spec.options.params.num_candidate_splits = 32;
+        spec.options.compression = mode;
         spec.force_observe = true;
         char tag[64];
         std::snprintf(tag, sizeof(tag), "cs-d%.2f-%s", density,
-                      ModeTag(mode));
+                      CollectiveCompressionToString(mode));
         spec.label = tag;
         const DistResult result = RunQuadrantSpec(train, quadrant, spec);
         if (!result.status.ok()) {
@@ -190,7 +176,7 @@ void Main(int argc, char** argv) {
         Row row;
         row.label = std::string(QuadrantTag(quadrant)) + "-" + tag;
         row.quadrant = QuadrantTag(quadrant);
-        row.mode = ModeTag(mode);
+        row.mode = CollectiveCompressionToString(mode);
         row.density = density;
         row.workers = spec.workers;
         row.train_seconds = result.TrainSeconds();

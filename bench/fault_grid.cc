@@ -41,18 +41,6 @@ struct GridCell {
   double delay;
 };
 
-const char* ModeTag(StragglerMitigation mode) {
-  switch (mode) {
-    case StragglerMitigation::kStrict:
-      return "strict";
-    case StragglerMitigation::kBoundedStaleness:
-      return "bounded";
-    case StragglerMitigation::kSpeculative:
-      return "speculative";
-  }
-  return "unknown";
-}
-
 // One delay schedule per cell, identical across modes. Train-phase cells hit
 // the QD1 layer-histogram all-reduces (odd kTrain occurrences after the
 // gradient all-reduce at occurrence 0); setup-phase cells delay the first
@@ -94,10 +82,10 @@ void Main() {
       {FaultPhase::kTrain, 2, 1.0},
       {FaultPhase::kSetup, 1, 1.0},
   };
-  const StragglerMitigation kModes[] = {
-      StragglerMitigation::kStrict,
-      StragglerMitigation::kBoundedStaleness,
-      StragglerMitigation::kSpeculative,
+  const MitigationMode kModes[] = {
+      MitigationMode::kStrict,
+      MitigationMode::kBoundedStaleness,
+      MitigationMode::kSpeculative,
   };
 
   std::printf("\n%-22s %-11s %9s %8s %5s %5s %5s %10s %10s\n", "cell",
@@ -110,29 +98,30 @@ void Main() {
                   cell.phase == FaultPhase::kSetup ? "setup" : "train",
                   cell.rank, cell.delay);
     double strict_seconds = 0.0;
-    for (StragglerMitigation mode : kModes) {
+    for (MitigationMode mode : kModes) {
       BenchRunSpec spec;
       spec.workers = 4;
-      spec.params = PaperParams(6);
-      spec.params.straggler_mitigation = mode;
-      spec.params.staleness_deadline_seconds = 0.01;
-      spec.params.speculation_threshold_seconds = 0.01;
+      spec.options.params = PaperParams(6);
+      spec.options.mitigation.mode = mode;
+      spec.options.mitigation.deadline_seconds = 0.01;
+      spec.options.mitigation.speculation_threshold_seconds = 0.01;
       spec.fault_plan = &plan;
       spec.force_observe = true;
-      spec.label = std::string(cell_tag) + "-" + ModeTag(mode);
+      spec.label = std::string(cell_tag) + "-" + MitigationModeToString(mode);
       const DistResult result =
           RunQuadrantSpec(train, Quadrant::kQD1, spec);
       if (!result.status.ok()) {
-        std::printf("%-22s %-11s FAILED: %s\n", cell_tag, ModeTag(mode),
+        std::printf("%-22s %-11s FAILED: %s\n", cell_tag,
+                    MitigationModeToString(mode),
                     result.status.ToString().c_str());
         continue;
       }
       const double seconds = result.TrainSeconds();
-      if (mode == StragglerMitigation::kStrict) strict_seconds = seconds;
+      if (mode == MitigationMode::kStrict) strict_seconds = seconds;
       const double loss =
           result.curve.empty() ? 0.0 : result.curve.back().train_loss;
       std::printf("%-22s %-11s %9.4f %7.2fx %5llu %5llu %5llu %10s %10.5f\n",
-                  cell_tag, ModeTag(mode), seconds,
+                  cell_tag, MitigationModeToString(mode), seconds,
                   strict_seconds > 0 ? strict_seconds / seconds : 1.0,
                   static_cast<unsigned long long>(
                       Counter(result, "staleness.deferred_contributions")),
@@ -219,13 +208,13 @@ void RecoveryGrid() {
                       crash.tag, resize.tag);
         BenchRunSpec spec;
         spec.workers = kWorkers;
-        spec.params = base;
-        spec.params.elastic_resize_after_trees =
+        spec.options.params = base;
+        spec.options.elastic_resize_after_trees =
             resize.delta != 0 ? boundary : 0;
-        spec.params.elastic_resize_delta = resize.delta;
-        spec.checkpoint.interval = interval;
-        spec.max_recovery_attempts = 3;
-        spec.elastic_rejoin = true;
+        spec.options.elastic_resize_delta = resize.delta;
+        spec.options.checkpoint.interval = interval;
+        spec.options.max_recovery_attempts = 3;
+        spec.options.elastic_rejoin = true;
         spec.fault_plan = crash.enabled ? &plan : nullptr;
         spec.force_observe = true;
         spec.label = cell_tag;
@@ -328,8 +317,8 @@ void IntegrityGrid() {
     for (IntegrityLevel level : kAllLevels) {
       BenchRunSpec spec;
       spec.workers = kWorkers;
-      spec.params = base;
-      spec.params.integrity = level;
+      spec.options.params = base;
+      spec.options.integrity = level;
       spec.force_observe = true;
       spec.label = std::string("ig-clean-") + IntegrityLevelToString(level);
       const DistResult result = RunQuadrantSpec(train, quadrant, spec);
@@ -414,13 +403,13 @@ void IntegrityGrid() {
     for (IntegrityLevel level : cell.levels) {
       BenchRunSpec spec;
       spec.workers = kWorkers;
-      spec.params = base;
-      spec.params.integrity = level;
+      spec.options.params = base;
+      spec.options.integrity = level;
       spec.fault_plan = &cell.plan;
       spec.force_observe = true;
       if (cell.rollback) {
-        spec.checkpoint.interval = 1;
-        spec.max_recovery_attempts = 3;
+        spec.options.checkpoint.interval = 1;
+        spec.options.max_recovery_attempts = 3;
       }
       spec.label = std::string("ig-") + cell.tag + "-" +
                    IntegrityLevelToString(level);
@@ -510,8 +499,8 @@ void IntegrityGrid() {
   for (const EscapeRun& run : kEscapeRuns) {
     BenchRunSpec spec;
     spec.workers = kWorkers;
-    spec.params = base;
-    spec.params.integrity = run.level;
+    spec.options.params = base;
+    spec.options.integrity = run.level;
     spec.fault_plan = run.plan;
     spec.force_observe = true;
     spec.label = run.tag;

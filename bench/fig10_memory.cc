@@ -23,8 +23,8 @@ void RunPanel(const char* title, const std::vector<std::string>& labels,
   for (size_t i = 0; i < datasets.size(); ++i) {
     uint64_t qd2_hist = 0;
     for (Quadrant q : {Quadrant::kQD2, Quadrant::kQD4}) {
-      const DistResult result =
-          RunQuadrantSpec(datasets[i], q, {.workers = 8, .params = params});
+      const DistResult result = RunQuadrantSpec(
+          datasets[i], q, {.workers = 8, .options = {.params = params}});
       if (q == Quadrant::kQD2) qd2_hist = result.peak_histogram_bytes;
       const double ratio =
           q == Quadrant::kQD4 && result.peak_histogram_bytes > 0

@@ -20,7 +20,8 @@ void RunPanel(const char* title, const char* sweep_name,
   for (size_t i = 0; i < datasets.size(); ++i) {
     for (Quadrant q : {Quadrant::kQD2, Quadrant::kQD4}) {
       const DistResult result = RunQuadrantSpec(
-          datasets[i], q, {.workers = 8, .params = PaperParams(num_layers)});
+          datasets[i], q,
+          {.workers = 8, .options = {.params = PaperParams(num_layers)}});
       const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
       std::printf("%-10s %-26s %14.4f %14.4f %14.4f %14.4f\n",
                   labels[i].c_str(), QuadrantToString(q),
@@ -81,7 +82,8 @@ void Main() {
     for (uint32_t layers : {8u, 9u, 10u}) {
       for (Quadrant q : {Quadrant::kQD2, Quadrant::kQD4}) {
         const DistResult result = RunQuadrantSpec(
-            data, q, {.workers = 8, .params = PaperParams(layers)});
+            data, q,
+            {.workers = 8, .options = {.params = PaperParams(layers)}});
         const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
         std::printf("%-10u %-26s %14.4f %14.4f\n", layers,
                     QuadrantToString(q), s.mean.comp_seconds(),

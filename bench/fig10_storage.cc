@@ -21,7 +21,8 @@ void RunPanel(const char* title, const char* sweep_name,
   for (size_t i = 0; i < datasets.size(); ++i) {
     for (Quadrant q : {Quadrant::kQD3, Quadrant::kQD4}) {
       const DistResult result = RunQuadrantSpec(
-          datasets[i], q, {.workers = 8, .params = PaperParams(8)});
+          datasets[i], q,
+          {.workers = 8, .options = {.params = PaperParams(8)}});
       const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
       std::printf("%-10s %-26s %14.4f %14.4f %14.4f %14.4f\n",
                   labels[i].c_str(), QuadrantToString(q),

@@ -42,7 +42,9 @@ void Main() {
          {Quadrant::kQD1, Quadrant::kQD2, Quadrant::kQD4}) {
       const DistResult result = RunQuadrantSpec(
           train, q,
-          {.workers = w.workers, .params = params, .valid = &valid});
+          {.workers = w.workers,
+           .options = {.params = params},
+           .valid = &valid});
       std::printf("%s\n  time(s): ", QuadrantToString(q));
       for (const IterationStats& it : result.curve) {
         std::printf(" %8.3f", it.elapsed_seconds);

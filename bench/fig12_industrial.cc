@@ -66,7 +66,7 @@ void Main() {
       const DistResult result = RunQuadrantSpec(
           train, systems[s].quadrant,
           {.workers = workers,
-           .params = params,
+           .options = {.params = params},
            .network = network,
            .valid = &valid});
       times[s] = result.TrainSeconds() / params.num_trees;

@@ -56,18 +56,21 @@ void Main() {
     double quality = 0.0;
     {
       const DistResult r = RunQuadrantSpec(
-          train, Quadrant::kQD4, {.workers = row.workers, .params = params});
+          train, Quadrant::kQD4,
+          {.workers = row.workers, .options = {.params = params}});
       vero_time = r.TrainSeconds() / params.num_trees;
       quality = EvaluateModel(r.model, valid).value;
     }
     {
       const DistResult r = RunQuadrantSpec(
-          train, Quadrant::kQD1, {.workers = row.workers, .params = params});
+          train, Quadrant::kQD1,
+          {.workers = row.workers, .options = {.params = params}});
       qd1_time = r.TrainSeconds() / params.num_trees;
     }
     {
       const DistResult r = RunQuadrantSpec(
-          train, Quadrant::kQD2, {.workers = row.workers, .params = params});
+          train, Quadrant::kQD2,
+          {.workers = row.workers, .options = {.params = params}});
       qd2_time = r.TrainSeconds() / params.num_trees;
     }
     std::printf("%-16s %8.4f | %9.2f %9.2f %9.2f | %9.1f %9.1f %9.1f | %7.3f\n",

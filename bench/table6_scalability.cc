@@ -41,7 +41,8 @@ void Main() {
     double base_time = 0.0;
     for (int w : {2, 4, 6, 8}) {
       const DistResult result = RunQuadrantSpec(
-          data, Quadrant::kQD4, {.workers = w, .params = PaperParams(8)});
+          data, Quadrant::kQD4,
+          {.workers = w, .options = {.params = PaperParams(8)}});
       const double time = result.TrainSeconds();
       if (w == 2) base_time = time;
       std::printf("%-10d %14.3f %9.1fx\n", w, time, base_time / time);

@@ -47,7 +47,8 @@ void Main() {
     };
     for (const SystemRun& sys : systems) {
       const DistResult result = RunQuadrantSpec(
-          data, sys.quadrant, {.workers = workers, .params = params});
+          data, sys.quadrant,
+          {.workers = workers, .options = {.params = params}});
       std::printf("%-12s %-22s %12.4f %14s | %8.0f\n", row.dataset, sys.name,
                   result.TrainSeconds() / params.num_trees,
                   FormatBytes(static_cast<double>(result.data_bytes)).c_str(),

@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "cluster/communicator.h"
@@ -51,6 +52,8 @@ struct CliOptions {
   uint32_t batch = 8192;
   uint32_t serve_threads = 1;
   GbdtParams params;
+  // Distributed runs only: the reference trainer has no collectives.
+  std::optional<CollectiveCompression> compression;
 };
 
 void PrintUsage() {
@@ -62,7 +65,7 @@ void PrintUsage() {
       "  [--lambda L2] [--gamma G] [--leaf-wise] [--max-leaves N]\n"
       "  [--row-subsample F] [--col-subsample F] [--early-stopping R]\n"
       "  [--quadrant qd1|qd2|qd3|qd4] [--workers W]\n"
-      "  [--compression off|sparse|sparse_delta|quantized]\n"
+      "  [--compression off|sparse|sparse_delta|quantized] (with --quadrant)\n"
       "  [--model out.bin] [--importance]\n"
       "profiles: SUSY Higgs Criteo Epsilon RCV1 Synthesis RCV1-multi\n"
       "          Synthesis-multi Gender Age Taste\n"
@@ -111,13 +114,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
     } else if (arg == "--compression" && (v = need_value(i))) {
       const std::string mode = v;
       if (mode == "off") {
-        opt->params.compression = HistogramCompression::kOff;
+        opt->compression = CollectiveCompression::kOff;
       } else if (mode == "sparse") {
-        opt->params.compression = HistogramCompression::kSparse;
+        opt->compression = CollectiveCompression::kSparse;
       } else if (mode == "sparse_delta") {
-        opt->params.compression = HistogramCompression::kSparseDelta;
+        opt->compression = CollectiveCompression::kSparseDelta;
       } else if (mode == "quantized") {
-        opt->params.compression = HistogramCompression::kQuantized;
+        opt->compression = CollectiveCompression::kQuantized;
       } else {
         std::fprintf(stderr, "unknown --compression mode: %s\n", v);
         return false;
@@ -157,6 +160,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
   if (opt->data_path.empty() == opt->profile.empty()) {
     std::fprintf(stderr,
                  "exactly one of --data or --profile is required\n");
+    return false;
+  }
+  if (opt->compression.has_value() && opt->quadrant.empty()) {
+    std::fprintf(stderr, "--compression requires --quadrant\n");
     return false;
   }
   return true;
@@ -340,8 +347,15 @@ int main(int argc, char** argv) {
     Cluster cluster(opt.workers);
     DistTrainOptions options;
     options.params = opt.params;
+    options.compression =
+        opt.compression.value_or(CollectiveCompression::kOff);
     const DistResult result =
         TrainDistributed(cluster, *train, quadrant, options, valid);
+    if (!result.status.ok()) {
+      std::fprintf(stderr, "training failed: %s\n",
+                   result.status.ToString().c_str());
+      return 1;
+    }
     model = result.model;
     std::printf(
         "trained %zu trees on %d simulated workers (%s): modeled %.2fs "

@@ -17,21 +17,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-asan}"
+TESTS=(
+  fault_tolerance_test elastic_recovery_test elasticity_test
+  checkpoint_rotation_test delta_checkpoint_test integrity_test
+  straggler_mitigation_test codec_test communicator_test
+  communicator_stress_test serve_test dist_trainer_test
+)
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=Debug
-cmake --build "$BUILD_DIR" --target \
-  fault_tolerance_test elastic_recovery_test elasticity_test \
-  checkpoint_rotation_test delta_checkpoint_test integrity_test \
-  straggler_mitigation_test codec_test communicator_test \
-  communicator_stress_test serve_test dist_trainer_test
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
-for t in fault_tolerance_test elastic_recovery_test elasticity_test \
-         checkpoint_rotation_test delta_checkpoint_test integrity_test \
-         straggler_mitigation_test codec_test communicator_test \
-         communicator_stress_test serve_test dist_trainer_test; do
+for t in "${TESTS[@]}"; do
   echo "== ASan/UBSan: $t =="
   "$BUILD_DIR/tests/$t"
 done

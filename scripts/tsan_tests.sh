@@ -10,21 +10,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-tsan}"
+TESTS=(
+  communicator_test communicator_stress_test fault_tolerance_test
+  elastic_recovery_test elasticity_test checkpoint_rotation_test
+  delta_checkpoint_test straggler_mitigation_test integrity_test
+  codec_test threading_test hist_builder_test dist_trainer_test obs_test
+  serve_test
+)
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" --target \
-  communicator_test communicator_stress_test fault_tolerance_test \
-  elastic_recovery_test elasticity_test checkpoint_rotation_test \
-  delta_checkpoint_test straggler_mitigation_test integrity_test \
-  codec_test threading_test hist_builder_test dist_trainer_test obs_test \
-  serve_test
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-for t in communicator_test communicator_stress_test fault_tolerance_test \
-         elastic_recovery_test elasticity_test checkpoint_rotation_test \
-         delta_checkpoint_test straggler_mitigation_test integrity_test \
-         codec_test threading_test hist_builder_test dist_trainer_test \
-         obs_test serve_test; do
+for t in "${TESTS[@]}"; do
   echo "== TSan: $t =="
   "$BUILD_DIR/tests/$t"
 done

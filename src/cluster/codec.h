@@ -35,10 +35,11 @@ enum class CollectiveCompression {
 
 const char* CollectiveCompressionToString(CollectiveCompression mode);
 
-/// Per-call codec policy, derived from GbdtParams by CodecFromParams (see
-/// dist_common.h) and passed by the trainers in CollectiveOptions::codec.
-/// Mirrors the MitigationOptions pattern: `enabled() == false` leaves the
-/// collective uncompressed with bit-identical accounting.
+/// Per-call codec policy, built by DistTrainerBase from
+/// DistTrainOptions::compression (dist_common.h) and passed by the trainers
+/// in CollectiveOptions::codec. Mirrors the MitigationOptions pattern:
+/// `enabled() == false` leaves the collective uncompressed with
+/// bit-identical accounting.
 struct CodecSpec {
   CollectiveCompression mode = CollectiveCompression::kOff;
   /// Values per independently-encoded block; the trainers pass one

@@ -28,8 +28,8 @@ enum class MitigationMode {
 
 const char* MitigationModeToString(MitigationMode mode);
 
-/// Per-call knobs for a mitigated collective. Passed by the trainers,
-/// derived from GbdtParams (see MitigationFromParams in dist_common.h).
+/// Per-call knobs for a mitigated collective. The trainers pass
+/// DistTrainOptions::mitigation (dist_common.h) unchanged.
 struct MitigationOptions {
   MitigationMode mode = MitigationMode::kStrict;
   /// kBoundedStaleness: how long the on-time ranks wait before closing the

@@ -17,69 +17,6 @@ enum class GrowthPolicy {
   kLeafWise,
 };
 
-/// Straggler handling of the distributed trainers' aggregation collectives.
-/// Mirrors cluster-level MitigationMode without depending on src/cluster/
-/// (core stays collective-free); dist_common's MitigationFromParams maps it.
-enum class StragglerMitigation {
-  /// Fully synchronous aggregation (the paper's protocol; the default, and
-  /// bit-identical to builds that predate mitigation).
-  kStrict,
-  /// Bounded-staleness aggregation: close each aggregation once the on-time
-  /// ranks have contributed within staleness_deadline_seconds; a late
-  /// rank's histogram is dropped for the layer (its gradient mass re-enters
-  /// the next layer's rebuilt histograms) and never deferred more than
-  /// staleness_bound consecutive aggregations. Trades bounded accuracy
-  /// deviation for straggler immunity (docs/straggler_mitigation.md).
-  kBoundedStaleness,
-  /// Speculative re-execution: a rank delayed beyond
-  /// speculation_threshold_seconds has its block re-served by an idle
-  /// backup; models stay bit-identical to strict at the price of duplicated
-  /// traffic (surfaced as wasted_bytes / wasted_seconds).
-  kSpeculative,
-};
-
-/// End-to-end integrity auditing of the distributed trainers. Mirrors the
-/// cluster-level auditor modes without depending on src/integrity/ (core
-/// stays collective-free); dist_common wires the auditor from it.
-enum class IntegrityLevel {
-  /// No auditing: zero extra collectives, metrics, or spans — bit-identical
-  /// to builds that predate the auditor (the default).
-  kOff,
-  /// End-to-end content checks above the transport CRC: cross-rank digest
-  /// agreement over replicated post-collective buffers and mass checksums
-  /// over scattered aggregations, with majority-vote blame. Catches silent
-  /// transport corruption (FaultKind::kSilentCorrupt).
-  kChecksum,
-  /// kChecksum plus algorithmic invariants: non-finite scans of gradients,
-  /// histograms, split gains, and margins; hessian-mass identities against
-  /// the all-reduced gradient sums; and the parent == left + right
-  /// subtraction cross-check. Also catches compute-born poison
-  /// (FaultKind::kPoison) and triggers targeted layer recompute before
-  /// escalating to checkpoint rollback (docs/fault_tolerance.md).
-  kFull,
-};
-
-/// Histogram-payload compression of the distributed trainers' aggregation
-/// collectives. Mirrors the cluster-level CollectiveCompression codec modes
-/// without depending on src/cluster/ (core stays collective-free);
-/// dist_common's CodecFromParams maps it. See docs/wire_formats.md for the
-/// frame layout and docs/cost_model.md for the pricing.
-enum class HistogramCompression {
-  /// Dense raw doubles on the wire — bit-identical to builds that predate
-  /// the codec (the default).
-  kOff,
-  /// Lossless per-feature dense/sparse switch: blocks at or below the
-  /// density threshold ship varint bin indices + raw nonzero doubles.
-  kSparse,
-  /// kSparse with gap-coded (delta + varint) bin indices — strictly no
-  /// larger than kSparse on the wire, still lossless.
-  kSparseDelta,
-  /// 16-bit linear quantization with per-block scale/offset. Lossy (max abs
-  /// error <= range/65535/2 per block, deterministic reconstruction on
-  /// every rank); non-finite blocks fall back to lossless.
-  kQuantized,
-};
-
 /// Hyper-parameters for GBDT training, matching the paper's notation
 /// (§3: T trees of L layers, q candidate splits; §2.1.1: eta, lambda, gamma).
 struct GbdtParams {
@@ -114,7 +51,9 @@ struct GbdtParams {
 
   // ---- Extensions beyond the paper's protocol (reference trainer) -------
 
-  /// Tree growth policy. Distributed quadrants always grow level-wise.
+  /// Tree growth policy. Distributed quadrants always grow level-wise and
+  /// never subsample, so DistTrainOptions::Validate rejects kLeafWise,
+  /// max_leaves and row/column subsampling.
   GrowthPolicy growth = GrowthPolicy::kLevelWise;
   /// Leaf budget for leaf-wise growth; 0 means 2^(L-1) (the level-wise
   /// equivalent).
@@ -128,60 +67,6 @@ struct GbdtParams {
   uint32_t early_stopping_rounds = 0;
   /// Seed for subsampling.
   uint64_t seed = 42;
-
-  // ---- Straggler mitigation (distributed trainers only) -----------------
-
-  /// Aggregation-straggler policy; kStrict leaves training bit-identical to
-  /// seed behavior.
-  StragglerMitigation straggler_mitigation = StragglerMitigation::kStrict;
-  /// kBoundedStaleness: how long on-time ranks wait before closing an
-  /// aggregation without its stragglers (simulated seconds).
-  double staleness_deadline_seconds = 0.05;
-  /// kBoundedStaleness: max consecutive deferrals of one rank before a
-  /// forced full sync.
-  uint32_t staleness_bound = 2;
-  /// Max ranks deferred/speculated per aggregation (the k in "return once
-  /// W-k ranks contribute").
-  uint32_t staleness_max_stale_ranks = 1;
-  /// kSpeculative: delay above which a rank's block is re-executed
-  /// (simulated seconds).
-  double speculation_threshold_seconds = 0.05;
-
-  // ---- Integrity auditing (distributed trainers only) -------------------
-
-  /// Corruption-detection level; kOff leaves training bit-identical to seed
-  /// behavior (no extra collectives, metric handles, or trace spans).
-  IntegrityLevel integrity = IntegrityLevel::kOff;
-  /// Relative tolerance for the auditor's floating-point mass identities
-  /// (digest agreement is exact and does not use it).
-  double integrity_tolerance = 1e-6;
-  /// Targeted layer/gradient recomputes attempted per detected violation
-  /// before escalating to the checkpoint-rollback state machine.
-  uint32_t integrity_max_recomputes = 1;
-
-  // ---- Histogram compression (distributed trainers only) ----------------
-
-  /// Codec applied to histogram payloads of the aggregation collectives;
-  /// kOff leaves training bit-identical to seed behavior (no extra metric
-  /// handles, identical bytes on the wire).
-  HistogramCompression compression = HistogramCompression::kOff;
-  /// A per-feature histogram block is encoded sparse iff its nonzero
-  /// density is at or below this threshold; above it the block ships dense.
-  double compression_density_threshold = 0.5;
-
-  // ---- Elasticity (distributed trainers only) ---------------------------
-
-  /// Operator-requested resize: after this many completed trees the driver
-  /// pauses training at a checkpoint boundary, resizes the cluster by
-  /// `elastic_resize_delta` workers at a rendezvous (re-sharding the data
-  /// onto the new width), and finishes the run there. 0 disables resizing.
-  uint32_t elastic_resize_after_trees = 0;
-  /// Worker-count change applied at the scheduled resize: positive admits
-  /// that many new workers, negative retires surplus ones. Must be nonzero
-  /// when a resize is scheduled (a "resize by zero" request is rejected);
-  /// shrinking below one worker is rejected by TrainDistributed, which
-  /// knows the cluster width.
-  int32_t elastic_resize_delta = 0;
 
   /// Validates ranges; returns InvalidArgument with a reason on failure.
   Status Validate() const {
@@ -207,42 +92,6 @@ struct GbdtParams {
     }
     if (num_threads == 0 || num_threads > 256) {
       return Status::InvalidArgument("num_threads not in [1, 256]");
-    }
-    if (staleness_deadline_seconds <= 0.0) {
-      return Status::InvalidArgument("staleness_deadline_seconds <= 0");
-    }
-    if (speculation_threshold_seconds <= 0.0) {
-      return Status::InvalidArgument("speculation_threshold_seconds <= 0");
-    }
-    if (staleness_bound == 0) {
-      return Status::InvalidArgument("staleness_bound == 0");
-    }
-    if (staleness_max_stale_ranks == 0) {
-      return Status::InvalidArgument("staleness_max_stale_ranks == 0");
-    }
-    if (!(integrity_tolerance > 0.0) || integrity_tolerance > 1.0) {
-      return Status::InvalidArgument("integrity_tolerance not in (0, 1]");
-    }
-    if (!(compression_density_threshold > 0.0) ||
-        compression_density_threshold > 1.0) {
-      return Status::InvalidArgument(
-          "compression_density_threshold not in (0, 1]");
-    }
-    if (integrity != IntegrityLevel::kOff && integrity_max_recomputes > 16) {
-      return Status::InvalidArgument("integrity_max_recomputes > 16");
-    }
-    if (elastic_resize_after_trees > 0) {
-      if (elastic_resize_delta == 0) {
-        return Status::InvalidArgument(
-            "elastic_resize_delta == 0 with a scheduled resize");
-      }
-      if (elastic_resize_after_trees >= num_trees) {
-        return Status::InvalidArgument(
-            "elastic_resize_after_trees >= num_trees");
-      }
-    } else if (elastic_resize_delta != 0) {
-      return Status::InvalidArgument(
-          "elastic_resize_delta set without elastic_resize_after_trees");
     }
     return Status::OK();
   }

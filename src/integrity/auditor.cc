@@ -46,9 +46,8 @@ bool HasNonFinite(std::span<const double> values) {
   return false;
 }
 
-IntegrityAuditor::IntegrityAuditor(WorkerContext& ctx, IntegrityLevel level,
-                                   double tolerance)
-    : ctx_(ctx), level_(level), tolerance_(tolerance) {}
+IntegrityAuditor::IntegrityAuditor(WorkerContext& ctx, IntegrityLevel level)
+    : ctx_(ctx), level_(level) {}
 
 void IntegrityAuditor::PushReplicated(const char* what, uint64_t word) {
   slots_.push_back(Slot{SlotKind::kReplicated, what, 1});
@@ -164,7 +163,7 @@ void IntegrityAuditor::EvaluatePairwise(
         const double b = std::bit_cast<double>(recv);
         mismatch = !std::isfinite(a) || !std::isfinite(b) ||
                    std::fabs(a - b) >
-                       tolerance_ * (std::fabs(a) + std::fabs(b) + 1.0);
+                       kAuditTolerance * (std::fabs(a) + std::fabs(b) + 1.0);
       }
       if (!mismatch) continue;
       // The receiver holds the copy that no longer matches what the sender

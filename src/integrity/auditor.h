@@ -7,9 +7,36 @@
 #include <vector>
 
 #include "cluster/communicator.h"
-#include "core/gbdt_params.h"
 
 namespace vero {
+
+/// End-to-end integrity auditing of the distributed trainers, selected by
+/// DistTrainOptions::integrity.
+enum class IntegrityLevel {
+  /// No auditing: zero extra collectives, metrics, or spans — bit-identical
+  /// to builds that predate the auditor (the default).
+  kOff,
+  /// End-to-end content checks above the transport CRC: cross-rank digest
+  /// agreement over replicated post-collective buffers and mass checksums
+  /// over scattered aggregations, with majority-vote blame. Catches silent
+  /// transport corruption (FaultKind::kSilentCorrupt).
+  kChecksum,
+  /// kChecksum plus algorithmic invariants: non-finite scans of gradients,
+  /// histograms, split gains, and margins; hessian-mass identities against
+  /// the all-reduced gradient sums; and the parent == left + right
+  /// subtraction cross-check. Also catches compute-born poison
+  /// (FaultKind::kPoison) and triggers targeted layer recompute before
+  /// escalating to checkpoint rollback (docs/fault_tolerance.md).
+  kFull,
+};
+
+/// Relative tolerance of the auditor's floating-point mass identities
+/// (digest agreement is exact and does not use it).
+inline constexpr double kAuditTolerance = 1e-6;
+
+/// Targeted layer/gradient recomputes attempted per detected violation
+/// before escalating to the checkpoint-rollback state machine.
+inline constexpr uint32_t kAuditMaxRecomputes = 1;
 
 /// Sentinel for a pairwise audit slot entry with no transfer behind it
 /// (e.g. an AllToAll pair that contributed nothing this layer). Pairs where
@@ -74,12 +101,11 @@ struct AuditVerdict {
 /// metric handles — callers must guard push/exchange sites on enabled().
 class IntegrityAuditor {
  public:
-  IntegrityAuditor(WorkerContext& ctx, IntegrityLevel level, double tolerance);
+  IntegrityAuditor(WorkerContext& ctx, IntegrityLevel level);
 
   bool enabled() const { return level_ != IntegrityLevel::kOff; }
   /// True at kFull: algorithmic invariants on top of kChecksum's digests.
   bool full() const { return level_ == IntegrityLevel::kFull; }
-  double tolerance() const { return tolerance_; }
 
   /// A value that must be bit-identical on every rank (digest of a
   /// replicated post-collective buffer, a merged decision, node counts).
@@ -95,7 +121,7 @@ class IntegrityAuditor {
   /// pairs with no transfer). Pair (s, d) is violated when s's sent summary
   /// disagrees with d's received summary; the receiver holds the corrupted
   /// copy, so d is blamed. With exact = false the words are bit-cast
-  /// doubles compared within the relative tolerance instead of exactly.
+  /// doubles compared within kAuditTolerance instead of exactly.
   void PushPairwise(const char* what, std::span<const uint64_t> sent,
                     std::span<const uint64_t> recv, bool exact);
 
@@ -144,7 +170,6 @@ class IntegrityAuditor {
 
   WorkerContext& ctx_;
   IntegrityLevel level_;
-  double tolerance_;
   IntegrityStats stats_;
   std::vector<Slot> slots_;
   std::vector<uint64_t> words_;

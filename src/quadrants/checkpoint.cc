@@ -461,7 +461,7 @@ StatusOr<TrainCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
 // CheckpointWriter.
 // ---------------------------------------------------------------------------
 
-CheckpointWriter::CheckpointWriter(Options options, Metrics metrics)
+CheckpointWriter::CheckpointWriter(CheckpointOptions options, Metrics metrics)
     : options_(std::move(options)), metrics_(metrics) {
   if (!options_.dir.empty()) {
     SweepStaleTmpFiles();

@@ -125,6 +125,41 @@ inline constexpr const char* kManifestFileName = "MANIFEST.vckm";
 /// malformed input.
 StatusOr<TrainCheckpoint> LoadLatestCheckpoint(const std::string& dir);
 
+/// Per-round checkpoint policy of a distributed run; CheckpointWriter
+/// reads every field but `interval`.
+struct CheckpointOptions {
+  /// Checkpoint after every `interval` completed trees; 0 disables
+  /// checkpointing (a failure then restarts training from scratch on the
+  /// surviving workers).
+  uint32_t interval = 0;
+  /// Optional directory for on-disk checkpoints (empty keeps the latest
+  /// checkpoint in memory only). Files are written as a rotated
+  /// <dir>/ckpt-NNNNNN.vckp chain plus a <dir>/latest.vckp alias and a
+  /// CRC-framed <dir>/MANIFEST.vckm index.
+  std::string dir;
+  /// Write checkpoints on a background thread: the round loop only snapshots
+  /// the model (a copy), keeping serialization and file IO off the per-round
+  /// critical path. Under backpressure intermediate snapshots are dropped
+  /// (newest wins) — the durable state is always some completed round.
+  bool async = false;
+  /// On-disk rotation: keep the newest `keep_last_n` chain files, GC older
+  /// ones (0 means keep everything). In delta mode the kept window extends
+  /// back to the nearest full entry so a retained delta chain always keeps
+  /// its anchor. In-memory state is always just latest.
+  uint32_t keep_last_n = 3;
+  /// Delta chains: each commit carries only the trees appended since the
+  /// previous manifest entry (shrinking the submit copy and the bytes
+  /// written), with every `full_every`-th commit a self-contained full
+  /// checkpoint. The first commit, and any commit whose tree count did not
+  /// advance past the previous submission (e.g. after a recovery resume),
+  /// is always full. Reconstruction walks the chain; see
+  /// docs/wire_formats.md.
+  bool delta = false;
+  /// Delta mode: cadence of forced full commits (1 = every commit full,
+  /// 0 = only the automatic fulls described above).
+  uint32_t full_every = 8;
+};
+
 /// Double-buffered checkpoint writer with rotation/GC.
 ///
 /// Submit() captures a snapshot (model + split-table copy) of the state to
@@ -142,28 +177,6 @@ StatusOr<TrainCheckpoint> LoadLatestCheckpoint(const std::string& dir);
 /// write commits, always by exactly one thread at a time.
 class CheckpointWriter {
  public:
-  struct Options {
-    /// Directory for the rotated chain; empty keeps checkpoints in memory
-    /// only (Latest() still works, nothing touches disk).
-    std::string dir;
-    /// Background writes (see class comment).
-    bool async = false;
-    /// Chain files kept on disk after GC; 0 disables GC. In delta mode the
-    /// kept window extends back to the nearest full entry so a retained
-    /// delta chain always keeps its anchor.
-    uint32_t keep_last_n = 3;
-    /// Delta mode: commits carry only the trees appended since the previous
-    /// entry (shrinking both the Submit copy and the bytes written); every
-    /// `full_every`-th commit is a self-contained full checkpoint. The
-    /// first commit, and any commit whose tree count did not advance past
-    /// the previous submission (e.g. after a recovery resume), is always
-    /// full.
-    bool delta = false;
-    /// Delta mode: cadence of forced full commits (1 = every commit full,
-    /// 0 = only the automatic fulls described above).
-    uint32_t full_every = 8;
-  };
-
   /// Pre-resolved metric handles (all optional). The caller must guarantee
   /// the cells are not written by any other thread for the writer's
   /// lifetime.
@@ -179,8 +192,8 @@ class CheckpointWriter {
     obs::Counter* stale_tmp_deleted = nullptr;
   };
 
-  CheckpointWriter(Options options, Metrics metrics);
-  explicit CheckpointWriter(Options options)
+  CheckpointWriter(CheckpointOptions options, Metrics metrics);
+  explicit CheckpointWriter(CheckpointOptions options)
       : CheckpointWriter(std::move(options), Metrics()) {}
   /// Drains pending work and joins the background thread.
   ~CheckpointWriter();
@@ -203,7 +216,7 @@ class CheckpointWriter {
   /// stop the writer; the in-memory Latest() keeps updating.
   Status write_status() const;
 
-  const Options& options() const { return options_; }
+  const CheckpointOptions& options() const { return options_; }
 
  private:
   /// One snapshot in the Submit -> commit pipeline: a self-contained full
@@ -232,7 +245,7 @@ class CheckpointWriter {
   /// between write and rename (constructor only, before the worker starts).
   void SweepStaleTmpFiles();
 
-  const Options options_;
+  const CheckpointOptions options_;
   const Metrics metrics_;
 
   mutable std::mutex mu_;

@@ -59,47 +59,53 @@ std::vector<SplitCandidate> DeserializeSplits(
   return splits;
 }
 
-MitigationOptions MitigationFromParams(const GbdtParams& params) {
-  MitigationOptions opts;
-  switch (params.straggler_mitigation) {
-    case StragglerMitigation::kStrict:
-      opts.mode = MitigationMode::kStrict;
-      break;
-    case StragglerMitigation::kBoundedStaleness:
-      opts.mode = MitigationMode::kBoundedStaleness;
-      break;
-    case StragglerMitigation::kSpeculative:
-      opts.mode = MitigationMode::kSpeculative;
-      break;
+Status DistTrainOptions::Validate() const {
+  VERO_RETURN_IF_ERROR(params.Validate());
+  // Reference-trainer extensions: no quadrant implements them, so a
+  // distributed run would silently train a different model than asked for.
+  if (params.growth != GrowthPolicy::kLevelWise) {
+    return Status::InvalidArgument(
+        "params.growth: quadrants grow level-wise only");
   }
-  opts.deadline_seconds = params.staleness_deadline_seconds;
-  opts.speculation_threshold_seconds = params.speculation_threshold_seconds;
-  opts.staleness_bound = params.staleness_bound;
-  opts.max_stale_ranks = params.staleness_max_stale_ranks;
-  return opts;
-}
-
-CodecSpec CodecFromParams(const GbdtParams& params, uint32_t dims) {
-  CodecSpec spec;
-  switch (params.compression) {
-    case HistogramCompression::kOff:
-      spec.mode = CollectiveCompression::kOff;
-      break;
-    case HistogramCompression::kSparse:
-      spec.mode = CollectiveCompression::kSparse;
-      break;
-    case HistogramCompression::kSparseDelta:
-      spec.mode = CollectiveCompression::kSparseDelta;
-      break;
-    case HistogramCompression::kQuantized:
-      spec.mode = CollectiveCompression::kQuantized;
-      break;
+  if (params.max_leaves != 0) {
+    return Status::InvalidArgument(
+        "params.max_leaves: quadrants grow level-wise only");
   }
-  // One feature's histogram per block: q bins x dims x (grad, hess).
-  spec.block_values =
-      static_cast<uint64_t>(params.num_candidate_splits) * dims * 2;
-  spec.density_threshold = params.compression_density_threshold;
-  return spec;
+  if (params.row_subsample != 1.0) {
+    return Status::InvalidArgument(
+        "params.row_subsample: quadrants do not subsample rows");
+  }
+  if (params.column_subsample != 1.0) {
+    return Status::InvalidArgument(
+        "params.column_subsample: quadrants do not subsample columns");
+  }
+  if (mitigation.deadline_seconds <= 0.0) {
+    return Status::InvalidArgument("mitigation.deadline_seconds <= 0");
+  }
+  if (mitigation.speculation_threshold_seconds <= 0.0) {
+    return Status::InvalidArgument(
+        "mitigation.speculation_threshold_seconds <= 0");
+  }
+  if (mitigation.staleness_bound == 0) {
+    return Status::InvalidArgument("mitigation.staleness_bound == 0");
+  }
+  if (mitigation.max_stale_ranks == 0) {
+    return Status::InvalidArgument("mitigation.max_stale_ranks == 0");
+  }
+  if (elastic_resize_after_trees > 0) {
+    if (elastic_resize_delta == 0) {
+      return Status::InvalidArgument(
+          "elastic_resize_delta == 0 with a scheduled resize");
+    }
+    if (elastic_resize_after_trees >= params.num_trees) {
+      return Status::InvalidArgument(
+          "elastic_resize_after_trees >= num_trees");
+    }
+  } else if (elastic_resize_delta != 0) {
+    return Status::InvalidArgument(
+        "elastic_resize_delta set without elastic_resize_after_trees");
+  }
+  return Status::OK();
 }
 
 void MergeBestSplits(const std::vector<SplitCandidate>& candidates,
@@ -127,10 +133,11 @@ DistTrainerBase::DistTrainerBase(WorkerContext& ctx,
       loss_(MakeLossForTask(task, num_classes)),
       finder_(options.params.reg_lambda, options.params.reg_gamma,
               options.params.min_split_gain),
-      mitigation_(MitigationFromParams(options.params)),
-      codec_(CodecFromParams(options.params, dims_)),
-      auditor_(ctx, options.params.integrity,
-               options.params.integrity_tolerance),
+      codec_{.mode = options.compression,
+             .block_values = static_cast<uint64_t>(
+                                 options.params.num_candidate_splits) *
+                             dims_ * 2},
+      auditor_(ctx, options.integrity),
       model_(task, num_classes, options.params.learning_rate),
       builder_(options.params.num_threads) {}
 
@@ -488,7 +495,6 @@ bool DistTrainerBase::HistMassViolated(
   // full-mass owned column (vertical), or the aggregated global column
   // (QD1, where at the root this IS the "root-histogram mass equals the
   // all-reduced gradient sums" identity).
-  const double tol = auditor_.tolerance();
   const uint32_t features = HistFeatureCount();
   for (NodeId node : frontier) {
     const Histogram* hist = pool_.Get(node);
@@ -500,7 +506,7 @@ bool DistTrainerBase::HistMassViolated(
         const double h = present[k].h;
         const double node_h = stats[k].h;
         if (!std::isfinite(h) || !std::isfinite(node_h)) return true;
-        const double slack = tol * (std::fabs(node_h) + 1.0);
+        const double slack = kAuditTolerance * (std::fabs(node_h) + 1.0);
         if (h < -slack || h > node_h + slack) return true;
       }
     }
@@ -558,7 +564,7 @@ void DistTrainerBase::AuditGradients(GradStats* root_stats) {
     }
     const AuditVerdict verdict = auditor_.Exchange("gradient");
     if (verdict.ok) return;
-    if (attempt >= options_.params.integrity_max_recomputes) {
+    if (attempt >= kAuditMaxRecomputes) {
       auditor_.Escalate(verdict);
     }
     // Recompute gradients and redo the root all-reduce; the occurrence
@@ -590,7 +596,7 @@ void DistTrainerBase::AuditLayer(const std::vector<NodeId>& frontier,
     }
     const AuditVerdict verdict = auditor_.Exchange("layer");
     if (verdict.ok) return;
-    if (attempt >= options_.params.integrity_max_recomputes) {
+    if (attempt >= kAuditMaxRecomputes) {
       auditor_.Escalate(verdict);
     }
     const uint64_t bytes_before = ctx_.stats().bytes_sent;

@@ -25,60 +25,21 @@
 #include "obs/anatomy.h"
 #include "obs/report.h"
 #include "partition/transform.h"
+#include "quadrants/checkpoint.h"
 #include "quadrants/quadrant.h"
 #include "sketch/candidate_splits.h"
 
 namespace vero {
-
-/// Maps GbdtParams' straggler-mitigation knobs onto the collective-level
-/// MitigationOptions of CollectiveOptions::mitigation.
-MitigationOptions MitigationFromParams(const GbdtParams& params);
-
-/// Maps GbdtParams' histogram-compression knobs onto the collective-level
-/// CodecSpec of CollectiveOptions::codec. `dims` is the leaf-vector
-/// width: the per-block granularity is one feature's histogram
-/// (q * dims * 2 doubles), so the dense/sparse switch tracks per-feature
-/// nonzero density.
-CodecSpec CodecFromParams(const GbdtParams& params, uint32_t dims);
-
-/// Per-round checkpoint policy for TrainDistributed.
-struct CheckpointOptions {
-  /// Checkpoint after every `interval` completed trees; 0 disables
-  /// checkpointing (a failure then restarts training from scratch on the
-  /// surviving workers).
-  uint32_t interval = 0;
-  /// Optional directory for on-disk checkpoints (empty keeps the latest
-  /// checkpoint in memory only). Files are written as a rotated
-  /// <dir>/ckpt-NNNNNN.vckp chain plus a <dir>/latest.vckp alias and a
-  /// CRC-framed <dir>/MANIFEST.vckm index.
-  std::string dir;
-  /// Write checkpoints on a background thread: the round loop only snapshots
-  /// the model (a copy), keeping serialization and file IO off the per-round
-  /// critical path. Under backpressure intermediate snapshots are dropped
-  /// (newest wins) — the durable state is always some completed round.
-  bool async = false;
-  /// On-disk rotation: keep the newest `keep_last_n` chain files, GC older
-  /// ones (0 means keep everything). In-memory state is always just latest.
-  uint32_t keep_last_n = 3;
-  /// Delta chains: each commit carries only the trees appended since the
-  /// previous manifest entry (shrinking the submit copy and the bytes
-  /// written), with every `full_every`-th commit a self-contained full
-  /// checkpoint. Reconstruction walks the chain; see docs/wire_formats.md.
-  bool delta = false;
-  /// Delta mode: cadence of forced full commits (1 = every commit full,
-  /// 0 = never force a periodic full).
-  uint32_t full_every = 8;
-};
 
 /// Options for a distributed training run.
 struct DistTrainOptions {
   GbdtParams params;
   /// Transform settings (vertical quadrants; horizontal quadrants use only
   /// the sketch fields through the shared candidate-split pipeline).
-  TransformOptions transform;
+  TransformOptions transform = {};
   /// Checkpoint/recovery policy (used by TrainDistributed when the cluster
   /// has a fault plan or real failures occur).
-  CheckpointOptions checkpoint;
+  CheckpointOptions checkpoint = {};
   /// How many times TrainDistributed rebuilds a cluster and retries after
   /// worker failures before giving up (0 = fail immediately). Each attempt
   /// tolerates further failures — including failures during the recovery
@@ -89,6 +50,34 @@ struct DistTrainOptions {
   /// ranks are re-seeded with a fresh shard and the latest checkpoint at a
   /// rendezvous barrier). False preserves the degrade-to-survivors behavior.
   bool elastic_rejoin = false;
+  /// Operator-requested resize: after this many completed trees the driver
+  /// pauses training at a checkpoint boundary, resizes the cluster by
+  /// `elastic_resize_delta` workers at a rendezvous (re-sharding the data
+  /// onto the new width), and finishes the run there. 0 disables resizing.
+  uint32_t elastic_resize_after_trees = 0;
+  /// Worker-count change applied at the scheduled resize: positive admits
+  /// that many new workers, negative retires surplus ones. Must be nonzero
+  /// when a resize is scheduled (a "resize by zero" request is rejected);
+  /// shrinking below one worker is rejected by TrainDistributed, which
+  /// knows the cluster width.
+  int32_t elastic_resize_delta = 0;
+  /// Straggler policy of the quadrants' aggregation collectives; strict (the
+  /// default) is bit-identical to a run without mitigation. See
+  /// docs/straggler_mitigation.md.
+  MitigationOptions mitigation = {};
+  /// Codec for the histogram payloads of the aggregation collectives; kOff
+  /// (the default) ships dense raw doubles, bit-identical to a run without
+  /// the codec. See docs/wire_formats.md and docs/cost_model.md.
+  CollectiveCompression compression = CollectiveCompression::kOff;
+  /// Corruption-detection level; kOff (the default) adds no collectives,
+  /// metric handles, or trace spans. See docs/fault_tolerance.md.
+  IntegrityLevel integrity = IntegrityLevel::kOff;
+
+  /// Validates params plus every distributed setting; returns
+  /// InvalidArgument naming the offending field. Also rejects the
+  /// reference-trainer extensions (leaf-wise growth, max_leaves, row and
+  /// column subsampling) that no quadrant implements.
+  Status Validate() const;
 };
 
 /// Cluster-level cost of one boosting round: compute phases are the maximum
@@ -408,7 +397,7 @@ class DistTrainerBase {
   bool ScanBuiltHistograms(const std::vector<BuildTask>& tasks) const;
   /// kFull mass invariant: for every frontier node and local feature, the
   /// per-class present hessian mass must lie within [0, node hessian] up to
-  /// the relative tolerance (h >= 0 for the supported losses), and be
+  /// kAuditTolerance (h >= 0 for the supported losses), and be
   /// finite. Catches sign-flip corruption that digests on other channels
   /// miss and any non-finite aggregated cell.
   bool HistMassViolated(const std::vector<NodeId>& frontier) const;
@@ -419,7 +408,7 @@ class DistTrainerBase {
 
   /// Audit + recompute loop around the gradient pass. On a retryable
   /// violation recomputes gradients (and the root all-reduce) up to
-  /// params.integrity_max_recomputes times before escalating.
+  /// kAuditMaxRecomputes times before escalating.
   void AuditGradients(GradStats* root_stats);
   /// Audit + recompute loop around a layer's decided splits: pushes the
   /// layer evidence (decision digest, frontier counts, kFull invariant
@@ -452,15 +441,13 @@ class DistTrainerBase {
   std::unique_ptr<Loss> loss_;
   SplitFinder finder_;
 
-  /// Straggler policy for the quadrant's aggregation collectives, derived
-  /// from options_.params (strict by default — bit-identical to seed).
-  MitigationOptions mitigation_;
-
-  /// Histogram-compression codec for the quadrant's histogram collectives,
-  /// derived from options_.params (off by default — bit-identical to seed).
+  /// Histogram-compression codec for the quadrant's histogram collectives:
+  /// options_.compression with one feature's histogram (q * dims * 2
+  /// doubles) per block, so the dense/sparse switch tracks per-feature
+  /// nonzero density.
   CodecSpec codec_;
 
-  /// Cross-rank invariant auditor (inert at params.integrity == kOff:
+  /// Cross-rank invariant auditor (inert at options_.integrity == kOff:
   /// quadrant push sites and the audit points above all guard on
   /// auditor_.enabled(), keeping the off path bit-identical to seed).
   IntegrityAuditor auditor_;

@@ -81,7 +81,7 @@ std::vector<SplitCandidate> Qd1Trainer::FindLayerSplits(
     std::memcpy(buffer.data() + i * per_node, hist->raw_data(),
                 per_node * sizeof(double));
   }
-  VERO_COMM_OK(ctx_.AllReduceSum(buffer, {codec_, mitigation_}));
+  VERO_COMM_OK(ctx_.AllReduceSum(buffer, {codec_, options_.mitigation}));
   if (auditor_.enabled()) {
     // Every worker now holds a replica of the aggregated layer histograms;
     // a digest mismatch pins silent transport corruption on the dissenting

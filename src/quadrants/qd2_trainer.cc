@@ -124,7 +124,8 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   std::vector<std::vector<uint8_t>> from_src;
   MitigationOutcome exchange_outcome;
   VERO_COMM_OK(ctx_.AllToAll(std::move(to_dest), &from_src,
-                             {codec_, mitigation_}, &exchange_outcome));
+                             {codec_, options_.mitigation},
+                             &exchange_outcome));
   if (auditor_.enabled()) {
     // Matching receive-side evidence; pairs whose slice was deferred by
     // straggler mitigation carry the skip sentinel on the receive side.
@@ -187,7 +188,8 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   std::vector<std::vector<uint8_t>> all;
   MitigationOutcome best_outcome;
   VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local_best), &all,
-                              {.mitigation = mitigation_}, &best_outcome));
+                              {.mitigation = options_.mitigation},
+                              &best_outcome));
   std::vector<SplitCandidate> best;
   for (int r = 0; r < w; ++r) {
     if (!best_outcome.contributed[r]) continue;

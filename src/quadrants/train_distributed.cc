@@ -309,22 +309,23 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
                                 const DistTrainOptions& options,
                                 const Dataset* valid,
                                 Qd3IndexPolicy qd3_policy) {
-  VERO_CHECK_OK(options.params.Validate());
   const int w = cluster.num_workers();
   const bool sharded = quadrant != Quadrant::kFeatureParallel;
   const bool elastic = options.elastic_rejoin;
   const uint32_t n = train.num_instances();
-  const uint32_t resize_at = options.params.elastic_resize_after_trees;
-  const int resize_delta =
-      static_cast<int>(options.params.elastic_resize_delta);
+  const uint32_t resize_at = options.elastic_resize_after_trees;
+  const int resize_delta = static_cast<int>(options.elastic_resize_delta);
   // A scheduled resize stays pending until its membership change is
   // applied; while pending, every attempt is clamped to the boundary tree.
   bool resize_pending = resize_at > 0;
 
   DistResult result;
-  if (resize_pending && w + resize_delta < 1) {
+  result.status = options.Validate();
+  if (result.status.ok() && resize_pending && w + resize_delta < 1) {
     result.status = Status::InvalidArgument(
         "elastic_resize_delta would shrink the cluster below one worker");
+  }
+  if (!result.status.ok()) {
     result.recovery.final_world_size = w;
     return result;
   }
@@ -359,13 +360,7 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
             ckpt_shard->counter("checkpoint.stale_tmp_deleted");
       }
     }
-    CheckpointWriter::Options writer_options;
-    writer_options.dir = options.checkpoint.dir;
-    writer_options.async = options.checkpoint.async;
-    writer_options.keep_last_n = options.checkpoint.keep_last_n;
-    writer_options.delta = options.checkpoint.delta;
-    writer_options.full_every = options.checkpoint.full_every;
-    writer = std::make_unique<CheckpointWriter>(std::move(writer_options),
+    writer = std::make_unique<CheckpointWriter>(options.checkpoint,
                                                 writer_metrics);
   }
 
@@ -929,7 +924,7 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
       report.elasticity.retired_workers = result.elasticity.retired_workers;
       report.elasticity.reshard_bytes = result.elasticity.reshard_bytes;
       report.elasticity.reshard_seconds = result.elasticity.reshard_seconds;
-      report.integrity.level = IntegrityLevelToString(options.params.integrity);
+      report.integrity.level = IntegrityLevelToString(options.integrity);
       report.integrity.checks = result.integrity.checks;
       report.integrity.violations = result.integrity.violations;
       report.integrity.recomputes = result.integrity.recomputes;

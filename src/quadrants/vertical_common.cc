@@ -48,7 +48,7 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     const std::vector<NodeId>& frontier) {
   const std::vector<SplitCandidate> local = LocalBestSplits(frontier);
   std::vector<SplitCandidate> best;
-  if (mitigation_.enabled() || !MasterCoordinatesSplits()) {
+  if (options_.mitigation.enabled() || !MasterCoordinatesSplits()) {
     // Yggdrasil: all workers exchange local bests and resolve locally.
     // Mitigated Vero takes this path too: the master-coordinated exchange
     // has no useful bounded form (a master stalled on a straggler's gather
@@ -60,7 +60,8 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
     VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
-                                {.mitigation = mitigation_}, &outcome));
+                                {.mitigation = options_.mitigation},
+                                &outcome));
     for (int r = 0; r < ctx_.world_size(); ++r) {
       if (!outcome.contributed[r]) continue;
       MergeBestSplits(DeserializeSplits(all[r]), &best);

@@ -118,12 +118,12 @@ TEST_P(AnatomyGridTest, AttributionExactAcrossMitigationModes) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with VERO_DISABLE_OBS";
   const auto [quadrant, workers] = GetParam();
   const Dataset data = MakeData(600, 16, 414);
-  const StragglerMitigation modes[] = {StragglerMitigation::kStrict,
-                                       StragglerMitigation::kBoundedStaleness,
-                                       StragglerMitigation::kSpeculative};
-  for (StragglerMitigation mode : modes) {
+  const MitigationMode modes[] = {MitigationMode::kStrict,
+                                  MitigationMode::kBoundedStaleness,
+                                  MitigationMode::kSpeculative};
+  for (MitigationMode mode : modes) {
     DistTrainOptions options = SmallOptions();
-    options.params.straggler_mitigation = mode;
+    options.mitigation.mode = mode;
     // A mid-run straggler makes the bounded / speculative paths take their
     // mitigation branches instead of degenerating to strict.
     FaultPlan plan;
@@ -288,8 +288,8 @@ TEST(AnatomyElasticityTest, ResizeAdmittedRankJoinsTheDag) {
   options.checkpoint.interval = 1;
   options.max_recovery_attempts = 3;
   options.elastic_rejoin = true;
-  options.params.elastic_resize_after_trees = 3;
-  options.params.elastic_resize_delta = +1;
+  options.elastic_resize_after_trees = 3;
+  options.elastic_resize_delta = +1;
 
   const AnatomyRun run = RunWithAnatomy(data, Quadrant::kQD1, options, 4);
   ASSERT_TRUE(run.result.status.ok()) << run.result.status.ToString();
@@ -361,8 +361,8 @@ TEST(AnatomyEmitTest, WritesAnatomyJson) {
   elastic.checkpoint.interval = 1;
   elastic.max_recovery_attempts = 3;
   elastic.elastic_rejoin = true;
-  elastic.params.elastic_resize_after_trees = 3;
-  elastic.params.elastic_resize_delta = +1;
+  elastic.elastic_resize_after_trees = 3;
+  elastic.elastic_resize_delta = +1;
   AnatomyRun elastic_run = RunWithAnatomy(data, Quadrant::kQD1, elastic, 4);
   ASSERT_TRUE(elastic_run.result.status.ok());
   elastic_run.result.anatomy.label = "anatomy_emit_elastic";

@@ -61,7 +61,7 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& data) {
 
 // Commits `n` checkpoints (trees_done = 1..n) through a sync writer.
 void FillChain(const std::string& dir, uint32_t n, uint32_t keep_last_n) {
-  CheckpointWriter::Options options;
+  CheckpointOptions options;
   options.dir = dir;
   options.keep_last_n = keep_last_n;
   CheckpointWriter writer(options);
@@ -184,7 +184,7 @@ TEST(CheckpointWriterTest, AsyncWriterDrainsOnFlushAndDestruction) {
   const std::string dir = FreshDir("async_drain");
   CandidateSplits splits = TinySplits();
   {
-    CheckpointWriter::Options options;
+    CheckpointOptions options;
     options.dir = dir;
     options.async = true;
     options.keep_last_n = 3;
@@ -209,7 +209,7 @@ TEST(CheckpointWriterTest, AsyncWriterDrainsOnFlushAndDestruction) {
 }
 
 TEST(CheckpointWriterTest, InMemoryOnlyWhenDirEmpty) {
-  CheckpointWriter writer(CheckpointWriter::Options{});
+  CheckpointWriter writer(CheckpointOptions{});
   EXPECT_FALSE(writer.Latest().has_value());
   const CandidateSplits splits = TinySplits();
   writer.Submit(ModelWithTrees(3), 3, &splits);
@@ -340,7 +340,7 @@ TEST(ManifestEmitTest, WritesDeltaChainForSchemaCheck) {
       "/delta";
   fs::create_directories(dir);
   {
-    CheckpointWriter::Options options;
+    CheckpointOptions options;
     options.dir = dir;
     options.keep_last_n = 4;
     options.delta = true;

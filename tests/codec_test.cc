@@ -753,13 +753,13 @@ Dataset MakeData(uint32_t n, uint32_t d, double density, uint64_t seed) {
   return GenerateSynthetic(config);
 }
 
-DistTrainOptions SmallOptions(HistogramCompression compression,
+DistTrainOptions SmallOptions(CollectiveCompression compression,
                               uint32_t trees = 5, uint32_t layers = 4) {
   DistTrainOptions options;
   options.params.num_trees = trees;
   options.params.num_layers = layers;
   options.params.num_candidate_splits = 16;
-  options.params.compression = compression;
+  options.compression = compression;
   return options;
 }
 
@@ -773,13 +773,13 @@ TEST_P(QuadrantCodecTest, LosslessModesTrainBitIdenticalModels) {
 
   Cluster off_cluster(3);
   const DistResult off = TrainDistributed(
-      off_cluster, data, quadrant, SmallOptions(HistogramCompression::kOff));
+      off_cluster, data, quadrant, SmallOptions(CollectiveCompression::kOff));
   ASSERT_TRUE(off.status.ok()) << off.status.ToString();
   const std::string off_text = ModelToText(off.model);
   EXPECT_EQ(off_cluster.TotalStats().codec_wire_bytes, 0u);
 
-  for (const HistogramCompression mode :
-       {HistogramCompression::kSparse, HistogramCompression::kSparseDelta}) {
+  for (const CollectiveCompression mode :
+       {CollectiveCompression::kSparse, CollectiveCompression::kSparseDelta}) {
     Cluster cluster(3);
     const DistResult result =
         TrainDistributed(cluster, data, quadrant, SmallOptions(mode));
@@ -798,7 +798,7 @@ TEST_P(QuadrantCodecTest, QuantizedTrainsAValidModel) {
   const Dataset data = MakeData(800, 24, 0.1, 413);
   Cluster cluster(3);
   const DistResult result = TrainDistributed(
-      cluster, data, quadrant, SmallOptions(HistogramCompression::kQuantized));
+      cluster, data, quadrant, SmallOptions(CollectiveCompression::kQuantized));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.model.num_trees(), 5u);
   EXPECT_GT(cluster.TotalStats().codec_wire_bytes, 0u);
@@ -813,10 +813,10 @@ INSTANTIATE_TEST_SUITE_P(Quadrants, QuadrantCodecTest,
 // corruption of the decoded QD2 exchange still convicts the receiver.
 TEST(CodecIntegrityTest, QuantizedCleanRunHasNoViolations) {
   const Dataset data = MakeData(800, 24, 0.1, 421);
-  for (const HistogramCompression mode :
-       {HistogramCompression::kSparse, HistogramCompression::kQuantized}) {
+  for (const CollectiveCompression mode :
+       {CollectiveCompression::kSparse, CollectiveCompression::kQuantized}) {
     DistTrainOptions options = SmallOptions(mode);
-    options.params.integrity = IntegrityLevel::kFull;
+    options.integrity = IntegrityLevel::kFull;
     Cluster cluster(3);
     const DistResult result =
         TrainDistributed(cluster, data, Quadrant::kQD2, options);
@@ -829,8 +829,8 @@ TEST(CodecIntegrityTest, QuantizedCleanRunHasNoViolations) {
 
 TEST(CodecIntegrityTest, SilentCorruptionStillBlamedUnderCompression) {
   const Dataset data = MakeData(800, 24, 0.1, 423);
-  DistTrainOptions options = SmallOptions(HistogramCompression::kSparseDelta);
-  options.params.integrity = IntegrityLevel::kChecksum;
+  DistTrainOptions options = SmallOptions(CollectiveCompression::kSparseDelta);
+  options.integrity = IntegrityLevel::kChecksum;
   Cluster cluster(3);
   cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
       2, CollectiveOp::kAllToAll, /*occurrence=*/0, /*seed=*/77,

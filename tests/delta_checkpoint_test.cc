@@ -58,8 +58,7 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& data) {
 }
 
 // Commits checkpoints trees_done = 1..n through one writer.
-void FillChain(const std::string& dir, uint32_t n,
-               CheckpointWriter::Options options) {
+void FillChain(const std::string& dir, uint32_t n, CheckpointOptions options) {
   options.dir = dir;
   CheckpointWriter writer(options);
   const CandidateSplits splits = TinySplits();
@@ -71,9 +70,9 @@ void FillChain(const std::string& dir, uint32_t n,
       << writer.write_status().ToString();
 }
 
-CheckpointWriter::Options DeltaOptions(uint32_t keep_last_n = 0,
-                                       uint32_t full_every = 8) {
-  CheckpointWriter::Options options;
+CheckpointOptions DeltaOptions(uint32_t keep_last_n = 0,
+                               uint32_t full_every = 8) {
+  CheckpointOptions options;
   options.keep_last_n = keep_last_n;
   options.delta = true;
   options.full_every = full_every;
@@ -212,7 +211,7 @@ TEST(DeltaChainTest, WriterEmitsFullAnchorsAtTheConfiguredCadence) {
 TEST(DeltaChainTest, ReconstructionIsByteEqualToFullMode) {
   const std::string full_dir = FreshDir("delta_vs_full_full");
   const std::string delta_dir = FreshDir("delta_vs_full_delta");
-  CheckpointWriter::Options full_options;
+  CheckpointOptions full_options;
   full_options.keep_last_n = 0;
   FillChain(full_dir, 7, full_options);
   FillChain(delta_dir, 7, DeltaOptions(/*keep_last_n=*/0, /*full_every=*/4));
@@ -240,7 +239,7 @@ TEST(DeltaChainTest, GcKeepsTheFullAnchorOfARetainedDeltaSuffix) {
 
   // The reconstruction is still byte-equal to an un-GC'd full-mode chain.
   const std::string ref_dir = FreshDir("delta_gc_anchor_ref");
-  CheckpointWriter::Options ref_options;
+  CheckpointOptions ref_options;
   ref_options.keep_last_n = 0;
   FillChain(ref_dir, 7, ref_options);
   EXPECT_EQ(LatestBytes(dir), LatestBytes(ref_dir));
@@ -266,7 +265,7 @@ TEST(DeltaChainTest, ReadoptedWriterStartsItsChainWithAFull) {
 
 TEST(DeltaChainTest, AsyncBackpressureMergesDeltasWithoutLosingTrees) {
   const std::string dir = FreshDir("delta_async");
-  CheckpointWriter::Options options = DeltaOptions();
+  CheckpointOptions options = DeltaOptions();
   options.dir = dir;
   options.async = true;
   const CandidateSplits splits = TinySplits();
@@ -304,7 +303,7 @@ class CorruptionLadderTest : public ::testing::TestWithParam<bool> {
   // Builds a 5-entry chain in the parameterized mode and returns the dir.
   std::string BuildChain(const std::string& name) {
     const std::string dir = FreshDir(name);
-    CheckpointWriter::Options options;
+    CheckpointOptions options;
     options.keep_last_n = 0;
     if (GetParam()) {
       options.delta = true;
@@ -421,7 +420,7 @@ INSTANTIATE_TEST_SUITE_P(FullAndDelta, CorruptionLadderTest,
 
 TEST(StaleTmpSweepTest, ConstructorCollectsPlantedOrphans) {
   const std::string dir = FreshDir("tmp_sweep");
-  FillChain(dir, 2, CheckpointWriter::Options{});
+  FillChain(dir, 2, CheckpointOptions{});
 
   // A crash between write and rename leaves .tmp siblings of our own file
   // names; plant one of each flavor plus a foreign file that must survive.
@@ -435,7 +434,7 @@ TEST(StaleTmpSweepTest, ConstructorCollectsPlantedOrphans) {
   WriteFile(manifest_tmp, {6});
   WriteFile(foreign, {7, 8});
 
-  CheckpointWriter::Options options;
+  CheckpointOptions options;
   options.dir = dir;
   CheckpointWriter writer(options);
 

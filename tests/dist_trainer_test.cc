@@ -193,6 +193,19 @@ TEST(DistTrainTest, TreeCostsPopulated) {
   EXPECT_GT(result.train_bytes_sent, 0u);
 }
 
+// Invalid options come back as a status (as the reference trainer's do)
+// instead of aborting the process, and nothing is trained.
+TEST(DistTrainTest, InvalidOptionsReturnInvalidArgument) {
+  const Dataset data = MakeData(200, 10, 2, 104);
+  Cluster cluster(2);
+  const DistResult result =
+      TrainDistributed(cluster, data, Quadrant::kQD1, SmallOptions(0, 5));
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status.message(), "num_trees == 0");
+  EXPECT_EQ(result.model.num_trees(), 0u);
+  EXPECT_EQ(result.recovery.final_world_size, 2);
+}
+
 // §3.1.2: vertical histogram memory is ~1/W of horizontal.
 TEST(CostModelTest, VerticalUsesLessHistogramMemory) {
   const Dataset data = MakeData(1500, 200, 2, 107);

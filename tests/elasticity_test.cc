@@ -275,40 +275,40 @@ TEST(MembershipPropertyTest, RandomFailRejoinScaleSequencesKeepInvariants) {
 // ---------------------------------------------------------------------------
 
 TEST(ElasticityKnobTest, ValidatesResizeSchedule) {
-  GbdtParams params;
-  params.num_trees = 10;
-  ASSERT_TRUE(params.Validate().ok());
+  DistTrainOptions options;
+  options.params.num_trees = 10;
+  ASSERT_TRUE(options.Validate().ok());
 
-  params.elastic_resize_after_trees = 5;
-  params.elastic_resize_delta = 1;
-  EXPECT_TRUE(params.Validate().ok());
-  params.elastic_resize_delta = -2;
-  EXPECT_TRUE(params.Validate().ok());
+  options.elastic_resize_after_trees = 5;
+  options.elastic_resize_delta = 1;
+  EXPECT_TRUE(options.Validate().ok());
+  options.elastic_resize_delta = -2;
+  EXPECT_TRUE(options.Validate().ok());
 
   // A scheduled boundary with no delta is meaningless.
-  params.elastic_resize_delta = 0;
-  EXPECT_FALSE(params.Validate().ok());
+  options.elastic_resize_delta = 0;
+  EXPECT_FALSE(options.Validate().ok());
 
   // A delta with no boundary is equally meaningless.
-  params.elastic_resize_after_trees = 0;
-  params.elastic_resize_delta = 1;
-  EXPECT_FALSE(params.Validate().ok());
+  options.elastic_resize_after_trees = 0;
+  options.elastic_resize_delta = 1;
+  EXPECT_FALSE(options.Validate().ok());
 
   // The boundary must leave post-resize rounds to train.
-  params.elastic_resize_after_trees = 10;
-  EXPECT_FALSE(params.Validate().ok());
-  params.elastic_resize_after_trees = 11;
-  EXPECT_FALSE(params.Validate().ok());
-  params.elastic_resize_after_trees = 9;
-  EXPECT_TRUE(params.Validate().ok());
+  options.elastic_resize_after_trees = 10;
+  EXPECT_FALSE(options.Validate().ok());
+  options.elastic_resize_after_trees = 11;
+  EXPECT_FALSE(options.Validate().ok());
+  options.elastic_resize_after_trees = 9;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(ElasticityKnobTest, ScaleDownBelowOneWorkerIsRejectedAtRuntime) {
   const Dataset data = MakeData(600, 16, 401);
   DistTrainOptions options = SmallOptions(6, 4);
-  options.params.elastic_resize_after_trees = 3;
-  options.params.elastic_resize_delta = -3;  // 3 - 3 = 0 workers: invalid.
-  ASSERT_TRUE(options.params.Validate().ok());  // Validate can't know W.
+  options.elastic_resize_after_trees = 3;
+  options.elastic_resize_delta = -3;  // 3 - 3 = 0 workers: invalid.
+  ASSERT_TRUE(options.Validate().ok());  // Validate can't know W.
 
   Cluster cluster(3);
   const DistResult result =
@@ -345,8 +345,8 @@ TEST_P(ResizeE2ETest, MidTrainingResizeCompletesWithCommittedPrefix) {
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
 
   DistTrainOptions options = base_options;
-  options.params.elastic_resize_after_trees = boundary;
-  options.params.elastic_resize_delta = delta;
+  options.elastic_resize_after_trees = boundary;
+  options.elastic_resize_delta = delta;
   Cluster cluster(w);
   const DistResult result =
       TrainDistributed(cluster, train, quadrant, options, &valid);
@@ -406,8 +406,8 @@ TEST(ResizeE2ETest, CrashBeforeBoundaryThenResizeUp) {
   DistTrainOptions options = SmallOptions();
   options.checkpoint.interval = 1;
   options.elastic_rejoin = true;
-  options.params.elastic_resize_after_trees = 4;
-  options.params.elastic_resize_delta = 1;
+  options.elastic_resize_after_trees = 4;
+  options.elastic_resize_delta = 1;
 
   Cluster clean(4);
   const DistResult probe =
@@ -442,8 +442,8 @@ TEST(ResizeE2ETest, CrashDuringReshardRendezvousRecoversAtNewWidth) {
   options.checkpoint.interval = 1;
   options.elastic_rejoin = true;
   options.max_recovery_attempts = 2;
-  options.params.elastic_resize_after_trees = 3;
-  options.params.elastic_resize_delta = 1;
+  options.elastic_resize_after_trees = 3;
+  options.elastic_resize_delta = 1;
 
   Cluster faulted(3);
   // First recovery-phase collective is the reshard rendezvous barrier.
@@ -518,8 +518,8 @@ TEST(ElasticityObsTest, ResizeEmitsMetricsAndReportBlock) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with VERO_DISABLE_OBS";
   const Dataset data = MakeData(900, 20, 439);
   DistTrainOptions options = SmallOptions(6, 4);
-  options.params.elastic_resize_after_trees = 3;
-  options.params.elastic_resize_delta = 1;
+  options.elastic_resize_after_trees = 3;
+  options.elastic_resize_delta = 1;
 
   obs::RunObserver observer;
   Cluster cluster(3);

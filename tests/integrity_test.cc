@@ -42,7 +42,7 @@ DistTrainOptions SmallOptions(uint32_t trees = 6, uint32_t layers = 4) {
 }
 
 DistTrainOptions WithIntegrity(DistTrainOptions options, IntegrityLevel level) {
-  options.params.integrity = level;
+  options.integrity = level;
   return options;
 }
 
@@ -283,19 +283,19 @@ TEST(PoisonTest, HistogramInfBlamedAndRecomputed) {
 // ---------------------------------------------------------------------------
 
 // Corruption that persists across the recompute (two consecutive occurrences
-// of the same collective) exhausts integrity_max_recomputes. The blamed
+// of the same collective) exhausts kAuditMaxRecomputes. The blamed
 // worker is failed, and with checkpoint + recovery budget the run rolls
 // back, finishes on the survivors, and records the integrity rollback.
 TEST(EscalationTest, PersistentCorruptionRollsBackViaCheckpoint) {
   const Dataset data = MakeData(900, 24, 349);
   DistTrainOptions options = SmallOptions();
-  options.params.integrity = IntegrityLevel::kFull;
+  options.integrity = IntegrityLevel::kFull;
   options.checkpoint.interval = 1;
 
   Cluster cluster(3);
   // Occurrence 8 = tree 1's root-layer histogram aggregate; occurrence 9 is
   // consumed by the recompute's re-aggregation, so the corruption survives
-  // the retry and exhausts integrity_max_recomputes.
+  // the retry and exhausts kAuditMaxRecomputes.
   cluster.InstallFaultPlan(
       FaultPlan()
           .SilentCorrupt(2, CollectiveOp::kAllReduceSum, /*occurrence=*/8,
@@ -325,7 +325,7 @@ TEST(EscalationTest, PersistentCorruptionRollsBackViaCheckpoint) {
 TEST(EscalationTest, CountsCorruptionEscalatesWithoutRecompute) {
   const Dataset data = MakeData(900, 24, 349);
   DistTrainOptions options = SmallOptions();
-  options.params.integrity = IntegrityLevel::kChecksum;
+  options.integrity = IntegrityLevel::kChecksum;
   options.checkpoint.interval = 1;
 
   Cluster cluster(3);
@@ -352,7 +352,7 @@ TEST(EscalationTest, CountsCorruptionEscalatesWithoutRecompute) {
 TEST(EscalationTest, NoRecoveryBudgetFailsWithIntegrityStatus) {
   const Dataset data = MakeData(900, 24, 349);
   DistTrainOptions options = SmallOptions();
-  options.params.integrity = IntegrityLevel::kFull;
+  options.integrity = IntegrityLevel::kFull;
   options.max_recovery_attempts = 0;
 
   Cluster cluster(3);
@@ -419,21 +419,27 @@ INSTANTIATE_TEST_SUITE_P(CorruptAndTruncate, RetryExhaustionTest,
 // ---------------------------------------------------------------------------
 
 TEST(IntegrityParamsTest, ValidateRejectsBadKnobs) {
-  GbdtParams params;
-  ASSERT_TRUE(params.Validate().ok());
+  DistTrainOptions options;
+  ASSERT_TRUE(options.Validate().ok());
+  options.integrity = IntegrityLevel::kFull;
+  EXPECT_TRUE(options.Validate().ok());
 
-  params.integrity_tolerance = 0.0;
-  EXPECT_FALSE(params.Validate().ok());
-  params.integrity_tolerance = 2.0;
-  EXPECT_FALSE(params.Validate().ok());
-  params.integrity_tolerance = 1e-6;
-
-  params.integrity = IntegrityLevel::kFull;
-  params.integrity_max_recomputes = 17;
-  EXPECT_FALSE(params.Validate().ok());
-  // The cap only binds when auditing is enabled.
-  params.integrity = IntegrityLevel::kOff;
-  EXPECT_TRUE(params.Validate().ok());
+  // Reference-trainer extensions no quadrant implements are rejected, not
+  // silently ignored, and the status names the field.
+  auto rejects = [](void (*mutate)(GbdtParams&), const char* field) {
+    DistTrainOptions bad;
+    mutate(bad.params);
+    const Status status = bad.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.ToString();
+  };
+  rejects([](GbdtParams& p) { p.growth = GrowthPolicy::kLeafWise; },
+          "growth");
+  rejects([](GbdtParams& p) { p.max_leaves = 8; }, "max_leaves");
+  rejects([](GbdtParams& p) { p.row_subsample = 0.5; }, "row_subsample");
+  rejects([](GbdtParams& p) { p.column_subsample = 0.5; },
+          "column_subsample");
 }
 
 TEST(DatasetIntegrityTest, NonFiniteRejectionNamesTheCell) {

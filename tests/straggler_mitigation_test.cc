@@ -590,8 +590,8 @@ TEST(StragglerGridTest, MitigationBeatsStrictUnderDominantStraggler) {
 
   // Speculative: bit-identical model, faster, waste surfaced.
   DistTrainOptions spec_options = options;
-  spec_options.params.straggler_mitigation = StragglerMitigation::kSpeculative;
-  spec_options.params.speculation_threshold_seconds = 0.01;
+  spec_options.mitigation.mode = MitigationMode::kSpeculative;
+  spec_options.mitigation.speculation_threshold_seconds = 0.01;
   Cluster spec_cluster(4);
   spec_cluster.InstallFaultPlan(make_plan());
   const DistResult spec = TrainDistributed(spec_cluster, train,
@@ -606,9 +606,8 @@ TEST(StragglerGridTest, MitigationBeatsStrictUnderDominantStraggler) {
 
   // Bounded staleness: faster, mitigation engaged, loss within tolerance.
   DistTrainOptions bounded_options = options;
-  bounded_options.params.straggler_mitigation =
-      StragglerMitigation::kBoundedStaleness;
-  bounded_options.params.staleness_deadline_seconds = 0.01;
+  bounded_options.mitigation.mode = MitigationMode::kBoundedStaleness;
+  bounded_options.mitigation.deadline_seconds = 0.01;
   Cluster bounded_cluster(4);
   bounded_cluster.InstallFaultPlan(make_plan());
   const DistResult bounded = TrainDistributed(bounded_cluster, train,
@@ -648,9 +647,8 @@ TEST(StragglerGridTest, BoundedModeEngagesOnEveryQuadrant) {
         TrainDistributed(clean, train, cell.quadrant, options);
     ASSERT_TRUE(base.status.ok()) << QuadrantToString(cell.quadrant);
 
-    options.params.straggler_mitigation =
-        StragglerMitigation::kBoundedStaleness;
-    options.params.staleness_deadline_seconds = 0.01;
+    options.mitigation.mode = MitigationMode::kBoundedStaleness;
+    options.mitigation.deadline_seconds = 0.01;
     Cluster faulted(3);
     faulted.InstallFaultPlan(FaultPlan()
                                  .Delay(1, cell.op, 0, 0.8, FaultPhase::kTrain)
@@ -672,10 +670,9 @@ TEST(StragglerGridTest, BoundedModeEngagesOnEveryQuadrant) {
 TEST(StragglerGridTest, EndToEndStalenessBoundForcesSync) {
   const Dataset train = MakeData(500, 16, 23);
   DistTrainOptions options = SmallOptions();
-  options.params.straggler_mitigation =
-      StragglerMitigation::kBoundedStaleness;
-  options.params.staleness_deadline_seconds = 0.01;
-  options.params.staleness_bound = 1;
+  options.mitigation.mode = MitigationMode::kBoundedStaleness;
+  options.mitigation.deadline_seconds = 0.01;
+  options.mitigation.staleness_bound = 1;
 
   RunObserver observer;
   Cluster cluster(4);
@@ -702,38 +699,19 @@ TEST(StragglerGridTest, EndToEndStalenessBoundForcesSync) {
 // ---------------------------------------------------------------------------
 
 TEST(StragglerParamsTest, ValidationRejectsBadKnobs) {
-  GbdtParams params;
-  EXPECT_TRUE(params.Validate().ok());
-  params.staleness_deadline_seconds = 0.0;
-  EXPECT_FALSE(params.Validate().ok());
-  params = GbdtParams{};
-  params.speculation_threshold_seconds = -1.0;
-  EXPECT_FALSE(params.Validate().ok());
-  params = GbdtParams{};
-  params.staleness_bound = 0;
-  EXPECT_FALSE(params.Validate().ok());
-  params = GbdtParams{};
-  params.staleness_max_stale_ranks = 0;
-  EXPECT_FALSE(params.Validate().ok());
-}
-
-TEST(StragglerParamsTest, MitigationFromParamsMapsEveryKnob) {
-  GbdtParams params;
-  params.straggler_mitigation = StragglerMitigation::kBoundedStaleness;
-  params.staleness_deadline_seconds = 0.2;
-  params.staleness_bound = 5;
-  params.staleness_max_stale_ranks = 2;
-  params.speculation_threshold_seconds = 0.3;
-  const MitigationOptions opts = MitigationFromParams(params);
-  EXPECT_EQ(opts.mode, MitigationMode::kBoundedStaleness);
-  EXPECT_DOUBLE_EQ(opts.deadline_seconds, 0.2);
-  EXPECT_EQ(opts.staleness_bound, 5u);
-  EXPECT_EQ(opts.max_stale_ranks, 2u);
-  EXPECT_DOUBLE_EQ(opts.speculation_threshold_seconds, 0.3);
-  params.straggler_mitigation = StragglerMitigation::kSpeculative;
-  EXPECT_EQ(MitigationFromParams(params).mode, MitigationMode::kSpeculative);
-  params.straggler_mitigation = StragglerMitigation::kStrict;
-  EXPECT_FALSE(MitigationFromParams(params).enabled());
+  DistTrainOptions options;
+  EXPECT_TRUE(options.Validate().ok());
+  options.mitigation.deadline_seconds = 0.0;
+  EXPECT_FALSE(options.Validate().ok());
+  options = DistTrainOptions{};
+  options.mitigation.speculation_threshold_seconds = -1.0;
+  EXPECT_FALSE(options.Validate().ok());
+  options = DistTrainOptions{};
+  options.mitigation.staleness_bound = 0;
+  EXPECT_FALSE(options.Validate().ok());
+  options = DistTrainOptions{};
+  options.mitigation.max_stale_ranks = 0;
+  EXPECT_FALSE(options.Validate().ok());
 }
 
 }  // namespace
