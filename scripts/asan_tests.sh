@@ -10,7 +10,8 @@
 # reduce-scatter/all-gather AllReduceSum, where each rank writes its slice
 # into a buffer its peers read. The build is Debug so VERO_DCHECK and the
 # codec layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry),
-# which compile out under NDEBUG, run too.
+# which compile out under NDEBUG, run too. obs_test and anatomy_test drive
+# the driver's attempt loop and its end-of-run report and counters.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -21,7 +22,8 @@ TESTS=(
   fault_tolerance_test elastic_recovery_test elasticity_test
   checkpoint_rotation_test delta_checkpoint_test integrity_test
   straggler_mitigation_test codec_test communicator_test
-  communicator_stress_test serve_test dist_trainer_test
+  communicator_stress_test serve_test dist_trainer_test obs_test
+  anatomy_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

@@ -30,6 +30,9 @@ and the recovery-grid contract (rg-ci<interval>-<crash>-<resize> cells):
     show zero failures and zero recovery traffic;
   * resize=up cells admitted workers and priced re-shard traffic,
     resize=down cells retired workers, resize=none cells never resized;
+  * trees_recovered / trees_retrained describe the last recovery only: a
+    run that never recovered reports 0 / 0 (a resize writes neither), and
+    a recovered run's two counts add up to its trees;
   * for a matched crash x resize pair, the sparse-checkpoint run (largest
     interval) retrains at least as many trees as the per-tree-checkpoint
     run (denser checkpoints never lose more work).
@@ -207,6 +210,16 @@ def validate_recovery_grid(recovery_runs):
                 fail(f"{label}: crash run observed no failure")
             if recovery.get("recovery_attempts", 0) < 1:
                 fail(f"{label}: crash run never ran recovery")
+
+        recovered = recovery.get("trees_recovered", 0)
+        retrained = recovery.get("trees_retrained", 0)
+        if recovery.get("recovery_attempts", 0) == 0:
+            if recovered != 0 or retrained != 0:
+                fail(f"{label}: run without recovery reports "
+                     f"{recovered} recovered / {retrained} retrained trees")
+        elif recovered + retrained != run.get("trees"):
+            fail(f"{label}: {recovered} recovered + {retrained} retrained "
+                 f"trees != {run.get('trees')} trees")
 
         if resize == "none":
             if elasticity.get("resizes", 0) != 0:

@@ -15,7 +15,7 @@ TESTS=(
   elastic_recovery_test elasticity_test checkpoint_rotation_test
   delta_checkpoint_test straggler_mitigation_test integrity_test
   codec_test threading_test hist_builder_test dist_trainer_test obs_test
-  serve_test
+  anatomy_test serve_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -70,6 +71,33 @@ void IntegrityAuditor::PushPairwise(const char* what,
                         what, static_cast<uint32_t>(2 * w)});
   words_.insert(words_.end(), sent.begin(), sent.end());
   words_.insert(words_.end(), recv.begin(), recv.end());
+}
+
+IntegrityAuditor::PairEvidence IntegrityAuditor::PayloadEvidence(
+    const std::vector<std::vector<uint8_t>>& payloads, const CodecSpec& codec,
+    std::span<const uint8_t> present) const {
+  const size_t w = payloads.size();
+  PairEvidence evidence{std::vector<uint64_t>(w, kAuditSkip),
+                        std::vector<uint64_t>(w, kAuditSkip)};
+  const bool lossy = CodecIsLossy(codec) && codec.enabled();
+  for (size_t p = 0; p < w; ++p) {
+    if (!present.empty() && present[p] == 0) continue;
+    std::vector<uint8_t> round_tripped;
+    if (lossy) round_tripped = CodecRoundTripBytes(payloads[p], codec);
+    const std::vector<uint8_t>& seen = lossy ? round_tripped : payloads[p];
+    evidence.digest[p] = AuditDigestBytes(seen.data(), seen.size());
+    if (full()) {
+      double sum = 0.0;
+      for (size_t at = 0; at + sizeof(double) <= seen.size();
+           at += sizeof(double)) {
+        double value;
+        std::memcpy(&value, seen.data() + at, sizeof(double));
+        sum += value;
+      }
+      evidence.mass[p] = std::bit_cast<uint64_t>(sum);
+    }
+  }
+  return evidence;
 }
 
 void IntegrityAuditor::RecordViolation(const Slot& slot, const char* point,

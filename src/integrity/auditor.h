@@ -125,6 +125,22 @@ class IntegrityAuditor {
   void PushPairwise(const char* what, std::span<const uint64_t> sent,
                     std::span<const uint64_t> recv, bool exact);
 
+  /// Per-peer evidence for PushPairwise: payload digests and, at kFull,
+  /// bit-cast sums of the payloads' doubles (kAuditSkip otherwise).
+  struct PairEvidence {
+    std::vector<uint64_t> digest;
+    std::vector<uint64_t> mass;
+  };
+
+  /// Summarizes one packed-double payload per peer as its receiver
+  /// reconstructs it: under a lossy sender `codec` the payload is
+  /// round-tripped first, so a clean quantized exchange digests the same on
+  /// both sides. Peers with present[p] == 0 keep kAuditSkip; an empty
+  /// `present` means every peer.
+  PairEvidence PayloadEvidence(
+      const std::vector<std::vector<uint8_t>>& payloads,
+      const CodecSpec& codec = {}, std::span<const uint8_t> present = {}) const;
+
   /// Rendezvous: gathers every rank's pending packet, evaluates all slots
   /// identically on all ranks, clears the packet, and returns the verdict
   /// for the first violated slot (all violations are counted). `point`

@@ -13,6 +13,57 @@
 #include "obs/trace.h"
 
 namespace vero {
+
+/// What failure handling cost a training run (all zero when failure-free).
+struct RecoveryStats {
+  /// Worker failures observed (injected crashes + retry exhaustions).
+  int failures_observed = 0;
+  /// Recovery rounds performed (cluster rebuilds).
+  int recovery_attempts = 0;
+  /// These two describe the last recovery transition only; a resize never
+  /// writes them, and both stay 0 when no recovery ran. trees_recovered is
+  /// the tree that last recovery resumed at (its checkpoint's trees_done, 0
+  /// when it restarted from scratch).
+  uint32_t trees_recovered = 0;
+  /// model.num_trees() - trees_recovered on a completed run that recovered;
+  /// 0 otherwise.
+  uint32_t trees_retrained = 0;
+  /// Workers in the final (surviving) cluster.
+  int final_world_size = 0;
+  /// Replacement workers that re-joined across all recovery attempts
+  /// (elastic_rejoin only).
+  int rejoined_workers = 0;
+  /// Recovery rendezvous rounds that themselves failed (a crash during the
+  /// rejoin/redistribution phase) and had to be retried.
+  int rendezvous_failures = 0;
+  /// Simulated seconds spent on recovery: state redistribution to the
+  /// survivors plus the recovery cluster's setup phase.
+  double recovery_seconds = 0.0;
+  /// Bytes moved to redistribute state (checkpoint, margins or raw shards)
+  /// onto the surviving workers.
+  uint64_t recovery_bytes = 0;
+};
+
+/// What operator-requested resizes cost a training run (all zero when no
+/// resize was scheduled). Crash recovery costs stay in RecoveryStats; this
+/// block only covers planned W -> W +- k transitions.
+struct ElasticityStats {
+  /// Completed resize transitions (scheduled resizes that reached the new
+  /// width's first round).
+  int resizes = 0;
+  /// Brand-new workers admitted by scale-ups.
+  int admitted_workers = 0;
+  /// Live workers retired by scale-downs.
+  int retired_workers = 0;
+  /// Bytes moved by the re-sharding plans (rows whose owner changed,
+  /// checkpoint broadcast excluded — that lands in recovery_bytes-style
+  /// rendezvous accounting within reshard_seconds' transition).
+  uint64_t reshard_bytes = 0;
+  /// Simulated seconds of the resize rendezvous (re-shard traffic plus the
+  /// checkpoint broadcast to the new incarnation).
+  double reshard_seconds = 0.0;
+};
+
 namespace obs {
 
 /// What to collect for one run. Metrics are cheap (per-worker counter adds)
@@ -108,26 +159,9 @@ struct RunReport {
   uint64_t wasted_bytes = 0;
   double wasted_seconds = 0.0;
 
-  struct Recovery {
-    int failures_observed = 0;
-    int recovery_attempts = 0;
-    uint32_t trees_recovered = 0;
-    uint32_t trees_retrained = 0;
-    int final_world_size = 0;
-    int rejoined_workers = 0;
-    int rendezvous_failures = 0;
-    double recovery_seconds = 0.0;
-    uint64_t recovery_bytes = 0;
-  } recovery;
-
-  /// Elasticity cost (zero unless a scale-up/scale-down was scheduled).
-  struct Elasticity {
-    int resizes = 0;
-    int admitted_workers = 0;
-    int retired_workers = 0;
-    uint64_t reshard_bytes = 0;
-    double reshard_seconds = 0.0;
-  } elasticity;
+  /// Recovery and elasticity cost, copied from DistResult.
+  RecoveryStats recovery;
+  ElasticityStats elasticity;
 
   /// Integrity auditing outcome ("off" with all-zero counters when the
   /// auditor is disabled).

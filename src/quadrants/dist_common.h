@@ -120,52 +120,6 @@ struct TreeCostSummary {
 
 TreeCostSummary SummarizeTreeCosts(const std::vector<TreeCost>& costs);
 
-/// What failure handling cost a training run (all zero when failure-free).
-struct RecoveryStats {
-  /// Worker failures observed (injected crashes + retry exhaustions).
-  int failures_observed = 0;
-  /// Recovery rounds performed (cluster rebuilds).
-  int recovery_attempts = 0;
-  /// Trees restored from the last checkpoint instead of being retrained.
-  uint32_t trees_recovered = 0;
-  /// Trees trained (or retrained) after the first failure.
-  uint32_t trees_retrained = 0;
-  /// Workers in the final (surviving) cluster.
-  int final_world_size = 0;
-  /// Replacement workers that re-joined across all recovery attempts
-  /// (elastic_rejoin only).
-  int rejoined_workers = 0;
-  /// Recovery rendezvous rounds that themselves failed (a crash during the
-  /// rejoin/redistribution phase) and had to be retried.
-  int rendezvous_failures = 0;
-  /// Simulated seconds spent on recovery: state redistribution to the
-  /// survivors plus the recovery cluster's setup phase.
-  double recovery_seconds = 0.0;
-  /// Bytes moved to redistribute state (checkpoint, margins or raw shards)
-  /// onto the surviving workers.
-  uint64_t recovery_bytes = 0;
-};
-
-/// What operator-requested resizes cost a training run (all zero when no
-/// resize was scheduled). Crash recovery costs stay in RecoveryStats; this
-/// block only covers planned W -> W +- k transitions.
-struct ElasticityStats {
-  /// Completed resize transitions (scheduled resizes that reached the new
-  /// width's first round).
-  int resizes = 0;
-  /// Brand-new workers admitted by scale-ups.
-  int admitted_workers = 0;
-  /// Live workers retired by scale-downs.
-  int retired_workers = 0;
-  /// Bytes moved by the re-sharding plans (rows whose owner changed,
-  /// checkpoint broadcast excluded — that lands in recovery_bytes-style
-  /// rendezvous accounting within reshard_seconds' transition).
-  uint64_t reshard_bytes = 0;
-  /// Simulated seconds of the resize rendezvous (re-shard traffic plus the
-  /// checkpoint broadcast to the new incarnation).
-  double reshard_seconds = 0.0;
-};
-
 /// Result of a distributed training run.
 struct DistResult {
   /// OK if training produced the full forest (possibly after recovery);

@@ -1,6 +1,5 @@
 #include "quadrants/qd2_trainer.h"
 
-#include <bit>
 #include <cstring>
 #include <numeric>
 
@@ -88,39 +87,10 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
     }
   }
   // Pairwise audit evidence: what this rank handed to the transport for
-  // every destination (digest + hessian-free byte mass), captured before
-  // the buffers are moved into the exchange.
-  std::vector<uint64_t> sent_digest, sent_mass;
-  if (auditor_.enabled()) {
-    sent_digest.assign(w, kAuditSkip);
-    // With a lossy codec the receiver reconstructs decode(encode(payload)),
-    // so the sender must digest the same round-tripped bytes — otherwise a
-    // clean quantized exchange would trip the pairwise digest check.
-    const bool lossy = CodecIsLossy(codec_) && codec_.enabled();
-    std::vector<std::vector<uint8_t>> round_tripped;
-    if (lossy) {
-      round_tripped.resize(w);
-      for (int g = 0; g < w; ++g) {
-        round_tripped[g] = CodecRoundTripBytes(to_dest[g], codec_);
-      }
-    }
-    const std::vector<std::vector<uint8_t>>& seen =
-        lossy ? round_tripped : to_dest;
-    for (int g = 0; g < w; ++g) {
-      sent_digest[g] = AuditDigestBytes(seen[g].data(), seen[g].size());
-    }
-    if (auditor_.full()) {
-      sent_mass.assign(w, kAuditSkip);
-      for (int g = 0; g < w; ++g) {
-        const double* vals =
-            reinterpret_cast<const double*>(seen[g].data());
-        const size_t n = seen[g].size() / sizeof(double);
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) sum += vals[i];
-        sent_mass[g] = std::bit_cast<uint64_t>(sum);
-      }
-    }
-  }
+  // every destination, captured before the buffers are moved into the
+  // exchange.
+  IntegrityAuditor::PairEvidence sent;
+  if (auditor_.enabled()) sent = auditor_.PayloadEvidence(to_dest, codec_);
   std::vector<std::vector<uint8_t>> from_src;
   MitigationOutcome exchange_outcome;
   VERO_COMM_OK(ctx_.AllToAll(std::move(to_dest), &from_src,
@@ -129,25 +99,12 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
   if (auditor_.enabled()) {
     // Matching receive-side evidence; pairs whose slice was deferred by
     // straggler mitigation carry the skip sentinel on the receive side.
-    std::vector<uint64_t> recv_digest(w, kAuditSkip);
-    std::vector<uint64_t> recv_mass(w, kAuditSkip);
-    for (int src = 0; src < w; ++src) {
-      if (!exchange_outcome.contributed[src]) continue;
-      recv_digest[src] =
-          AuditDigestBytes(from_src[src].data(), from_src[src].size());
-      if (auditor_.full()) {
-        const double* vals =
-            reinterpret_cast<const double*>(from_src[src].data());
-        const size_t n = from_src[src].size() / sizeof(double);
-        double sum = 0.0;
-        for (size_t i = 0; i < n; ++i) sum += vals[i];
-        recv_mass[src] = std::bit_cast<uint64_t>(sum);
-      }
-    }
-    auditor_.PushPairwise("qd2-hist-exchange", sent_digest, recv_digest,
+    const IntegrityAuditor::PairEvidence recv =
+        auditor_.PayloadEvidence(from_src, {}, exchange_outcome.contributed);
+    auditor_.PushPairwise("qd2-hist-exchange", sent.digest, recv.digest,
                           /*exact=*/true);
     if (auditor_.full()) {
-      auditor_.PushPairwise("qd2-hist-mass", sent_mass, recv_mass,
+      auditor_.PushPairwise("qd2-hist-mass", sent.mass, recv.mass,
                             /*exact=*/false);
     }
   }

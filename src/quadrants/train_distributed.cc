@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "cluster/membership.h"
@@ -11,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "quadrants/attempt_ledger.h"
 #include "quadrants/checkpoint.h"
 #include "quadrants/feature_parallel.h"
 #include "quadrants/qd1_trainer.h"
@@ -23,15 +25,13 @@ namespace {
 // Everything one worker reports back after its SPMD run.
 struct WorkerOutput {
   GbdtModel model;
-  std::vector<TreeCost> tree_costs;
-  std::vector<IterationStats> curve;
+  /// Round costs, curve and setup cost. The setup bytes are the
+  /// cluster-wide sketch / transform traffic, identical on every rank
+  /// (InstrumentSum).
+  AttemptRecord attempt;
   uint64_t peak_histogram_bytes = 0;
   uint64_t data_bytes = 0;
   uint64_t train_bytes_sent = 0;
-  double setup_seconds = 0.0;
-  /// Cluster-wide bytes sent during setup (sketch / transform pipeline);
-  /// identical on every rank (InstrumentSum).
-  uint64_t setup_bytes_sent = 0;
   TransformStats transform_stats;
   /// Audit accounting, salvaged even when the attempt aborts: the driver
   /// attributes integrity-triggered rollbacks from it.
@@ -202,17 +202,17 @@ std::vector<Status> RunAttempt(Cluster& cluster,
 
     setup_cpu.Stop();
     const double setup_comm = ctx.stats().sim_seconds - sim_start;
-    out.setup_seconds =
+    out.attempt.setup_seconds =
         ctx.InstrumentMax(setup_cpu.Seconds()) + ctx.InstrumentMax(setup_comm);
     const uint64_t bytes_after_setup = ctx.stats().bytes_sent;
-    out.setup_bytes_sent = static_cast<uint64_t>(std::llround(
+    out.attempt.setup_bytes = static_cast<uint64_t>(std::llround(
         ctx.InstrumentSum(static_cast<double>(bytes_after_setup -
                                               bytes_start))));
 
     ctx.set_fault_phase(FaultPhase::kTrain);
     try {
-      trainer->Train(cfg.valid, &out.tree_costs, &out.curve,
-                     cfg.elapsed_base + out.setup_seconds);
+      trainer->Train(cfg.valid, &out.attempt.tree_costs, &out.attempt.curve,
+                     cfg.elapsed_base + out.attempt.setup_seconds);
     } catch (...) {
       // An integrity escalation (or any abort) unwinds through here; keep
       // the audit accounting so the driver can attribute the failure.
@@ -301,9 +301,50 @@ uint64_t ShardWireBytes(const Dataset& shard) {
   return RangeWireBytes(shard, 0, shard.num_instances());
 }
 
+// The rendezvous of a new incarnation: it meets at a barrier between
+// boosting rounds, rank 0 serves the checkpoint `blob` to the group, and a
+// resize ships the re-shard plan's surviving-owner rows through a
+// personalized all-to-all (`reshard_send[from][to]` bytes, so the network
+// model is charged exactly the plan's bytes). This runs under the shared
+// fault injector (phase kRecovery), so a crash here is an overlapping
+// failure.
+Status RunRendezvous(Cluster& cluster, const std::vector<uint8_t>& blob,
+                     const std::vector<std::vector<uint64_t>>& reshard_send) {
+  return FirstError(cluster.TryRun([&](WorkerContext& ctx) {
+    ctx.set_fault_phase(FaultPhase::kRecovery);
+    VERO_COMM_OK(ctx.Barrier());
+    std::vector<uint8_t> received =
+        ctx.rank() == 0 ? blob : std::vector<uint8_t>();
+    VERO_COMM_OK(ctx.Broadcast(&received, 0));
+    if (!reshard_send.empty()) {
+      std::vector<std::vector<uint8_t>> to_each(
+          static_cast<size_t>(ctx.world_size()));
+      for (int r = 0; r < ctx.world_size(); ++r) {
+        to_each[r].resize(reshard_send[ctx.rank()][r]);
+      }
+      std::vector<std::vector<uint8_t>> from_each;
+      VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each));
+    }
+    ctx.set_fault_phase(FaultPhase::kAnyPhase);
+  }));
+}
+
 // The training / recovery / elasticity loop proper; the public
-// TrainDistributed wraps it to fill the run report once the clusters are
-// quiescent.
+// TrainDistributed validates the options, then fills the run report and
+// the driver counters once the clusters are quiescent.
+//
+// Every iteration runs one attempt. The first runs on the caller's cluster;
+// each later one is launched by a transition. A RECOVERY transition repairs
+// a failed incarnation: its rendezvous group is permanently broken, so
+// training continues on a fresh cluster — refilled to the current width
+// with re-joined replacements in elastic mode, compacted over the survivors
+// otherwise — resuming from the last checkpoint when one exists. A RESIZE
+// transition fires from a clean boundary: the membership grows or shrinks
+// by the requested delta, the re-shard plan's row movement is charged
+// through the network model, and the run continues at the new width from
+// the boundary checkpoint. Every rendezvous runs under the (shared) fault
+// injector, so a crash mid-transition is an overlapping failure handled by
+// the next recovery transition.
 DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
                                 Quadrant quadrant,
                                 const DistTrainOptions& options,
@@ -320,16 +361,6 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
   bool resize_pending = resize_at > 0;
 
   DistResult result;
-  result.status = options.Validate();
-  if (result.status.ok() && resize_pending && w + resize_delta < 1) {
-    result.status = Status::InvalidArgument(
-        "elastic_resize_delta would shrink the cluster below one worker");
-  }
-  if (!result.status.ok()) {
-    result.recovery.final_world_size = w;
-    return result;
-  }
-
   obs::RunObserver* observer = cluster.observer();
 
   // Driver-owned checkpoint writer, shared by every attempt so the latest
@@ -376,268 +407,131 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
   DistTrainOptions clamped_options = options;
   if (resize_pending) clamped_options.params.num_trees = resize_at;
 
-  cluster.ResetStats();
-  std::vector<WorkerOutput> outputs(w);
   AttemptConfig cfg;
   cfg.quadrant = quadrant;
-  cfg.options = resize_pending ? &clamped_options : &options;
   cfg.train = &train;
   cfg.valid = valid;
   cfg.qd3_policy = qd3_policy;
   cfg.writer = writer.get();
-  cfg.checkpoint_final = resize_pending;
-  Status error = FirstError(RunAttempt(cluster, shards, cfg, &outputs));
-  FoldIntegrity(outputs, &result);
-
-  // Speculative re-execution's duplicated transfers are pure goodput waste
-  // no matter how the attempt ended: the backup's copy only exists to cover
-  // a straggler, it never adds information to the model.
-  result.wasted_bytes += cluster.TotalStats().speculative_bytes;
-  result.wasted_seconds += cluster.TotalStats().speculative_seconds;
-  if (error.ok() && !resize_pending) {
-    result.model = std::move(outputs[0].model);
-    result.tree_costs = std::move(outputs[0].tree_costs);
-    result.curve = std::move(outputs[0].curve);
-    result.setup_seconds = outputs[0].setup_seconds;
-    result.transform_stats = outputs[0].transform_stats;
-    FoldWorkerOutputs(outputs, &result);
-    result.recovery.final_world_size = w;
-    return result;
-  }
-
-  // ---- Recovery & elasticity state machine -------------------------------
-  // Two transitions share one loop. A RECOVERY transition repairs a failed
-  // incarnation: its rendezvous group is permanently broken, so training
-  // continues on a fresh cluster — refilled to the current width with
-  // re-joined replacements in elastic mode, compacted over the survivors
-  // otherwise — resuming from the last checkpoint when one exists. A RESIZE
-  // transition fires from a clean boundary: the membership grows or shrinks
-  // by the requested delta, the re-shard plan's row movement is charged
-  // through the network model, and the run continues at the new width from
-  // the boundary checkpoint. Every rendezvous runs under the (shared) fault
-  // injector, so a crash mid-transition is an overlapping failure handled
-  // by the next recovery iteration.
-  if (writer != nullptr) writer->Flush();
-  std::vector<int> dead =
-      error.ok() ? std::vector<int>() : cluster.dead_ranks();
-  result.recovery.failures_observed = static_cast<int>(dead.size());
-  int survivors = w - static_cast<int>(dead.size());
-  // Stats of the first attempt, for prefix stitching (rank 0 recorded
-  // every completed round before any checkpoint covering it).
-  const double first_setup_seconds = outputs[0].setup_seconds;
-  const TransformStats first_transform_stats = outputs[0].transform_stats;
-
-  obs::TraceBuffer* driver_tb =
-      observer != nullptr ? observer->driver_buffer() : nullptr;
-  obs::MetricsShard* driver_shard =
-      observer != nullptr ? observer->driver_shard() : nullptr;
-  if (driver_shard != nullptr && !error.ok()) {
-    driver_shard->counter("recovery.failures_observed")->Add(dead.size());
-  }
-
-  // Rounds proven durable by a checkpoint (or completed by a kept boundary
-  // attempt), stitched across attempts: each settle step below extends this
-  // prefix with the failed attempt's rounds the newest checkpoint covers.
-  std::vector<TreeCost> committed_costs;
-  std::vector<IterationStats> committed_curve;
-
-  // Goodput bookkeeping: the attempt that just failed, pending its waste
-  // charge. A failed attempt's communication and modeled time count as
-  // wasted except for the trees a later attempt resumes from (via
-  // checkpoint); its setup is wasted only when nothing at all was kept.
-  // The round in flight at the moment of failure was never recorded as a
-  // completed cost, so it is deliberately omitted.
-  std::vector<TreeCost> pending_costs;
-  std::vector<IterationStats> pending_curve;
-  uint32_t pending_start_tree = 0;
-  double pending_setup_seconds = 0.0;
-  uint64_t pending_setup_bytes = 0;
-  if (!error.ok()) {
-    pending_costs = std::move(outputs[0].tree_costs);
-    pending_curve = std::move(outputs[0].curve);
-    pending_setup_seconds = first_setup_seconds;
-    pending_setup_bytes = outputs[0].setup_bytes_sent;
-  } else {
-    // The boundary attempt succeeded: its rounds are kept outright and its
-    // transfers were productive.
-    committed_costs = std::move(outputs[0].tree_costs);
-    committed_curve = std::move(outputs[0].curve);
-    FoldWorkerOutputs(outputs, &result);
-  }
-  auto charge_wasted = [&result](const std::vector<TreeCost>& costs,
-                                 uint32_t start_tree, uint32_t trees_kept,
-                                 double setup_seconds, uint64_t setup_bytes) {
-    const uint32_t kept =
-        trees_kept > start_tree
-            ? std::min<uint32_t>(trees_kept - start_tree,
-                                 static_cast<uint32_t>(costs.size()))
-            : 0;
-    for (size_t t = kept; t < costs.size(); ++t) {
-      result.wasted_seconds += costs[t].total_seconds();
-      result.wasted_bytes += costs[t].bytes_sent;
-    }
-    if (kept == 0) {
-      result.wasted_seconds += setup_seconds;
-      result.wasted_bytes += setup_bytes;
-    }
-  };
 
   // The shared injector keeps its occurrence counters across incarnations:
   // already-fired events never re-fire, and phase-targeted events scheduled
   // for the recovery rendezvous can still trigger.
   std::shared_ptr<FaultInjector> injector = cluster.shared_fault_injector();
   Membership membership = InitialMembership(w);
+  AttemptLedger ledger;
+  // The first attempt's setup cost stands for the run's (recovery and
+  // resize setups are charged to their transitions).
+  double first_setup_seconds = 0.0;
+  TransformStats first_transform_stats;
   double redistribution_elapsed = 0.0;
   std::unique_ptr<Cluster> rebuilt;
+  Cluster* active = &cluster;
+  // The failure the next transition repairs (OK: the next transition is
+  // the scheduled resize), and the ranks it killed.
+  Status error;
+  std::vector<int> dead;
+  int survivors = w;
 
-  while (true) {
-    // A failed attempt needs a recovery transition (bounded by the budget);
-    // a clean boundary needs the resize transition (free: the operator
-    // asked for it).
+  cluster.ResetStats();
+  for (bool first = true;; first = false) {
     const bool recovering = !error.ok();
-    if (recovering) {
-      // No rank died: the failure has no one to evict (e.g. an unattributed
-      // integrity violation where the digests disagree without a majority).
-      // Detected but unrecoverable — surface the error as-is.
-      if (dead.empty()) break;
-      if (result.recovery.recovery_attempts >=
-              options.max_recovery_attempts ||
-          survivors < 1) {
+    uint32_t trees_recovered = 0;
+    TrainCheckpoint restored;
+    std::vector<double> resume_margins;
+    std::optional<obs::PhaseSpan> transition_span;
+    if (!first) {
+      obs::TraceBuffer* driver_tb =
+          observer != nullptr ? observer->driver_buffer() : nullptr;
+      obs::MetricsShard* driver_shard =
+          observer != nullptr ? observer->driver_shard() : nullptr;
+      if (recovering) {
+        ++result.recovery.recovery_attempts;
+        if (IsIntegrityFailure(error)) ++result.integrity_rollbacks;
+      }
+      transition_span.emplace(driver_tb, recovering ? "recovery" : "resize");
+      transition_span->set_category("driver");
+
+      // ---- Settle the durable state ------------------------------------
+      bool have_checkpoint = false;
+      if (writer != nullptr) {
+        writer->Flush();
+        std::optional<TrainCheckpoint> latest = writer->Latest();
+        if (latest.has_value() && latest->trees_done > 0) {
+          restored = std::move(*latest);
+          have_checkpoint = true;
+        }
+      }
+      trees_recovered = have_checkpoint ? restored.trees_done : 0;
+      ledger.Settle(trees_recovered, &result);
+      if (recovering) result.recovery.trees_recovered = trees_recovered;
+
+      // ---- Next incarnation --------------------------------------------
+      const int prev_world = membership.world;
+      if (!recovering && membership.world + resize_delta < 1) {
+        // Degradation since the schedule was validated left too few
+        // workers.
+        error = Status::InvalidArgument(
+            "scheduled resize would shrink the cluster below one worker");
         break;
       }
-      ++result.recovery.recovery_attempts;
-      if (IsIntegrityFailure(error)) {
-        ++result.integrity_rollbacks;
-        if (driver_shard != nullptr) {
-          driver_shard->counter("integrity.rollbacks")->Increment();
-        }
-      }
-    }
-    obs::PhaseSpan transition_span(driver_tb,
-                                   recovering ? "recovery" : "resize",
-                                   nullptr);
-    transition_span.set_category("driver");
-    if (recovering && driver_shard != nullptr) {
-      driver_shard->counter("recovery.attempts")->Increment();
-    }
-
-    // ---- Settle the durable state --------------------------------------
-    TrainCheckpoint restored;
-    bool have_checkpoint = false;
-    if (writer != nullptr) {
-      writer->Flush();
-      std::optional<TrainCheckpoint> latest = writer->Latest();
-      if (latest.has_value() && latest->trees_done > 0) {
-        restored = std::move(*latest);
-        have_checkpoint = true;
-      }
-    }
-    const uint32_t trees_recovered = have_checkpoint ? restored.trees_done : 0;
-
-    // Rounds of the pending failed attempt now covered by a checkpoint join
-    // the committed prefix; the rest of that attempt is charged as waste.
-    if (trees_recovered > committed_costs.size()) {
-      const size_t need = trees_recovered - committed_costs.size();
-      const size_t take_costs = std::min(need, pending_costs.size());
-      committed_costs.insert(committed_costs.end(), pending_costs.begin(),
-                             pending_costs.begin() +
-                                 static_cast<ptrdiff_t>(take_costs));
-      const size_t take_curve = std::min(need, pending_curve.size());
-      committed_curve.insert(committed_curve.end(), pending_curve.begin(),
-                             pending_curve.begin() +
-                                 static_cast<ptrdiff_t>(take_curve));
-    }
-    charge_wasted(pending_costs, pending_start_tree, trees_recovered,
-                  pending_setup_seconds, pending_setup_bytes);
-    pending_costs.clear();
-    pending_curve.clear();
-    pending_start_tree = trees_recovered;
-    pending_setup_seconds = 0.0;
-    pending_setup_bytes = 0;
-
-    // ---- Next incarnation ----------------------------------------------
-    const int prev_world = membership.world;
-    if (!recovering && membership.world + resize_delta < 1) {
-      // Degradation since the schedule was validated left too few workers.
-      error = Status::InvalidArgument(
-          "scheduled resize would shrink the cluster below one worker");
-      break;
-    }
-    membership =
-        NextMembership(membership, dead, elastic, recovering ? 0 : resize_delta);
-    const int world = membership.world;
-    if (!membership.rejoined.empty()) {
+      membership = NextMembership(membership, dead, elastic,
+                                  recovering ? 0 : resize_delta);
+      const int world = membership.world;
       result.recovery.rejoined_workers +=
           static_cast<int>(membership.rejoined.size());
-      if (driver_shard != nullptr) {
-        driver_shard->counter("recovery.rejoined_workers")
-            ->Add(membership.rejoined.size());
+      if (recovering) {
+        VERO_LOG(Info) << "recovery attempt "
+                       << result.recovery.recovery_attempts << ": "
+                       << membership.ToString()
+                       << (have_checkpoint
+                               ? " resuming at tree " +
+                                     std::to_string(trees_recovered)
+                               : " restarting from scratch");
+      } else {
+        resize_pending = false;
+        result.elasticity.resizes += 1;
+        result.elasticity.admitted_workers +=
+            static_cast<int>(membership.admitted.size());
+        result.elasticity.retired_workers +=
+            static_cast<int>(membership.retired.size());
+        VERO_LOG(Info) << "resize at tree " << trees_recovered << ": "
+                       << prev_world << " -> " << world << " workers, "
+                       << membership.ToString();
       }
-    }
-    if (recovering) {
-      VERO_LOG(Info) << "recovery attempt "
-                     << result.recovery.recovery_attempts << ": "
-                     << membership.ToString()
-                     << (have_checkpoint
-                             ? " resuming at tree " +
-                                   std::to_string(trees_recovered)
-                             : " restarting from scratch");
-    } else {
-      resize_pending = false;
-      result.elasticity.resizes += 1;
-      result.elasticity.admitted_workers +=
-          static_cast<int>(membership.admitted.size());
-      result.elasticity.retired_workers +=
-          static_cast<int>(membership.retired.size());
-      if (driver_shard != nullptr) {
-        driver_shard->counter("elasticity.resizes")->Increment();
-        if (!membership.admitted.empty()) {
-          driver_shard->counter("elasticity.admitted_workers")
-              ->Add(membership.admitted.size());
-        }
-        if (!membership.retired.empty()) {
-          driver_shard->counter("elasticity.retired_workers")
-              ->Add(membership.retired.size());
-        }
-      }
-      VERO_LOG(Info) << "resize at tree " << trees_recovered << ": "
-                     << prev_world << " -> " << world << " workers, "
-                     << membership.ToString();
-    }
 
-    // ---- Price state movement (the pre-transition table is still active)
-    // Driver-priced traffic is what the rendezvous below cannot simulate:
-    // re-reads from the replicated store (a replacement's or admitted
-    // worker's fresh shard; the dead workers' shards re-spread across the
-    // survivors in degraded from-scratch mode; a retired worker's rows,
-    // whose owner is gone). Rows moving between surviving ranks ship
-    // through the rendezvous all-to-all instead.
-    uint64_t priced_bytes = 0;
-    std::vector<std::vector<uint64_t>> reshard_send;
-    if (recovering) {
-      if (sharded) {
-        if (elastic) {
-          for (int r : membership.rejoined) {
-            priced_bytes += ShardWireBytes(shards[r]);
-          }
-        } else if (!have_checkpoint) {
-          for (int r : dead) {
-            if (r < static_cast<int>(shards.size())) {
+      // ---- Price state movement (the pre-transition table is still
+      // active). Driver-priced traffic is what the rendezvous below cannot
+      // simulate: re-reads from the replicated store (a replacement's or
+      // admitted worker's fresh shard; the dead workers' shards re-spread
+      // across the survivors in degraded from-scratch mode; a retired
+      // worker's rows, whose owner is gone). Rows moving between surviving
+      // ranks ship through the rendezvous all-to-all instead.
+      uint64_t priced_bytes = 0;
+      std::vector<std::vector<uint64_t>> reshard_send;
+      if (recovering) {
+        if (sharded) {
+          if (elastic) {
+            for (int r : membership.rejoined) {
               priced_bytes += ShardWireBytes(shards[r]);
+            }
+          } else if (!have_checkpoint) {
+            for (int r : dead) {
+              if (r < static_cast<int>(shards.size())) {
+                priced_bytes += ShardWireBytes(shards[r]);
+              }
             }
           }
         }
-      }
-    } else {
-      uint64_t reshard_bytes = 0;
-      if (sharded) {
+      } else if (sharded) {
         // The deterministic W -> W' plan: every rank derives the same
-        // segment list, so no coordination traffic is needed to agree on it.
+        // segment list, so no coordination traffic is needed to agree on
+        // it.
         reshard_send.assign(world, std::vector<uint64_t>(world, 0));
         for (const ShardMove& move : PlanReshard(n, prev_world, world)) {
           const uint64_t bytes =
               RangeWireBytes(train, move.row_begin, move.row_end);
-          reshard_bytes += bytes;
+          result.elasticity.reshard_bytes += bytes;
           if (move.from_rank < world) {
             reshard_send[move.from_rank][move.to_rank] += bytes;
           } else {
@@ -647,226 +541,180 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
       } else {
         // Feature-parallel replicates the full dataset: an admitted worker
         // pulls a complete copy from the store; retirements move nothing.
-        const uint64_t full_copy = RangeWireBytes(train, 0, n);
         const uint64_t admitted_copies =
-            full_copy * membership.admitted.size();
-        reshard_bytes += admitted_copies;
+            RangeWireBytes(train, 0, n) * membership.admitted.size();
+        result.elasticity.reshard_bytes += admitted_copies;
         priced_bytes += admitted_copies;
       }
-      result.elasticity.reshard_bytes += reshard_bytes;
-      if (driver_shard != nullptr) {
-        driver_shard->counter("elasticity.reshard_bytes")->Add(reshard_bytes);
+
+      if (sharded && world != prev_world) {
+        shards = BuildHorizontalShards(train, world);
       }
-    }
 
-    if (sharded && world != prev_world) {
-      shards = BuildHorizontalShards(train, world);
-    }
+      rebuilt = std::make_unique<Cluster>(world, cluster.network_model());
+      rebuilt->set_collective_timeout_seconds(
+          cluster.collective_timeout_seconds());
+      // A scale-up outgrows the injector's per-rank counter bank; admitted
+      // ranks get fresh counters (no events ever target them).
+      if (injector != nullptr) injector->EnsureWorkers(world);
+      rebuilt->AdoptFaultInjector(injector);
+      // Same observer as the failed cluster: the run's trace / metrics keep
+      // accumulating across recovery attempts.
+      rebuilt->AttachObserver(observer);
+      active = rebuilt.get();
 
-    rebuilt = std::make_unique<Cluster>(world, cluster.network_model());
-    rebuilt->set_collective_timeout_seconds(
-        cluster.collective_timeout_seconds());
-    // A scale-up outgrows the injector's per-rank counter bank; admitted
-    // ranks get fresh counters (no events ever target them).
-    if (injector != nullptr) injector->EnsureWorkers(world);
-    rebuilt->AdoptFaultInjector(injector);
-    // Same observer as the failed cluster: the run's trace / metrics keep
-    // accumulating across recovery attempts.
-    rebuilt->AttachObserver(observer);
-
-    // ---- Rendezvous ------------------------------------------------------
-    // The next incarnation meets at a barrier between boosting rounds; rank
-    // 0 serves the latest checkpoint to the group, and a resize ships the
-    // re-shard plan's surviving-owner rows through a personalized
-    // all-to-all (charging the network model exactly the plan's bytes).
-    // This runs under the shared fault injector (phase kRecovery), so a
-    // crash here is an overlapping failure handled by the next loop
-    // iteration.
-    std::vector<uint8_t> blob =
-        have_checkpoint ? SerializeCheckpoint(restored) : std::vector<uint8_t>();
-    Status rendezvous_error;
-    {
-      obs::PhaseSpan rejoin_span(driver_tb, recovering ? "rejoin" : "reshard",
-                                 nullptr);
-      rejoin_span.set_category("driver");
-      rendezvous_error = FirstError(rebuilt->TryRun([&](WorkerContext& ctx) {
-        ctx.set_fault_phase(FaultPhase::kRecovery);
-        VERO_COMM_OK(ctx.Barrier());
-        std::vector<uint8_t> received =
-            ctx.rank() == 0 ? blob : std::vector<uint8_t>();
-        VERO_COMM_OK(ctx.Broadcast(&received, 0));
-        if (!reshard_send.empty()) {
-          std::vector<std::vector<uint8_t>> to_each(
-              static_cast<size_t>(ctx.world_size()));
-          for (int r = 0; r < ctx.world_size(); ++r) {
-            to_each[r].resize(reshard_send[ctx.rank()][r]);
-          }
-          std::vector<std::vector<uint8_t>> from_each;
-          VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each));
+      {
+        obs::PhaseSpan rejoin_span(driver_tb,
+                                   recovering ? "rejoin" : "reshard");
+        rejoin_span.set_category("driver");
+        error = RunRendezvous(*rebuilt,
+                              have_checkpoint ? SerializeCheckpoint(restored)
+                                              : std::vector<uint8_t>(),
+                              reshard_send);
+      }
+      const uint64_t redistribution_bytes =
+          priced_bytes + rebuilt->TotalStats().bytes_sent;
+      const double redistribution_seconds =
+          cluster.network_model().OpSeconds(priced_bytes, 0) +
+          rebuilt->MaxSimSeconds();
+      if (recovering) {
+        result.recovery.recovery_bytes += redistribution_bytes;
+        result.recovery.recovery_seconds += redistribution_seconds;
+        if (driver_shard != nullptr) {
+          driver_shard->histogram("recovery.redistribution_seconds")
+              ->Observe(redistribution_seconds);
         }
-        ctx.set_fault_phase(FaultPhase::kAnyPhase);
-      }));
-    }
-    const uint64_t rendezvous_bytes = rebuilt->TotalStats().bytes_sent;
-    const double rendezvous_seconds = rebuilt->MaxSimSeconds();
-
-    const uint64_t redistribution_bytes = priced_bytes + rendezvous_bytes;
-    const double redistribution_seconds =
-        cluster.network_model().OpSeconds(priced_bytes, 0) +
-        rendezvous_seconds;
-    if (recovering) {
-      result.recovery.recovery_bytes += redistribution_bytes;
-      result.recovery.recovery_seconds += redistribution_seconds;
-      if (driver_shard != nullptr) {
-        driver_shard->counter("recovery.redistribution_bytes")
-            ->Add(redistribution_bytes);
-        driver_shard->histogram("recovery.redistribution_seconds")
-            ->Observe(redistribution_seconds);
+      } else {
+        result.elasticity.reshard_seconds += redistribution_seconds;
+        if (driver_shard != nullptr) {
+          driver_shard->histogram("elasticity.reshard_seconds")
+              ->Observe(redistribution_seconds);
+        }
       }
-    } else {
-      result.elasticity.reshard_seconds += redistribution_seconds;
-      if (driver_shard != nullptr) {
-        driver_shard->histogram("elasticity.reshard_seconds")
-            ->Observe(redistribution_seconds);
+      redistribution_elapsed += redistribution_seconds;
+
+      if (error.ok()) {
+        if (have_checkpoint) {
+          resume_margins = restored.model.PredictDatasetMargins(train);
+        }
+        cfg.resume = have_checkpoint ? &restored : nullptr;
+        cfg.resume_margins = have_checkpoint ? &resume_margins : nullptr;
+        cfg.elapsed_base = ledger.ClockAt(
+            trees_recovered, first_setup_seconds + redistribution_elapsed);
+      } else {
+        // Overlapping failure during the redistribution itself: all of it
+        // (shard re-ship plus the rendezvous traffic) was spent for nothing
+        // and the next recovery has to redo it. A crashed RESIZE
+        // rendezvous keeps the already-applied new width, so the repair
+        // refills dead slots at W'.
+        ++result.recovery.rendezvous_failures;
+        result.wasted_bytes += redistribution_bytes;
+        result.wasted_seconds += redistribution_seconds;
       }
     }
-    redistribution_elapsed += redistribution_seconds;
 
-    if (!rendezvous_error.ok()) {
-      // Overlapping failure during the redistribution itself: the whole
-      // redistribution (shard re-ship plus the rendezvous traffic) was
-      // spent for nothing — the next iteration has to redo it. The new
-      // death toll updates the membership and the loop (budget permitting)
-      // goes again; a crashed RESIZE rendezvous keeps the already-applied
-      // new width, so the repair refills dead slots at W'.
-      error = rendezvous_error;
-      ++result.recovery.rendezvous_failures;
-      dead = rebuilt->dead_ranks();
-      result.recovery.failures_observed += static_cast<int>(dead.size());
-      result.wasted_bytes += redistribution_bytes;
-      result.wasted_seconds += redistribution_seconds;
-      survivors = world - static_cast<int>(dead.size());
-      if (driver_shard != nullptr) {
-        driver_shard->counter("recovery.rendezvous_failures")->Increment();
-        driver_shard->counter("recovery.failures_observed")->Add(dead.size());
+    // ---- Attempt ---------------------------------------------------------
+    if (error.ok()) {
+      cfg.options = resize_pending ? &clamped_options : &options;
+      cfg.checkpoint_final = resize_pending;
+      std::vector<WorkerOutput> outputs(active->num_workers());
+      error = FirstError(RunAttempt(*active, shards, cfg, &outputs));
+      FoldIntegrity(outputs, &result);
+      // Speculative re-execution's duplicated transfers are pure goodput
+      // waste no matter how the attempt ended: the backup's copy only
+      // exists to cover a straggler, it never adds information to the
+      // model.
+      result.wasted_bytes += active->TotalStats().speculative_bytes;
+      result.wasted_seconds += active->TotalStats().speculative_seconds;
+      if (first) {
+        first_setup_seconds = outputs[0].attempt.setup_seconds;
+        first_transform_stats = outputs[0].transform_stats;
       }
-      if (dead.empty()) break;  // Unrecoverable (timeout/internal).
-      continue;
-    }
+      if (!error.ok()) {
+        // The next settle step charges this attempt's waste once the
+        // amount kept through checkpoints is known.
+        ledger.Fail(trees_recovered, std::move(outputs[0].attempt));
+      } else {
+        // The rebuilt cluster's setup phase (re-binning / re-transforming
+        // on the new membership) is part of what the transition that
+        // launched it cost.
+        if (!first) {
+          (recovering ? result.recovery.recovery_seconds
+                      : result.elasticity.reshard_seconds) +=
+              outputs[0].attempt.setup_seconds;
+        }
+        FoldWorkerOutputs(outputs, &result);
+        ledger.Commit(trees_recovered, outputs[0].attempt);
+        dead.clear();
+        // Boundary reached: take the resize transition next.
+        if (resize_pending) continue;
 
-    std::vector<double> resume_margins;
-    if (have_checkpoint) {
-      resume_margins = restored.model.PredictDatasetMargins(train);
-    }
-
-    // Simulated time already on the clock when this attempt starts.
-    double elapsed_base = first_setup_seconds + redistribution_elapsed;
-    for (uint32_t t = 0;
-         t < trees_recovered && t < committed_costs.size(); ++t) {
-      elapsed_base += committed_costs[t].total_seconds();
-    }
-
-    std::vector<WorkerOutput> attempt_outputs(world);
-    AttemptConfig attempt_cfg = cfg;
-    attempt_cfg.options = resize_pending ? &clamped_options : &options;
-    attempt_cfg.checkpoint_final = resize_pending;
-    attempt_cfg.resume = have_checkpoint ? &restored : nullptr;
-    attempt_cfg.resume_margins = have_checkpoint ? &resume_margins : nullptr;
-    attempt_cfg.elapsed_base = elapsed_base;
-    error = FirstError(RunAttempt(*rebuilt, shards, attempt_cfg,
-                                  &attempt_outputs));
-    FoldIntegrity(attempt_outputs, &result);
-    // As above: speculative duplicates from this attempt are waste whether
-    // or not the attempt survived.
-    result.wasted_bytes += rebuilt->TotalStats().speculative_bytes;
-    result.wasted_seconds += rebuilt->TotalStats().speculative_seconds;
-    if (!error.ok()) {
-      dead = rebuilt->dead_ranks();
-      result.recovery.failures_observed += static_cast<int>(dead.size());
-      survivors = world - static_cast<int>(dead.size());
-      if (driver_shard != nullptr) {
-        driver_shard->counter("recovery.failures_observed")->Add(dead.size());
+        result.model = std::move(outputs[0].model);
+        result.tree_costs = ledger.tree_costs();
+        result.curve = ledger.curve();
+        result.setup_seconds = first_setup_seconds;
+        result.transform_stats = first_transform_stats;
+        if (result.recovery.recovery_attempts > 0) {
+          result.recovery.trees_retrained =
+              static_cast<uint32_t>(result.model.num_trees()) -
+              result.recovery.trees_recovered;
+        }
+        result.recovery.final_world_size = active->num_workers();
+        if (writer != nullptr) writer->Flush();
+        return result;
       }
-      // This attempt becomes the pending failed attempt; the next settle
-      // step charges its waste once the amount kept through checkpoints is
-      // known.
-      pending_costs = std::move(attempt_outputs[0].tree_costs);
-      pending_curve = std::move(attempt_outputs[0].curve);
-      pending_start_tree = trees_recovered;
-      pending_setup_seconds = attempt_outputs[0].setup_seconds;
-      pending_setup_bytes = attempt_outputs[0].setup_bytes_sent;
-      if (dead.empty()) break;  // Unrecoverable (timeout/internal).
-      continue;
     }
 
-    // The attempt succeeded. The rebuilt cluster's setup phase (re-binning
-    // / re-transforming on the new membership) is part of what the
-    // transition that launched it cost.
-    if (recovering) {
-      result.recovery.recovery_seconds += attempt_outputs[0].setup_seconds;
-    } else {
-      result.elasticity.reshard_seconds += attempt_outputs[0].setup_seconds;
+    // ---- Failure ---------------------------------------------------------
+    dead = active->dead_ranks();
+    result.recovery.failures_observed += static_cast<int>(dead.size());
+    survivors = active->num_workers() - static_cast<int>(dead.size());
+    // No rank died: the failure has no one to evict (a timeout, or an
+    // unattributed integrity violation where the digests disagree without
+    // a majority). Detected but unrecoverable — surface the error as-is.
+    if (dead.empty() ||
+        result.recovery.recovery_attempts >= options.max_recovery_attempts ||
+        survivors < 1) {
+      break;
     }
-    dead.clear();
-
-    if (resize_pending) {
-      // Boundary reached (with recovery along the way): keep this attempt's
-      // rounds and take the resize transition on the next iteration.
-      std::vector<TreeCost> stitched_costs(
-          committed_costs.begin(),
-          committed_costs.begin() +
-              std::min<size_t>(trees_recovered, committed_costs.size()));
-      stitched_costs.insert(stitched_costs.end(),
-                            attempt_outputs[0].tree_costs.begin(),
-                            attempt_outputs[0].tree_costs.end());
-      committed_costs = std::move(stitched_costs);
-      std::vector<IterationStats> stitched_curve(
-          committed_curve.begin(),
-          committed_curve.begin() +
-              std::min<size_t>(trees_recovered, committed_curve.size()));
-      stitched_curve.insert(stitched_curve.end(),
-                            attempt_outputs[0].curve.begin(),
-                            attempt_outputs[0].curve.end());
-      committed_curve = std::move(stitched_curve);
-      FoldWorkerOutputs(attempt_outputs, &result);
-      result.recovery.trees_recovered = trees_recovered;
-      continue;
-    }
-
-    // Stitch the committed prefix (rounds covered by the checkpoint) with
-    // this attempt's suffix.
-    result.model = std::move(attempt_outputs[0].model);
-    result.tree_costs.assign(
-        committed_costs.begin(),
-        committed_costs.begin() +
-            std::min<size_t>(trees_recovered, committed_costs.size()));
-    result.tree_costs.insert(result.tree_costs.end(),
-                             attempt_outputs[0].tree_costs.begin(),
-                             attempt_outputs[0].tree_costs.end());
-    result.curve.assign(
-        committed_curve.begin(),
-        committed_curve.begin() +
-            std::min<size_t>(trees_recovered, committed_curve.size()));
-    result.curve.insert(result.curve.end(),
-                        attempt_outputs[0].curve.begin(),
-                        attempt_outputs[0].curve.end());
-    result.setup_seconds = first_setup_seconds;
-    result.transform_stats = first_transform_stats;
-    FoldWorkerOutputs(attempt_outputs, &result);
-    result.recovery.trees_recovered = trees_recovered;
-    result.recovery.trees_retrained = static_cast<uint32_t>(
-        attempt_outputs[0].tree_costs.size());
-    result.recovery.final_world_size = world;
-    if (writer != nullptr) writer->Flush();
-    return result;
   }
 
   // The run failed outright: nothing from the last failed attempt was kept.
-  charge_wasted(pending_costs, pending_start_tree, 0, pending_setup_seconds,
-                pending_setup_bytes);
+  ledger.Settle(0, &result);
   result.status = error;
   result.recovery.final_world_size = survivors;
   return result;
+}
+
+// Driver counters of a run that got past validation, emitted once from its
+// final result. Each appears only when its event happened at least once; a
+// failure that killed no rank still shows recovery.failures_observed at 0.
+void EmitDriverCounters(const DistResult& result, obs::MetricsShard* shard) {
+  auto emit = [shard](const char* name, uint64_t value, bool happened) {
+    if (happened) shard->counter(name)->Add(value);
+  };
+  const RecoveryStats& recovery = result.recovery;
+  const ElasticityStats& elasticity = result.elasticity;
+  const bool recovered = recovery.recovery_attempts > 0;
+  // After validation a run fails only through a failed attempt or
+  // rendezvous.
+  emit("recovery.failures_observed", recovery.failures_observed,
+       recovery.failures_observed > 0 || !result.status.ok());
+  emit("recovery.attempts", recovery.recovery_attempts, recovered);
+  emit("recovery.redistribution_bytes", recovery.recovery_bytes, recovered);
+  emit("recovery.rejoined_workers", recovery.rejoined_workers,
+       recovery.rejoined_workers > 0);
+  emit("recovery.rendezvous_failures", recovery.rendezvous_failures,
+       recovery.rendezvous_failures > 0);
+  emit("integrity.rollbacks", result.integrity_rollbacks,
+       result.integrity_rollbacks > 0);
+  emit("elasticity.resizes", elasticity.resizes, elasticity.resizes > 0);
+  emit("elasticity.admitted_workers", elasticity.admitted_workers,
+       elasticity.admitted_workers > 0);
+  emit("elasticity.retired_workers", elasticity.retired_workers,
+       elasticity.retired_workers > 0);
+  emit("elasticity.reshard_bytes", elasticity.reshard_bytes,
+       elasticity.resizes > 0);
 }
 
 }  // namespace
@@ -876,8 +724,21 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
                             const DistTrainOptions& options,
                             const Dataset* valid,
                             Qd3IndexPolicy qd3_policy) {
-  DistResult result = TrainDistributedImpl(cluster, train, quadrant, options,
-                                           valid, qd3_policy);
+  const int w = cluster.num_workers();
+  Status status = options.Validate();
+  if (status.ok() && options.elastic_resize_after_trees > 0 &&
+      w + static_cast<int>(options.elastic_resize_delta) < 1) {
+    status = Status::InvalidArgument(
+        "elastic_resize_delta would shrink the cluster below one worker");
+  }
+  DistResult result;
+  if (status.ok()) {
+    result = TrainDistributedImpl(cluster, train, quadrant, options, valid,
+                                  qd3_policy);
+  } else {
+    result.status = status;
+    result.recovery.final_world_size = w;
+  }
   if constexpr (obs::kObsEnabled) {
     obs::RunObserver* observer = cluster.observer();
     if (observer != nullptr) {
@@ -886,6 +747,7 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
             ->SetMax(static_cast<double>(result.peak_histogram_bytes));
         shard->gauge("train.data_bytes")
             ->SetMax(static_cast<double>(result.data_bytes));
+        if (status.ok()) EmitDriverCounters(result, shard);
       }
       obs::RunReport& report = result.report;
       report.enabled = true;
@@ -909,21 +771,8 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
       report.data_bytes = result.data_bytes;
       report.wasted_bytes = result.wasted_bytes;
       report.wasted_seconds = result.wasted_seconds;
-      report.recovery.failures_observed = result.recovery.failures_observed;
-      report.recovery.recovery_attempts = result.recovery.recovery_attempts;
-      report.recovery.trees_recovered = result.recovery.trees_recovered;
-      report.recovery.trees_retrained = result.recovery.trees_retrained;
-      report.recovery.final_world_size = result.recovery.final_world_size;
-      report.recovery.rejoined_workers = result.recovery.rejoined_workers;
-      report.recovery.rendezvous_failures =
-          result.recovery.rendezvous_failures;
-      report.recovery.recovery_seconds = result.recovery.recovery_seconds;
-      report.recovery.recovery_bytes = result.recovery.recovery_bytes;
-      report.elasticity.resizes = result.elasticity.resizes;
-      report.elasticity.admitted_workers = result.elasticity.admitted_workers;
-      report.elasticity.retired_workers = result.elasticity.retired_workers;
-      report.elasticity.reshard_bytes = result.elasticity.reshard_bytes;
-      report.elasticity.reshard_seconds = result.elasticity.reshard_seconds;
+      report.recovery = result.recovery;
+      report.elasticity = result.elasticity;
       report.integrity.level = IntegrityLevelToString(options.integrity);
       report.integrity.checks = result.integrity.checks;
       report.integrity.violations = result.integrity.violations;

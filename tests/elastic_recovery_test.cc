@@ -21,6 +21,7 @@
 #include "data/synthetic.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "quadrants/attempt_ledger.h"
 #include "quadrants/checkpoint.h"
 #include "quadrants/train_distributed.h"
 
@@ -54,6 +55,91 @@ std::string FreshDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+// ---------------------------------------------------------------------------
+// Attempt ledger: committed prefix and goodput waste, without a cluster.
+// ---------------------------------------------------------------------------
+
+// An attempt that began at tree `start` and completed `rounds` rounds. Round
+// t costs (t + 1) seconds and 10 * (t + 1) bytes; setup costs 0.5 s and 7
+// bytes. Every value is exact in binary, so sums compare with ==.
+AttemptRecord MakeAttempt(uint32_t start, uint32_t rounds) {
+  AttemptRecord attempt;
+  for (uint32_t t = start; t < start + rounds; ++t) {
+    TreeCost cost;
+    cost.other_seconds = t + 1.0;
+    cost.bytes_sent = 10 * (t + 1);
+    attempt.tree_costs.push_back(cost);
+    IterationStats stats;
+    stats.tree_index = t;
+    attempt.curve.push_back(stats);
+  }
+  attempt.setup_seconds = 0.5;
+  attempt.setup_bytes = 7;
+  return attempt;
+}
+
+std::vector<uint32_t> CurveTrees(const AttemptLedger& ledger) {
+  std::vector<uint32_t> trees;
+  for (const IterationStats& s : ledger.curve()) trees.push_back(s.tree_index);
+  return trees;
+}
+
+TEST(AttemptLedgerTest, CheckpointCoveringSomeRoundsCommitsThemAndWastesRest) {
+  AttemptLedger ledger;
+  ledger.Fail(0, MakeAttempt(0, 4));
+  DistResult result;
+  ledger.Settle(3, &result);
+  EXPECT_EQ(CurveTrees(ledger), (std::vector<uint32_t>{0, 1, 2}));
+  ASSERT_EQ(ledger.tree_costs().size(), 3u);
+  EXPECT_EQ(ledger.tree_costs()[2].bytes_sent, 30u);
+  // Only round 3 is lost; the setup bought the kept rounds.
+  EXPECT_EQ(result.wasted_seconds, 4.0);
+  EXPECT_EQ(result.wasted_bytes, 40u);
+  EXPECT_EQ(ledger.ClockAt(3, 0.5), 0.5 + 1.0 + 2.0 + 3.0);
+
+  // Settling clears the pending attempt: a second settle charges nothing.
+  ledger.Settle(3, &result);
+  EXPECT_EQ(result.wasted_seconds, 4.0);
+  EXPECT_EQ(result.wasted_bytes, 40u);
+}
+
+TEST(AttemptLedgerTest, NothingKeptChargesEveryRoundAndTheSetup) {
+  AttemptLedger ledger;
+  ledger.Fail(0, MakeAttempt(0, 2));
+  DistResult result;
+  ledger.Settle(0, &result);
+  EXPECT_TRUE(ledger.tree_costs().empty());
+  EXPECT_TRUE(ledger.curve().empty());
+  EXPECT_EQ(result.wasted_seconds, 1.0 + 2.0 + 0.5);
+  EXPECT_EQ(result.wasted_bytes, 10u + 20u + 7u);
+}
+
+TEST(AttemptLedgerTest, CheckpointOlderThanCommittedPrefix) {
+  AttemptLedger ledger;
+  ledger.Commit(0, MakeAttempt(0, 4));
+  ledger.Fail(4, MakeAttempt(4, 2));
+  DistResult result;
+  // The resume point lies inside the committed prefix: the prefix stays as
+  // it is and the whole pending attempt, setup included, is waste.
+  ledger.Settle(2, &result);
+  EXPECT_EQ(CurveTrees(ledger), (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(result.wasted_seconds, 5.0 + 6.0 + 0.5);
+  EXPECT_EQ(result.wasted_bytes, 50u + 60u + 7u);
+  // An attempt resuming at tree 2 starts after the first two rounds.
+  EXPECT_EQ(ledger.ClockAt(2, 0.0), 1.0 + 2.0);
+}
+
+TEST(AttemptLedgerTest, CommitStitchesPrefixWithAttemptSuffix) {
+  AttemptLedger ledger;
+  ledger.Commit(0, MakeAttempt(0, 4));
+  ledger.Commit(2, MakeAttempt(2, 3));
+  EXPECT_EQ(CurveTrees(ledger), (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  std::vector<uint64_t> bytes;
+  for (const TreeCost& c : ledger.tree_costs()) bytes.push_back(c.bytes_sent);
+  EXPECT_EQ(bytes, (std::vector<uint64_t>{10, 20, 30, 40, 50}));
+  EXPECT_EQ(ledger.ClockAt(5, 0.0), 1.0 + 2.0 + 3.0 + 4.0 + 5.0);
 }
 
 // ---------------------------------------------------------------------------

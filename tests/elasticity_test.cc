@@ -358,6 +358,9 @@ TEST_P(ResizeE2ETest, MidTrainingResizeCompletesWithCommittedPrefix) {
   EXPECT_EQ(result.elasticity.resizes, 1);
   EXPECT_EQ(result.recovery.final_world_size, w + delta);
   EXPECT_EQ(result.recovery.recovery_attempts, 0);
+  // A resize is not a recovery: the recovered/retrained counts stay zero.
+  EXPECT_EQ(result.recovery.trees_recovered, 0u);
+  EXPECT_EQ(result.recovery.trees_retrained, 0u);
   if (delta > 0) {
     EXPECT_EQ(result.elasticity.admitted_workers, delta);
     EXPECT_EQ(result.elasticity.retired_workers, 0);
@@ -415,11 +418,13 @@ TEST(ResizeE2ETest, CrashBeforeBoundaryThenResizeUp) {
   ASSERT_TRUE(probe.status.ok());
   const uint64_t total_ops = clean.worker_stats(2).num_ops;
 
-  Cluster faulted(4);
-  faulted.InstallFaultPlan(
-      FaultPlan().Crash(2, CollectiveOp::kAny, total_ops / 4));
-  const DistResult result =
-      TrainDistributed(faulted, train, Quadrant::kQD2, options, &valid);
+  auto run_crashed = [&](const DistTrainOptions& opts) {
+    Cluster faulted(4);
+    faulted.InstallFaultPlan(
+        FaultPlan().Crash(2, CollectiveOp::kAny, total_ops / 4));
+    return TrainDistributed(faulted, train, Quadrant::kQD2, opts, &valid);
+  };
+  const DistResult result = run_crashed(options);
 
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(result.model.num_trees(), 8u);
@@ -432,6 +437,19 @@ TEST(ResizeE2ETest, CrashBeforeBoundaryThenResizeUp) {
   const double auc = EvaluateModel(result.model, valid).value;
   const double auc_probe = EvaluateModel(probe.model, valid).value;
   EXPECT_NEAR(auc, auc_probe, 0.01 * auc_probe);
+
+  // The resize leaves the recovery's numbers alone: the same crash without
+  // a resize schedule reports the same resume point.
+  DistTrainOptions no_resize = options;
+  no_resize.elastic_resize_after_trees = 0;
+  no_resize.elastic_resize_delta = 0;
+  const DistResult plain = run_crashed(no_resize);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  EXPECT_EQ(plain.recovery.recovery_attempts, 1);
+  EXPECT_EQ(result.recovery.trees_recovered, plain.recovery.trees_recovered);
+  EXPECT_EQ(result.recovery.trees_recovered +
+                result.recovery.trees_retrained,
+            8u);
 }
 
 // A crash during the reshard rendezvous itself: the resize is already
