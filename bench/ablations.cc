@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -61,17 +62,21 @@ void Qd3IndexAblation() {
   std::printf("\n--- QD3 index policy (W=8) ---\n");
   const Dataset data = MakeWorkload(ScaledN(40000), 2000, 2, 0.05, 6011);
   std::printf("%-16s %14s %14s\n", "policy", "hist/tree(s)", "comp/tree(s)");
-  for (Qd3IndexPolicy policy :
-       {Qd3IndexPolicy::kLinearScanOnly, Qd3IndexPolicy::kBinarySearchOnly,
-        Qd3IndexPolicy::kMixed}) {
+  using Scan = HistogramBuilder::ColumnScan;
+  const std::pair<Scan, const char*> plans[] = {
+      {Scan::kLinear, "linear-scan"},
+      {Scan::kBinarySearch, "binary-search"},
+      {Scan::kAuto, "mixed"},
+  };
+  for (const auto& [scan, name] : plans) {
     const DistResult result = RunQuadrantSpec(
         data, Quadrant::kQD3,
         {.workers = 8,
          .options = {.params = PaperParams(8)},
-         .qd3_policy = policy});
+         .qd3_scan = scan});
     const TreeCostSummary s = SummarizeTreeCosts(result.tree_costs);
-    std::printf("%-16s %14.4f %14.4f\n", Qd3IndexPolicyToString(policy),
-                s.mean.hist_seconds, s.mean.comp_seconds());
+    std::printf("%-16s %14.4f %14.4f\n", name, s.mean.hist_seconds,
+                s.mean.comp_seconds());
   }
   std::printf("expected: mixed <= linear-scan << binary-search "
               "(Appendix C's index plan)\n");

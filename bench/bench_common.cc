@@ -202,7 +202,7 @@ DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
       (obs::kObsEnabled && (spec.force_observe || spec.force_trace));
   if (!observe) {
     return TrainDistributed(cluster, train, quadrant, spec.options,
-                            spec.valid, spec.qd3_policy);
+                            spec.valid, spec.qd3_scan);
   }
 
   BenchObsState& s = ObsState();
@@ -212,7 +212,7 @@ DistResult RunQuadrantSpec(const Dataset& train, Quadrant quadrant,
   obs::RunObserver observer(obs_options);
   cluster.AttachObserver(&observer);
   DistResult result = TrainDistributed(cluster, train, quadrant, spec.options,
-                                       spec.valid, spec.qd3_policy);
+                                       spec.valid, spec.qd3_scan);
 
   char label[64];
   std::snprintf(label, sizeof(label), "run%03d-%s-w%d", s.run_counter++,

@@ -65,7 +65,8 @@ struct BenchRunSpec {
   DistTrainOptions options;
   NetworkModel network = NetworkModel::Lab1Gbps();
   const Dataset* valid = nullptr;
-  Qd3IndexPolicy qd3_policy = Qd3IndexPolicy::kMixed;
+  /// QD3's index plan (ignored by the other quadrants).
+  HistogramBuilder::ColumnScan qd3_scan = HistogramBuilder::ColumnScan::kAuto;
   /// Installed on the fresh cluster before training (not owned; may be
   /// null). Lets sweeps replay the exact same delay schedule per mode.
   const FaultPlan* fault_plan = nullptr;

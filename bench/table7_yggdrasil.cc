@@ -13,15 +13,15 @@ namespace vero {
 namespace bench {
 namespace {
 
-double TimePerTree(const Dataset& data, Quadrant q, Qd3IndexPolicy policy,
-                   bool subtraction) {
+double TimePerTree(const Dataset& data, Quadrant q,
+                   HistogramBuilder::ColumnScan qd3_scan, bool subtraction) {
   GbdtParams params = PaperParams(8);
   params.histogram_subtraction = subtraction;
   Cluster cluster(5);
   DistTrainOptions options;
   options.params = params;
   const DistResult result =
-      TrainDistributed(cluster, data, q, options, nullptr, policy);
+      TrainDistributed(cluster, data, q, options, nullptr, qd3_scan);
   return result.TrainSeconds() / params.num_trees;
 }
 
@@ -50,13 +50,13 @@ void Main() {
     const Dataset data =
         GenerateFromProfile(FindProfile(row.dataset), Scale());
     const double ygg = TimePerTree(data, Quadrant::kQD3,
-                                   Qd3IndexPolicy::kLinearScanOnly,
+                                   HistogramBuilder::ColumnScan::kLinear,
                                    /*subtraction=*/false);
     const double qd3 = TimePerTree(data, Quadrant::kQD3,
-                                   Qd3IndexPolicy::kMixed,
+                                   HistogramBuilder::ColumnScan::kAuto,
                                    /*subtraction=*/true);
     const double vero = TimePerTree(data, Quadrant::kQD4,
-                                    Qd3IndexPolicy::kMixed,
+                                    HistogramBuilder::ColumnScan::kAuto,
                                     /*subtraction=*/true);
     std::printf("%-10s %14.4f %14.4f %14.4f | %10.0f %10.0f %10.0f\n",
                 row.dataset, ygg, qd3, vero, row.paper_ygg, row.paper_qd3,

@@ -12,6 +12,8 @@
 # codec layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry),
 # which compile out under NDEBUG, run too. obs_test and anatomy_test drive
 # the driver's attempt loop and its end-of-run report and counters.
+# libsvm_test runs the LIBSVM parser and Dataset::Validate, the input
+# boundary that rejects malformed and non-canonical rows.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -23,7 +25,7 @@ TESTS=(
   checkpoint_rotation_test delta_checkpoint_test integrity_test
   straggler_mitigation_test codec_test communicator_test
   communicator_stress_test serve_test dist_trainer_test obs_test
-  anatomy_test
+  anatomy_test libsvm_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

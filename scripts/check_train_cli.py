@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Checks how vero_train_cli reports distributed settings it cannot honor.
+"""Checks how vero_train_cli reports distributed settings it cannot honor
+and input rows it must not train on.
 
   check_train_cli.py --cli PATH/TO/vero_train_cli
 
 Writes a 200-row binary LIBSVM file into a temp dir, then runs the CLI on
-four cases and checks each exit code and message:
+five cases and checks each exit code and message:
 
   --trees 0 --quadrant qd1          exit 1, "training failed: InvalidArgument:
                                     num_trees == 0" (a status, not an abort)
@@ -15,6 +16,11 @@ four cases and checks each exit code and message:
                                     trainer has no collectives to compress
   --quadrant qd1 --compression sparse_delta
                                     exit 0, trains and saves the model
+  the same rows with each row's feature ids in descending order
+                                    exit 1, "failed to load data: Corruption:"
+                                    (rows must list feature ids strictly
+                                    increasing; shuffled rows are rejected,
+                                    not trained on)
 
 Registered as the check_train_cli ctest. Exits non-zero on the first
 mismatch.
@@ -31,7 +37,7 @@ ROWS = 200
 FEATURES = 12
 
 
-def write_libsvm(path):
+def write_libsvm(path, descending=False):
     rng = random.Random(7)
     with open(path, "w") as f:
         for _ in range(ROWS):
@@ -39,7 +45,8 @@ def write_libsvm(path):
                       for j in range(1, FEATURES + 1) if rng.random() < 0.6}
             score = values.get(1, 0.0) + 0.5 * values.get(2, 0.0)
             label = 1 if score + rng.gauss(0.0, 0.3) > 0.0 else 0
-            cells = " ".join(f"{j}:{v}" for j, v in sorted(values.items()))
+            cells = " ".join(f"{j}:{v}" for j, v in
+                             sorted(values.items(), reverse=descending))
             f.write(f"{label} {cells}\n")
 
 
@@ -82,6 +89,13 @@ def main():
                  0, "trained 3 trees on 2 simulated workers")
         if not os.path.getsize(model):
             sys.exit("FAIL: the clean run saved an empty model")
+        shuffled = os.path.join(tmp, "shuffled.libsvm")
+        write_libsvm(shuffled, descending=True)
+        run_case(args.cli,
+                 ["--data", shuffled] + common[2:] +
+                 ["--trees", "3", "--quadrant", "qd2"], 1,
+                 "failed to load data: Corruption: feature ids not strictly "
+                 "increasing")
     print("check_train_cli: all cases passed")
 
 

@@ -54,32 +54,15 @@ void BinnedRowStore::FillGoLeft(std::span<const InstanceId> instances,
 
 BinnedColumnStore BinnedColumnStore::FromCsr(const CsrMatrix& matrix,
                                              const CandidateSplits& splits) {
-  BinnedColumnStore store;
-  store.set_num_rows(matrix.num_rows());
-  const uint32_t cols = matrix.num_cols();
-
-  std::vector<uint64_t> counts(cols + 1, 0);
-  for (FeatureId f : matrix.features()) ++counts[f + 1];
-  for (uint32_t c = 0; c < cols; ++c) counts[c + 1] += counts[c];
-
-  store.col_ptr_ = counts;
-  store.rows_.resize(matrix.num_nonzeros());
-  store.bins_.resize(matrix.num_nonzeros());
-  std::vector<uint64_t> cursor = counts;
-  const auto& features = matrix.features();
-  const auto& values = matrix.values();
-  const auto& row_ptr = matrix.row_ptr();
-  for (InstanceId i = 0; i < matrix.num_rows(); ++i) {
-    for (uint64_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const FeatureId f = features[k];
-      const uint64_t pos = cursor[f]++;
-      store.rows_[pos] = i;
-      store.bins_[pos] = (splits.NumBins(f) == 0)
-                             ? BinId{0}
-                             : splits.BinForValue(f, values[k]);
-    }
-  }
-  return store;
+  return Transpose(
+      matrix.num_rows(), matrix.num_cols(),
+      [&](InstanceId i) {
+        return std::pair(matrix.RowFeatures(i), matrix.RowValues(i));
+      },
+      [&](FeatureId f, float value) {
+        return splits.NumBins(f) == 0 ? BinId{0}
+                                      : splits.BinForValue(f, value);
+      });
 }
 
 std::optional<BinId> BinnedColumnStore::FindBin(FeatureId f,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -82,6 +83,20 @@ class BinnedColumnStore {
   static BinnedColumnStore FromCsr(const CsrMatrix& matrix,
                                    const CandidateSplits& splits);
 
+  /// Transposes an already-binned row store (anything with RowFeatures /
+  /// RowBins and rows sorted by feature id, e.g. a ColumnGroup) of
+  /// `num_rows` rows over feature ids [0, num_features) into columns.
+  template <typename RowStore>
+  static BinnedColumnStore FromRows(const RowStore& store, uint32_t num_rows,
+                                    uint32_t num_features) {
+    return Transpose(
+        num_rows, num_features,
+        [&](InstanceId i) {
+          return std::pair(store.RowFeatures(i), store.RowBins(i));
+        },
+        [](FeatureId, BinId bin) { return bin; });
+  }
+
   uint32_t num_rows() const { return num_rows_; }
   uint32_t num_features() const {
     return static_cast<uint32_t>(col_ptr_.size() - 1);
@@ -120,6 +135,37 @@ class BinnedColumnStore {
   }
 
  private:
+  /// Counting-sort transpose shared by FromCsr and FromRows. `row_of(i)`
+  /// returns row i's (feature ids, entry values) spans, and
+  /// `to_bin(f, value)` turns one entry value into its bin. Instance ids
+  /// ascend within every column because rows are visited in order.
+  template <typename RowOf, typename ToBin>
+  static BinnedColumnStore Transpose(uint32_t num_rows, uint32_t num_cols,
+                                     RowOf row_of, ToBin to_bin) {
+    BinnedColumnStore store;
+    store.num_rows_ = num_rows;
+    store.col_ptr_.assign(num_cols + 1, 0);
+    for (InstanceId i = 0; i < num_rows; ++i) {
+      for (FeatureId f : row_of(i).first) ++store.col_ptr_[f + 1];
+    }
+    for (uint32_t c = 0; c < num_cols; ++c) {
+      store.col_ptr_[c + 1] += store.col_ptr_[c];
+    }
+    store.rows_.resize(store.col_ptr_.back());
+    store.bins_.resize(store.col_ptr_.back());
+    std::vector<uint64_t> cursor(store.col_ptr_.begin(),
+                                 store.col_ptr_.end() - 1);
+    for (InstanceId i = 0; i < num_rows; ++i) {
+      const auto [features, values] = row_of(i);
+      for (size_t k = 0; k < features.size(); ++k) {
+        const uint64_t pos = cursor[features[k]]++;
+        store.rows_[pos] = i;
+        store.bins_[pos] = to_bin(features[k], values[k]);
+      }
+    }
+    return store;
+  }
+
   uint32_t num_rows_ = 0;
   std::vector<uint64_t> col_ptr_;
   std::vector<InstanceId> rows_;

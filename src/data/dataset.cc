@@ -76,6 +76,14 @@ Status Dataset::Validate() const {
             "non-finite value " + std::to_string(values[k]) + " at row " +
             std::to_string(i) + ", feature " + std::to_string(features[k]));
       }
+      // Binning (BinnedRowStore::FromCsr, FindBin) assumes each row's
+      // feature ids are sorted and unique.
+      if (k > 0 && features[k] <= features[k - 1]) {
+        return Status::Corruption(
+            "feature ids not strictly increasing at row " +
+            std::to_string(i) + ", feature " + std::to_string(features[k]) +
+            " after " + std::to_string(features[k - 1]));
+      }
     }
   }
   return Status::OK();

@@ -60,7 +60,8 @@ class Dataset {
   /// returning (train, valid). Instances keep their relative order.
   std::pair<Dataset, Dataset> SplitTail(double fraction) const;
 
-  /// Validates internal consistency (label range, feature bounds).
+  /// Validates internal consistency: label range, feature bounds, finite
+  /// values, and strictly increasing feature ids within each row.
   Status Validate() const;
 
  private:

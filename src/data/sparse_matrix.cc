@@ -57,19 +57,6 @@ CsrMatrix CsrMatrix::SliceRows(InstanceId begin, InstanceId end) const {
                    std::move(values));
 }
 
-CsrMatrix CsrMatrix::FilterColumns(const std::vector<bool>& keep) const {
-  VERO_CHECK_GE(keep.size(), num_cols_);
-  CsrMatrix out;
-  out.set_num_cols(num_cols_);
-  for (InstanceId i = 0; i < num_rows(); ++i) {
-    out.StartRow();
-    for (uint64_t k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k) {
-      if (keep[features_[k]]) out.PushEntry(features_[k], values_[k]);
-    }
-  }
-  return out;
-}
-
 CscMatrix::CscMatrix(uint32_t num_rows, std::vector<uint64_t> col_ptr,
                      std::vector<InstanceId> rows, std::vector<float> values)
     : num_rows_(num_rows),

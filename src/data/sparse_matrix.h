@@ -73,10 +73,6 @@ class CsrMatrix {
   /// Returns the sub-matrix of rows [begin, end) (feature space unchanged).
   CsrMatrix SliceRows(InstanceId begin, InstanceId end) const;
 
-  /// Returns the sub-matrix containing only features for which `keep` is
-  /// true, with feature ids left unchanged.
-  CsrMatrix FilterColumns(const std::vector<bool>& keep) const;
-
  private:
   uint32_t num_cols_ = 0;
   std::vector<uint64_t> row_ptr_;

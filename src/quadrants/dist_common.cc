@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "common/bitmap.h"
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/timer.h"
@@ -124,7 +126,10 @@ void MergeBestSplits(const std::vector<SplitCandidate>& candidates,
 
 DistTrainerBase::DistTrainerBase(WorkerContext& ctx,
                                  const DistTrainOptions& options, Task task,
-                                 uint32_t num_classes)
+                                 uint32_t num_classes,
+                                 const CandidateSplits& splits,
+                                 std::vector<float> labels,
+                                 uint32_t num_global_instances)
     : ctx_(ctx),
       options_(options),
       task_(task),
@@ -133,19 +138,115 @@ DistTrainerBase::DistTrainerBase(WorkerContext& ctx,
       loss_(MakeLossForTask(task, num_classes)),
       finder_(options.params.reg_lambda, options.params.reg_gamma,
               options.params.min_split_gain),
+      splits_(splits),
       codec_{.mode = options.compression,
              .block_values = static_cast<uint64_t>(
                                  options.params.num_candidate_splits) *
                              dims_ * 2},
       auditor_(ctx, options.integrity),
       model_(task, num_classes, options.params.learning_rate),
-      builder_(options.params.num_threads) {}
+      builder_(options.params.num_threads),
+      labels_(std::move(labels)),
+      num_global_instances_(num_global_instances) {
+  margins_.assign(static_cast<size_t>(num_rows()) * dims_, 0.0);
+  grads_ = GradientBuffer(num_rows(), dims_);
+}
 
 void DistTrainerBase::InitFromCheckpoint(const GbdtModel& model,
                                          std::span<const double> margins) {
   VERO_CHECK_EQ(margins.size(), margins_.size());
   model_ = model;
   std::copy(margins.begin(), margins.end(), margins_.begin());
+}
+
+GradStats DistTrainerBase::ComputeGradients() {
+  ComputeGradientsParallel(*loss_, labels_, margins_, num_rows(),
+                           options_.params.num_threads, &grads_);
+  GradStats total = grads_.Total();
+  // Workers holding every row recompute all gradients (replicated work,
+  // zero communication — the vertical trade-off of §2.2.1); a row shard
+  // needs the tiny all-reduce of the 2C root sums.
+  if (OwnsAllRows()) return total;
+  std::vector<double> raw(2 * dims_);
+  for (uint32_t k = 0; k < dims_; ++k) {
+    raw[2 * k] = total[k].g;
+    raw[2 * k + 1] = total[k].h;
+  }
+  VERO_COMM_OK(ctx_.AllReduceSum(raw));
+  for (uint32_t k = 0; k < dims_; ++k) {
+    total[k].g = raw[2 * k];
+    total[k].h = raw[2 * k + 1];
+  }
+  return total;
+}
+
+std::vector<SplitCandidate> DistTrainerBase::LocalBestSplits(
+    const std::vector<NodeId>& frontier) {
+  std::vector<SplitCandidate> local(frontier.size());
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const Histogram* hist = pool_.Get(frontier[i]);
+    VERO_CHECK(hist != nullptr);
+    local[i] = finder_.FindBest(*hist, node_stats_[frontier[i]],
+                                HistGlobalIds(), splits_);
+  }
+  return local;
+}
+
+std::vector<SplitCandidate> DistTrainerBase::AllGatherBestSplits(
+    const std::vector<SplitCandidate>& local) {
+  std::vector<std::vector<uint8_t>> all;
+  MitigationOutcome outcome;
+  VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
+                              {.mitigation = options_.mitigation}, &outcome));
+  std::vector<SplitCandidate> best;
+  for (int r = 0; r < ctx_.world_size(); ++r) {
+    if (!outcome.contributed[r]) continue;
+    MergeBestSplits(DeserializeSplits(all[r]), &best);
+  }
+  return best;
+}
+
+void DistTrainerBase::ReduceChildCounts(std::span<double> counts,
+                                        std::vector<uint32_t>* child_counts) {
+  // Global child counts drive the shared subtraction schema (the "master
+  // collects instance counts" step of §4.2.2).
+  if (!OwnsAllRows()) VERO_COMM_OK(ctx_.AllReduceSum(counts));
+  child_counts->resize(counts.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    (*child_counts)[i] = static_cast<uint32_t>(counts[i] + 0.5);
+  }
+}
+
+void DistTrainerBase::SplitRowStore(const BinnedRowStore& store,
+                                    const std::vector<NodeId>& nodes,
+                                    const std::vector<SplitCandidate>& splits,
+                                    std::vector<uint32_t>* child_counts) {
+  std::vector<double> counts(2 * nodes.size(), 0.0);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const SplitCandidate& s = splits[i];
+    auto instances = partition_.Instances(nodes[i]);
+    Bitmap go_left(instances.size());
+    store.FillGoLeft(instances, s.feature, s.split_bin, s.default_left,
+                     &go_left);
+    partition_.Split(nodes[i], go_left);
+    counts[2 * i] = partition_.Count(LeftChild(nodes[i]));
+    counts[2 * i + 1] = partition_.Count(RightChild(nodes[i]));
+  }
+  ReduceChildCounts(counts, child_counts);
+}
+
+void DistTrainerBase::UpdateMargins(const Tree& tree) {
+  const double lr = options_.params.learning_rate;
+  for (NodeId node = 0; node < static_cast<NodeId>(tree.max_nodes());
+       ++node) {
+    if (!partition_.Has(node)) continue;
+    const std::vector<float>& w = tree.node(node).leaf_values;
+    for (InstanceId i : partition_.Instances(node)) {
+      for (uint32_t k = 0; k < dims_; ++k) {
+        margins_[static_cast<size_t>(i) * dims_ + k] += lr * w[k];
+      }
+    }
+  }
 }
 
 void DistTrainerBase::Train(const Dataset* valid,

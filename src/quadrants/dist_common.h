@@ -11,6 +11,7 @@
 #include "cluster/communicator.h"
 #include "common/status.h"
 #include "common/logging.h"
+#include "core/binned.h"
 #include "core/gbdt_params.h"
 #include "core/gradients.h"
 #include "core/hist_builder.h"
@@ -185,16 +186,25 @@ struct DistResult {
   }
 };
 
-/// Base class for the per-worker SPMD training loops of QD1-QD4.
+/// Base class for the per-worker SPMD training loops of QD1-QD4 and
+/// feature-parallel.
 ///
 /// The boosting skeleton (gradients -> per-layer histogram / split find /
-/// node split -> leaf weights -> margin update) lives here; subclasses
-/// supply the quadrant-specific storage, histogram construction,
-/// split-finding communication pattern, and placement mechanics.
+/// node split -> leaf weights -> margin update) and every body the
+/// quadrants share live here: the rank-local row state, the gradient pass,
+/// the node-to-instance index and its margin update, the local-best split
+/// search, the all-gather of local bests and the child-count reduction.
+/// Subclasses supply only their storage, histogram construction, split
+/// exchange and placement (the two axes of §3: partitioning x storage).
 class DistTrainerBase {
  public:
+  /// `labels` are the rows this worker trains on: its row shard for the
+  /// horizontal quadrants, every row otherwise. `splits` is the shared
+  /// candidate-split table over all D features; it must outlive the trainer.
   DistTrainerBase(WorkerContext& ctx, const DistTrainOptions& options,
-                  Task task, uint32_t num_classes);
+                  Task task, uint32_t num_classes,
+                  const CandidateSplits& splits, std::vector<float> labels,
+                  uint32_t num_global_instances);
   virtual ~DistTrainerBase() = default;
 
   /// Runs all boosting rounds. `valid` (optional) is evaluated on rank 0
@@ -266,12 +276,11 @@ class DistTrainerBase {
   /// Global feature ids corresponding to local histogram columns.
   virtual const std::vector<FeatureId>& HistGlobalIds() const = 0;
 
-  /// Resets per-tree instance indexes (row partition / instance-to-node).
-  virtual void InitTreeIndexes() = 0;
-
-  /// Computes gradients into grads_ for the rows this worker owns and
-  /// returns the GLOBAL root gradient stats (identical on every worker).
-  virtual GradStats ComputeGradients() = 0;
+  /// Resets per-tree instance indexes; by default the row partition
+  /// (QD1 replaces it with its instance-to-node index).
+  virtual void InitTreeIndexes() {
+    partition_.Init(num_rows(), options_.params.num_layers);
+  }
 
   /// Builds (and, for horizontal quadrants, aggregates) histograms for the
   /// layer. `tasks` encodes the subtraction schema; when subtraction is
@@ -292,8 +301,42 @@ class DistTrainerBase {
                                 std::vector<uint32_t>* child_counts) = 0;
 
   /// Adds learning_rate * leaf weights into the margins of the rows this
-  /// worker owns, using the final instance placement of `tree`.
-  virtual void UpdateMargins(const Tree& tree) = 0;
+  /// worker owns, using the final instance placement of `tree` (by default
+  /// the row partition's leaves).
+  virtual void UpdateMargins(const Tree& tree);
+
+  // ---- Shared row-state, split and placement bodies ------------------------
+
+  /// Rows this worker trains on (labels_, margins_ and grads_ rows).
+  uint32_t num_rows() const { return static_cast<uint32_t>(labels_.size()); }
+
+  /// Computes gradients into grads_ and returns the GLOBAL root gradient
+  /// stats (identical on every worker): a row shard's sums are all-reduced.
+  GradStats ComputeGradients();
+
+  /// Per-node best split over this worker's histogram columns
+  /// (HistGlobalIds); the frontier's histograms must exist in pool_.
+  std::vector<SplitCandidate> LocalBestSplits(
+      const std::vector<NodeId>& frontier);
+
+  /// All-gathers every rank's local bests and merges them in rank order,
+  /// skipping any rank whose bests straggler mitigation deferred. The skip
+  /// is identical on every rank, so the decision stays replicated.
+  std::vector<SplitCandidate> AllGatherBestSplits(
+      const std::vector<SplitCandidate>& local);
+
+  /// Rounds this worker's per-child instance counts into `child_counts`,
+  /// all-reducing them first when the worker holds a row shard.
+  void ReduceChildCounts(std::span<double> counts,
+                         std::vector<uint32_t>* child_counts);
+
+  /// Local placement over a row store holding whole rows (QD2,
+  /// feature-parallel): splits every node of the row partition and fills
+  /// the GLOBAL child counts.
+  void SplitRowStore(const BinnedRowStore& store,
+                     const std::vector<NodeId>& nodes,
+                     const std::vector<SplitCandidate>& splits,
+                     std::vector<uint32_t>* child_counts);
 
   // ---- Shared histogram-construction helpers ------------------------------
 
@@ -394,6 +437,8 @@ class DistTrainerBase {
   uint32_t dims_;
   std::unique_ptr<Loss> loss_;
   SplitFinder finder_;
+  /// Candidate splits of all D features (shared; not owned).
+  const CandidateSplits& splits_;
 
   /// Histogram-compression codec for the quadrant's histogram collectives:
   /// options_.compression with one feature's histogram (q * dims * 2
@@ -419,13 +464,15 @@ class DistTrainerBase {
   /// Per-node gradient stats and global instance counts (replicated).
   std::vector<GradStats> node_stats_;
   std::vector<uint32_t> node_counts_;
+  /// Node-to-instance index over this worker's rows (QD1 keeps an
+  /// instance-to-node index instead and leaves it empty).
+  RowPartition partition_;
 
-  /// Margins for the rows this worker owns (shard rows for horizontal,
-  /// all rows for vertical), row-major x dims_.
-  std::vector<double> margins_;
   /// Labels for the rows this worker owns.
   std::vector<float> labels_;
-  /// Global instance count N; subclasses must set this during construction.
+  /// Margins for the rows this worker owns, row-major x dims_.
+  std::vector<double> margins_;
+  /// Global instance count N.
   uint32_t num_global_instances_ = 0;
 
   /// Checkpoint hook state (see EnableCheckpoints / set_checkpoint_final).

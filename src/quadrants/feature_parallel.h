@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/binned.h"
-#include "core/node_indexer.h"
 #include "quadrants/dist_common.h"
 
 namespace vero {
@@ -32,24 +31,18 @@ class FeatureParallelTrainer : public DistTrainerBase {
   const std::vector<FeatureId>& HistGlobalIds() const override {
     return owned_features_;
   }
-  void InitTreeIndexes() override;
-  GradStats ComputeGradients() override;
   void BuildLayerHistograms(const std::vector<BuildTask>& tasks) override;
   std::vector<SplitCandidate> FindLayerSplits(
       const std::vector<NodeId>& frontier) override;
   void ApplyLayerSplits(const std::vector<NodeId>& nodes,
                         const std::vector<SplitCandidate>& splits,
                         std::vector<uint32_t>* child_counts) override;
-  void UpdateMargins(const Tree& tree) override;
 
  private:
-  const CandidateSplits& splits_;
   BinnedRowStore store_;        ///< Full dataset, global feature ids.
-  RowPartition partition_;
   /// This worker's feature slice [begin, end) as global ids.
   std::vector<FeatureId> owned_features_;
   uint32_t feature_begin_ = 0;
-  uint32_t num_rows_ = 0;
 };
 
 }  // namespace vero

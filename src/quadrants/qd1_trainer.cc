@@ -11,14 +11,9 @@ namespace vero {
 Qd1Trainer::Qd1Trainer(WorkerContext& ctx, const DistTrainOptions& options,
                        const Dataset& shard, const CandidateSplits& splits,
                        uint32_t num_global_instances)
-    : DistTrainerBase(ctx, options, shard.task(), shard.num_classes()),
-      splits_(splits),
-      store_(BinnedColumnStore::FromCsr(shard.matrix(), splits)),
-      num_local_rows_(shard.num_instances()) {
-  num_global_instances_ = num_global_instances;
-  labels_ = shard.labels();
-  margins_.assign(static_cast<size_t>(num_local_rows_) * dims_, 0.0);
-  grads_ = GradientBuffer(num_local_rows_, dims_);
+    : DistTrainerBase(ctx, options, shard.task(), shard.num_classes(),
+                      splits, shard.labels(), num_global_instances),
+      store_(BinnedColumnStore::FromCsr(shard.matrix(), splits)) {
   all_features_.resize(shard.num_features());
   std::iota(all_features_.begin(), all_features_.end(), FeatureId{0});
   slot_of_node_.assign((size_t{1} << options.params.num_layers) - 1, -1);
@@ -32,24 +27,7 @@ uint32_t Qd1Trainer::HistFeatureCount() const {
   return static_cast<uint32_t>(all_features_.size());
 }
 
-void Qd1Trainer::InitTreeIndexes() { node_of_.Init(num_local_rows_); }
-
-GradStats Qd1Trainer::ComputeGradients() {
-  ComputeGradientsParallel(*loss_, labels_, margins_, num_local_rows_,
-                           options_.params.num_threads, &grads_);
-  GradStats local = grads_.Total();
-  std::vector<double> raw(2 * dims_);
-  for (uint32_t k = 0; k < dims_; ++k) {
-    raw[2 * k] = local[k].g;
-    raw[2 * k + 1] = local[k].h;
-  }
-  VERO_COMM_OK(ctx_.AllReduceSum(raw));
-  for (uint32_t k = 0; k < dims_; ++k) {
-    local[k].g = raw[2 * k];
-    local[k].h = raw[2 * k + 1];
-  }
-  return local;
-}
+void Qd1Trainer::InitTreeIndexes() { node_of_.Init(num_rows()); }
 
 void Qd1Trainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
   const uint32_t q = options_.params.num_candidate_splits;
@@ -88,15 +66,11 @@ std::vector<SplitCandidate> Qd1Trainer::FindLayerSplits(
     // rank by majority vote.
     auditor_.PushReplicated("qd1-hist-allreduce", AuditDigestDoubles(buffer));
   }
-  std::vector<SplitCandidate> best(frontier.size());
   for (size_t i = 0; i < frontier.size(); ++i) {
-    Histogram* hist = pool_.Get(frontier[i]);
-    std::memcpy(hist->raw_data(), buffer.data() + i * per_node,
-                per_node * sizeof(double));
-    best[i] = finder_.FindBest(*hist, node_stats_[frontier[i]],
-                               all_features_, splits_);
+    std::memcpy(pool_.Get(frontier[i])->raw_data(),
+                buffer.data() + i * per_node, per_node * sizeof(double));
   }
-  return best;
+  return LocalBestSplits(frontier);
 }
 
 void Qd1Trainer::ApplyLayerSplits(const std::vector<NodeId>& nodes,
@@ -117,7 +91,7 @@ void Qd1Trainer::ApplyLayerSplits(const std::vector<NodeId>& nodes,
   // Pass 2: one scan moves the remaining (missing-value) instances to the
   // default child of whichever node they still sit on.
   std::vector<double> counts(2 * nodes.size(), 0.0);
-  for (InstanceId i = 0; i < num_local_rows_; ++i) {
+  for (InstanceId i = 0; i < num_rows(); ++i) {
     const NodeId node = node_of_.Get(i);
     NodeId resolved = node;
     if (static_cast<size_t>(node) < slot_of_node_.size() &&
@@ -136,17 +110,12 @@ void Qd1Trainer::ApplyLayerSplits(const std::vector<NodeId>& nodes,
     }
   }
   for (NodeId node : nodes) slot_of_node_[node] = -1;
-
-  VERO_COMM_OK(ctx_.AllReduceSum(counts));
-  child_counts->resize(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    (*child_counts)[i] = static_cast<uint32_t>(counts[i] + 0.5);
-  }
+  ReduceChildCounts(counts, child_counts);
 }
 
 void Qd1Trainer::UpdateMargins(const Tree& tree) {
   const double lr = options_.params.learning_rate;
-  for (InstanceId i = 0; i < num_local_rows_; ++i) {
+  for (InstanceId i = 0; i < num_rows(); ++i) {
     const NodeId node = node_of_.Get(i);
     VERO_DCHECK(tree.Exists(node));
     const std::vector<float>& w = tree.node(node).leaf_values;

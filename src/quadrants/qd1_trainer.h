@@ -30,7 +30,6 @@ class Qd1Trainer : public DistTrainerBase {
     return all_features_;
   }
   void InitTreeIndexes() override;
-  GradStats ComputeGradients() override;
   void BuildLayerHistograms(const std::vector<BuildTask>& tasks) override;
   std::vector<SplitCandidate> FindLayerSplits(
       const std::vector<NodeId>& frontier) override;
@@ -40,11 +39,9 @@ class Qd1Trainer : public DistTrainerBase {
   void UpdateMargins(const Tree& tree) override;
 
  private:
-  const CandidateSplits& splits_;
   BinnedColumnStore store_;
   InstanceToNode node_of_;
   std::vector<FeatureId> all_features_;
-  uint32_t num_local_rows_ = 0;
   /// Maps a live node id to its slot in the current layer (-1 otherwise).
   std::vector<int32_t> slot_of_node_;
   /// The concatenated layer histograms FindLayerSplits all-reduces. Grows

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "common/bitmap.h"
 #include "common/logging.h"
 
 namespace vero {
@@ -11,14 +10,9 @@ namespace vero {
 Qd2Trainer::Qd2Trainer(WorkerContext& ctx, const DistTrainOptions& options,
                        const Dataset& shard, const CandidateSplits& splits,
                        uint32_t num_global_instances)
-    : DistTrainerBase(ctx, options, shard.task(), shard.num_classes()),
-      splits_(splits),
-      store_(BinnedRowStore::FromCsr(shard.matrix(), splits)),
-      num_local_rows_(shard.num_instances()) {
-  num_global_instances_ = num_global_instances;
-  labels_ = shard.labels();
-  margins_.assign(static_cast<size_t>(num_local_rows_) * dims_, 0.0);
-  grads_ = GradientBuffer(num_local_rows_, dims_);
+    : DistTrainerBase(ctx, options, shard.task(), shard.num_classes(),
+                      splits, shard.labels(), num_global_instances),
+      store_(BinnedRowStore::FromCsr(shard.matrix(), splits)) {
   all_features_.resize(shard.num_features());
   std::iota(all_features_.begin(), all_features_.end(), FeatureId{0});
 }
@@ -29,28 +23,6 @@ uint64_t Qd2Trainer::DataBytes() const {
 
 uint32_t Qd2Trainer::HistFeatureCount() const {
   return static_cast<uint32_t>(all_features_.size());
-}
-
-void Qd2Trainer::InitTreeIndexes() {
-  partition_.Init(num_local_rows_, options_.params.num_layers);
-}
-
-GradStats Qd2Trainer::ComputeGradients() {
-  ComputeGradientsParallel(*loss_, labels_, margins_, num_local_rows_,
-                           options_.params.num_threads, &grads_);
-  GradStats local = grads_.Total();
-  // Tiny all-reduce of the 2C root sums.
-  std::vector<double> raw(2 * dims_);
-  for (uint32_t k = 0; k < dims_; ++k) {
-    raw[2 * k] = local[k].g;
-    raw[2 * k + 1] = local[k].h;
-  }
-  VERO_COMM_OK(ctx_.AllReduceSum(raw));
-  for (uint32_t k = 0; k < dims_; ++k) {
-    local[k].g = raw[2 * k];
-    local[k].h = raw[2 * k + 1];
-  }
-  return local;
 }
 
 void Qd2Trainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
@@ -139,58 +111,14 @@ std::vector<SplitCandidate> Qd2Trainer::FindLayerSplits(
                                      slice_ids, splits_);
   }
 
-  // Exchange local bests; everyone deterministically merges (skipping any
-  // rank whose bests were deferred past the deadline — identically so on
-  // every rank, which keeps the split decision replicated).
-  std::vector<std::vector<uint8_t>> all;
-  MitigationOutcome best_outcome;
-  VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local_best), &all,
-                              {.mitigation = options_.mitigation},
-                              &best_outcome));
-  std::vector<SplitCandidate> best;
-  for (int r = 0; r < w; ++r) {
-    if (!best_outcome.contributed[r]) continue;
-    MergeBestSplits(DeserializeSplits(all[r]), &best);
-  }
-  return best;
+  return AllGatherBestSplits(local_best);
 }
 
 void Qd2Trainer::ApplyLayerSplits(const std::vector<NodeId>& nodes,
                                   const std::vector<SplitCandidate>& splits,
                                   std::vector<uint32_t>* child_counts) {
   // Each worker owns full rows, so placement is local (no broadcast).
-  std::vector<double> counts(2 * nodes.size(), 0.0);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const SplitCandidate& s = splits[i];
-    auto instances = partition_.Instances(nodes[i]);
-    Bitmap go_left(instances.size());
-    store_.FillGoLeft(instances, s.feature, s.split_bin, s.default_left,
-                      &go_left);
-    partition_.Split(nodes[i], go_left);
-    counts[2 * i] = partition_.Count(LeftChild(nodes[i]));
-    counts[2 * i + 1] = partition_.Count(RightChild(nodes[i]));
-  }
-  // Global child counts drive the shared subtraction schema (the "master
-  // collects instance counts" step of §4.2.2).
-  VERO_COMM_OK(ctx_.AllReduceSum(counts));
-  child_counts->resize(counts.size());
-  for (size_t i = 0; i < counts.size(); ++i) {
-    (*child_counts)[i] = static_cast<uint32_t>(counts[i] + 0.5);
-  }
-}
-
-void Qd2Trainer::UpdateMargins(const Tree& tree) {
-  const double lr = options_.params.learning_rate;
-  for (NodeId node = 0; node < static_cast<NodeId>(tree.max_nodes());
-       ++node) {
-    if (!partition_.Has(node)) continue;
-    const std::vector<float>& w = tree.node(node).leaf_values;
-    for (InstanceId i : partition_.Instances(node)) {
-      for (uint32_t k = 0; k < dims_; ++k) {
-        margins_[static_cast<size_t>(i) * dims_ + k] += lr * w[k];
-      }
-    }
-  }
+  SplitRowStore(store_, nodes, splits, child_counts);
 }
 
 }  // namespace vero

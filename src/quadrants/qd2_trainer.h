@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/binned.h"
-#include "core/node_indexer.h"
 #include "quadrants/dist_common.h"
 
 namespace vero {
@@ -30,23 +29,16 @@ class Qd2Trainer : public DistTrainerBase {
   const std::vector<FeatureId>& HistGlobalIds() const override {
     return all_features_;
   }
-  void InitTreeIndexes() override;
-  GradStats ComputeGradients() override;
   void BuildLayerHistograms(const std::vector<BuildTask>& tasks) override;
   std::vector<SplitCandidate> FindLayerSplits(
       const std::vector<NodeId>& frontier) override;
   void ApplyLayerSplits(const std::vector<NodeId>& nodes,
                         const std::vector<SplitCandidate>& splits,
                         std::vector<uint32_t>* child_counts) override;
-  void UpdateMargins(const Tree& tree) override;
 
  private:
-
-  const CandidateSplits& splits_;
   BinnedRowStore store_;
-  RowPartition partition_;
   std::vector<FeatureId> all_features_;
-  uint32_t num_local_rows_ = 0;
 };
 
 }  // namespace vero

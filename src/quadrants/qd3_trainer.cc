@@ -1,74 +1,26 @@
 #include "quadrants/qd3_trainer.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace vero {
 
-const char* Qd3IndexPolicyToString(Qd3IndexPolicy policy) {
-  switch (policy) {
-    case Qd3IndexPolicy::kLinearScanOnly:
-      return "linear-scan";
-    case Qd3IndexPolicy::kBinarySearchOnly:
-      return "binary-search";
-    case Qd3IndexPolicy::kMixed:
-      return "mixed";
-  }
-  return "?";
-}
-
 Qd3Trainer::Qd3Trainer(WorkerContext& ctx, const DistTrainOptions& options,
                        Task task, uint32_t num_classes,
-                       const VerticalShard& shard, Qd3IndexPolicy policy)
+                       const VerticalShard& shard,
+                       HistogramBuilder::ColumnScan scan)
     : VerticalTrainerBase(ctx, options, task, num_classes, shard),
-      policy_(policy) {
-  // Pivot the row-stored column group into per-feature columns
-  // (instance ids ascend naturally because rows are visited in order).
-  const uint32_t num_local = HistFeatureCount();
-  std::vector<uint64_t> counts(num_local, 0);
-  for (InstanceId i = 0; i < shard.num_instances; ++i) {
-    for (uint32_t f : shard.data.RowFeatures(i)) ++counts[f];
-  }
-  store_.set_num_rows(shard.num_instances);
-  // Build incrementally column-by-column would need column-major input;
-  // instead allocate via a second pass with cursors.
-  {
-    std::vector<uint64_t> col_ptr(num_local + 1, 0);
-    for (uint32_t f = 0; f < num_local; ++f) {
-      col_ptr[f + 1] = col_ptr[f] + counts[f];
-    }
-    std::vector<InstanceId> rows(col_ptr[num_local]);
-    std::vector<BinId> bins(col_ptr[num_local]);
-    std::vector<uint64_t> cursor = col_ptr;
-    for (InstanceId i = 0; i < shard.num_instances; ++i) {
-      auto features = shard.data.RowFeatures(i);
-      auto row_bins = shard.data.RowBins(i);
-      for (size_t k = 0; k < features.size(); ++k) {
-        const uint64_t pos = cursor[features[k]]++;
-        rows[pos] = i;
-        bins[pos] = row_bins[k];
-      }
-    }
-    BinnedColumnStore store;
-    store.set_num_rows(shard.num_instances);
-    for (uint32_t f = 0; f < num_local; ++f) {
-      store.StartColumn();
-      for (uint64_t k = col_ptr[f]; k < col_ptr[f + 1]; ++k) {
-        store.PushEntry(rows[k], bins[k]);
-      }
-    }
-    store_ = std::move(store);
-  }
-}
+      store_(BinnedColumnStore::FromRows(
+          shard.data, shard.num_instances,
+          static_cast<uint32_t>(shard.owned_features.size()))),
+      scan_(scan) {}
 
 uint64_t Qd3Trainer::DataBytes() const {
   return store_.MemoryBytes() + labels_.capacity() * sizeof(float);
 }
 
 void Qd3Trainer::InitTreeIndexes() {
-  VerticalTrainerBase::InitTreeIndexes();
-  node_of_.Init(shard_.num_instances);
+  DistTrainerBase::InitTreeIndexes();
+  node_of_.Init(num_rows());
 }
 
 void Qd3Trainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
@@ -87,15 +39,9 @@ void Qd3Trainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
 
   // The builder picks per column between one linear scan (instance-to-node
   // index) and per-node binary searches (node-to-instance index) under
-  // kAuto; the fixed policies force one or the other (§5.2.2).
-  HistogramBuilder::ColumnScan scan = HistogramBuilder::ColumnScan::kAuto;
-  if (policy_ == Qd3IndexPolicy::kLinearScanOnly) {
-    scan = HistogramBuilder::ColumnScan::kLinear;
-  } else if (policy_ == Qd3IndexPolicy::kBinarySearchOnly) {
-    scan = HistogramBuilder::ColumnScan::kBinarySearch;
-  }
+  // kAuto; the fixed plans force one or the other (§5.2.2).
   builder_.BuildColumnStoreLayer(store_, grads_, node_of_, partition_,
-                                 build_nodes, hists, scan);
+                                 build_nodes, hists, scan_);
 
   // Siblings come from subtraction against the retained parents.
   ApplySubtractions(tasks);

@@ -4,34 +4,24 @@
 #include <vector>
 
 #include "core/binned.h"
+#include "core/hist_builder.h"
 #include "quadrants/vertical_common.h"
 
 namespace vero {
 
-/// Policy for building histograms from columns in QD3 (Appendix C studies
-/// these; the mixed policy is the paper's optimized representative).
-enum class Qd3IndexPolicy {
-  /// Always scan whole columns with the instance-to-node index (cannot use
-  /// histogram subtraction) — Yggdrasil-with-instance-to-node behavior.
-  kLinearScanOnly,
-  /// Always binary-search per node instance with subtraction.
-  kBinarySearchOnly,
-  /// Per column, pick whichever is cheaper (the paper's QD3).
-  kMixed,
-};
-
-const char* Qd3IndexPolicyToString(Qd3IndexPolicy policy);
-
 /// QD3: vertical partitioning + column-store (the Yggdrasil family). Each
 /// worker stores its feature subset as columns over all instances and
 /// combines an instance-to-node index (for linear column scans) with the
-/// node-to-instance index (for per-node binary searches + subtraction),
-/// choosing per column (§5.2.2 "Index plan").
+/// node-to-instance index (for per-node binary searches + subtraction).
+/// `scan` is the index plan (§5.2.2, Appendix C): kAuto picks per column
+/// whichever is cheaper (the paper's QD3); kLinear and kBinarySearch force
+/// one index for every column.
 class Qd3Trainer : public VerticalTrainerBase {
  public:
   Qd3Trainer(WorkerContext& ctx, const DistTrainOptions& options, Task task,
              uint32_t num_classes, const VerticalShard& shard,
-             Qd3IndexPolicy policy = Qd3IndexPolicy::kMixed);
+             HistogramBuilder::ColumnScan scan =
+                 HistogramBuilder::ColumnScan::kAuto);
 
   uint64_t DataBytes() const override;
 
@@ -46,7 +36,7 @@ class Qd3Trainer : public VerticalTrainerBase {
  private:
   BinnedColumnStore store_;  ///< Columns indexed by local feature id.
   InstanceToNode node_of_;
-  Qd3IndexPolicy policy_;
+  HistogramBuilder::ColumnScan scan_;
 };
 
 }  // namespace vero

@@ -17,6 +17,7 @@
 #include "quadrants/feature_parallel.h"
 #include "quadrants/qd1_trainer.h"
 #include "quadrants/qd2_trainer.h"
+#include "quadrants/qd3_trainer.h"
 #include "quadrants/qd4_vero.h"
 
 namespace vero {
@@ -45,7 +46,7 @@ struct AttemptConfig {
   const DistTrainOptions* options = nullptr;
   const Dataset* train = nullptr;
   const Dataset* valid = nullptr;
-  Qd3IndexPolicy qd3_policy = Qd3IndexPolicy::kMixed;
+  HistogramBuilder::ColumnScan qd3_scan = HistogramBuilder::ColumnScan::kAuto;
   /// Restored state to resume from (null = train from scratch).
   const TrainCheckpoint* resume = nullptr;
   /// Full N x dims margin matrix of the restored model (null iff !resume).
@@ -141,7 +142,7 @@ std::vector<Status> RunAttempt(Cluster& cluster,
         if (quadrant == Quadrant::kQD3) {
           trainer = std::make_unique<Qd3Trainer>(ctx, options, train.task(),
                                                  train.num_classes(),
-                                                 vertical, cfg.qd3_policy);
+                                                 vertical, cfg.qd3_scan);
         } else {
           trainer = std::make_unique<Qd4VeroTrainer>(
               ctx, options, train.task(), train.num_classes(), vertical);
@@ -349,7 +350,7 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
                                 Quadrant quadrant,
                                 const DistTrainOptions& options,
                                 const Dataset* valid,
-                                Qd3IndexPolicy qd3_policy) {
+                                HistogramBuilder::ColumnScan qd3_scan) {
   const int w = cluster.num_workers();
   const bool sharded = quadrant != Quadrant::kFeatureParallel;
   const bool elastic = options.elastic_rejoin;
@@ -411,7 +412,7 @@ DistResult TrainDistributedImpl(Cluster& cluster, const Dataset& train,
   cfg.quadrant = quadrant;
   cfg.train = &train;
   cfg.valid = valid;
-  cfg.qd3_policy = qd3_policy;
+  cfg.qd3_scan = qd3_scan;
   cfg.writer = writer.get();
 
   // The shared injector keeps its occurrence counters across incarnations:
@@ -723,7 +724,7 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
                             Quadrant quadrant,
                             const DistTrainOptions& options,
                             const Dataset* valid,
-                            Qd3IndexPolicy qd3_policy) {
+                            HistogramBuilder::ColumnScan qd3_scan) {
   const int w = cluster.num_workers();
   Status status = options.Validate();
   if (status.ok() && options.elastic_resize_after_trees > 0 &&
@@ -734,7 +735,7 @@ DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
   DistResult result;
   if (status.ok()) {
     result = TrainDistributedImpl(cluster, train, quadrant, options, valid,
-                                  qd3_policy);
+                                  qd3_scan);
   } else {
     result.status = status;
     result.recovery.final_world_size = w;

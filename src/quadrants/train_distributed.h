@@ -2,9 +2,9 @@
 #define VERO_QUADRANTS_TRAIN_DISTRIBUTED_H_
 
 #include "cluster/communicator.h"
+#include "core/hist_builder.h"
 #include "data/dataset.h"
 #include "quadrants/dist_common.h"
-#include "quadrants/qd3_trainer.h"
 #include "quadrants/quadrant.h"
 
 namespace vero {
@@ -16,12 +16,14 @@ namespace vero {
 /// the cluster-level cost model.
 ///
 /// `valid` (optional) is evaluated on rank 0 after every round so the
-/// convergence curve in the result mirrors Figure 11.
+/// convergence curve in the result mirrors Figure 11. `qd3_scan` is QD3's
+/// index plan (see Qd3Trainer); other quadrants ignore it.
 DistResult TrainDistributed(Cluster& cluster, const Dataset& train,
                             Quadrant quadrant,
                             const DistTrainOptions& options,
                             const Dataset* valid = nullptr,
-                            Qd3IndexPolicy qd3_policy = Qd3IndexPolicy::kMixed);
+                            HistogramBuilder::ColumnScan qd3_scan =
+                                HistogramBuilder::ColumnScan::kAuto);
 
 }  // namespace vero
 

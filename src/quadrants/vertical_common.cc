@@ -9,45 +9,18 @@ VerticalTrainerBase::VerticalTrainerBase(WorkerContext& ctx,
                                          const DistTrainOptions& options,
                                          Task task, uint32_t num_classes,
                                          const VerticalShard& shard)
-    : DistTrainerBase(ctx, options, task, num_classes), shard_(shard) {
-  num_global_instances_ = shard.num_instances;
-  labels_ = shard.labels;
-  margins_.assign(static_cast<size_t>(shard.num_instances) * dims_, 0.0);
-  grads_ = GradientBuffer(shard.num_instances, dims_);
+    : DistTrainerBase(ctx, options, task, num_classes, shard.splits,
+                      shard.labels, shard.num_instances),
+      shard_(shard) {
   local_id_of_.assign(shard.num_features, kInvalidFeature);
   for (size_t i = 0; i < shard.owned_features.size(); ++i) {
     local_id_of_[shard.owned_features[i]] = static_cast<uint32_t>(i);
   }
 }
 
-void VerticalTrainerBase::InitTreeIndexes() {
-  partition_.Init(shard_.num_instances, options_.params.num_layers);
-}
-
-GradStats VerticalTrainerBase::ComputeGradients() {
-  // Every worker recomputes gradients for all instances (replicated work,
-  // zero communication — the vertical trade-off of §2.2.1).
-  ComputeGradientsParallel(*loss_, labels_, margins_, shard_.num_instances,
-                           options_.params.num_threads, &grads_);
-  return grads_.Total();
-}
-
-std::vector<SplitCandidate> VerticalTrainerBase::LocalBestSplits(
-    const std::vector<NodeId>& frontier) {
-  std::vector<SplitCandidate> local(frontier.size());
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    const Histogram* hist = pool_.Get(frontier[i]);
-    VERO_CHECK(hist != nullptr);
-    local[i] = finder_.FindBest(*hist, node_stats_[frontier[i]],
-                                shard_.owned_features, shard_.splits);
-  }
-  return local;
-}
-
 std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     const std::vector<NodeId>& frontier) {
   const std::vector<SplitCandidate> local = LocalBestSplits(frontier);
-  std::vector<SplitCandidate> best;
   if (options_.mitigation.enabled() || !MasterCoordinatesSplits()) {
     // Yggdrasil: all workers exchange local bests and resolve locally.
     // Mitigated Vero takes this path too: the master-coordinated exchange
@@ -55,18 +28,8 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
     // IS the bottleneck mitigation removes). A deferred rank's candidates
     // are skipped identically on every rank; since dropped candidates never
     // win, the winning split's feature owner is always a live participant
-    // of the placement broadcast that follows. In strict mode every rank
-    // contributes, so the merge visits all ranks in order.
-    std::vector<std::vector<uint8_t>> all;
-    MitigationOutcome outcome;
-    VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
-                                {.mitigation = options_.mitigation},
-                                &outcome));
-    for (int r = 0; r < ctx_.world_size(); ++r) {
-      if (!outcome.contributed[r]) continue;
-      MergeBestSplits(DeserializeSplits(all[r]), &best);
-    }
-    return best;
+    // of the placement broadcast that follows.
+    return AllGatherBestSplits(local);
   }
   // Vero: master gathers local bests, resolves, broadcasts the winners.
   const std::vector<uint8_t> mine = SerializeSplits(local);
@@ -91,6 +54,7 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
   }
   std::vector<uint8_t> decision;
   if (ctx_.rank() == 0) {
+    std::vector<SplitCandidate> best;
     for (const auto& buf : gathered) {
       MergeBestSplits(DeserializeSplits(buf), &best);
     }
@@ -156,20 +120,6 @@ void VerticalTrainerBase::ApplyLayerSplits(
     OnNodeSplit(nodes[i]);
     child_counts->push_back(partition_.Count(LeftChild(nodes[i])));
     child_counts->push_back(partition_.Count(RightChild(nodes[i])));
-  }
-}
-
-void VerticalTrainerBase::UpdateMargins(const Tree& tree) {
-  const double lr = options_.params.learning_rate;
-  for (NodeId node = 0; node < static_cast<NodeId>(tree.max_nodes());
-       ++node) {
-    if (!partition_.Has(node)) continue;
-    const std::vector<float>& w = tree.node(node).leaf_values;
-    for (InstanceId i : partition_.Instances(node)) {
-      for (uint32_t k = 0; k < dims_; ++k) {
-        margins_[static_cast<size_t>(i) * dims_ + k] += lr * w[k];
-      }
-    }
   }
 }
 

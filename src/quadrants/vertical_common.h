@@ -28,19 +28,11 @@ class VerticalTrainerBase : public DistTrainerBase {
   const std::vector<FeatureId>& HistGlobalIds() const override {
     return shard_.owned_features;
   }
-  void InitTreeIndexes() override;
-  GradStats ComputeGradients() override;
   std::vector<SplitCandidate> FindLayerSplits(
       const std::vector<NodeId>& frontier) override;
   void ApplyLayerSplits(const std::vector<NodeId>& nodes,
                         const std::vector<SplitCandidate>& splits,
                         std::vector<uint32_t>* child_counts) override;
-  void UpdateMargins(const Tree& tree) override;
-
-  /// Computes per-node local best splits over the owned features
-  /// (histograms must exist in pool_).
-  std::vector<SplitCandidate> LocalBestSplits(
-      const std::vector<NodeId>& frontier);
 
   /// Placement of one instance under a split this worker owns: goes left?
   /// Implemented against the quadrant's storage (row vs column lookup).
@@ -56,7 +48,6 @@ class VerticalTrainerBase : public DistTrainerBase {
   virtual bool MasterCoordinatesSplits() const = 0;
 
   const VerticalShard& shard_;
-  RowPartition partition_;
   /// local feature id of each global feature this worker owns
   /// (kInvalidFeature-marked entries are owned by other workers).
   std::vector<uint32_t> local_id_of_;

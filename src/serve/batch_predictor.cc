@@ -1,8 +1,6 @@
 #include "serve/batch_predictor.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
@@ -15,7 +13,7 @@ namespace {
 
 // Largest feature space the scatter scratch will allocate (floats + epoch
 // stamps per thread). Beyond it the sparse path binary-searches rows
-// instead; dense input never needs scratch.
+// instead.
 constexpr FeatureId kScratchFeatureCap = 1u << 22;
 
 }  // namespace
@@ -123,51 +121,6 @@ void BatchPredictor::ScoreCsrRange(const CsrMatrix& matrix, InstanceId begin,
   }
 }
 
-void BatchPredictor::ScoreDenseRange(const float* rows, uint32_t num_cols,
-                                     uint32_t begin, uint32_t end,
-                                     double* out) const {
-  const uint32_t dims = forest_->num_dims();
-  const double lr = forest_->learning_rate();
-  const auto feature = forest_->feature();
-  const auto threshold = forest_->threshold();
-  const auto default_left = forest_->default_left();
-  const auto left = forest_->left();
-  const auto right = forest_->right();
-  const auto roots = forest_->roots();
-  const auto leaves = forest_->leaf_values();
-  const uint32_t num_trees = forest_->num_trees();
-
-  for (uint32_t tile = begin; tile < end; tile += options_.row_block) {
-    const uint32_t tile_end =
-        std::min(tile + options_.row_block, end);
-    std::fill(out + static_cast<size_t>(tile - begin) * dims,
-              out + static_cast<size_t>(tile_end - begin) * dims, 0.0);
-    for (uint32_t t0 = 0; t0 < num_trees; t0 += options_.tree_block) {
-      const uint32_t t1 = std::min(t0 + options_.tree_block, num_trees);
-      for (uint32_t i = tile; i < tile_end; ++i) {
-        const float* row = rows + static_cast<size_t>(i) * num_cols;
-        double* margins = out + static_cast<size_t>(i - begin) * dims;
-        for (uint32_t t = t0; t < t1; ++t) {
-          int32_t ref = roots[t];
-          while (ref >= 0) {
-            const FeatureId f = feature[ref];
-            const float v = f < num_cols ? row[f] : NAN;
-            bool go_left;
-            if (std::isnan(v)) {
-              go_left = default_left[ref] != 0;  // Missing value.
-            } else {
-              go_left = v <= threshold[ref];
-            }
-            ref = go_left ? left[ref] : right[ref];
-          }
-          const float* w = leaves.data() + static_cast<size_t>(~ref) * dims;
-          for (uint32_t k = 0; k < dims; ++k) margins[k] += lr * w[k];
-        }
-      }
-    }
-  }
-}
-
 void BatchPredictor::PredictCsrMargins(const CsrMatrix& matrix,
                                        InstanceId begin, InstanceId end,
                                        double* out) const {
@@ -201,28 +154,6 @@ void BatchPredictor::PredictCsrMargins(const CsrMatrix& matrix,
 void BatchPredictor::PredictCsrMargins(const CsrMatrix& matrix,
                                        double* out) const {
   PredictCsrMargins(matrix, 0, matrix.num_rows(), out);
-}
-
-void BatchPredictor::PredictDenseMargins(const float* rows, uint32_t num_rows,
-                                         uint32_t num_cols,
-                                         double* out) const {
-  const uint32_t dims = forest_->num_dims();
-  if (num_rows == 0) return;
-  const uint32_t threads = std::min(options_.num_threads, num_rows);
-  if (threads <= 1) {
-    ScoreDenseRange(rows, num_cols, 0, num_rows, out);
-    return;
-  }
-  ParallelFor(threads, threads, [&](size_t t) {
-    const uint32_t lo = static_cast<uint32_t>(
-        static_cast<uint64_t>(num_rows) * t / threads);
-    const uint32_t hi = static_cast<uint32_t>(
-        static_cast<uint64_t>(num_rows) * (t + 1) / threads);
-    if (lo < hi) {
-      ScoreDenseRange(rows, num_cols, lo, hi,
-                      out + static_cast<size_t>(lo) * dims);
-    }
-  });
 }
 
 void BatchPredictor::PredictCsrProba(const CsrMatrix& matrix, InstanceId begin,

@@ -46,10 +46,6 @@ struct ServeOptions {
 /// binary search over the row; forests whose feature space is too large to
 /// scratch (> 2^22) fall back to per-node binary search, still batched and
 /// still bit-identical.
-///
-/// Dense input uses NaN as the missing-value marker (absent sparse entries
-/// and features beyond the block's column count route via default_left,
-/// exactly like missing sparse features).
 class BatchPredictor {
  public:
   /// `forest` must outlive the predictor. Options are validated with CHECK
@@ -65,11 +61,6 @@ class BatchPredictor {
   /// Whole-matrix convenience overload.
   void PredictCsrMargins(const CsrMatrix& matrix, double* out) const;
 
-  /// Margins for a dense row-major block (`num_rows` x `num_cols` floats,
-  /// NaN = missing) into `out` (row-major num_rows x num_dims, overwritten).
-  void PredictDenseMargins(const float* rows, uint32_t num_rows,
-                           uint32_t num_cols, double* out) const;
-
   /// Probabilities with the same link functions as GbdtModel::PredictProba
   /// (sigmoid for binary, softmax for multi-class, raw margin otherwise).
   void PredictCsrProba(const CsrMatrix& matrix, InstanceId begin,
@@ -79,8 +70,6 @@ class BatchPredictor {
   /// Scores rows [begin, end) serially (one thread's contiguous range).
   void ScoreCsrRange(const CsrMatrix& matrix, InstanceId begin,
                      InstanceId end, double* out) const;
-  void ScoreDenseRange(const float* rows, uint32_t num_cols, uint32_t begin,
-                       uint32_t end, double* out) const;
 
   const FlatForest* forest_;
   ServeOptions options_;

@@ -106,30 +106,5 @@ StatusOr<FlatForest> FlatForest::FromModel(const GbdtModel& model) {
   return out;
 }
 
-void FlatForest::PredictRowMargins(std::span<const FeatureId> features,
-                                   std::span<const float> values,
-                                   double* margins) const {
-  const FeatureId* fbegin = features.data();
-  const FeatureId* fend = fbegin + features.size();
-  for (const int32_t root : roots_) {
-    int32_t ref = root;
-    while (ref >= 0) {
-      const FeatureId f = feature_[ref];
-      const FeatureId* it = std::lower_bound(fbegin, fend, f);
-      bool go_left;
-      if (it == fend || *it != f) {
-        go_left = default_left_[ref] != 0;  // Missing value.
-      } else {
-        go_left = values[it - fbegin] <= threshold_[ref];
-      }
-      ref = go_left ? left_[ref] : right_[ref];
-    }
-    const float* w = leaf_values_.data() + static_cast<size_t>(~ref) * num_dims_;
-    for (uint32_t k = 0; k < num_dims_; ++k) {
-      margins[k] += learning_rate_ * w[k];
-    }
-  }
-}
-
 }  // namespace serve
 }  // namespace vero

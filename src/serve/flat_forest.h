@@ -66,13 +66,6 @@ class FlatForest {
   std::span<const int32_t> roots() const { return roots_; }
   std::span<const float> leaf_values() const { return leaf_values_; }
 
-  /// Adds the margins of one sorted sparse row into `margins` (C dims,
-  /// caller-zeroed) — the serial flat reference path, bit-identical to
-  /// GbdtModel::PredictMargins. `features` must be sorted ascending.
-  void PredictRowMargins(std::span<const FeatureId> features,
-                         std::span<const float> values,
-                         double* margins) const;
-
  private:
   Task task_ = Task::kBinary;
   uint32_t num_dims_ = 1;

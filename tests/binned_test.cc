@@ -1,5 +1,6 @@
 #include "core/binned.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -97,6 +98,29 @@ TEST(BinnedColumnStoreTest, RowAndColumnStoresAgreeOnEveryBin) {
       ASSERT_TRUE(found.has_value());
       EXPECT_EQ(*found, bins[k]);
     }
+  }
+}
+
+TEST(BinnedColumnStoreTest, FromRowsMatchesFromCsr) {
+  const Dataset d = MakeData();
+  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
+  const BinnedColumnStore want =
+      BinnedColumnStore::FromCsr(d.matrix(), splits);
+  const BinnedColumnStore got = BinnedColumnStore::FromRows(
+      BinnedRowStore::FromCsr(d.matrix(), splits), d.num_instances(),
+      d.num_features());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_features(), want.num_features());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+  for (FeatureId f = 0; f < d.num_features(); ++f) {
+    auto got_rows = got.ColumnRows(f);
+    auto want_rows = want.ColumnRows(f);
+    auto got_bins = got.ColumnBins(f);
+    auto want_bins = want.ColumnBins(f);
+    EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(),
+                           want_rows.begin(), want_rows.end()));
+    EXPECT_TRUE(std::equal(got_bins.begin(), got_bins.end(),
+                           want_bins.begin(), want_bins.end()));
   }
 }
 

@@ -133,13 +133,14 @@ TEST(QuadrantEquivalenceTest, Qd3IndexPoliciesAgree) {
   const DistTrainOptions options = SmallOptions(3, 4);
   std::map<int, GbdtModel> models;
   int i = 0;
-  for (Qd3IndexPolicy policy :
-       {Qd3IndexPolicy::kLinearScanOnly, Qd3IndexPolicy::kBinarySearchOnly,
-        Qd3IndexPolicy::kMixed}) {
+  for (HistogramBuilder::ColumnScan scan :
+       {HistogramBuilder::ColumnScan::kLinear,
+        HistogramBuilder::ColumnScan::kBinarySearch,
+        HistogramBuilder::ColumnScan::kAuto}) {
     Cluster cluster(3);
     models[i++] =
         TrainDistributed(cluster, data, Quadrant::kQD3, options, nullptr,
-                         policy)
+                         scan)
             .model;
   }
   ExpectSameStructure(models[0], models[1], "linear-vs-binary");

@@ -72,6 +72,23 @@ TEST(LibsvmTest, RejectsZeroIndexInOneBasedFile) {
   EXPECT_EQ(d.status().code(), StatusCode::kCorruption);
 }
 
+TEST(LibsvmTest, RejectsShuffledFeatureIds) {
+  auto d = ParseLibsvm("0 1:1\n1 3:1 1:2\n", LibsvmReadOptions{});
+  ASSERT_EQ(d.status().code(), StatusCode::kCorruption);
+  // Ids are 0-based after the 1-based shift.
+  EXPECT_NE(d.status().message().find("row 1, feature 0 after 2"),
+            std::string::npos)
+      << d.status().ToString();
+}
+
+TEST(LibsvmTest, RejectsDuplicateFeatureIds) {
+  auto d = ParseLibsvm("1 2:1 2:3\n", LibsvmReadOptions{});
+  ASSERT_EQ(d.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(d.status().message().find("row 0, feature 1 after 1"),
+            std::string::npos)
+      << d.status().ToString();
+}
+
 TEST(LibsvmTest, HandlesCarriageReturns) {
   auto d = ParseLibsvm("1 1:1.0\r\n0 2:2.0\r\n", LibsvmReadOptions{});
   ASSERT_TRUE(d.ok()) << d.status().ToString();

@@ -95,20 +95,6 @@ std::vector<double> ReferenceMargins(const GbdtModel& model,
   return out;
 }
 
-// Dense copy with NaN in every absent slot (the dense missing marker).
-std::vector<float> DenseFromCsr(const CsrMatrix& m, uint32_t num_cols) {
-  std::vector<float> dense(static_cast<size_t>(m.num_rows()) * num_cols,
-                           NAN);
-  for (InstanceId i = 0; i < m.num_rows(); ++i) {
-    const auto features = m.RowFeatures(i);
-    const auto values = m.RowValues(i);
-    for (size_t k = 0; k < features.size(); ++k) {
-      dense[static_cast<size_t>(i) * num_cols + features[k]] = values[k];
-    }
-  }
-  return dense;
-}
-
 void ExpectBitIdentical(const std::vector<double>& want,
                         const std::vector<double>& got,
                         const std::string& label) {
@@ -139,11 +125,14 @@ TEST(FlatForestTest, FlattenSingleHandBuiltTree) {
   EXPECT_EQ(forest.num_leaves(), 3u);
   EXPECT_EQ(forest.max_feature(), 4u);
 
-  const std::vector<FeatureId> features = {2, 4};
-  const std::vector<float> values = {-1.0f, 1.0f};
+  CsrMatrix row;
+  row.set_num_cols(5);
+  row.StartRow();
+  row.PushEntry(2, -1.0f);
+  row.PushEntry(4, 1.0f);
   double want = 0.0, got = 0.0;
-  model.PredictMargins(features, values, &want);
-  forest.PredictRowMargins(features, values, &got);
+  model.PredictMargins(row.RowFeatures(0), row.RowValues(0), &want);
+  BatchPredictor(&forest).PredictCsrMargins(row, &got);
   EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
 }
 
@@ -186,35 +175,6 @@ TEST(BatchPredictorDifferentialTest, SparseGridBitIdentical) {
                   std::to_string(batch));
         }
       }
-    }
-  }
-}
-
-// Dense input (NaN-marked missing) routes identically to the sparse rows it
-// was densified from.
-TEST(BatchPredictorDifferentialTest, DenseGridBitIdentical) {
-  Rng rng(99);
-  const uint32_t d = 25;
-  for (const uint32_t dims : {1u, 3u}) {
-    const GbdtModel model = MakeRandomModel(rng, 4, 5, dims, d);
-    const CsrMatrix rows = MakeRandomRows(rng, 61, d, 0.4);
-    const std::vector<double> want = ReferenceMargins(model, rows);
-    const std::vector<float> dense = DenseFromCsr(rows, d);
-
-    auto forest_or = FlatForest::FromModel(model);
-    ASSERT_TRUE(forest_or.ok()) << forest_or.status().ToString();
-    for (const uint32_t threads : {1u, 3u}) {
-      ServeOptions options;
-      options.num_threads = threads;
-      options.row_block = 16;
-      options.tree_block = 3;
-      const BatchPredictor predictor(&forest_or.value(), options);
-      std::vector<double> got(want.size(), -1.0);
-      predictor.PredictDenseMargins(dense.data(), rows.num_rows(), d,
-                                    got.data());
-      ExpectBitIdentical(want, got,
-                         "dense dims=" + std::to_string(dims) + " threads=" +
-                             std::to_string(threads));
     }
   }
 }

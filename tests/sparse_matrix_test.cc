@@ -71,16 +71,6 @@ TEST(CsrMatrixTest, SliceEmptyRange) {
   EXPECT_EQ(s.num_nonzeros(), 0u);
 }
 
-TEST(CsrMatrixTest, FilterColumns) {
-  CsrMatrix m = MakeSmall();
-  std::vector<bool> keep = {true, false, true};
-  CsrMatrix f = m.FilterColumns(keep);
-  EXPECT_EQ(f.num_rows(), 3u);
-  EXPECT_EQ(f.num_nonzeros(), 3u);  // Drops (1, 2.0).
-  EXPECT_EQ(f.RowLength(2), 1u);
-  EXPECT_EQ(f.RowFeatures(2)[0], 2u);
-}
-
 TEST(CscMatrixTest, ToCsrInverts) {
   CsrMatrix m = MakeSmall();
   CsrMatrix round = m.ToCsc().ToCsr();
