@@ -13,7 +13,9 @@
 # which compile out under NDEBUG, run too. obs_test and anatomy_test drive
 # the driver's attempt loop and its end-of-run report and counters.
 # libsvm_test runs the LIBSVM parser and Dataset::Validate, the input
-# boundary that rejects malformed and non-canonical rows.
+# boundary that rejects malformed and non-canonical rows. threading_test
+# and hist_builder_test drive the shared ParallelFor pool, whose helper
+# threads read per-call state that lives on the calling thread's stack.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -25,7 +27,7 @@ TESTS=(
   checkpoint_rotation_test delta_checkpoint_test integrity_test
   straggler_mitigation_test codec_test communicator_test
   communicator_stress_test serve_test dist_trainer_test obs_test
-  anatomy_test libsvm_test
+  anatomy_test libsvm_test threading_test hist_builder_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

@@ -5,7 +5,7 @@ and input rows it must not train on.
   check_train_cli.py --cli PATH/TO/vero_train_cli
 
 Writes a 200-row binary LIBSVM file into a temp dir, then runs the CLI on
-five cases and checks each exit code and message:
+six cases and checks each exit code and message:
 
   --trees 0 --quadrant qd1          exit 1, "training failed: InvalidArgument:
                                     num_trees == 0" (a status, not an abort)
@@ -21,6 +21,10 @@ five cases and checks each exit code and message:
                                     (rows must list feature ids strictly
                                     increasing; shuffled rows are rejected,
                                     not trained on)
+  --task multiclass on a file with label 1000000000
+                                    exit 1, "failed to load data: Corruption:
+                                    label 1000000000 at line 4" (labels are
+                                    bounded, not sized into a billion classes)
 
 Registered as the check_train_cli ctest. Exits non-zero on the first
 mismatch.
@@ -96,6 +100,13 @@ def main():
                  ["--trees", "3", "--quadrant", "qd2"], 1,
                  "failed to load data: Corruption: feature ids not strictly "
                  "increasing")
+        huge_label = os.path.join(tmp, "huge_label.libsvm")
+        with open(huge_label, "w") as f:
+            f.write("0 1:0.5\n1 2:0.3\n2 1:0.1\n1000000000 2:0.2\n")
+        run_case(args.cli,
+                 ["--data", huge_label, "--task", "multiclass", "--trees", "2"],
+                 1, "failed to load data: Corruption: label 1000000000 at "
+                 "line 4")
     print("check_train_cli: all cases passed")
 
 

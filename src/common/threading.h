@@ -4,11 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace vero {
 
@@ -104,37 +102,16 @@ class Barrier {
   std::condition_variable cv_;
 };
 
-/// Minimal fixed-size thread pool (used by tests and data generation; the
-/// cluster substrate manages its own worker threads).
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task for asynchronous execution.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
-  size_t num_threads() const { return threads_.size(); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> threads_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-};
-
-/// Runs fn(i) for i in [0, n) across up to `num_threads` threads and joins.
+/// Runs fn(i) for every i in [0, n) on up to `num_threads` threads and
+/// returns when all calls have finished. The caller runs as worker 0; the
+/// others are helpers from one persistent, process-wide pool that
+/// concurrent and nested calls share, so no thread is spawned per call.
+/// Indices are claimed dynamically: each fn(i) must write a disjoint output
+/// for the result to be schedule-independent. Idle helpers block, never
+/// spin; the pool grows lazily to max(hardware_concurrency, largest
+/// num_threads requested) - 1 helpers. num_threads <= 1 is the plain serial
+/// loop and never touches the pool. On the parallel path a throwing fn
+/// terminates the process.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -4,13 +4,6 @@
 
 namespace vero {
 
-ThreadPool* HistogramBuilder::EnsurePool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_ - 1);
-  }
-  return pool_.get();
-}
-
 void HistogramBuilder::BuildColumnStoreSweep(
     const BinnedColumnStore& store, const GradientBuffer& grads,
     const InstanceToNode& node_of, std::span<Histogram* const> hist_of_node) {

@@ -2,10 +2,8 @@
 #define VERO_CORE_HIST_BUILDER_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -97,9 +95,10 @@ class HistogramBuilder {
 
  private:
   /// Runs fn(b) for b in [0, num_blocks) on min(num_threads, num_blocks)
-  /// threads. Blocks are claimed dynamically — legal because every block
-  /// writes a disjoint set of histogram cells, so the schedule cannot change
-  /// the result. Records last_build_seconds / last_threads_used.
+  /// threads of the shared ParallelFor pool. Blocks are claimed dynamically
+  /// — legal because every block writes a disjoint set of histogram cells,
+  /// so the schedule cannot change the result. One thread is the plain loop.
+  /// Records last_build_seconds / last_threads_used.
   template <typename Fn>
   void RunBlocks(size_t num_blocks, const Fn& fn) {
     WallTimer timer;
@@ -109,33 +108,13 @@ class HistogramBuilder {
     if (threads == 1) {
       for (size_t b = 0; b < num_blocks; ++b) fn(b);
     } else {
-      std::atomic<size_t> next{0};
-      ThreadPool* pool = EnsurePool();
-      for (size_t t = 1; t < threads; ++t) {
-        pool->Submit([&next, num_blocks, &fn] {
-          for (;;) {
-            const size_t b = next.fetch_add(1, std::memory_order_relaxed);
-            if (b >= num_blocks) return;
-            fn(b);
-          }
-        });
-      }
-      // The calling thread is worker 0.
-      for (;;) {
-        const size_t b = next.fetch_add(1, std::memory_order_relaxed);
-        if (b >= num_blocks) break;
-        fn(b);
-      }
-      pool->Wait();
+      ParallelFor(num_blocks, threads, fn);
     }
     timer.Stop();
     last_build_seconds_ = timer.Seconds();
   }
 
-  ThreadPool* EnsurePool();
-
   uint32_t num_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // Lazily created, num_threads - 1 workers.
   double last_build_seconds_ = 0.0;
   uint32_t last_threads_used_ = 1;
 };

@@ -41,7 +41,7 @@ void SquareLoss::ComputeGradients(const std::vector<float>& labels,
                                   uint32_t begin, uint32_t end,
                                   GradientBuffer* out) const {
   for (uint32_t i = begin; i < end; ++i) {
-    GradPair& gp = out->at(i - begin, 0);
+    GradPair& gp = out->at(i, 0);
     gp.g = margins[i] - labels[i];
     gp.h = 1.0;
   }
@@ -64,7 +64,7 @@ void LogisticLoss::ComputeGradients(const std::vector<float>& labels,
                                     GradientBuffer* out) const {
   for (uint32_t i = begin; i < end; ++i) {
     const double p = Sigmoid(margins[i]);
-    GradPair& gp = out->at(i - begin, 0);
+    GradPair& gp = out->at(i, 0);
     gp.g = p - labels[i];
     gp.h = std::max(p * (1.0 - p), kMinHessian);
   }
@@ -97,7 +97,7 @@ void SoftmaxLoss::ComputeGradients(const std::vector<float>& labels,
     const uint32_t y = static_cast<uint32_t>(labels[i]);
     VERO_DCHECK_LT(y, c);
     for (uint32_t k = 0; k < c; ++k) {
-      GradPair& gp = out->at(i - begin, k);
+      GradPair& gp = out->at(i, k);
       gp.g = p[k] - (k == y ? 1.0 : 0.0);
       gp.h = std::max(2.0 * p[k] * (1.0 - p[k]), kMinHessian);
     }
@@ -139,24 +139,11 @@ void ComputeGradientsParallel(const Loss& loss,
                               const std::vector<float>& labels,
                               const std::vector<double>& margins, uint32_t n,
                               uint32_t num_threads, GradientBuffer* out) {
-  const uint32_t chunks = std::min(num_threads, n);
-  if (chunks <= 1) {
-    loss.ComputeGradients(labels, margins, 0, n, out);
-    return;
-  }
+  const uint32_t chunks = std::min(std::max(num_threads, 1u), n);
   ParallelFor(chunks, chunks, [&](size_t c) {
     const auto begin = static_cast<uint32_t>(uint64_t{n} * c / chunks);
     const auto end = static_cast<uint32_t>(uint64_t{n} * (c + 1) / chunks);
-    // ComputeGradients writes rows relative to `begin`; stage each chunk in
-    // its own buffer and copy into place (bit-exact — plain assignment).
-    const uint32_t dims = out->num_dims();
-    GradientBuffer chunk(end - begin, dims);
-    loss.ComputeGradients(labels, margins, begin, end, &chunk);
-    for (uint32_t i = begin; i < end; ++i) {
-      for (uint32_t k = 0; k < dims; ++k) {
-        out->at(i, k) = chunk.at(i - begin, k);
-      }
-    }
+    loss.ComputeGradients(labels, margins, begin, end, out);
   });
 }
 

@@ -24,8 +24,8 @@ class Loss {
   /// Gradient dimension C (1 except multi-class).
   virtual uint32_t num_dims() const = 0;
 
-  /// Fills grad pairs for instance range [begin, end).
-  /// `margins` is the flat N x C margin buffer.
+  /// Fills grad pairs for instance range [begin, end) into the same rows of
+  /// `out`. `margins` is the flat N x C margin buffer.
   virtual void ComputeGradients(const std::vector<float>& labels,
                                 const std::vector<double>& margins,
                                 uint32_t begin, uint32_t end,
@@ -89,9 +89,10 @@ class SoftmaxLoss final : public Loss {
 std::unique_ptr<Loss> MakeLossForTask(Task task, uint32_t num_classes);
 
 /// Fills gradients for instances [0, n) fanning disjoint row ranges across
-/// up to `num_threads` threads. Each instance's pair is a pure function of
-/// its own (label, margin), so the result is identical to the serial call;
-/// num_threads <= 1 IS the serial call.
+/// up to `num_threads` threads; each range writes its rows of `out` in
+/// place. Each instance's pair is a pure function of its own (label,
+/// margin), so the result is identical to the serial call; num_threads <= 1
+/// IS the serial call.
 void ComputeGradientsParallel(const Loss& loss,
                               const std::vector<float>& labels,
                               const std::vector<double>& margins, uint32_t n,

@@ -62,6 +62,13 @@ StatusOr<Dataset> ParseLibsvm(const std::string& content,
     if (lec != std::errc() || lp != tok_end) {
       return Status::Corruption("bad label at line " + std::to_string(line_no));
     }
+    // Also rejects NaN; keeps the class-count cast below defined.
+    if (options.task == Task::kMultiClass && !(label < kMaxLibsvmClasses)) {
+      return Status::Corruption(
+          "label " + std::string(p, tok_end) + " at line " +
+          std::to_string(line_no) + " is not below the class limit " +
+          std::to_string(kMaxLibsvmClasses));
+    }
     if (options.task == Task::kBinary && options.map_negative_labels &&
         label < 0) {
       label = 0.0f;
@@ -90,6 +97,12 @@ StatusOr<Dataset> ParseLibsvm(const std::string& content,
                                     std::to_string(line_no));
         }
         feature -= 1;
+      }
+      if (feature >= kMaxLibsvmFeatures) {
+        return Status::Corruption(
+            "entry " + std::string(p, tok_end) + " at line " +
+            std::to_string(line_no) + " is not below the feature limit " +
+            std::to_string(kMaxLibsvmFeatures));
       }
       matrix.PushEntry(feature, value);
       max_feature = std::max(max_feature, feature);

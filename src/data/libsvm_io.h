@@ -1,12 +1,25 @@
 #ifndef VERO_DATA_LIBSVM_IO_H_
 #define VERO_DATA_LIBSVM_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
 #include "data/dataset.h"
 
 namespace vero {
+
+/// Bounds on the shape a LIBSVM file may imply. Per-feature and per-class
+/// tables are sized from the largest index and multi-class label, so one
+/// stray value (index 4294967295, label 1e9) would size them for billions of
+/// entries; such entries are rejected as Corruption naming the line. Both
+/// bounds sit above every profile in data/synthetic.cc (at most 330k
+/// features at paper scale, 100 classes).
+///
+/// Feature indices, after the 1-based shift, must be below this.
+inline constexpr uint32_t kMaxLibsvmFeatures = 1u << 20;
+/// Multi-class labels must be below this.
+inline constexpr uint32_t kMaxLibsvmClasses = 1u << 10;
 
 /// Options for reading LIBSVM-format text files
 /// (`<label> <feature>:<value> ...` per line, 1-based or 0-based indices).

@@ -100,6 +100,21 @@ IntegrityAuditor::PairEvidence IntegrityAuditor::PayloadEvidence(
   return evidence;
 }
 
+void IntegrityAuditor::PushGatherPairwise(
+    const char* what, std::span<const uint8_t> mine,
+    const std::vector<std::vector<uint8_t>>& gathered, int root) {
+  const int w = ctx_.world_size();
+  std::vector<uint64_t> sent(w, kAuditSkip);
+  std::vector<uint64_t> recv(w, kAuditSkip);
+  sent[root] = AuditDigestBytes(mine.data(), mine.size());
+  if (ctx_.rank() == root) {
+    for (int r = 0; r < w; ++r) {
+      recv[r] = AuditDigestBytes(gathered[r].data(), gathered[r].size());
+    }
+  }
+  PushPairwise(what, sent, recv, /*exact=*/true);
+}
+
 void IntegrityAuditor::RecordViolation(const Slot& slot, const char* point,
                                        int blamed, AuditVerdict* verdict) {
   ++stats_.violations;

@@ -141,6 +141,14 @@ class IntegrityAuditor {
       const std::vector<std::vector<uint8_t>>& payloads,
       const CodecSpec& codec = {}, std::span<const uint8_t> present = {}) const;
 
+  /// Pushes exact pairwise evidence for an asymmetric Gather to `root`:
+  /// every rank attests the digest of what it sent (`mine`); only the root
+  /// has receive-side evidence, the digests of `gathered`. All other pairs
+  /// carry kAuditSkip.
+  void PushGatherPairwise(const char* what, std::span<const uint8_t> mine,
+                          const std::vector<std::vector<uint8_t>>& gathered,
+                          int root);
+
   /// Rendezvous: gathers every rank's pending packet, evaluates all slots
   /// identically on all ranks, clears the packet, and returns the verdict
   /// for the first violated slot (all violations are counted). `point`

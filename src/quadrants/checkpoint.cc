@@ -154,17 +154,6 @@ Status DeserializeDeltaCheckpoint(const std::vector<uint8_t>& data,
   return Status::OK();
 }
 
-Status SaveCheckpoint(const TrainCheckpoint& checkpoint,
-                      const std::string& path) {
-  const std::vector<uint8_t> data = SerializeCheckpoint(checkpoint);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  if (!out.good()) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
 StatusOr<TrainCheckpoint> LoadCheckpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);

@@ -47,9 +47,8 @@ std::vector<uint8_t> SerializeCheckpoint(const TrainCheckpoint& checkpoint);
 Status DeserializeCheckpoint(const std::vector<uint8_t>& data,
                              TrainCheckpoint* out);
 
-/// File convenience wrappers.
-Status SaveCheckpoint(const TrainCheckpoint& checkpoint,
-                      const std::string& path);
+/// Reads and parses one checkpoint file (LoadLatestCheckpoint reads the
+/// `latest.vckp` alias through it).
 StatusOr<TrainCheckpoint> LoadCheckpoint(const std::string& path);
 
 // ---------------------------------------------------------------------------

@@ -36,21 +36,8 @@ std::vector<SplitCandidate> VerticalTrainerBase::FindLayerSplits(
   std::vector<std::vector<uint8_t>> gathered;
   VERO_COMM_OK(ctx_.Gather(mine, /*root=*/0, &gathered));
   if (auditor_.enabled()) {
-    // Pairwise evidence for the asymmetric gather: every rank attests
-    // what it sent to the master; only the master has receive-side
-    // evidence (all other pairs carry the skip sentinel).
-    const int w = ctx_.world_size();
-    std::vector<uint64_t> sent_digest(w, kAuditSkip);
-    std::vector<uint64_t> recv_digest(w, kAuditSkip);
-    sent_digest[0] = AuditDigestBytes(mine.data(), mine.size());
-    if (ctx_.rank() == 0) {
-      for (int r = 0; r < w; ++r) {
-        recv_digest[r] =
-            AuditDigestBytes(gathered[r].data(), gathered[r].size());
-      }
-    }
-    auditor_.PushPairwise("vertical-gather", sent_digest, recv_digest,
-                          /*exact=*/true);
+    auditor_.PushGatherPairwise("vertical-gather", mine, gathered,
+                                /*root=*/0);
   }
   std::vector<uint8_t> decision;
   if (ctx_.rank() == 0) {

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/metrics.h"
+#include "core/model_io.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 
@@ -145,6 +146,28 @@ TEST(QuadrantEquivalenceTest, Qd3IndexPoliciesAgree) {
   }
   ExpectSameStructure(models[0], models[1], "linear-vs-binary");
   ExpectSameStructure(models[1], models[2], "binary-vs-mixed");
+}
+
+// The cluster's W workers share the one ParallelFor pool. Every quadrant
+// must grow the bit-identical forest at 1 and 3 threads per worker, for
+// binary and multi-class gradients.
+TEST(QuadrantEquivalenceTest, ThreadCountLeavesEveryQuadrantsModelUnchanged) {
+  for (const uint32_t classes : {2u, 3u}) {
+    const Dataset data = MakeData(900, 24, classes, 97);
+    for (Quadrant q : {Quadrant::kQD1, Quadrant::kQD2, Quadrant::kQD3,
+                       Quadrant::kQD4, Quadrant::kFeatureParallel}) {
+      std::string text[2];
+      for (int i = 0; i < 2; ++i) {
+        DistTrainOptions options = SmallOptions(4, 5);
+        options.params.num_threads = i == 0 ? 1 : 3;
+        Cluster cluster(3);
+        text[i] =
+            ModelToText(TrainDistributed(cluster, data, q, options).model);
+      }
+      EXPECT_EQ(text[0], text[1])
+          << QuadrantToString(q) << " classes=" << classes;
+    }
+  }
 }
 
 TEST(DistTrainTest, WorkerCountDoesNotBreakLearning) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -110,7 +111,13 @@ TEST(CheckpointTest, FileRoundTripAndMissingFile) {
   TrainCheckpoint ck;
   ck.trees_done = 1;
   ck.model = MakeTinyModel();
-  ASSERT_TRUE(SaveCheckpoint(ck, path).ok());
+  {
+    const std::vector<uint8_t> bytes = SerializeCheckpoint(ck);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
   const auto loaded = LoadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->trees_done, 1u);

@@ -89,6 +89,60 @@ TEST(LibsvmTest, RejectsDuplicateFeatureIds) {
       << d.status().ToString();
 }
 
+// A huge multi-class label would size per-class tables for a billion
+// classes; labels >= 2^32, inf and nan would make the class-count cast
+// undefined. Each is rejected naming its line.
+TEST(LibsvmTest, RejectsLabelsAtOrAboveClassLimit) {
+  LibsvmReadOptions options;
+  options.task = Task::kMultiClass;
+  for (const std::string& label :
+       {std::string("1000000000"), std::string("4294967296"),
+        std::string("inf"), std::string("nan"),
+        std::to_string(kMaxLibsvmClasses)}) {
+    auto d = ParseLibsvm("0 1:1\n1 1:2\n2 1:3\n" + label + " 1:4\n", options);
+    ASSERT_EQ(d.status().code(), StatusCode::kCorruption) << label;
+    EXPECT_NE(d.status().message().find("label " + label + " at line 4"),
+              std::string::npos)
+        << d.status().ToString();
+  }
+  auto d = ParseLibsvm(
+      "0 1:1\n" + std::to_string(kMaxLibsvmClasses - 1) + " 1:2\n", options);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->num_classes(), kMaxLibsvmClasses);
+}
+
+// Index 4294967295 would size per-feature tables for 2^32 features in a
+// 1-based file and wrap max index + 1 to 0 in a 0-based one.
+TEST(LibsvmTest, RejectsFeatureIndicesAtOrAboveFeatureLimit) {
+  for (const bool one_based : {true, false}) {
+    LibsvmReadOptions options;
+    options.one_based_indices = one_based;
+    auto d = ParseLibsvm("0 1:0.5\n1 2:1 4294967295:1\n", options);
+    ASSERT_EQ(d.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(d.status().message().find("entry 4294967295:1 at line 2"),
+              std::string::npos)
+        << d.status().ToString();
+    // The largest index below the limit is accepted and sets the width.
+    const uint32_t top = kMaxLibsvmFeatures - (one_based ? 0 : 1);
+    d = ParseLibsvm("1 " + std::to_string(top) + ":1\n", options);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_EQ(d->num_features(), kMaxLibsvmFeatures);
+    d = ParseLibsvm("1 " + std::to_string(top + 1) + ":1\n", options);
+    EXPECT_EQ(d.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// The limits admit every dataset the repo models, at paper scale.
+TEST(LibsvmTest, LimitsAdmitEveryDatasetProfile) {
+  for (const auto* profiles :
+       {&PublicDatasetProfiles(), &IndustrialDatasetProfiles()}) {
+    for (const DatasetProfile& p : *profiles) {
+      EXPECT_LE(p.paper_features, kMaxLibsvmFeatures) << p.name;
+      EXPECT_LE(p.num_classes, kMaxLibsvmClasses) << p.name;
+    }
+  }
+}
+
 TEST(LibsvmTest, HandlesCarriageReturns) {
   auto d = ParseLibsvm("1 1:1.0\r\n0 2:2.0\r\n", LibsvmReadOptions{});
   ASSERT_TRUE(d.ok()) << d.status().ToString();
