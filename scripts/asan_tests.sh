@@ -16,6 +16,9 @@
 # boundary that rejects malformed and non-canonical rows. threading_test
 # and hist_builder_test drive the shared ParallelFor pool, whose helper
 # threads read per-call state that lives on the calling thread's stack.
+# edge_cases_test runs QD2 with more workers than features: peers read each
+# other's pool histograms in place during the layer exchange (AllToAllSum),
+# and some ranks own an empty feature slice.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -27,7 +30,7 @@ TESTS=(
   checkpoint_rotation_test delta_checkpoint_test integrity_test
   straggler_mitigation_test codec_test communicator_test
   communicator_stress_test serve_test dist_trainer_test obs_test
-  anatomy_test libsvm_test threading_test hist_builder_test
+  anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

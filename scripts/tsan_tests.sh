@@ -3,7 +3,9 @@
 # the cluster / communicator / fault-tolerance test binaries. Races in the
 # simulated cluster substrate (barrier, collectives, fault injection,
 # recovery orchestration) show up here long before they corrupt an
-# experiment.
+# experiment. edge_cases_test runs QD2 with more workers than features,
+# where a rank with an empty feature slice still has its pool histograms
+# read in place by its peers during the layer exchange.
 #
 #   scripts/tsan_tests.sh [build-dir]
 set -euo pipefail
@@ -15,7 +17,7 @@ TESTS=(
   elastic_recovery_test elasticity_test checkpoint_rotation_test
   delta_checkpoint_test straggler_mitigation_test integrity_test
   codec_test threading_test hist_builder_test dist_trainer_test obs_test
-  anatomy_test serve_test
+  anatomy_test serve_test edge_cases_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -362,16 +362,4 @@ Status CodecFrameRawSize(std::span<const uint8_t> frame, uint64_t* raw_bytes) {
   return Status::OK();
 }
 
-std::vector<uint8_t> CodecRoundTripBytes(std::span<const uint8_t> payload,
-                                         const CodecSpec& spec) {
-  if (!spec.enabled()) {
-    return std::vector<uint8_t>(payload.begin(), payload.end());
-  }
-  std::vector<uint8_t> frame;
-  CodecEncodeBytes(payload, spec, &frame);
-  std::vector<uint8_t> decoded;
-  VERO_CHECK_OK(CodecDecodeBytes(frame, &decoded));
-  return decoded;
-}
-
 }  // namespace vero

@@ -10,8 +10,8 @@
 namespace vero {
 
 /// Histogram-payload compression applied underneath the collectives (the
-/// codec layer of WorkerContext::AllReduceSum / AllGather / AllToAll, set
-/// via CollectiveOptions::codec). `kOff` skips the layer and stays
+/// codec layer of WorkerContext::AllReduceSum / AllGather / AllToAll /
+/// AllToAllSum, set via CollectiveOptions::codec). `kOff` skips the layer and stays
 /// bit-identical to seed; the two sparse modes are lossless (raw f64 bit patterns are preserved,
 /// including -0.0, denormals, and NaN payloads); `kQuantized` trades a
 /// documented per-block error bound for 16-bit values on the wire. See
@@ -80,8 +80,9 @@ void CodecEncode(std::span<const double> values, const CodecSpec& spec,
 /// corrupted frame never decodes to plausible data silently.
 Status CodecDecode(std::span<const uint8_t> frame, std::vector<double>* values);
 
-/// Byte-payload wrappers for collectives that ship packed-double buffers
-/// (QD2's histogram exchange). payload.size() must be a multiple of 8.
+/// Byte-payload wrappers for the byte collectives (AllGather, AllToAll)
+/// when they ship packed-double buffers. payload.size() must be a multiple
+/// of 8.
 void CodecEncodeBytes(std::span<const uint8_t> payload, const CodecSpec& spec,
                       std::vector<uint8_t>* frame, CodecStats* stats = nullptr);
 Status CodecDecodeBytes(std::span<const uint8_t> frame,
@@ -91,12 +92,6 @@ Status CodecDecodeBytes(std::span<const uint8_t> frame,
 /// without validating or decoding the body. Used to account the raw-byte
 /// equivalent of frames whose payload is dropped (deferred ranks).
 Status CodecFrameRawSize(std::span<const uint8_t> frame, uint64_t* raw_bytes);
-
-/// decode(encode(payload)) under `spec` — what a receiver reconstructs.
-/// Senders computing integrity digests over lossy payloads must digest the
-/// round-tripped bytes so that sender and receiver hash identical data.
-std::vector<uint8_t> CodecRoundTripBytes(std::span<const uint8_t> payload,
-                                         const CodecSpec& spec);
 
 }  // namespace vero
 

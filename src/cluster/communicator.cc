@@ -333,6 +333,23 @@ uint64_t NextRand(uint64_t* state) {
   return x;
 }
 
+/// Where a fired kSilentCorrupt decision lands among received buffers of
+/// the given (nonzero) byte sizes: the buffer's index and the offset of the
+/// byte whose top bit flips. The byte is the high byte of a word: for
+/// payloads of packed little-endian doubles that is a sign bit, giving a
+/// deterministic large-magnitude change that end-to-end checksums must
+/// catch.
+std::pair<size_t, size_t> PickCorruptByte(const FaultDecision& decision,
+                                          std::span<const size_t> sizes) {
+  uint64_t state =
+      decision.corrupt_seed ? decision.corrupt_seed : 0x9e3779b97f4a7c15ull;
+  const size_t which = NextRand(&state) % sizes.size();
+  const size_t size = sizes[which];
+  const size_t offset = size >= 8 ? (NextRand(&state) % (size / 8)) * 8 + 7
+                                  : NextRand(&state) % size;
+  return {which, offset};
+}
+
 }  // namespace
 
 void WorkerContext::MaybeSilentCorrupt(const FaultDecision& decision,
@@ -354,24 +371,17 @@ void WorkerContext::MaybeSilentCorrupt(
     const FaultDecision& decision,
     const std::vector<std::vector<uint8_t>*>& received) {
   if (!decision.silent_corrupt) return;
-  uint64_t state =
-      decision.corrupt_seed ? decision.corrupt_seed : 0x9e3779b97f4a7c15ull;
   std::vector<std::vector<uint8_t>*> candidates;
+  std::vector<size_t> sizes;
   for (auto* buf : received) {
-    if (buf != nullptr && !buf->empty()) candidates.push_back(buf);
+    if (buf != nullptr && !buf->empty()) {
+      candidates.push_back(buf);
+      sizes.push_back(buf->size());
+    }
   }
   if (candidates.empty()) return;
-  std::vector<uint8_t>& buf = *candidates[NextRand(&state) % candidates.size()];
-  // Target the top bit of a word-aligned high byte: for payloads of packed
-  // little-endian doubles that is a sign bit, giving a deterministic
-  // large-magnitude change that end-to-end checksums must catch.
-  size_t offset;
-  if (buf.size() >= 8) {
-    offset = (NextRand(&state) % (buf.size() / 8)) * 8 + 7;
-  } else {
-    offset = NextRand(&state) % buf.size();
-  }
-  buf[offset] ^= 0x80;
+  const auto [which, offset] = PickCorruptByte(decision, sizes);
+  (*candidates[which])[offset] ^= 0x80;
 }
 
 bool WorkerContext::AuditExchange(const std::vector<uint64_t>& mine,
@@ -576,9 +586,30 @@ void ResetOutcome(MitigationOutcome* outcome, int w) {
   outcome->contributed.assign(w, 1);
 }
 
+/// Sums out[j] = 0.0 + srcs[0][j] + ... + srcs[W-1][j] for j in
+/// [begin, end), skipping null sources, in blocks that are read from every
+/// source before they are written, so `out` may alias a source. The one
+/// rank-order accumulation loop of the summing collectives: lossless
+/// codecs give bit-identical sums because every element adds the
+/// contributors in this order.
+void SumInRankOrder(std::span<const double* const> srcs, size_t begin,
+                    size_t end, double* out) {
+  constexpr size_t kBlock = 256;
+  double acc[kBlock];
+  for (size_t b = begin; b < end; b += kBlock) {
+    const size_t len = std::min(kBlock, end - b);
+    std::fill_n(acc, len, 0.0);
+    for (const double* src : srcs) {
+      if (src == nullptr) continue;
+      for (size_t i = 0; i < len; ++i) acc[i] += src[b + i];
+    }
+    std::copy_n(acc, len, out + b);
+  }
+}
+
 }  // namespace
 
-// The three layered collectives share one spine: Prepare -> publish ->
+// The four layered collectives share one spine: Prepare -> publish ->
 // rendezvous -> transfer -> Charge -> ApplyFaults (via FinishMitigated).
 // The codec layer encodes before publishing, decodes on arrival and calls
 // RecordCodec; the mitigation layer publishes a delay slot, plans who is
@@ -638,24 +669,17 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   // Reduce-scatter: this rank sums its slice over the contributors in rank
   // order 0..W-1 starting from 0.0 — the per-element order of a single
   // serial reducer, so lossless codecs give bit-identical sums — and writes
-  // it back into its own published buffer. Each block is read from every
-  // source before it is written.
-  constexpr size_t kBlock = 256;
-  double acc[kBlock];
-  for (size_t b = SliceBegin(n, rank_), e = SliceEnd(n, rank_); b < e;
-       b += kBlock) {
-    const size_t len = std::min(kBlock, e - b);
-    std::fill_n(acc, len, 0.0);
-    for (int r = 0; r < w; ++r) {
-      if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
-        continue;
-      }
-      const double* src =
-          static_cast<const double*>(cluster_->mutable_ptrs_[r]) + b;
-      for (size_t i = 0; i < len; ++i) acc[i] += src[i];
-    }
-    std::copy_n(acc, len, published + b);
+  // it back into its own published buffer.
+  sum_.sources.resize(w);
+  for (int r = 0; r < w; ++r) {
+    const bool deferred =
+        mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
+    sum_.sources[r] =
+        deferred ? nullptr
+                 : static_cast<const double*>(cluster_->mutable_ptrs_[r]);
   }
+  SumInRankOrder(sum_.sources, SliceBegin(n, rank_), SliceEnd(n, rank_),
+                 published);
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
 
   // All-gather: copy every other owner's reduced slice out of its buffer
@@ -924,6 +948,189 @@ Status WorkerContext::AllToAll(std::vector<std::vector<uint8_t>> to_each,
   if (coded) {
     RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent,
                 received, cstats);
+  }
+  return FinishMitigated(CollectiveOp::kAllToAll, opts.mitigation, decision,
+                         call, extra_sent, 0, sent, received, deferred_mass);
+}
+
+Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
+                                  size_t units, size_t unit_len,
+                                  std::span<double* const> out,
+                                  const CollectiveOptions& opts,
+                                  MitigationOutcome* outcome,
+                                  const SliceVisitor* visit) {
+  const int w = world_size();
+  ResetOutcome(outcome, w);
+  FaultDecision decision;
+  VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
+  const size_t nodes = mine.size();
+  VERO_CHECK_EQ(out.size(), nodes);
+  // Doubles of one node's share bound for rank g, and where they start.
+  const auto share_begin = [&](int g) {
+    return SliceBegin(units, g) * unit_len;
+  };
+  const auto share_len = [&](int g) {
+    return (SliceEnd(units, g) - SliceBegin(units, g)) * unit_len;
+  };
+  const size_t my_begin = share_begin(rank_);
+  const size_t my_len = share_len(rank_);
+  if (w == 1) {
+    for (size_t i = 0; i < nodes; ++i) {
+      SumInRankOrder({&mine[i], 1}, 0, my_len, out[i]);
+    }
+    return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
+  }
+  const bool mitigated = opts.mitigation.enabled();
+  const bool coded = opts.codec.enabled();
+  CodecStats cstats;
+  if (coded) {
+    // One frame per destination, self included, over the packed share:
+    // byte for byte the frames the AllToAll of the packed slices sends.
+    sum_.frames.resize(w);
+    for (int g = 0; g < w; ++g) {
+      const size_t b = share_begin(g), len = share_len(g);
+      sum_.staging.resize(nodes * len);
+      for (size_t i = 0; i < nodes; ++i) {
+        std::copy_n(mine[i] + b, len, sum_.staging.data() + i * len);
+      }
+      CodecEncode(sum_.staging, opts.codec, &sum_.frames[g], &cstats);
+    }
+    cluster_->ptrs_[rank_] = &sum_.frames;
+  } else {
+    cluster_->ptrs_[rank_] = &mine;
+  }
+  cluster_->sizes_[rank_] = nodes;
+  bool serial = false;
+  MitigatedCall call;
+  if (mitigated) {
+    cluster_->delay_slots_[rank_] = decision.delay_seconds;
+    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+    if (serial) cluster_->PlanMitigation(opts.mitigation);
+  }
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  for (int r = 0; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], nodes);
+  if (mitigated) call = ReadMitigationPlan(outcome);
+  const auto deferred = [&](int r) {
+    return mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
+  };
+  using Frames = std::vector<std::vector<uint8_t>>;
+  const auto frames_of = [&](int r) -> const Frames& {
+    return *static_cast<const Frames*>(cluster_->ptrs_[r]);
+  };
+
+  // sources[i * W + r]: contributor r's share of node i, read in place from
+  // its buffer or from its decoded frame. A deferred rank's shares are
+  // dropped everywhere, self-share included, so every rank skips the same
+  // contributors.
+  const uint64_t share_bytes = nodes * my_len * sizeof(double);
+  uint64_t received = 0;
+  sum_.sources.assign(nodes * w, nullptr);
+  sum_.copies.resize(w);
+  for (int r = 0; r < w; ++r) {
+    if (r != rank_) {
+      received += coded ? frames_of(r)[rank_].size() : share_bytes;
+    }
+    if (deferred(r)) continue;
+    if (coded) {
+      std::vector<double>& copy = sum_.copies[r];
+      VERO_CHECK_OK(CodecDecode(frames_of(r)[rank_], &copy));
+      VERO_CHECK_EQ(copy.size(), nodes * my_len);
+      for (size_t i = 0; i < nodes; ++i) {
+        sum_.sources[i * w + r] = copy.data() + i * my_len;
+      }
+    } else {
+      const auto& theirs =
+          *static_cast<const std::span<const double* const>*>(
+              cluster_->ptrs_[r]);
+      for (size_t i = 0; i < nodes; ++i) {
+        sum_.sources[i * w + r] = theirs[i] + my_begin;
+      }
+    }
+  }
+  // Silent corruption flips the byte MaybeSilentCorrupt would flip in the
+  // received byte buffers, in a copy of the chosen contributor's share.
+  if (decision.silent_corrupt && share_bytes > 0) {
+    std::vector<int> remote;
+    for (int r = 0; r < w; ++r) {
+      if (r != rank_ && !deferred(r)) remote.push_back(r);
+    }
+    if (!remote.empty()) {
+      const std::vector<size_t> sizes(remote.size(), share_bytes);
+      const auto [which, offset] = PickCorruptByte(decision, sizes);
+      const int r = remote[which];
+      std::vector<double>& copy = sum_.copies[r];
+      if (!coded) {
+        copy.resize(nodes * my_len);
+        for (size_t i = 0; i < nodes; ++i) {
+          std::copy_n(sum_.sources[i * w + r], my_len,
+                      copy.data() + i * my_len);
+          sum_.sources[i * w + r] = copy.data() + i * my_len;
+        }
+      }
+      reinterpret_cast<uint8_t*>(copy.data())[offset] ^= 0x80;
+    }
+  }
+  if (visit != nullptr) {
+    sum_.parts.resize(nodes);
+    for (int g = 0; g < w; ++g) {
+      if (g == rank_) continue;
+      const size_t len = share_len(g);
+      if (coded) {
+        // What rank g reconstructs, lossy codecs included.
+        VERO_CHECK_OK(CodecDecode(sum_.frames[g], &sum_.staging));
+        for (size_t i = 0; i < nodes; ++i) {
+          sum_.parts[i] = sum_.staging.data() + i * len;
+        }
+      } else {
+        for (size_t i = 0; i < nodes; ++i) {
+          sum_.parts[i] = mine[i] + share_begin(g);
+        }
+      }
+      (*visit)(/*sent=*/true, g, sum_.parts, len);
+    }
+    for (int r = 0; r < w; ++r) {
+      if (r == rank_ || deferred(r)) continue;
+      for (size_t i = 0; i < nodes; ++i) {
+        sum_.parts[i] = sum_.sources[i * w + r];
+      }
+      (*visit)(/*sent=*/false, r, sum_.parts, my_len);
+    }
+  }
+  for (size_t i = 0; i < nodes; ++i) {
+    SumInRankOrder({sum_.sources.data() + i * w, static_cast<size_t>(w)}, 0,
+                   my_len, out[i]);
+  }
+
+  uint64_t sent = 0, raw_sent = 0;
+  for (int g = 0; g < w; ++g) {
+    if (g == rank_) continue;
+    const uint64_t raw = nodes * share_len(g) * sizeof(double);
+    raw_sent += raw;
+    sent += coded ? sum_.frames[g].size() : raw;
+  }
+  // The dropped contribution: this rank's (g, h) values, as AllReduceSum
+  // records it.
+  double deferred_mass = 0.0;
+  if (call.my == RankClass::kDeferred) {
+    for (const double* node : mine) {
+      for (size_t j = 0; j < units * unit_len; ++j) deferred_mass += node[j];
+    }
+  }
+  uint64_t extra_sent = 0;
+  if (call.serving_for >= 0) {
+    for (int g = 0; g < w; ++g) {
+      if (g == call.serving_for) continue;
+      extra_sent += coded ? frames_of(call.serving_for)[g].size()
+                          : nodes * share_len(g) * sizeof(double);
+    }
+  }
+  if (coded) DebugCheckCodecSymmetry(sent, received);
+  // Peers stop reading this rank's buffers and frames here.
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  Charge(CollectiveOp::kAllToAll, sent, received);
+  if (coded) {
+    RecordCodec(CollectiveOp::kAllToAll, raw_sent, (w - 1) * share_bytes,
+                sent, received, cstats);
   }
   return FinishMitigated(CollectiveOp::kAllToAll, opts.mitigation, decision,
                          call, extra_sent, 0, sent, received, deferred_mass);

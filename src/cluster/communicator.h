@@ -54,9 +54,9 @@ class ClusterAbort : public std::exception {
       throw ::vero::ClusterAbort(std::move(_vero_comm_status));   \
   } while (0)
 
-/// Per-call layers of AllReduceSum / AllGather / AllToAll. Both default to
-/// off, which is the plain strict collective (bit-identical to seed,
-/// including the metric name set).
+/// Per-call layers of AllReduceSum / AllGather / AllToAll / AllToAllSum.
+/// Both default to off, which is the plain strict collective (bit-identical
+/// to seed, including the metric name set).
 ///
 /// - `codec`: payloads are encoded (CodecEncode) before they cross the
 ///   simulated wire and decoded on arrival; the network model prices the
@@ -126,8 +126,8 @@ class WorkerContext {
                       const CollectiveOptions& opts = {},
                       MitigationOutcome* outcome = nullptr);
 
-  /// Contiguous, near-equal slice boundaries of an n-element buffer (QD2's
-  /// feature-sliced histogram exchange).
+  /// Contiguous, near-equal slice boundaries of an n-element buffer (the
+  /// reduce-scatter slices of AllReduceSum and AllToAllSum).
   size_t SliceBegin(size_t n, int rank) const;
   size_t SliceEnd(size_t n, int rank) const;
 
@@ -160,6 +160,38 @@ class WorkerContext {
                   std::vector<std::vector<uint8_t>>* from_each,
                   const CollectiveOptions& opts = {},
                   MitigationOutcome* outcome = nullptr);
+
+  /// Sees one share of an AllToAllSum while it crosses the wire: `len`
+  /// doubles at each of `parts`, in node order. `sent` shares go from this
+  /// rank to `peer` (as the receiver reconstructs them, so decoded under a
+  /// lossy codec); received shares come from contributor `peer` exactly as
+  /// they were summed (after any silent corruption). The parts are valid
+  /// only during the call.
+  using SliceVisitor =
+      std::function<void(bool sent, int peer,
+                         std::span<const double* const> parts, size_t len)>;
+
+  /// Feature-sliced reduce-scatter (QD2's layer exchange), summed in place
+  /// out of the contributors' own buffers. `mine` holds one pointer per
+  /// node to `units * unit_len` doubles; every rank passes the same node
+  /// count. Rank r receives units [SliceBegin(units, r), SliceEnd(units, r))
+  /// of every node from every contributor and writes their sum, in rank
+  /// order 0..W-1 starting from 0.0, to out[i]. Peers read `mine` in place
+  /// until the call returns, so the caller must not write or free it
+  /// before then.
+  ///
+  /// Reported exactly as the AllToAll of the packed slices would be: same
+  /// CollectiveOp (kAllToAll), bytes, rendezvous count and span, so fault
+  /// plans replay op for op. A deferred contributor is skipped on every
+  /// rank. With the codec on, each destination's packed slice is encoded
+  /// into its own frame and every rank decodes every frame it sums, its own
+  /// included. `visit`, when given, sees every share this rank sends to
+  /// and sums from a peer, before the op's last rendezvous.
+  Status AllToAllSum(std::span<const double* const> mine, size_t units,
+                     size_t unit_len, std::span<double* const> out,
+                     const CollectiveOptions& opts = {},
+                     MitigationOutcome* outcome = nullptr,
+                     const SliceVisitor* visit = nullptr);
 
   /// Pure synchronization (no bytes charged).
   Status Barrier();
@@ -316,6 +348,25 @@ class WorkerContext {
   obs::TraceBuffer* trace_ = nullptr;
   obs::MetricsShard* metrics_ = nullptr;
   std::unique_ptr<ObsHandles> obs_handles_;
+  /// Scratch of the summing collectives, kept across calls so a warm
+  /// strict call allocates nothing.
+  struct SumScratch {
+    /// AllToAllSum: sources[i * W + r] is contributor r's share of node i.
+    /// AllReduceSum: sources[r] is contributor r's buffer. Null for a
+    /// deferred contributor.
+    std::vector<const double*> sources;
+    /// Codec: one destination's packed slice before encoding, then the
+    /// decoded frame a visitor sees.
+    std::vector<double> staging;
+    /// Codec: this rank's encoded frame per destination.
+    std::vector<std::vector<uint8_t>> frames;
+    /// Per contributor: its decoded frame (codec), or the copy of its share
+    /// that a silent corruption lands in.
+    std::vector<std::vector<double>> copies;
+    /// A visitor's view of one share.
+    std::vector<const double*> parts;
+  };
+  SumScratch sum_;
   /// Span-in-flight state set by Prepare, consumed by ApplyFaults.
   double op_sim_begin_ = 0.0;
   int64_t op_wall_begin_us_ = 0;

@@ -8,8 +8,8 @@
 namespace vero {
 
 /// Straggler-mitigation policy of the collectives' mitigation layer
-/// (WorkerContext::AllReduceSum / AllGather / AllToAll, set via
-/// CollectiveOptions::mitigation). See docs/straggler_mitigation.md for
+/// (WorkerContext::AllReduceSum / AllGather / AllToAll / AllToAllSum, set
+/// via CollectiveOptions::mitigation). See docs/straggler_mitigation.md for
 /// semantics and accuracy caveats.
 enum class MitigationMode {
   /// Fully synchronous: the layer is off and the accounting is

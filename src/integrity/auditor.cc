@@ -2,16 +2,14 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace vero {
 
-uint64_t AuditDigestBytes(const void* data, size_t size) {
+uint64_t AuditDigestBytes(const void* data, size_t size, uint64_t hash) {
   const auto* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xcbf29ce484222325ull;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 0x100000001b3ull;
@@ -55,6 +53,11 @@ void IntegrityAuditor::PushReplicated(const char* what, uint64_t word) {
   words_.push_back(word);
 }
 
+void IntegrityAuditor::PushReplicatedDoubles(const char* what,
+                                             std::span<const double> values) {
+  PushReplicated(what, AuditDigestDoubles(values));
+}
+
 void IntegrityAuditor::PushFlag(const char* what, bool violated) {
   slots_.push_back(Slot{SlotKind::kFlag, what, 1});
   words_.push_back(violated ? 1 : 0);
@@ -73,31 +76,19 @@ void IntegrityAuditor::PushPairwise(const char* what,
   words_.insert(words_.end(), recv.begin(), recv.end());
 }
 
-IntegrityAuditor::PairEvidence IntegrityAuditor::PayloadEvidence(
-    const std::vector<std::vector<uint8_t>>& payloads, const CodecSpec& codec,
-    std::span<const uint8_t> present) const {
-  const size_t w = payloads.size();
-  PairEvidence evidence{std::vector<uint64_t>(w, kAuditSkip),
-                        std::vector<uint64_t>(w, kAuditSkip)};
-  const bool lossy = CodecIsLossy(codec) && codec.enabled();
-  for (size_t p = 0; p < w; ++p) {
-    if (!present.empty() && present[p] == 0) continue;
-    std::vector<uint8_t> round_tripped;
-    if (lossy) round_tripped = CodecRoundTripBytes(payloads[p], codec);
-    const std::vector<uint8_t>& seen = lossy ? round_tripped : payloads[p];
-    evidence.digest[p] = AuditDigestBytes(seen.data(), seen.size());
+void IntegrityAuditor::RecordShare(PairEvidence* evidence, int peer,
+                                   std::span<const double* const> parts,
+                                   size_t len) const {
+  uint64_t digest = kAuditDigestSeed;
+  double mass = 0.0;
+  for (const double* part : parts) {
+    digest = AuditDigestBytes(part, len * sizeof(double), digest);
     if (full()) {
-      double sum = 0.0;
-      for (size_t at = 0; at + sizeof(double) <= seen.size();
-           at += sizeof(double)) {
-        double value;
-        std::memcpy(&value, seen.data() + at, sizeof(double));
-        sum += value;
-      }
-      evidence.mass[p] = std::bit_cast<uint64_t>(sum);
+      for (size_t i = 0; i < len; ++i) mass += part[i];
     }
   }
-  return evidence;
+  evidence->digest[peer] = digest;
+  if (full()) evidence->mass[peer] = std::bit_cast<uint64_t>(mass);
 }
 
 void IntegrityAuditor::PushGatherPairwise(

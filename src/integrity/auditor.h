@@ -45,10 +45,16 @@ inline constexpr uint32_t kAuditMaxRecomputes = 1;
 /// and colliding with a 64-bit FNV digest is a 2^-64 event per slot.
 inline constexpr uint64_t kAuditSkip = ~0ull;
 
+/// FNV-1a offset basis: the digest of zero bytes.
+inline constexpr uint64_t kAuditDigestSeed = 0xcbf29ce484222325ull;
+
 /// 64-bit FNV-1a over raw bytes. Digest agreement is exact: two replicas of
 /// a post-collective buffer must match bit for bit, so a single flipped bit
-/// anywhere in the payload changes the digest.
-uint64_t AuditDigestBytes(const void* data, size_t size);
+/// anywhere in the payload changes the digest. Passing a previous digest as
+/// `hash` continues it, so digesting segments in turn equals digesting
+/// their concatenation.
+uint64_t AuditDigestBytes(const void* data, size_t size,
+                          uint64_t hash = kAuditDigestSeed);
 uint64_t AuditDigestDoubles(std::span<const double> values);
 uint64_t AuditDigestWords(std::span<const uint32_t> values);
 
@@ -111,6 +117,8 @@ class IntegrityAuditor {
   /// replicated post-collective buffer, a merged decision, node counts).
   /// Majority vote blames dissenters; a unique dissenter is the blamed rank.
   void PushReplicated(const char* what, uint64_t word);
+  /// PushReplicated of the digest of a replicated buffer of doubles.
+  void PushReplicatedDoubles(const char* what, std::span<const double> values);
 
   /// A locally evaluated invariant flag (nonzero = violated). Any nonzero
   /// rank is a violation; a unique nonzero rank is blamed.
@@ -126,20 +134,21 @@ class IntegrityAuditor {
                     std::span<const uint64_t> recv, bool exact);
 
   /// Per-peer evidence for PushPairwise: payload digests and, at kFull,
-  /// bit-cast sums of the payloads' doubles (kAuditSkip otherwise).
+  /// bit-cast sums of the payloads' doubles. Peers never recorded keep
+  /// kAuditSkip.
   struct PairEvidence {
+    explicit PairEvidence(int world_size)
+        : digest(world_size, kAuditSkip), mass(world_size, kAuditSkip) {}
     std::vector<uint64_t> digest;
     std::vector<uint64_t> mass;
   };
 
-  /// Summarizes one packed-double payload per peer as its receiver
-  /// reconstructs it: under a lossy sender `codec` the payload is
-  /// round-tripped first, so a clean quantized exchange digests the same on
-  /// both sides. Peers with present[p] == 0 keep kAuditSkip; an empty
-  /// `present` means every peer.
-  PairEvidence PayloadEvidence(
-      const std::vector<std::vector<uint8_t>>& payloads,
-      const CodecSpec& codec = {}, std::span<const uint8_t> present = {}) const;
+  /// Records the share exchanged with `peer`, given as `len` doubles at
+  /// each of `parts` in order (a WorkerContext::SliceVisitor's view). The
+  /// digest continues across the parts and the mass sums their doubles in
+  /// order, so both equal those of the parts' concatenation.
+  void RecordShare(PairEvidence* evidence, int peer,
+                   std::span<const double* const> parts, size_t len) const;
 
   /// Pushes exact pairwise evidence for an asymmetric Gather to `root`:
   /// every rank attests the digest of what it sent (`mine`); only the root

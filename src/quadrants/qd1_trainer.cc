@@ -64,7 +64,7 @@ std::vector<SplitCandidate> Qd1Trainer::FindLayerSplits(
     // Every worker now holds a replica of the aggregated layer histograms;
     // a digest mismatch pins silent transport corruption on the dissenting
     // rank by majority vote.
-    auditor_.PushReplicated("qd1-hist-allreduce", AuditDigestDoubles(buffer));
+    auditor_.PushReplicatedDoubles("qd1-hist-allreduce", buffer);
   }
   for (size_t i = 0; i < frontier.size(); ++i) {
     std::memcpy(pool_.Get(frontier[i])->raw_data(),

@@ -12,7 +12,9 @@ namespace vero {
 /// design). Each worker holds a row shard binned over the full feature
 /// space, maintains a node-to-instance index with histogram subtraction,
 /// aggregates histograms with a feature-sliced reduce-scatter, finds splits
-/// on its feature slice, and exchanges per-node local bests.
+/// on its feature slice, and exchanges per-node local bests. The
+/// reduce-scatter (WorkerContext::AllToAllSum) sums the slice straight out
+/// of the peers' pool histograms into `slice_sums_`.
 class Qd2Trainer : public DistTrainerBase {
  public:
   /// `shard` is this worker's contiguous row range (global feature space);
@@ -39,6 +41,11 @@ class Qd2Trainer : public DistTrainerBase {
  private:
   BinnedRowStore store_;
   std::vector<FeatureId> all_features_;
+  /// Global ids of this rank's feature slice.
+  std::vector<FeatureId> slice_ids_;
+  /// Per frontier position: the aggregated histogram of this rank's feature
+  /// slice. Grows to the widest layer and is reused.
+  std::vector<Histogram> slice_sums_;
 };
 
 }  // namespace vero

@@ -25,6 +25,7 @@
 #include "common/random.h"
 #include "core/model_io.h"
 #include "data/synthetic.h"
+#include "integrity/auditor.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -437,12 +438,16 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
 // deferred slots), and each layer's metrics appear only when it is on.
 // ---------------------------------------------------------------------------
 
-enum class GridOp { kAllReduceSum, kAllGather, kAllToAll };
+enum class GridOp { kAllReduceSum, kAllGather, kAllToAll, kAllToAllSum };
 
 using GridParam =
     std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
 
 constexpr int kGridCalls = 6;
+// AllToAllSum cells: nodes per call, and doubles per unit (GridLength
+// counts units there, so calls 1-3 leave some ranks an empty slice).
+constexpr int kGridSumNodes = 2;
+constexpr size_t kGridUnitLen = 3;
 constexpr double kGridDelaySeconds = 5.0;
 // Calls on which the last rank is late: a bulk payload, and one shorter
 // than W so bounded mode defers a rank while some ranks own no slice.
@@ -482,14 +487,17 @@ CollectiveOp GridCollectiveOp(GridOp op) {
     case GridOp::kAllGather:
       return CollectiveOp::kAllGather;
     case GridOp::kAllToAll:
+    case GridOp::kAllToAllSum:
       return CollectiveOp::kAllToAll;
   }
   return CollectiveOp::kAny;
 }
 
-std::vector<double> GridValues(int call, int w, int sender, int dest) {
-  std::vector<double> values = MakeHistogram(
-      GridLength(call, w), 0.1, 9000 + 100 * call + 10 * sender + dest);
+std::vector<double> GridValues(int call, int w, int sender, int dest,
+                               size_t unit_len = 1) {
+  std::vector<double> values =
+      MakeHistogram(GridLength(call, w) * unit_len, 0.1,
+                    9000 + 100 * call + 10 * sender + dest);
   // Leading specials: signed zeros, an order-sensitive 1e300 cancellation,
   // Inf + -Inf, NaN and a cancelling pair.
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -539,8 +547,55 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
       return ctx.AllToAll(std::move(to_each), slots, {codec, mitigation},
                           outcome);
     }
+    case GridOp::kAllToAllSum: {
+      const size_t units = GridLength(call, ctx.world_size());
+      const size_t len =
+          (ctx.SliceEnd(units, r) - ctx.SliceBegin(units, r)) * kGridUnitLen;
+      std::vector<std::vector<double>> nodes;
+      std::vector<const double*> mine;
+      std::vector<double> sums(kGridSumNodes * len);
+      std::vector<double*> out;
+      for (int i = 0; i < kGridSumNodes; ++i) {
+        nodes.push_back(
+            GridValues(call, ctx.world_size(), r, i, kGridUnitLen));
+        mine.push_back(nodes.back().data());
+        out.push_back(sums.data() + i * len);
+      }
+      const Status status = ctx.AllToAllSum(mine, units, kGridUnitLen, out,
+                                            {codec, mitigation}, outcome);
+      slots->assign(1, GridBytes(sums));
+      return status;
+    }
   }
   return Status::Internal("unknown grid op");
+}
+
+// Rank r's AllToAllSum result: its slice of every node, summed over the
+// contributors in `mask` in rank order from 0.0. Each contributor's share
+// is packed node after node and, with the codec on, passed through its
+// frame, as a receiver reconstructs it.
+std::vector<double> GridSumOracle(int call, int w, int r,
+                                  const std::vector<uint8_t>& mask,
+                                  const CodecSpec& codec) {
+  const size_t units = GridLength(call, w);
+  const size_t b = units * r / w * kGridUnitLen;
+  const size_t e = units * (r + 1) / w * kGridUnitLen;
+  std::vector<double> sum(kGridSumNodes * (e - b), 0.0);
+  for (int s = 0; s < w; ++s) {
+    if (!mask[s]) continue;
+    std::vector<double> share;
+    for (int i = 0; i < kGridSumNodes; ++i) {
+      const std::vector<double> v = GridValues(call, w, s, i, kGridUnitLen);
+      share.insert(share.end(), v.begin() + b, v.begin() + e);
+    }
+    if (codec.enabled() && w > 1) {
+      std::vector<uint8_t> frame;
+      CodecEncode(share, codec, &frame);
+      EXPECT_TRUE(CodecDecode(frame, &share).ok());
+    }
+    for (size_t j = 0; j < sum.size(); ++j) sum[j] += share[j];
+  }
+  return sum;
 }
 
 struct GridRun {
@@ -555,6 +610,10 @@ struct GridRun {
   std::vector<std::string> metric_names;
 };
 
+CodecSpec GridCodec(CollectiveCompression compression) {
+  return Spec(compression, 64);
+}
+
 GridRun RunGridCell(GridOp op, CollectiveCompression compression,
                     MitigationMode mode, int w) {
   obs::ObsOptions obs_options;
@@ -568,7 +627,7 @@ GridRun RunGridCell(GridOp op, CollectiveCompression compression,
                kGridDelaySeconds);
   }
   cluster.InstallFaultPlan(plan);
-  const CodecSpec codec = Spec(compression, 64);
+  const CodecSpec codec = GridCodec(compression);
   MitigationOptions mitigation;
   mitigation.mode = mode;
   mitigation.deadline_seconds = 0.01;
@@ -674,6 +733,16 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
         }
         continue;
       }
+      if (op == GridOp::kAllToAllSum) {
+        // The oracle covers lossy codecs too: it sums the decoded frames.
+        EXPECT_EQ(got[0], GridBytes(GridSumOracle(call, w, r, mask,
+                                                  GridCodec(compression))))
+            << "call " << call << " rank " << r;
+        if (lossless && mask == std::vector<uint8_t>(w, 1)) {
+          EXPECT_EQ(got[0], want[0]);
+        }
+        continue;
+      }
       for (int s = 0; s < w; ++s) {
         if (!mask[s]) {
           EXPECT_TRUE(got[s].empty()) << "deferred slot " << s;
@@ -711,7 +780,7 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
 
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
   static const char* const kOpNames[] = {"AllReduceSum", "AllGather",
-                                         "AllToAll"};
+                                         "AllToAll", "AllToAllSum"};
   const auto [op, compression, mode, w] = info.param;
   std::string name = kOpNames[static_cast<int>(op)];
   name += "_";
@@ -729,7 +798,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CollectiveLayerGridTest,
     ::testing::Combine(
         ::testing::Values(GridOp::kAllReduceSum, GridOp::kAllGather,
-                          GridOp::kAllToAll),
+                          GridOp::kAllToAll, GridOp::kAllToAllSum),
         ::testing::Values(CollectiveCompression::kOff,
                           CollectiveCompression::kSparseDelta,
                           CollectiveCompression::kQuantized),
@@ -738,6 +807,138 @@ INSTANTIATE_TEST_SUITE_P(
                           MitigationMode::kSpeculative),
         ::testing::Values(1, 2, 3, 4)),
     GridName);
+
+// A silent corruption of the summing exchange flips the word the byte
+// AllToAll flips in the same received shares, so the sum matches a
+// byte-AllToAll-then-sum reference bit for bit. As in
+// SilentCorruptTest.Qd2AllToAllEscapesOffBlamesReceiverOn, the op itself
+// succeeds with a wrong sum, and the pairwise audit blames the receiver.
+TEST(AllToAllSumTest, SilentCorruptFlipsTheByteAllToAllWord) {
+  constexpr int kW = 3;
+  constexpr int kVictim = 2;
+  constexpr size_t kUnits = 7;  // Slices of 2, 2 and 3 units.
+  constexpr size_t kUnitLen = 2;
+  const auto node_values = [](int sender, int node) {
+    std::vector<double> v(kUnits * kUnitLen);
+    for (size_t j = 0; j < v.size(); ++j) {
+      v[j] = 1.0 + sender + 0.25 * node + 0.125 * static_cast<double>(j);
+    }
+    return v;
+  };
+  // Per run: [rank] the shares as received (node after node) and the sum.
+  struct Run {
+    std::vector<std::vector<std::vector<double>>> shares;
+    std::vector<std::vector<double>> sums;
+    std::vector<int> blamed;
+  };
+  const auto run = [&](bool summing, bool corrupt,
+                       CollectiveCompression compression) {
+    Cluster cluster(kW);
+    if (corrupt) {
+      cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
+          kVictim, CollectiveOp::kAllToAll, /*occurrence=*/0, /*seed=*/5));
+    }
+    const CollectiveOptions opts{.codec = Spec(compression, 4)};
+    Run out;
+    out.shares.assign(kW, std::vector<std::vector<double>>(kW));
+    out.sums.resize(kW);
+    out.blamed.assign(kW, -2);
+    cluster.Run([&](WorkerContext& ctx) {
+      const int r = ctx.rank();
+      const auto slice = [&](int g) {
+        return std::pair<size_t, size_t>{ctx.SliceBegin(kUnits, g) * kUnitLen,
+                                         ctx.SliceEnd(kUnits, g) * kUnitLen};
+      };
+      const auto [mb, me] = slice(r);
+      std::vector<std::vector<double>> nodes;
+      std::vector<const double*> mine;
+      for (int i = 0; i < 2; ++i) {
+        nodes.push_back(node_values(r, i));
+        mine.push_back(nodes.back().data());
+      }
+      IntegrityAuditor auditor(ctx, IntegrityLevel::kChecksum);
+      IntegrityAuditor::PairEvidence sent(kW), recv(kW);
+      std::vector<double>& sum = out.sums[r];
+      sum.assign(2 * (me - mb), 0.0);
+      if (summing) {
+        const WorkerContext::SliceVisitor visit =
+            [&](bool outgoing, int peer, std::span<const double* const> parts,
+                size_t len) {
+              auditor.RecordShare(outgoing ? &sent : &recv, peer, parts, len);
+              if (outgoing) return;
+              for (const double* part : parts) {
+                out.shares[r][peer].insert(out.shares[r][peer].end(), part,
+                                           part + len);
+              }
+            };
+        const std::vector<double*> sums = {sum.data(),
+                                           sum.data() + (me - mb)};
+        VERO_COMM_OK(ctx.AllToAllSum(mine, kUnits, kUnitLen, sums, opts,
+                                     nullptr, &visit));
+      } else {
+        std::vector<std::vector<uint8_t>> to_each(kW);
+        for (int g = 0; g < kW; ++g) {
+          std::vector<double> share;
+          for (const std::vector<double>& node : nodes) {
+            share.insert(share.end(), node.begin() + slice(g).first,
+                         node.begin() + slice(g).second);
+          }
+          to_each[g] = GridBytes(share);
+          const double* part = share.data();
+          if (g != r) auditor.RecordShare(&sent, g, {&part, 1}, share.size());
+        }
+        std::vector<std::vector<uint8_t>> from_each;
+        VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each, opts));
+        for (int s = 0; s < kW; ++s) {
+          std::vector<double> share(from_each[s].size() / sizeof(double));
+          if (!share.empty()) {
+            std::memcpy(share.data(), from_each[s].data(),
+                        from_each[s].size());
+          }
+          for (size_t j = 0; j < sum.size(); ++j) sum[j] += share[j];
+          if (s == r) continue;
+          const double* part = share.data();
+          auditor.RecordShare(&recv, s, {&part, 1}, share.size());
+          out.shares[r][s] = std::move(share);
+        }
+      }
+      auditor.PushPairwise("exchange", sent.digest, recv.digest,
+                           /*exact=*/true);
+      out.blamed[r] = auditor.Exchange("test").blamed_rank;
+    });
+    return out;
+  };
+
+  for (const CollectiveCompression compression :
+       {CollectiveCompression::kOff, CollectiveCompression::kSparseDelta}) {
+    const Run clean = run(/*summing=*/true, /*corrupt=*/false, compression);
+    const Run reference = run(/*summing=*/false, /*corrupt=*/true, compression);
+    const Run summed = run(/*summing=*/true, /*corrupt=*/true, compression);
+    EXPECT_EQ(summed.shares, reference.shares);
+    EXPECT_EQ(summed.sums, reference.sums);
+    // Exactly one received word differs from the clean exchange, on the
+    // victim, and the op still handed the victim a wrong sum.
+    int flipped = 0;
+    for (int r = 0; r < kW; ++r) {
+      for (int s = 0; s < kW; ++s) {
+        for (size_t j = 0; j < summed.shares[r][s].size(); ++j) {
+          if (summed.shares[r][s][j] != clean.shares[r][s][j]) {
+            ++flipped;
+            EXPECT_EQ(r, kVictim);
+            EXPECT_EQ(summed.shares[r][s][j], -clean.shares[r][s][j]);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(flipped, 1);
+    EXPECT_NE(summed.sums[kVictim], clean.sums[kVictim]);
+    for (int r = 0; r < kW; ++r) {
+      EXPECT_EQ(clean.blamed[r], -1);
+      EXPECT_EQ(reference.blamed[r], kVictim);
+      EXPECT_EQ(summed.blamed[r], kVictim);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // End-to-end: distributed training under compression.

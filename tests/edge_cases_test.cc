@@ -3,11 +3,13 @@
 // wire payloads.
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/metrics.h"
+#include "core/model_io.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "quadrants/train_distributed.h"
@@ -35,15 +37,23 @@ DistTrainOptions TinyOptions() {
 }
 
 TEST(EdgeCaseTest, MoreWorkersThanFeatures) {
-  // Vertical quadrants: some workers own zero features and must still
-  // participate in every collective.
+  // Some workers own zero features and must still participate in every
+  // collective: the vertical quadrants' column groups, and QD2's
+  // feature-sliced exchange, where a rank with an empty slice still hands
+  // its peers their slices of its histograms. QD1 replicates every feature.
   const Dataset data = TinyData(500, 3);
-  for (Quadrant q : {Quadrant::kQD3, Quadrant::kQD4}) {
+  std::string first_text;
+  for (Quadrant q : {Quadrant::kQD1, Quadrant::kQD2, Quadrant::kQD3,
+                     Quadrant::kQD4}) {
     Cluster cluster(6);
     const DistResult result =
         TrainDistributed(cluster, data, q, TinyOptions());
+    ASSERT_TRUE(result.status.ok()) << QuadrantToString(q);
     EXPECT_EQ(result.model.num_trees(), 3u) << QuadrantToString(q);
     EXPECT_GT(EvaluateModel(result.model, data).value, 0.5);
+    const std::string text = ModelToText(result.model);
+    if (first_text.empty()) first_text = text;
+    EXPECT_EQ(text, first_text) << QuadrantToString(q);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "partition/transform.h"
 #include "quadrants/train_distributed.h"
 
 namespace vero {
@@ -365,6 +366,44 @@ TEST(BoundedCollectiveTest, AllToAllBoundedDropsDeferredSenderEverywhere) {
   EXPECT_EQ(cluster.worker_stats(1).bytes_received, 8u);
 }
 
+// The summing exchange drops a deferred sender like AllToAll does, is
+// charged like the AllToAll of the packed slices, and records the dropped
+// (g, h) value mass as AllReduceSum does, not payload bytes.
+TEST(BoundedCollectiveTest, AllToAllSumDropsDeferredSenderAndRecordsValueMass) {
+  constexpr size_t kUnits = 5;  // Slices of 1, 2 and 2 units.
+  constexpr size_t kUnitLen = 2;
+  RunObserver observer;
+  Cluster cluster(3);
+  cluster.AttachObserver(&observer);
+  cluster.InstallFaultPlan(
+      FaultPlan().Delay(0, CollectiveOp::kAllToAll, 0, 0.5));
+  cluster.Run([&](WorkerContext& ctx) {
+    const int r = ctx.rank();
+    std::vector<double> a(kUnits * kUnitLen, r + 1.0);
+    std::vector<double> b(kUnits * kUnitLen, 10.0 * (r + 1));
+    const std::vector<const double*> mine = {a.data(), b.data()};
+    const size_t len =
+        (ctx.SliceEnd(kUnits, r) - ctx.SliceBegin(kUnits, r)) * kUnitLen;
+    std::vector<double> sum_a(len), sum_b(len);
+    const std::vector<double*> out = {sum_a.data(), sum_b.data()};
+    MitigationOutcome outcome;
+    VERO_COMM_OK(ctx.AllToAllSum(mine, kUnits, kUnitLen, out,
+                                 {.mitigation = Bounded(0.01)}, &outcome));
+    EXPECT_EQ(outcome.contributed[0], 0);
+    for (double v : sum_a) EXPECT_EQ(v, 2.0 + 3.0);
+    for (double v : sum_b) EXPECT_EQ(v, 20.0 + 30.0);
+  });
+  // Rank 1 sends 2 nodes x (1 + 2) units x 2 doubles and receives 2 peers x
+  // 2 nodes x 2 units x 2 doubles.
+  EXPECT_EQ(cluster.worker_stats(1).bytes_sent, 96u);
+  EXPECT_EQ(cluster.worker_stats(1).bytes_received, 128u);
+  const MetricsSnapshot metrics = observer.metrics().Merged();
+  const MetricsSnapshot::Entry* mass = metrics.Find("staleness.deferred_mass");
+  ASSERT_NE(mass, nullptr);
+  EXPECT_EQ(mass->count, 1u);
+  EXPECT_DOUBLE_EQ(mass->sum, 10 * 1.0 + 10 * 10.0);  // Rank 0's values.
+}
+
 TEST(BoundedCollectiveTest, SpeculativeAllGatherChargesBackupReexecution) {
   Cluster cluster(4);
   cluster.InstallFaultPlan(
@@ -665,6 +704,35 @@ TEST(StragglerGridTest, BoundedModeEngagesOnEveryQuadrant) {
                 0.1 * std::abs(base_loss) + 0.01)
         << QuadrantToString(cell.quadrant);
   }
+}
+
+// QD2's bounded exchange records the deferred rank's dropped (g, h) mass.
+// At tree 0's root every margin is 0, so every entry of row i adds
+// g + h = (0.5 - y_i) + 0.25 to its shard's root histogram.
+TEST(StragglerGridTest, Qd2DeferredMassIsTheDroppedRootHistogramMass) {
+  const Dataset train = MakeData(500, 16, 19);
+  DistTrainOptions options = SmallOptions();
+  options.mitigation = Bounded();
+  RunObserver observer;
+  Cluster cluster(3);
+  cluster.AttachObserver(&observer);
+  cluster.InstallFaultPlan(FaultPlan().Delay(1, CollectiveOp::kAllToAll, 0,
+                                             0.8, FaultPhase::kTrain));
+  const DistResult result =
+      TrainDistributed(cluster, train, Quadrant::kQD2, options);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(cluster.TotalStats().deferred_contributions, 1u);
+  double expected = 0.0;
+  const auto [begin, end] = HorizontalRange(train.num_instances(), 3, 1);
+  for (InstanceId i = begin; i < end; ++i) {
+    expected += static_cast<double>(train.matrix().RowFeatures(i).size()) *
+                (0.75 - train.labels()[i]);
+  }
+  const MetricsSnapshot metrics = observer.metrics().Merged();
+  const MetricsSnapshot::Entry* mass = metrics.Find("staleness.deferred_mass");
+  ASSERT_NE(mass, nullptr);
+  EXPECT_EQ(mass->count, 1u);
+  EXPECT_EQ(mass->sum, expected);
 }
 
 TEST(StragglerGridTest, EndToEndStalenessBoundForcesSync) {
