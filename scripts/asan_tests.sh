@@ -6,9 +6,9 @@
 # out-of-bounds shard math after a resize) show up here first; UBSan guards
 # the wire-format arithmetic in the delta-checkpoint and histogram-
 # compression codecs. dist_trainer_test drives every quadrant end to end,
-# including QD1's persistent layer buffer through the in-place
-# reduce-scatter/all-gather AllReduceSum, where each rank writes its slice
-# into a buffer its peers read. The build is Debug so VERO_DCHECK and the
+# including QD1's segmented reduce-scatter/all-gather AllReduceSum, where
+# peers read each rank's pool histograms in place while each rank writes its
+# reduced slice into its own. The build is Debug so VERO_DCHECK and the
 # codec layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry),
 # which compile out under NDEBUG, run too. obs_test and anatomy_test drive
 # the driver's attempt loop and its end-of-run report and counters.

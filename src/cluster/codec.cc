@@ -73,23 +73,27 @@ BlockScan ScanBlock(const double* v, uint64_t n) {
   return scan;
 }
 
-void WriteIndices(ByteWriter* w, const std::vector<uint64_t>& indices,
-                  bool delta) {
-  for (size_t k = 0; k < indices.size(); ++k) {
-    if (!delta || k == 0) {
-      w->WriteVarint64(indices[k]);
-    } else {
-      // Strictly increasing, so the gap is >= 1; store gap-1 to keep
-      // adjacent nonzeros at one byte each.
-      w->WriteVarint64(indices[k] - indices[k - 1] - 1);
-    }
+/// Writes the indices of the nonzero values among v[0, n), in order:
+/// absolute, or with `delta` the first index then each gap minus one.
+void WriteNonzeroIndices(ByteWriter* w, const double* v, uint64_t n,
+                         bool delta) {
+  bool first = true;
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (!BitNonzero(v[i])) continue;
+    // Strictly increasing, so the gap is >= 1; store gap-1 to keep
+    // adjacent nonzeros at one byte each.
+    w->WriteVarint64(!delta || first ? i : i - prev - 1);
+    first = false;
+    prev = i;
   }
 }
 
-Status ReadIndices(ByteReader* r, uint64_t nnz, uint64_t block_len, bool delta,
-                   std::vector<uint64_t>* indices) {
-  indices->clear();
-  indices->reserve(nnz);
+/// Reads a sparse block's `nnz` indices, rejecting any out of range or out
+/// of order, and calls fn(index) on each in order.
+template <typename Fn>
+Status ForEachIndex(ByteReader* r, uint64_t nnz, uint64_t block_len,
+                    bool delta, Fn&& fn) {
   uint64_t prev = 0;
   for (uint64_t k = 0; k < nnz; ++k) {
     uint64_t raw = 0;
@@ -107,8 +111,27 @@ Status ReadIndices(ByteReader* r, uint64_t nnz, uint64_t block_len, bool delta,
       return Status::Corruption("codec frame: sparse index out of order");
     }
     prev = index;
-    indices->push_back(index);
+    VERO_RETURN_IF_ERROR(fn(index));
   }
+  return Status::OK();
+}
+
+/// Decodes a sparse block into out[0, block_len): zeros, except that each
+/// index gets the value read_value(values, &out[index]) reads from the
+/// value section that follows the indices. A first pass validates the
+/// indices and finds where the values start, so nothing is allocated.
+template <typename ReadValue>
+Status DecodeSparse(ByteReader* r, uint64_t nnz, uint64_t block_len,
+                    bool delta, double* out, ReadValue&& read_value) {
+  ByteReader values = *r;
+  VERO_RETURN_IF_ERROR(ForEachIndex(&values, nnz, block_len, delta,
+                                    [](uint64_t) { return Status::OK(); }));
+  std::memset(out, 0, block_len * sizeof(double));
+  VERO_RETURN_IF_ERROR(
+      ForEachIndex(r, nnz, block_len, delta, [&](uint64_t index) {
+        return read_value(&values, &out[index]);
+      }));
+  *r = values;
   return Status::OK();
 }
 
@@ -138,14 +161,11 @@ void EncodeBlock(const double* v, uint64_t n, const CodecSpec& spec,
       w->WriteVarint64(scan.nnz);
       w->WriteF64(offset);
       w->WriteF64(scale);
-      std::vector<uint64_t> indices;
-      indices.reserve(scan.nnz);
+      WriteNonzeroIndices(w, v, n, /*delta=*/true);
       for (uint64_t i = 0; i < n; ++i) {
-        if (BitNonzero(v[i])) indices.push_back(i);
-      }
-      WriteIndices(w, indices, /*delta=*/true);
-      for (uint64_t i : indices) {
-        w->WriteU16(QuantizeValue(v[i], offset, inv_scale));
+        if (BitNonzero(v[i])) {
+          w->WriteU16(QuantizeValue(v[i], offset, inv_scale));
+        }
       }
     } else {
       w->WriteU8(kTagDenseQuant);
@@ -163,13 +183,10 @@ void EncodeBlock(const double* v, uint64_t n, const CodecSpec& spec,
   if (sparse && spec.mode != CollectiveCompression::kQuantized) {
     w->WriteU8(delta ? kTagSparseDelta : kTagSparseAbs);
     w->WriteVarint64(scan.nnz);
-    std::vector<uint64_t> indices;
-    indices.reserve(scan.nnz);
+    WriteNonzeroIndices(w, v, n, delta);
     for (uint64_t i = 0; i < n; ++i) {
-      if (BitNonzero(v[i])) indices.push_back(i);
+      if (BitNonzero(v[i])) w->WriteF64(v[i]);
     }
-    WriteIndices(w, indices, delta);
-    for (uint64_t i : indices) w->WriteF64(v[i]);
     if (stats != nullptr) ++stats->sparse_blocks;
     return;
   }
@@ -195,14 +212,10 @@ Status DecodeBlock(ByteReader* r, uint64_t block_len, double* out) {
       if (nnz > block_len) {
         return Status::Corruption("codec frame: nnz exceeds block length");
       }
-      std::vector<uint64_t> indices;
-      VERO_RETURN_IF_ERROR(ReadIndices(r, nnz, block_len,
-                                       tag == kTagSparseDelta, &indices));
-      std::memset(out, 0, block_len * sizeof(double));
-      for (uint64_t index : indices) {
-        VERO_RETURN_IF_ERROR(r->ReadF64(&out[index]));
-      }
-      return Status::OK();
+      return DecodeSparse(r, nnz, block_len, tag == kTagSparseDelta, out,
+                          [](ByteReader* values, double* value) {
+                            return values->ReadF64(value);
+                          });
     }
     case kTagDenseQuant: {
       double offset = 0.0, scale = 0.0;
@@ -224,16 +237,13 @@ Status DecodeBlock(ByteReader* r, uint64_t block_len, double* out) {
       double offset = 0.0, scale = 0.0;
       VERO_RETURN_IF_ERROR(r->ReadF64(&offset));
       VERO_RETURN_IF_ERROR(r->ReadF64(&scale));
-      std::vector<uint64_t> indices;
-      VERO_RETURN_IF_ERROR(
-          ReadIndices(r, nnz, block_len, /*delta=*/true, &indices));
-      std::memset(out, 0, block_len * sizeof(double));
-      for (uint64_t index : indices) {
-        uint16_t code = 0;
-        VERO_RETURN_IF_ERROR(r->ReadU16(&code));
-        out[index] = offset + static_cast<double>(code) * scale;
-      }
-      return Status::OK();
+      return DecodeSparse(r, nnz, block_len, /*delta=*/true, out,
+                          [&](ByteReader* values, double* value) {
+                            uint16_t code = 0;
+                            VERO_RETURN_IF_ERROR(values->ReadU16(&code));
+                            *value = offset + static_cast<double>(code) * scale;
+                            return Status::OK();
+                          });
     }
     default:
       return Status::Corruption("codec frame: unknown block tag");
@@ -263,7 +273,9 @@ void CodecEncode(std::span<const double> values, const CodecSpec& spec,
   uint64_t block = spec.block_values;
   if (block == 0 || block > total) block = std::max<uint64_t>(total, 1);
 
-  ByteWriter w;
+  // Reuses the frame's storage, so a caller that keeps its frame across
+  // calls encodes without allocating.
+  ByteWriter w(std::move(*frame));
   w.Reserve(values.size() * sizeof(double) / 4 + 64);
   w.WriteU8(kCodecMagic);
   w.WriteU8(static_cast<uint8_t>(spec.mode));

@@ -353,18 +353,21 @@ std::pair<size_t, size_t> PickCorruptByte(const FaultDecision& decision,
 }  // namespace
 
 void WorkerContext::MaybeSilentCorrupt(const FaultDecision& decision,
-                                       std::span<double> received) {
-  if (!decision.silent_corrupt || received.empty()) return;
+                                       std::span<double* const> parts,
+                                       size_t part_len) {
+  const size_t n = parts.size() * part_len;
+  if (!decision.silent_corrupt || n == 0) return;
   uint64_t state =
       decision.corrupt_seed ? decision.corrupt_seed : 0x9e3779b97f4a7c15ull;
-  const size_t idx = NextRand(&state) % received.size();
+  const size_t idx = NextRand(&state) % n;
+  double* const target = parts[idx / part_len] + idx % part_len;
   // Flip the second-highest exponent bit: a large but finite perturbation
   // for any normal-range value (never fabricates NaN/Inf), so only content
   // checks — not finiteness scans — can catch it.
   uint64_t bits;
-  std::memcpy(&bits, &received[idx], sizeof(bits));
+  std::memcpy(&bits, target, sizeof(bits));
   bits ^= 1ull << 61;
-  std::memcpy(&received[idx], &bits, sizeof(bits));
+  std::memcpy(target, &bits, sizeof(bits));
 }
 
 void WorkerContext::MaybeSilentCorrupt(
@@ -607,6 +610,19 @@ void SumInRankOrder(std::span<const double* const> srcs, size_t begin,
   }
 }
 
+/// Calls fn(p, lo, hi) for each piece of elements [begin, end) of a
+/// concatenation of parts that are `part_len` long: offsets [lo, hi) of
+/// part p, in order.
+template <typename Fn>
+void ForEachPartSegment(size_t begin, size_t end, size_t part_len, Fn&& fn) {
+  for (size_t i = begin; i < end;) {
+    const size_t p = i / part_len, lo = i % part_len;
+    const size_t hi = std::min(part_len, lo + (end - i));
+    fn(p, lo, hi);
+    i += hi - lo;
+  }
+}
+
 }  // namespace
 
 // The four layered collectives share one spine: Prepare -> publish ->
@@ -621,6 +637,14 @@ void SumInRankOrder(std::span<const double* const> srcs, size_t begin,
 Status WorkerContext::AllReduceSum(std::span<double> data,
                                    const CollectiveOptions& opts,
                                    MitigationOutcome* outcome) {
+  double* const part = data.data();
+  return AllReduceSum({&part, 1}, data.size(), opts, outcome);
+}
+
+Status WorkerContext::AllReduceSum(std::span<double* const> parts,
+                                   size_t part_len,
+                                   const CollectiveOptions& opts,
+                                   MitigationOutcome* outcome) {
   const int w = world_size();
   ResetOutcome(outcome, w);
   FaultDecision decision;
@@ -628,25 +652,33 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
   const bool mitigated = opts.mitigation.enabled();
   const bool coded = opts.codec.enabled();
-  const size_t n = data.size();
+  const size_t n = parts.size() * part_len;
   CodecStats cstats;
-  std::vector<uint8_t> frame;
-  std::vector<double> decoded;
-  // The buffer this rank publishes. Peers only read slice r of rank r's
-  // buffer, and only rank r writes it (its reduced slice), so the ranks
+  // The parts this rank publishes. Peers only read slice r of rank r's
+  // parts, and only rank r writes it (its reduced slice), so the ranks
   // reduce their slices concurrently without a shared scratch buffer.
-  double* published = data.data();
+  std::span<double* const> published = parts;
   if (coded) {
-    CodecEncode(data, opts.codec, &frame, &cstats);
-    // Publish the decoded frame, not the raw payload: peers would decode
-    // the same bytes, so a lossy codec's reconstruction is what everyone
-    // sums.
-    VERO_CHECK_OK(CodecDecode(frame, &decoded));
-    VERO_CHECK_EQ(decoded.size(), n);
-    published = decoded.data();
-    cluster_->ptrs_[rank_] = &frame;
+    // Encode the packed parts, so the frame is byte for byte the one-part
+    // call's, then publish the decoded frame cut into the same parts: peers
+    // would decode the same bytes, so a lossy codec's reconstruction is
+    // what everyone sums.
+    sum_.staging.resize(n);
+    for (size_t p = 0; p < parts.size(); ++p) {
+      std::copy_n(parts[p], part_len, sum_.staging.data() + p * part_len);
+    }
+    if (sum_.frames.empty()) sum_.frames.resize(1);
+    CodecEncode(sum_.staging, opts.codec, &sum_.frames[0], &cstats);
+    VERO_CHECK_OK(CodecDecode(sum_.frames[0], &sum_.staging));
+    VERO_CHECK_EQ(sum_.staging.size(), n);
+    sum_.staging_parts.resize(parts.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+      sum_.staging_parts[p] = sum_.staging.data() + p * part_len;
+    }
+    published = sum_.staging_parts;
+    cluster_->ptrs_[rank_] = &sum_.frames[0];
   }
-  cluster_->mutable_ptrs_[rank_] = published;
+  cluster_->mutable_ptrs_[rank_] = &published;
   cluster_->sizes_[rank_] = n;
   bool serial = false;
   MitigatedCall call;
@@ -656,39 +688,52 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
     if (serial) cluster_->PlanMitigation(opts.mitigation);
   }
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  for (int r = 0; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], n);
+  const auto parts_of = [&](int r) {
+    return *static_cast<const std::span<double* const>*>(
+        cluster_->mutable_ptrs_[r]);
+  };
+  for (int r = 0; r < w; ++r) {
+    VERO_CHECK_EQ(cluster_->sizes_[r], n);
+    VERO_CHECK_EQ(parts_of(r).size(), parts.size());
+  }
   double deferred_mass = 0.0;
   if (mitigated) {
     call = ReadMitigationPlan(outcome);
     // The dropped contribution, measured before the reduction overwrites it.
     if (call.my == RankClass::kDeferred) {
-      for (double v : data) deferred_mass += v;
+      for (const double* part : parts) {
+        for (size_t j = 0; j < part_len; ++j) deferred_mass += part[j];
+      }
     }
   }
 
   // Reduce-scatter: this rank sums its slice over the contributors in rank
   // order 0..W-1 starting from 0.0 — the per-element order of a single
   // serial reducer, so lossless codecs give bit-identical sums — and writes
-  // it back into its own published buffer.
+  // it back into its own published parts.
   sum_.sources.resize(w);
-  for (int r = 0; r < w; ++r) {
-    const bool deferred =
-        mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
-    sum_.sources[r] =
-        deferred ? nullptr
-                 : static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-  }
-  SumInRankOrder(sum_.sources, SliceBegin(n, rank_), SliceEnd(n, rank_),
-                 published);
+  ForEachPartSegment(
+      SliceBegin(n, rank_), SliceEnd(n, rank_), part_len,
+      [&](size_t p, size_t lo, size_t hi) {
+        for (int r = 0; r < w; ++r) {
+          const bool deferred =
+              mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
+          sum_.sources[r] = deferred ? nullptr : parts_of(r)[p];
+        }
+        SumInRankOrder(sum_.sources, lo, hi, published[p]);
+      });
   VERO_RETURN_IF_ERROR(Rendezvous(&serial));
 
-  // All-gather: copy every other owner's reduced slice out of its buffer
+  // All-gather: copy every other owner's reduced slice out of its parts
   // (and, under the codec, this rank's own slice out of its decoded frame).
   for (int r = 0; r < w; ++r) {
     if (r == rank_ && !coded) continue;
-    const size_t b = SliceBegin(n, r), e = SliceEnd(n, r);
-    const double* src = static_cast<const double*>(cluster_->mutable_ptrs_[r]);
-    std::copy(src + b, src + e, data.data() + b);
+    const std::span<double* const> theirs = parts_of(r);
+    ForEachPartSegment(SliceBegin(n, r), SliceEnd(n, r), part_len,
+                       [&](size_t p, size_t lo, size_t hi) {
+                         std::copy(theirs[p] + lo, theirs[p] + hi,
+                                   parts[p] + lo);
+                       });
   }
   // Every published frame counts toward the ring volume — a deferred rank's
   // frame still crossed the wire, it is just dropped on arrival. Frames were
@@ -705,7 +750,7 @@ Status WorkerContext::AllReduceSum(std::span<double> data,
   // Silent corruption lands in this rank's copy of the aggregate, after the
   // transport (and its CRC/retry machinery) delivered it clean — and after
   // the last rendezvous, so no peer is still copying this rank's slice.
-  MaybeSilentCorrupt(decision, data);
+  MaybeSilentCorrupt(decision, parts, part_len);
 
   // Ring all-reduce volume: each worker sends (and receives) the buffer
   // twice, minus its own 1/W share, in 2*(W-1) pipelined steps. Under the

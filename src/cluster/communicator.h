@@ -112,17 +112,29 @@ class WorkerContext {
   // comm.<Op>.raw_bytes / compressed_bytes counters.
 
   /// In-place element-wise sum across workers; everyone ends with the total.
-  /// Runs as the ring it is charged as: a reduce-scatter (rank r sums slice
-  /// [SliceBegin(n, r), SliceEnd(n, r)) of every contributor into its own
-  /// published buffer) followed by an all-gather of the reduced slices.
-  /// Every element adds the contributors in rank order 0..W-1 starting from
-  /// 0.0, so lossless codecs give bit-identical sums and kQuantized the same
-  /// reconstructed aggregate on every rank (each rank publishes its decoded
-  /// frame). Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per
-  /// worker; with the codec on, bytes is the mean encoded frame. W=1 returns
-  /// `data` untouched. After a failed call `data` is unspecified (possibly
-  /// partly reduced); recovery restarts from a checkpoint.
+  /// The one-part call of the segmented form below.
   Status AllReduceSum(std::span<double> data,
+                      const CollectiveOptions& opts = {},
+                      MitigationOutcome* outcome = nullptr);
+
+  /// In-place element-wise sum of the n = parts.size() * part_len doubles
+  /// of the concatenation of `parts` (each `part_len` long); every rank
+  /// passes the same part count and length. Runs as the ring it is charged
+  /// as: a reduce-scatter (rank r sums slice [SliceBegin(n, r),
+  /// SliceEnd(n, r)) of the concatenation straight out of every
+  /// contributor's parts into its own) followed by an all-gather that
+  /// copies the other owners' reduced slices out of their parts. Peers read
+  /// `parts` in place until the call returns, so the caller must not write
+  /// or free them before then. Every element adds the contributors in rank
+  /// order 0..W-1 starting from 0.0, so lossless codecs give bit-identical
+  /// sums and kQuantized the same reconstructed aggregate on every rank
+  /// (each rank publishes its decoded frame, cut into the same parts).
+  /// Accounting: ring all-reduce, 2 * bytes * (W-1)/W sent per worker; with
+  /// the codec on, bytes is the mean encoded frame of the packed parts. W=1
+  /// returns the parts untouched. After a failed call the parts are
+  /// unspecified (possibly partly reduced); recovery restarts from a
+  /// checkpoint.
+  Status AllReduceSum(std::span<double* const> parts, size_t part_len,
                       const CollectiveOptions& opts = {},
                       MitigationOutcome* outcome = nullptr);
 
@@ -299,10 +311,11 @@ class WorkerContext {
   Status Die(Status status);
 
   /// Applies a kSilentCorrupt decision to doubles this rank just received
-  /// from the transport (post-CRC): flips a high exponent bit of one
-  /// deterministically chosen element. No-op unless the decision fired.
+  /// from the transport (post-CRC), the concatenation of `parts` (each
+  /// `part_len` long): flips a high exponent bit of one deterministically
+  /// chosen element. No-op unless the decision fired.
   void MaybeSilentCorrupt(const FaultDecision& decision,
-                          std::span<double> received);
+                          std::span<double* const> parts, size_t part_len);
   /// Byte-buffer flavor: flips the sign/exponent-carrying top bit of one
   /// word-aligned byte across the given received buffers (buffers this rank
   /// did not author — its own slots must not be passed).
@@ -348,17 +361,21 @@ class WorkerContext {
   obs::TraceBuffer* trace_ = nullptr;
   obs::MetricsShard* metrics_ = nullptr;
   std::unique_ptr<ObsHandles> obs_handles_;
-  /// Scratch of the summing collectives, kept across calls so a warm
-  /// strict call allocates nothing.
+  /// Scratch of the summing collectives, kept across calls so a warm call,
+  /// strict or coded, allocates nothing.
   struct SumScratch {
     /// AllToAllSum: sources[i * W + r] is contributor r's share of node i.
-    /// AllReduceSum: sources[r] is contributor r's buffer. Null for a
-    /// deferred contributor.
+    /// AllReduceSum: sources[r] is contributor r's part being summed. Null
+    /// for a deferred contributor.
     std::vector<const double*> sources;
-    /// Codec: one destination's packed slice before encoding, then the
-    /// decoded frame a visitor sees.
+    /// Codec: one destination's packed slice (AllReduceSum: the packed
+    /// parts) before encoding, then the decoded frame a visitor sees
+    /// (AllReduceSum: this rank's decoded frame, which it publishes).
     std::vector<double> staging;
-    /// Codec: this rank's encoded frame per destination.
+    /// AllReduceSum under the codec: `staging` cut into the caller's parts.
+    std::vector<double*> staging_parts;
+    /// Codec: this rank's encoded frame per destination (AllReduceSum:
+    /// frames[0] is its one frame).
     std::vector<std::vector<uint8_t>> frames;
     /// Per contributor: its decoded frame (codec), or the copy of its share
     /// that a silent corruption lands in.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -74,6 +75,11 @@ inline int64_t ZigZagDecode64(uint64_t v) {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Writes into `buffer`'s storage: clears it but keeps its capacity, so a
+  /// writer over a reused buffer allocates nothing until it outgrows it.
+  explicit ByteWriter(std::vector<uint8_t> buffer) : data_(std::move(buffer)) {
+    data_.clear();
+  }
 
   const std::vector<uint8_t>& data() const { return data_; }
   std::vector<uint8_t> TakeData() { return std::move(data_); }

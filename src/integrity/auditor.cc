@@ -53,9 +53,23 @@ void IntegrityAuditor::PushReplicated(const char* what, uint64_t word) {
   words_.push_back(word);
 }
 
-void IntegrityAuditor::PushReplicatedDoubles(const char* what,
-                                             std::span<const double> values) {
-  PushReplicated(what, AuditDigestDoubles(values));
+namespace {
+
+/// FNV continued across `len` doubles at each of `parts`: the digest of
+/// their concatenation.
+uint64_t DigestParts(std::span<const double* const> parts, size_t len) {
+  uint64_t digest = kAuditDigestSeed;
+  for (const double* part : parts) {
+    digest = AuditDigestBytes(part, len * sizeof(double), digest);
+  }
+  return digest;
+}
+
+}  // namespace
+
+void IntegrityAuditor::PushReplicatedDoubles(
+    const char* what, std::span<const double* const> parts, size_t len) {
+  PushReplicated(what, DigestParts(parts, len));
 }
 
 void IntegrityAuditor::PushFlag(const char* what, bool violated) {
@@ -79,16 +93,14 @@ void IntegrityAuditor::PushPairwise(const char* what,
 void IntegrityAuditor::RecordShare(PairEvidence* evidence, int peer,
                                    std::span<const double* const> parts,
                                    size_t len) const {
-  uint64_t digest = kAuditDigestSeed;
-  double mass = 0.0;
-  for (const double* part : parts) {
-    digest = AuditDigestBytes(part, len * sizeof(double), digest);
-    if (full()) {
+  evidence->digest[peer] = DigestParts(parts, len);
+  if (full()) {
+    double mass = 0.0;
+    for (const double* part : parts) {
       for (size_t i = 0; i < len; ++i) mass += part[i];
     }
+    evidence->mass[peer] = std::bit_cast<uint64_t>(mass);
   }
-  evidence->digest[peer] = digest;
-  if (full()) evidence->mass[peer] = std::bit_cast<uint64_t>(mass);
 }
 
 void IntegrityAuditor::PushGatherPairwise(

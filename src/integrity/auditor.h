@@ -117,8 +117,12 @@ class IntegrityAuditor {
   /// replicated post-collective buffer, a merged decision, node counts).
   /// Majority vote blames dissenters; a unique dissenter is the blamed rank.
   void PushReplicated(const char* what, uint64_t word);
-  /// PushReplicated of the digest of a replicated buffer of doubles.
-  void PushReplicatedDoubles(const char* what, std::span<const double> values);
+  /// PushReplicated of the digest of a replicated buffer of doubles, given
+  /// as `len` doubles at each of `parts` in order. The digest continues
+  /// across the parts, so it equals AuditDigestDoubles of their
+  /// concatenation.
+  void PushReplicatedDoubles(const char* what,
+                             std::span<const double* const> parts, size_t len);
 
   /// A locally evaluated invariant flag (nonzero = violated). Any nonzero
   /// rank is a violation; a unique nonzero rank is blamed.

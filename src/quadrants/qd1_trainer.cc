@@ -1,6 +1,5 @@
 #include "quadrants/qd1_trainer.h"
 
-#include <cstring>
 #include <numeric>
 #include <span>
 
@@ -48,27 +47,24 @@ std::vector<SplitCandidate> Qd1Trainer::FindLayerSplits(
   const uint32_t q = options_.params.num_candidate_splits;
   const size_t per_node =
       static_cast<size_t>(HistFeatureCount()) * q * dims_ * 2;
-  // All-reduce the concatenated layer histograms; afterwards every worker
-  // holds the aggregated histograms (XGBoost then lets each worker evaluate
-  // all features redundantly — deterministic, so no extra broadcast).
-  const size_t total = frontier.size() * per_node;
-  if (layer_buffer_.size() < total) layer_buffer_.resize(total);
-  const std::span<double> buffer(layer_buffer_.data(), total);
+  // All-reduce the layer's pool histograms in place; afterwards every
+  // worker holds the aggregated histograms (XGBoost then lets each worker
+  // evaluate all features redundantly — deterministic, so no extra
+  // broadcast). Peers read the pool buffers until the call returns.
+  std::vector<double*> parts(frontier.size());
   for (size_t i = 0; i < frontier.size(); ++i) {
-    const Histogram* hist = pool_.Get(frontier[i]);
-    std::memcpy(buffer.data() + i * per_node, hist->raw_data(),
-                per_node * sizeof(double));
+    Histogram* hist = pool_.Get(frontier[i]);
+    VERO_DCHECK_EQ(hist->raw_size(), per_node);
+    parts[i] = hist->raw_data();
   }
-  VERO_COMM_OK(ctx_.AllReduceSum(buffer, {codec_, options_.mitigation}));
+  VERO_COMM_OK(
+      ctx_.AllReduceSum(parts, per_node, {codec_, options_.mitigation}));
   if (auditor_.enabled()) {
     // Every worker now holds a replica of the aggregated layer histograms;
     // a digest mismatch pins silent transport corruption on the dissenting
     // rank by majority vote.
-    auditor_.PushReplicatedDoubles("qd1-hist-allreduce", buffer);
-  }
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    std::memcpy(pool_.Get(frontier[i])->raw_data(),
-                buffer.data() + i * per_node, per_node * sizeof(double));
+    auditor_.PushReplicatedDoubles("qd1-hist-allreduce",
+                                   {parts.data(), parts.size()}, per_node);
   }
   return LocalBestSplits(frontier);
 }

@@ -44,10 +44,6 @@ class Qd1Trainer : public DistTrainerBase {
   std::vector<FeatureId> all_features_;
   /// Maps a live node id to its slot in the current layer (-1 otherwise).
   std::vector<int32_t> slot_of_node_;
-  /// The concatenated layer histograms FindLayerSplits all-reduces. Grows
-  /// to the widest layer and never shrinks, so the steady state allocates
-  /// (and page-faults) nothing per layer.
-  std::vector<double> layer_buffer_;
 };
 
 }  // namespace vero

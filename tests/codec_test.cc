@@ -438,7 +438,13 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
 // deferred slots), and each layer's metrics appear only when it is on.
 // ---------------------------------------------------------------------------
 
-enum class GridOp { kAllReduceSum, kAllGather, kAllToAll, kAllToAllSum };
+enum class GridOp {
+  kAllReduceSum,
+  kAllGather,
+  kAllToAll,
+  kAllToAllSum,
+  kAllReduceSumParts
+};
 
 using GridParam =
     std::tuple<GridOp, CollectiveCompression, MitigationMode, int>;
@@ -446,6 +452,8 @@ using GridParam =
 constexpr int kGridCalls = 6;
 // AllToAllSum cells: nodes per call, and doubles per unit (GridLength
 // counts units there, so calls 1-3 leave some ranks an empty slice).
+// AllReduceSumParts cells reduce kGridSumNodes parts of GridLength doubles
+// each (so call 2 has part_len 1 and n < W for W > 2).
 constexpr int kGridSumNodes = 2;
 constexpr size_t kGridUnitLen = 3;
 constexpr double kGridDelaySeconds = 5.0;
@@ -483,6 +491,7 @@ size_t GridLength(int call, int w) {
 CollectiveOp GridCollectiveOp(GridOp op) {
   switch (op) {
     case GridOp::kAllReduceSum:
+    case GridOp::kAllReduceSumParts:
       return CollectiveOp::kAllReduceSum;
     case GridOp::kAllGather:
       return CollectiveOp::kAllGather;
@@ -564,6 +573,23 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
       const Status status = ctx.AllToAllSum(mine, units, kGridUnitLen, out,
                                             {codec, mitigation}, outcome);
       slots->assign(1, GridBytes(sums));
+      return status;
+    }
+    case GridOp::kAllReduceSumParts: {
+      std::vector<std::vector<double>> nodes;
+      std::vector<double*> parts;
+      for (int i = 0; i < kGridSumNodes; ++i) {
+        nodes.push_back(GridValues(call, ctx.world_size(), r, i));
+        parts.push_back(nodes.back().data());
+      }
+      const Status status =
+          ctx.AllReduceSum(parts, GridLength(call, ctx.world_size()),
+                           {codec, mitigation}, outcome);
+      std::vector<double> concat;
+      for (const std::vector<double>& node : nodes) {
+        concat.insert(concat.end(), node.begin(), node.end());
+      }
+      slots->assign(1, GridBytes(concat));
       return status;
     }
   }
@@ -708,20 +734,26 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
       const auto& got = run.slots[call][r];
       const auto& want = ref.slots[call][r];
       ASSERT_EQ(got.size(), want.size()) << "call " << call << " rank " << r;
-      if (op == GridOp::kAllReduceSum) {
+      if (op == GridOp::kAllReduceSum || op == GridOp::kAllReduceSumParts) {
         // Each element sums the contributors in rank order from 0.0,
-        // whichever rank owns its slice of the reduce-scatter. W=1 returns
-        // the buffer untouched (a -0.0 stays -0.0).
+        // whichever rank owns its slice of the reduce-scatter and whichever
+        // part it sits in. W=1 returns the buffer untouched (a -0.0 stays
+        // -0.0).
+        const int parts = op == GridOp::kAllReduceSum ? 1 : kGridSumNodes;
         std::vector<double> sum;
-        if (w == 1) {
-          sum = GridValues(call, w, 0, 0);
-        } else {
-          sum.assign(GridLength(call, w), 0.0);
-          for (int s = 0; s < w; ++s) {
-            if (!mask[s]) continue;
-            const std::vector<double> v = GridValues(call, w, s, 0);
-            for (size_t i = 0; i < sum.size(); ++i) sum[i] += v[i];
+        for (int i = 0; i < parts; ++i) {
+          std::vector<double> part;
+          if (w == 1) {
+            part = GridValues(call, w, 0, i);
+          } else {
+            part.assign(GridLength(call, w), 0.0);
+            for (int s = 0; s < w; ++s) {
+              if (!mask[s]) continue;
+              const std::vector<double> v = GridValues(call, w, s, i);
+              for (size_t j = 0; j < part.size(); ++j) part[j] += v[j];
+            }
           }
+          sum.insert(sum.end(), part.begin(), part.end());
         }
         if (lossless) {
           EXPECT_EQ(got[0], GridBytes(sum)) << "call " << call << " rank " << r;
@@ -780,7 +812,8 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
 
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
   static const char* const kOpNames[] = {"AllReduceSum", "AllGather",
-                                         "AllToAll", "AllToAllSum"};
+                                         "AllToAll", "AllToAllSum",
+                                         "AllReduceSumParts"};
   const auto [op, compression, mode, w] = info.param;
   std::string name = kOpNames[static_cast<int>(op)];
   name += "_";
@@ -798,7 +831,8 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, CollectiveLayerGridTest,
     ::testing::Combine(
         ::testing::Values(GridOp::kAllReduceSum, GridOp::kAllGather,
-                          GridOp::kAllToAll, GridOp::kAllToAllSum),
+                          GridOp::kAllToAll, GridOp::kAllToAllSum,
+                          GridOp::kAllReduceSumParts),
         ::testing::Values(CollectiveCompression::kOff,
                           CollectiveCompression::kSparseDelta,
                           CollectiveCompression::kQuantized),

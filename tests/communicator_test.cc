@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace vero {
 namespace {
@@ -241,6 +244,117 @@ std::vector<size_t> EdgeLengths(int w) {
   return {0, 1, static_cast<size_t>(w - 1), static_cast<size_t>(w + 1), 1001};
 }
 
+// One all-reduce call of a slice-edge run: `parts` separately allocated
+// parts of `part_len` doubles each.
+struct EdgeShape {
+  size_t parts;
+  size_t part_len;
+};
+
+// Segmented shapes: zero parts, part_len 1 with n < W (the delayed call),
+// zero-length parts, part_len 1 with n > W, parts whose slice boundaries
+// fall inside them, and an odd bulk length no W divides.
+std::vector<EdgeShape> PartShapes(int w) {
+  const size_t u = static_cast<size_t>(w);
+  return {{0, 3}, {u - 1, 1}, {2, 0}, {u + 1, 1}, {3, u + 1}, {7, 143}};
+}
+
+// Per call and rank: the reduced concatenation, the contribution mask and
+// this rank's CommStats after the call.
+struct EdgeRun {
+  std::vector<std::vector<std::vector<double>>> results;
+  std::vector<std::vector<std::vector<uint8_t>>> masks;
+  std::vector<std::vector<CommStats>> stats;
+};
+
+// Runs one all-reduce per shape over EdgeValue payloads. `segmented` passes
+// the shape's parts; otherwise one span over their concatenation. With
+// `bounded`, the last rank is late on call 1, so bounded mode closes that
+// round without it while some ranks own no element at all.
+EdgeRun RunEdgeCalls(int w, bool coded, bool bounded,
+                     const std::vector<EdgeShape>& shapes, bool segmented) {
+  Cluster cluster(w);
+  CollectiveOptions opts;
+  if (coded) {
+    opts.codec.mode = CollectiveCompression::kSparseDelta;
+    opts.codec.block_values = 64;
+  }
+  if (bounded) {
+    opts.mitigation.mode = MitigationMode::kBoundedStaleness;
+    opts.mitigation.deadline_seconds = 0.01;
+    cluster.InstallFaultPlan(FaultPlan().Delay(
+        w - 1, CollectiveOp::kAllReduceSum, /*occurrence=*/1, 5.0));
+  }
+  const size_t calls = shapes.size();
+  EdgeRun run;
+  run.results.assign(calls, std::vector<std::vector<double>>(w));
+  run.masks.assign(calls, std::vector<std::vector<uint8_t>>(w));
+  run.stats.assign(calls, std::vector<CommStats>(w));
+  cluster.Run([&](WorkerContext& ctx) {
+    for (size_t call = 0; call < calls; ++call) {
+      const auto [num_parts, part_len] = shapes[call];
+      std::vector<double> data(num_parts * part_len);
+      for (size_t i = 0; i < data.size(); ++i) {
+        data[i] = EdgeValue(ctx.rank(), w, i);
+      }
+      MitigationOutcome outcome;
+      if (segmented) {
+        std::vector<std::vector<double>> parts(num_parts);
+        std::vector<double*> ptrs;
+        for (size_t p = 0; p < num_parts; ++p) {
+          parts[p].assign(data.begin() + p * part_len,
+                          data.begin() + (p + 1) * part_len);
+          ptrs.push_back(parts[p].data());
+        }
+        VERO_COMM_OK(ctx.AllReduceSum(ptrs, part_len, opts, &outcome));
+        for (size_t p = 0; p < num_parts; ++p) {
+          std::copy(parts[p].begin(), parts[p].end(),
+                    data.begin() + p * part_len);
+        }
+      } else {
+        VERO_COMM_OK(ctx.AllReduceSum(data, opts, &outcome));
+      }
+      run.results[call][ctx.rank()] = std::move(data);
+      run.masks[call][ctx.rank()] = outcome.contributed;
+      run.stats[call][ctx.rank()] = ctx.stats();
+    }
+  });
+  return run;
+}
+
+// Every call's result is the rank-order sum of the contributors the mask
+// names, bit for bit on every rank, and only the delayed call defers.
+void ExpectRankOrderSums(const EdgeRun& run, int w, bool bounded) {
+  for (size_t call = 0; call < run.results.size(); ++call) {
+    const std::vector<uint8_t>& mask = run.masks[call][0];
+    std::vector<uint8_t> expected_mask(w, 1);
+    if (bounded && call == 1) expected_mask[w - 1] = 0;
+    EXPECT_EQ(mask, expected_mask) << "call " << call;
+    std::vector<double> sum(run.results[call][0].size(), 0.0);
+    for (int s = 0; s < w; ++s) {
+      if (!mask[s]) continue;
+      for (size_t i = 0; i < sum.size(); ++i) sum[i] += EdgeValue(s, w, i);
+    }
+    for (int r = 0; r < w; ++r) {
+      EXPECT_EQ(run.masks[call][r], mask) << "call " << call;
+      EXPECT_TRUE(SameBits(run.results[call][r], sum))
+          << "call " << call << " (n=" << sum.size() << ") rank " << r;
+    }
+  }
+}
+
+void ExpectSameStats(const CommStats& a, const CommStats& b) {
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.bytes_received, b.bytes_received);
+  EXPECT_EQ(a.num_ops, b.num_ops);
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.absorbed_delay_seconds, b.absorbed_delay_seconds);
+  EXPECT_EQ(a.deadline_wait_seconds, b.deadline_wait_seconds);
+  EXPECT_EQ(a.deferred_contributions, b.deferred_contributions);
+  EXPECT_EQ(a.codec_raw_bytes, b.codec_raw_bytes);
+  EXPECT_EQ(a.codec_wire_bytes, b.codec_wire_bytes);
+}
+
 TEST(CommunicatorTest, AllReduceSliceEdgesMatchRankOrderSum) {
   for (const int w : {2, 3, 4}) {
     for (const bool coded : {false, true}) {
@@ -248,54 +362,28 @@ TEST(CommunicatorTest, AllReduceSliceEdgesMatchRankOrderSum) {
         SCOPED_TRACE("W=" + std::to_string(w) + " codec=" +
                      std::to_string(coded) + " bounded=" +
                      std::to_string(bounded));
-        const std::vector<size_t> lengths = EdgeLengths(w);
-        Cluster cluster(w);
-        CollectiveOptions opts;
-        if (coded) {
-          opts.codec.mode = CollectiveCompression::kSparseDelta;
-          opts.codec.block_values = 64;
-        }
-        if (bounded) {
-          // The last rank is late on the n=1 call, so bounded mode closes
-          // the round without it while some ranks own no element at all.
-          opts.mitigation.mode = MitigationMode::kBoundedStaleness;
-          opts.mitigation.deadline_seconds = 0.01;
-          cluster.InstallFaultPlan(FaultPlan().Delay(
-              w - 1, CollectiveOp::kAllReduceSum, /*occurrence=*/1, 5.0));
-        }
-        // results[call][rank], masks[call][rank].
-        std::vector<std::vector<std::vector<double>>> results(
-            lengths.size(), std::vector<std::vector<double>>(w));
-        std::vector<std::vector<std::vector<uint8_t>>> masks(
-            lengths.size(), std::vector<std::vector<uint8_t>>(w));
-        cluster.Run([&](WorkerContext& ctx) {
-          for (size_t call = 0; call < lengths.size(); ++call) {
-            std::vector<double> data(lengths[call]);
-            for (size_t i = 0; i < data.size(); ++i) {
-              data[i] = EdgeValue(ctx.rank(), w, i);
-            }
-            MitigationOutcome outcome;
-            VERO_COMM_OK(ctx.AllReduceSum(data, opts, &outcome));
-            results[call][ctx.rank()] = std::move(data);
-            masks[call][ctx.rank()] = outcome.contributed;
-          }
-        });
-        for (size_t call = 0; call < lengths.size(); ++call) {
-          const std::vector<uint8_t>& mask = masks[call][0];
-          std::vector<uint8_t> expected_mask(w, 1);
-          if (bounded && call == 1) expected_mask[w - 1] = 0;
-          EXPECT_EQ(mask, expected_mask) << "call " << call;
-          std::vector<double> sum(lengths[call], 0.0);
-          for (int s = 0; s < w; ++s) {
-            if (!mask[s]) continue;
-            for (size_t i = 0; i < sum.size(); ++i) {
-              sum[i] += EdgeValue(s, w, i);
-            }
-          }
+        std::vector<EdgeShape> spans;
+        for (size_t n : EdgeLengths(w)) spans.push_back({1, n});
+        ExpectRankOrderSums(
+            RunEdgeCalls(w, coded, bounded, spans, /*segmented=*/false), w,
+            bounded);
+
+        // The parts form is the one-part call over the concatenation: same
+        // sums, masks, bytes and codec volume, bit for bit.
+        const std::vector<EdgeShape> shapes = PartShapes(w);
+        const EdgeRun parts =
+            RunEdgeCalls(w, coded, bounded, shapes, /*segmented=*/true);
+        const EdgeRun whole =
+            RunEdgeCalls(w, coded, bounded, shapes, /*segmented=*/false);
+        ExpectRankOrderSums(parts, w, bounded);
+        for (size_t call = 0; call < shapes.size(); ++call) {
           for (int r = 0; r < w; ++r) {
-            EXPECT_EQ(masks[call][r], mask) << "call " << call;
-            EXPECT_TRUE(SameBits(results[call][r], sum))
-                << "call " << call << " (n=" << sum.size() << ") rank " << r;
+            SCOPED_TRACE("parts call " + std::to_string(call) + " rank " +
+                         std::to_string(r));
+            EXPECT_TRUE(
+                SameBits(parts.results[call][r], whole.results[call][r]));
+            EXPECT_EQ(parts.masks[call][r], whole.masks[call][r]);
+            ExpectSameStats(parts.stats[call][r], whole.stats[call][r]);
           }
         }
       }
@@ -306,30 +394,53 @@ TEST(CommunicatorTest, AllReduceSliceEdgesMatchRankOrderSum) {
 // A silent corruption is this rank's receive-side damage: whichever slice
 // the flipped element falls in, every other rank must still hold the clean
 // sum bit for bit (no peer may copy a slice after its owner corrupted it).
+// The parts form flips the element the one-part call over the concatenation
+// flips.
 TEST(CommunicatorTest, SilentCorruptionStaysOnTheCorruptedRank) {
   const int w = 4;
   const size_t n = 103;
+  // The parts run: 7 parts of 15, so slice boundaries fall inside parts.
+  const size_t num_parts = 7, part_len = 15;
   auto value = [](int rank, size_t i) {
     return (rank + 1) * 1.25 + static_cast<double>(i) * 0.01;
   };
-  std::vector<double> clean(n, 0.0);
-  for (int s = 0; s < w; ++s) {
-    for (size_t i = 0; i < n; ++i) clean[i] += value(s, i);
-  }
+  auto clean_sum = [&](size_t len) {
+    std::vector<double> clean(len, 0.0);
+    for (int s = 0; s < w; ++s) {
+      for (size_t i = 0; i < len; ++i) clean[i] += value(s, i);
+    }
+    return clean;
+  };
+  const std::vector<double> clean = clean_sum(n);
+  const std::vector<double> clean_parts = clean_sum(num_parts * part_len);
+  // Every rank's concatenated result of one all-reduce of `count` parts of
+  // `len` doubles, as parts or as one span, with `victim` corrupted.
+  auto run = [&](int victim, uint64_t seed, size_t count, size_t len,
+                 bool segmented) {
+    Cluster cluster(w);
+    cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
+        victim, CollectiveOp::kAllReduceSum, /*occurrence=*/0, seed));
+    std::vector<std::vector<double>> results(w);
+    cluster.Run([&](WorkerContext& ctx) {
+      std::vector<double> data(count * len);
+      for (size_t i = 0; i < data.size(); ++i) data[i] = value(ctx.rank(), i);
+      if (segmented) {
+        std::vector<double*> ptrs;
+        for (size_t p = 0; p < count; ++p) ptrs.push_back(&data[p * len]);
+        VERO_COMM_OK(ctx.AllReduceSum(ptrs, len));
+      } else {
+        VERO_COMM_OK(ctx.AllReduceSum(data));
+      }
+      results[ctx.rank()] = std::move(data);
+    });
+    return results;
+  };
   for (int victim = 0; victim < w; ++victim) {
     std::set<int> slices_hit;
     for (uint64_t seed = 1;
          seed <= 64 && slices_hit.size() < static_cast<size_t>(w); ++seed) {
-      Cluster cluster(w);
-      cluster.InstallFaultPlan(FaultPlan().SilentCorrupt(
-          victim, CollectiveOp::kAllReduceSum, /*occurrence=*/0, seed));
-      std::vector<std::vector<double>> results(w);
-      cluster.Run([&](WorkerContext& ctx) {
-        std::vector<double> data(n);
-        for (size_t i = 0; i < n; ++i) data[i] = value(ctx.rank(), i);
-        VERO_COMM_OK(ctx.AllReduceSum(data));
-        results[ctx.rank()] = std::move(data);
-      });
+      const std::vector<std::vector<double>> results =
+          run(victim, seed, 1, n, /*segmented=*/false);
       for (int r = 0; r < w; ++r) {
         if (r == victim) continue;
         EXPECT_TRUE(SameBits(results[r], clean))
@@ -347,6 +458,22 @@ TEST(CommunicatorTest, SilentCorruptionStaysOnTheCorruptedRank) {
       for (int r = 0; r < w; ++r) {
         if (flipped[0] >= n * r / w && flipped[0] < n * (r + 1) / w) {
           slices_hit.insert(r);
+        }
+      }
+
+      const std::vector<std::vector<double>> parts =
+          run(victim, seed, num_parts, part_len, /*segmented=*/true);
+      const std::vector<std::vector<double>> whole =
+          run(victim, seed, 1, num_parts * part_len, /*segmented=*/false);
+      EXPECT_FALSE(SameBits(parts[victim], clean_parts))
+          << "victim " << victim << " seed " << seed;
+      for (int r = 0; r < w; ++r) {
+        EXPECT_TRUE(SameBits(parts[r], whole[r]))
+            << "victim " << victim << " seed " << seed << " rank " << r;
+        if (r != victim) {
+          EXPECT_TRUE(SameBits(parts[r], clean_parts))
+              << "victim " << victim << " seed " << seed << " leaked to rank "
+              << r;
         }
       }
     }

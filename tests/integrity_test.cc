@@ -99,6 +99,47 @@ INSTANTIATE_TEST_SUITE_P(AllQuadrants, QuadrantIntegrityTest,
                          ::testing::Values(Quadrant::kQD1, Quadrant::kQD2,
                                            Quadrant::kQD3, Quadrant::kQD4));
 
+// QD1 digests its all-reduced pool histograms in place, part after part.
+// The digest must be the one of their concatenation, so
+// "qd1-hist-allreduce" does not depend on where the parts live: rank 0
+// pushes the parts and rank 1 the concatenation's digest, and a 1-vs-1
+// split would be a violation.
+TEST(AuditDigestTest, ReplicatedPartsDigestIsTheConcatenationDigest) {
+  const std::vector<std::vector<double>> parts = {{1.5, -0.0, 3e300, -2.25},
+                                                   {0.0, 7.0, -1e-300, 4.5},
+                                                   {8.0, 9.0, 0.1, 0.2}};
+  std::vector<double> concat, swapped;
+  for (const auto& part : parts) {
+    concat.insert(concat.end(), part.begin(), part.end());
+  }
+  for (size_t p : {1, 0, 2}) {
+    swapped.insert(swapped.end(), parts[p].begin(), parts[p].end());
+  }
+  const std::vector<const double*> ptrs = {parts[0].data(), parts[1].data(),
+                                           parts[2].data()};
+  // `rank1` is the digest rank 1 pushes; returns each rank's verdict.
+  const auto agree = [&](uint64_t rank1, size_t len) {
+    Cluster cluster(2);
+    std::vector<uint8_t> ok(2, 0);
+    cluster.Run([&](WorkerContext& ctx) {
+      IntegrityAuditor auditor(ctx, IntegrityLevel::kChecksum);
+      if (ctx.rank() == 0) {
+        auditor.PushReplicatedDoubles("qd1-hist-allreduce", ptrs, len);
+      } else {
+        auditor.PushReplicated("qd1-hist-allreduce", rank1);
+      }
+      ok[ctx.rank()] = auditor.Exchange("test").ok;
+    });
+    return ok[0] && ok[1];
+  };
+  EXPECT_TRUE(agree(AuditDigestDoubles(concat), 4));
+  EXPECT_TRUE(agree(AuditDigestDoubles({}), 0));
+  // Controls: the same values in another part order, or a shorter part
+  // length, give another digest.
+  EXPECT_FALSE(agree(AuditDigestDoubles(swapped), 4));
+  EXPECT_FALSE(agree(AuditDigestDoubles(concat), 3));
+}
+
 // ---------------------------------------------------------------------------
 // Silent transport corruption: escapes at off, caught + blamed + healed on.
 // ---------------------------------------------------------------------------
