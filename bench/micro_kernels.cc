@@ -207,6 +207,50 @@ void BM_BitmapEncodePlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapEncodePlacement)->Arg(100000)->Arg(1000000);
 
+// QD4 split owner's placement step on a Higgs-shaped shard: 300k dense rows
+// of 7 local features in 4 blocks, placing an ascending half of the rows
+// (one node's instances). Arg 0 is the per-row FindBin + Assign loop that
+// ColumnGroup::FillGoLeft replaced; arg 1 is FillGoLeft.
+void BM_FillGoLeftColumnGroup(benchmark::State& state) {
+  constexpr uint32_t kRows = 300000, kLocal = 7, kBlocks = 4;
+  Rng rng(19);
+  ColumnGroup group;
+  for (uint32_t b = 0; b < kBlocks; ++b) {
+    ColumnGroupBlock block;
+    block.row_offset = kRows / kBlocks * b;
+    for (uint32_t r = 0; r < kRows / kBlocks; ++r) {
+      for (uint32_t f = 0; f < kLocal; ++f) {
+        block.features.push_back(f);
+        block.bins.push_back(static_cast<BinId>(rng.Uniform(256)));
+      }
+      block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
+    }
+    group.AppendBlock(std::move(block));
+  }
+  std::vector<InstanceId> instances;
+  for (InstanceId i = 0; i < kRows; ++i) {
+    if (rng.Bernoulli(0.5)) instances.push_back(i);
+  }
+  const bool batched = state.range(0) != 0;
+  const uint32_t feature = 3;
+  const BinId split_bin = 128;
+  Bitmap go_left(instances.size());
+  for (auto _ : state) {
+    if (batched) {
+      group.FillGoLeft(instances, feature, split_bin, false, &go_left);
+    } else {
+      for (size_t j = 0; j < instances.size(); ++j) {
+        const auto bin = group.FindBin(instances[j], feature);
+        go_left.Assign(j, bin.has_value() ? *bin <= split_bin : false);
+      }
+    }
+    benchmark::DoNotOptimize(go_left);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * instances.size());
+}
+BENCHMARK(BM_FillGoLeftColumnGroup)->Arg(0)->Arg(1);
+
 // The 4-byte-per-instance alternative the bitmap replaces (32x larger).
 void BM_Int32EncodePlacement(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -18,7 +18,13 @@
 # threads read per-call state that lives on the calling thread's stack.
 # edge_cases_test runs QD2 with more workers than features: peers read each
 # other's pool histograms in place during the layer exchange (AllToAllSum),
-# and some ranks own an empty feature slice.
+# and some ranks own an empty feature slice. bitmap_test, column_group_test,
+# binned_test and node_indexer_test cover batched split placement: the
+# word-at-a-time Bitmap::Fill (shifts by up to 63 bits, the partial tail
+# word), the block cursor's unsigned range test in ColumnGroup::FillGoLeft,
+# the forward column search in BinnedColumnStore::FillGoLeft, and the
+# branch-free RowPartition::Split that writes every instance to both of its
+# cursors.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -31,6 +37,7 @@ TESTS=(
   straggler_mitigation_test codec_test communicator_test
   communicator_stress_test serve_test dist_trainer_test obs_test
   anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
+  bitmap_test column_group_test binned_test node_indexer_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

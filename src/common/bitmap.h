@@ -37,6 +37,21 @@ class Bitmap {
     return (words_[i >> 6] >> (i & 63)) & uint64_t{1};
   }
 
+  /// Sets bit j to pred(j) for every j < size(), calling pred once per bit
+  /// in ascending j. Bits gather in a local word that is stored every 64
+  /// bits (plus once for the tail), so there is no per-bit read-modify-write
+  /// or data-dependent branch; bits past size() stay zero.
+  template <typename Pred>
+  void Fill(Pred pred) {
+    const size_t full = num_bits_ >> 6;
+    for (size_t k = 0; k < full; ++k) {
+      words_[k] = PackBits(pred, k << 6, 64);
+    }
+    if (const size_t tail = num_bits_ & 63; tail != 0) {
+      words_[full] = PackBits(pred, full << 6, tail);
+    }
+  }
+
   /// Number of set bits.
   size_t Count() const;
 
@@ -56,6 +71,15 @@ class Bitmap {
   }
 
  private:
+  template <typename Pred>
+  static uint64_t PackBits(Pred& pred, size_t base, size_t count) {
+    uint64_t word = 0;
+    for (size_t b = 0; b < count; ++b) {
+      word |= static_cast<uint64_t>(pred(base + b)) << b;
+    }
+    return word;
+  }
+
   size_t num_bits_ = 0;
   std::vector<uint64_t> words_;
 };

@@ -40,16 +40,14 @@ void BinnedRowStore::FillGoLeft(std::span<const InstanceId> instances,
                                 FeatureId feature, BinId split_bin,
                                 bool default_left, Bitmap* go_left) const {
   const FeatureId* base = features_.data();
-  for (size_t j = 0; j < instances.size(); ++j) {
+  go_left->Fill([&](size_t j) {
     const uint64_t begin = row_ptr_[instances[j]];
     const FeatureId* lo = base + begin;
     const FeatureId* hi = base + row_ptr_[instances[j] + 1];
     const FeatureId* it = std::lower_bound(lo, hi, feature);
-    const bool left = (it != hi && *it == feature)
-                          ? bins_[begin + (it - lo)] <= split_bin
-                          : default_left;
-    go_left->Assign(j, left);
-  }
+    return (it != hi && *it == feature) ? bins_[begin + (it - lo)] <= split_bin
+                                        : default_left;
+  });
 }
 
 BinnedColumnStore BinnedColumnStore::FromCsr(const CsrMatrix& matrix,
@@ -71,6 +69,27 @@ std::optional<BinId> BinnedColumnStore::FindBin(FeatureId f,
   const auto it = std::lower_bound(rows.begin(), rows.end(), instance);
   if (it == rows.end() || *it != instance) return std::nullopt;
   return bins_[col_ptr_[f] + (it - rows.begin())];
+}
+
+void BinnedColumnStore::FillGoLeft(std::span<const InstanceId> instances,
+                                   FeatureId feature, BinId split_bin,
+                                   bool default_left, Bitmap* go_left) const {
+  const InstanceId* begin = rows_.data() + col_ptr_[feature];
+  const InstanceId* end = rows_.data() + col_ptr_[feature + 1];
+  const BinId* bins = bins_.data() + col_ptr_[feature];
+  // Every column entry before `from` is below `prev`, so while instance ids
+  // ascend each search starts at the previous hit; a descent restarts at
+  // the column start.
+  const InstanceId* from = begin;
+  InstanceId prev = 0;
+  go_left->Fill([&](size_t j) {
+    const InstanceId inst = instances[j];
+    if (inst < prev) from = begin;
+    prev = inst;
+    from = std::lower_bound(from, end, inst);
+    return (from != end && *from == inst) ? bins[from - begin] <= split_bin
+                                          : default_left;
+  });
 }
 
 }  // namespace vero

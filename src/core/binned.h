@@ -56,7 +56,8 @@ class BinnedRowStore {
   /// Batched split placement: bit j of `go_left` (sized instances.size())
   /// becomes bin(instances[j], feature) <= split_bin, or default_left when
   /// the instance misses the feature. One call per split replaces a
-  /// FindBin — span construction, optional, bounds re-derivation — per row.
+  /// FindBin — span construction, optional, bounds re-derivation — per row,
+  /// and the bits are written a word at a time (Bitmap::Fill).
   void FillGoLeft(std::span<const InstanceId> instances, FeatureId feature,
                   BinId split_bin, bool default_left, Bitmap* go_left) const;
 
@@ -127,6 +128,14 @@ class BinnedColumnStore {
   /// log(N) lookup that §3.2.3 charges against column-store with a
   /// node-to-instance index.
   std::optional<BinId> FindBin(FeatureId f, InstanceId instance) const;
+
+  /// Batched split placement over column `feature`, with the contract of
+  /// BinnedRowStore::FillGoLeft. While `instances` ascend (a RowPartition
+  /// node's order), each lookup searches the column forward from the
+  /// previous hit instead of from its start; any order is answered
+  /// correctly.
+  void FillGoLeft(std::span<const InstanceId> instances, FeatureId feature,
+                  BinId split_bin, bool default_left, Bitmap* go_left) const;
 
   uint64_t MemoryBytes() const {
     return col_ptr_.capacity() * sizeof(uint64_t) +

@@ -34,22 +34,24 @@ void RowPartition::Split(NodeId node, const Bitmap& go_left) {
   VERO_CHECK_EQ(go_left.size(), n);
 
   // Stable two-way partition through the scratch buffer: left children keep
-  // their order at the front, right children at the back.
+  // their order at the front, right children at the back. Each instance is
+  // written to both cursors and only the one its bit selects advances, so
+  // the loop has no data-dependent branch.
+  InstanceId* order = order_.data() + range.begin;
+  InstanceId* scratch = scratch_.data();
   uint64_t left_count = 0;
   for (uint64_t j = 0; j < n; ++j) {
-    if (go_left.Get(j)) {
-      order_[range.begin + left_count] = order_[range.begin + j];
-      ++left_count;
-    } else {
-      // Stash right-going instances in scratch in order.
-      scratch_[j - left_count] = order_[range.begin + j];
-    }
+    const InstanceId id = order[j];
+    const uint64_t left = go_left.Get(j);
+    order[left_count] = id;
+    scratch[j - left_count] = id;
+    left_count += left;
   }
   // Every slot written by the left compaction was already visited (the write
   // cursor trails j), so right-going instances are safely parked in scratch_.
   const uint64_t right_count = n - left_count;
   for (uint64_t j = 0; j < right_count; ++j) {
-    order_[range.begin + left_count + j] = scratch_[j];
+    order[left_count + j] = scratch[j];
   }
 
   const NodeId left = LeftChild(node);

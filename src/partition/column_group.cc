@@ -100,6 +100,33 @@ std::optional<BinId> ColumnGroup::FindBin(InstanceId instance,
   return blk.bins[blk.row_ptr[r] + (it - begin)];
 }
 
+void ColumnGroup::FillGoLeft(std::span<const InstanceId> instances,
+                             uint32_t local_feature, BinId split_bin,
+                             bool default_left, Bitmap* go_left) const {
+  // Cursor over the current block: its rows are instances [lo, lo + rows).
+  // The empty initial range sends the first instance through Locate.
+  const ColumnGroupBlock* blk = nullptr;
+  InstanceId lo = 0;
+  uint32_t rows = 0;
+  go_left->Fill([&](size_t j) {
+    const InstanceId inst = instances[j];
+    // Unsigned wrap-around folds inst < lo into the out-of-range test.
+    if (inst - lo >= rows) {
+      blk = &blocks_[Locate(inst).first];
+      lo = blk->row_offset;
+      rows = blk->num_rows();
+    }
+    const uint32_t r = inst - lo;
+    const uint32_t* features = blk->features.data();
+    const uint32_t* begin = features + blk->row_ptr[r];
+    const uint32_t* end = features + blk->row_ptr[r + 1];
+    const uint32_t* it = std::lower_bound(begin, end, local_feature);
+    return (it != end && *it == local_feature)
+               ? blk->bins[it - features] <= split_bin
+               : default_left;
+  });
+}
+
 uint64_t ColumnGroup::MemoryBytes() const {
   uint64_t total = block_offsets_.capacity() * sizeof(InstanceId);
   for (const auto& b : blocks_) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "data/types.h"
 
 namespace vero {
@@ -59,6 +60,17 @@ class ColumnGroup {
   /// Bin of (instance, local feature) via two-phase index plus binary search
   /// within the row; nullopt if the instance misses the feature.
   std::optional<BinId> FindBin(InstanceId instance, uint32_t local_feature) const;
+
+  /// Batched split placement (the QD4 owner's side of §4.2.2): bit j of
+  /// `go_left` (sized instances.size()) becomes
+  /// bin(instances[j], local_feature) <= split_bin, or default_left when the
+  /// instance misses the feature. A block cursor keeps the current block's
+  /// row range and locates a block only when an instance falls outside it,
+  /// so ascending instances (a RowPartition node's order) cost one Locate
+  /// per block; any order is answered correctly.
+  void FillGoLeft(std::span<const InstanceId> instances,
+                  uint32_t local_feature, BinId split_bin, bool default_left,
+                  Bitmap* go_left) const;
 
   uint64_t MemoryBytes() const;
 

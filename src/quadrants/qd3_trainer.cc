@@ -47,11 +47,14 @@ void Qd3Trainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
   ApplySubtractions(tasks);
 }
 
-bool Qd3Trainer::PlaceInstance(InstanceId instance, uint32_t local_feature,
-                               const SplitCandidate& split) const {
-  // Column-store lookup: binary search the feature's column by instance id.
-  const auto bin = store_.FindBin(local_feature, instance);
-  return bin.has_value() ? (*bin <= split.split_bin) : split.default_left;
+void Qd3Trainer::FillGoLeft(std::span<const InstanceId> instances,
+                            uint32_t local_feature,
+                            const SplitCandidate& split,
+                            Bitmap* go_left) const {
+  // Column-store lookup: a forward search of the feature's column by
+  // instance id.
+  store_.FillGoLeft(instances, local_feature, split.split_bin,
+                    split.default_left, go_left);
 }
 
 void Qd3Trainer::OnNodeSplit(NodeId node) {

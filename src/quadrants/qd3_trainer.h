@@ -28,8 +28,9 @@ class Qd3Trainer : public VerticalTrainerBase {
  protected:
   void InitTreeIndexes() override;
   void BuildLayerHistograms(const std::vector<BuildTask>& tasks) override;
-  bool PlaceInstance(InstanceId instance, uint32_t local_feature,
-                     const SplitCandidate& split) const override;
+  void FillGoLeft(std::span<const InstanceId> instances,
+                  uint32_t local_feature, const SplitCandidate& split,
+                  Bitmap* go_left) const override;
   void OnNodeSplit(NodeId node) override;
   bool MasterCoordinatesSplits() const override { return false; }
 

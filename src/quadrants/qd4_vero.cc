@@ -22,11 +22,13 @@ void Qd4VeroTrainer::BuildLayerHistograms(const std::vector<BuildTask>& tasks) {
                 HistFeatureCount());
 }
 
-bool Qd4VeroTrainer::PlaceInstance(InstanceId instance, uint32_t local_feature,
-                                   const SplitCandidate& split) const {
-  // Row-store lookup: binary search inside the instance's row.
-  const auto bin = shard_.data.FindBin(instance, local_feature);
-  return bin.has_value() ? (*bin <= split.split_bin) : split.default_left;
+void Qd4VeroTrainer::FillGoLeft(std::span<const InstanceId> instances,
+                                uint32_t local_feature,
+                                const SplitCandidate& split,
+                                Bitmap* go_left) const {
+  // Row-store lookup: a block cursor, then a binary search inside each row.
+  shard_.data.FillGoLeft(instances, local_feature, split.split_bin,
+                         split.default_left, go_left);
 }
 
 }  // namespace vero

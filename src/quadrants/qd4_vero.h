@@ -19,8 +19,9 @@ class Qd4VeroTrainer : public VerticalTrainerBase {
 
  protected:
   void BuildLayerHistograms(const std::vector<BuildTask>& tasks) override;
-  bool PlaceInstance(InstanceId instance, uint32_t local_feature,
-                     const SplitCandidate& split) const override;
+  void FillGoLeft(std::span<const InstanceId> instances,
+                  uint32_t local_feature, const SplitCandidate& split,
+                  Bitmap* go_left) const override;
   bool MasterCoordinatesSplits() const override { return true; }
 
  private:

@@ -81,9 +81,7 @@ void VerticalTrainerBase::ApplyLayerSplits(
         VERO_CHECK_NE(local_f, kInvalidFeature);
         auto instances = partition_.Instances(nodes[i]);
         Bitmap go_left(instances.size());
-        for (size_t j = 0; j < instances.size(); ++j) {
-          go_left.Assign(j, PlaceInstance(instances[j], local_f, splits[i]));
-        }
+        FillGoLeft(instances, local_f, splits[i], &go_left);
         go_left.SerializeTo(&payload);
       }
     }

@@ -1,6 +1,7 @@
 #ifndef VERO_QUADRANTS_VERTICAL_COMMON_H_
 #define VERO_QUADRANTS_VERTICAL_COMMON_H_
 
+#include <span>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -34,10 +35,13 @@ class VerticalTrainerBase : public DistTrainerBase {
                         const std::vector<SplitCandidate>& splits,
                         std::vector<uint32_t>* child_counts) override;
 
-  /// Placement of one instance under a split this worker owns: goes left?
-  /// Implemented against the quadrant's storage (row vs column lookup).
-  virtual bool PlaceInstance(InstanceId instance, uint32_t local_feature,
-                             const SplitCandidate& split) const = 0;
+  /// Placement of one node's instances under a split this worker owns: bit
+  /// j of `go_left` (sized instances.size()) says whether instances[j] goes
+  /// left. One batched call per split node, implemented against the
+  /// quadrant's storage (row vs column lookup).
+  virtual void FillGoLeft(std::span<const InstanceId> instances,
+                          uint32_t local_feature, const SplitCandidate& split,
+                          Bitmap* go_left) const = 0;
 
   /// Hook for extra index maintenance after partition_.Split (QD3 keeps an
   /// instance-to-node index as well).

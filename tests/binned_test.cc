@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "data/synthetic.h"
 
 namespace vero {
@@ -133,6 +134,46 @@ TEST(BinnedColumnStoreTest, FindBinMissAndIncremental) {
   EXPECT_FALSE(store.FindBin(0, 3).has_value());
   ASSERT_TRUE(store.FindBin(0, 7).has_value());
   EXPECT_EQ(*store.FindBin(0, 7), 3);
+}
+
+TEST(BinnedColumnStoreTest, FillGoLeftMatchesFindBin) {
+  const Dataset d = MakeData();
+  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
+  const BinnedColumnStore store = BinnedColumnStore::FromCsr(d.matrix(), splits);
+  Rng rng(17);
+  // Lists of each length: an ascending sample of every row, an ascending
+  // sample of the upper half only (the forward search starts past a
+  // stretch of the column), and each of those shuffled.
+  std::vector<std::vector<InstanceId>> lists;
+  const uint32_t n = d.num_instances();
+  for (uint32_t len : {0u, 1u, 63u, 64u, 65u, 129u}) {
+    for (const uint32_t start : {0u, n / 2}) {
+      std::vector<InstanceId> picked =
+          rng.SampleWithoutReplacement(n - start, len);
+      for (InstanceId& i : picked) i += start;
+      lists.push_back(picked);
+      rng.Shuffle(&picked);
+      lists.push_back(std::move(picked));
+    }
+  }
+  for (const std::vector<InstanceId>& instances : lists) {
+    for (const bool default_left : {true, false}) {
+      const FeatureId f = static_cast<FeatureId>(rng.Uniform(15));
+      const BinId split_bin = static_cast<BinId>(rng.Uniform(8));
+      Bitmap go_left(instances.size());
+      for (size_t j = 0; j < instances.size(); ++j) go_left.Set(j);
+      store.FillGoLeft(instances, f, split_bin, default_left, &go_left);
+      Bitmap expected(instances.size());
+      for (size_t j = 0; j < instances.size(); ++j) {
+        const auto bin = store.FindBin(f, instances[j]);
+        expected.Assign(j, bin.has_value() ? *bin <= split_bin
+                                           : default_left);
+        EXPECT_EQ(go_left.Get(j), expected.Get(j))
+            << "j=" << j << " n=" << instances.size();
+      }
+      EXPECT_TRUE(go_left == expected) << "n=" << instances.size();
+    }
+  }
 }
 
 TEST(BinnedStoresTest, MemoryBytesSmallerThanRawMatrix) {

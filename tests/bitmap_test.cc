@@ -123,9 +123,40 @@ TEST_P(BitmapPropertyTest, RandomRoundTripPreservesEveryBit) {
   EXPECT_EQ(c.Count(), count);
 }
 
+// Fill writes whole words: it must visit each bit once in ascending order,
+// overwrite stale bits, and leave the padding past size() zero, so that ==
+// and the wire bytes match a bitmap built bit by bit.
+TEST_P(BitmapPropertyTest, FillMatchesAssignAndWireBytes) {
+  const size_t n = GetParam();
+  Rng rng(n * 17 + 3);
+  std::vector<bool> want(n);
+  Bitmap assigned(n);
+  Bitmap filled(n);
+  for (size_t i = 0; i < n; ++i) {
+    want[i] = rng.Bernoulli(0.4);
+    assigned.Assign(i, want[i]);
+    filled.Set(i);  // stale bits
+  }
+  size_t next = 0;
+  filled.Fill([&](size_t j) {
+    EXPECT_EQ(j, next++);
+    return static_cast<bool>(want[j]);
+  });
+  EXPECT_EQ(next, n);
+  EXPECT_EQ(filled, assigned);
+  std::vector<uint8_t> filled_bytes, assigned_bytes;
+  filled.SerializeTo(&filled_bytes);
+  assigned.SerializeTo(&assigned_bytes);
+  EXPECT_EQ(filled_bytes, assigned_bytes);
+  Bitmap decoded;
+  ASSERT_TRUE(Bitmap::Deserialize(filled_bytes.data(), filled_bytes.size(), n,
+                                  &decoded));
+  EXPECT_EQ(decoded, filled);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BitmapPropertyTest,
                          ::testing::Values(1, 7, 8, 63, 64, 65, 127, 128, 1000,
-                                           4096));
+                                           4096, 0, 129));
 
 }  // namespace
 }  // namespace vero

@@ -116,6 +116,79 @@ TEST(ColumnGroupTest, MemoryBytesPositive) {
   EXPECT_GT(group.MemoryBytes(), 0u);
 }
 
+// Index lists of the given lengths drawn from `pool` (sorted ascending):
+// sampled subsets in ascending order, plus each one shuffled.
+std::vector<std::vector<InstanceId>> PlacementLists(
+    const std::vector<InstanceId>& pool, Rng* rng) {
+  std::vector<std::vector<InstanceId>> lists;
+  for (uint32_t len : {0u, 1u, 63u, 64u, 65u, 129u}) {
+    std::vector<InstanceId> picked;
+    for (uint32_t k : rng->SampleWithoutReplacement(
+             static_cast<uint32_t>(pool.size()), len)) {
+      picked.push_back(pool[k]);
+    }
+    lists.push_back(picked);
+    rng->Shuffle(&picked);
+    lists.push_back(std::move(picked));
+  }
+  return lists;
+}
+
+TEST(ColumnGroupTest, FillGoLeftMatchesFindBin) {
+  constexpr uint32_t kFeatures = 7;
+  Rng rng(41);
+  // Uneven blocks, one of them empty; rows may be empty or miss features.
+  ColumnGroup group;
+  std::vector<std::vector<InstanceId>> block_rows;
+  InstanceId offset = 0;
+  for (uint32_t nrows : {37u, 0u, 90u, 5u, 120u, 64u}) {
+    std::vector<std::vector<std::pair<uint32_t, BinId>>> rows(nrows);
+    block_rows.emplace_back();
+    for (uint32_t r = 0; r < nrows; ++r) {
+      block_rows.back().push_back(offset + r);
+      if (rng.Bernoulli(0.1)) continue;
+      for (uint32_t f = 0; f < kFeatures; ++f) {
+        if (rng.Bernoulli(0.6)) {
+          rows[r].emplace_back(f, static_cast<BinId>(rng.Uniform(16)));
+        }
+      }
+    }
+    group.AppendBlock(MakeBlock(offset, rows));
+    offset += nrows;
+  }
+
+  // Pools: every row, and only the rows of blocks 0 and 4 (so ascending
+  // lists jump over whole blocks).
+  std::vector<InstanceId> all_rows(group.num_instances());
+  for (InstanceId i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
+  std::vector<InstanceId> skipping = block_rows[0];
+  skipping.insert(skipping.end(), block_rows[4].begin(), block_rows[4].end());
+
+  for (const auto* pool : {&all_rows, &skipping}) {
+    for (const std::vector<InstanceId>& instances :
+         PlacementLists(*pool, &rng)) {
+      for (const bool default_left : {true, false}) {
+        const uint32_t feature = static_cast<uint32_t>(rng.Uniform(kFeatures));
+        const BinId split_bin = static_cast<BinId>(rng.Uniform(16));
+        // Stale set bits must be overwritten, not OR-ed into.
+        Bitmap go_left(instances.size());
+        for (size_t j = 0; j < instances.size(); ++j) go_left.Set(j);
+        group.FillGoLeft(instances, feature, split_bin, default_left,
+                         &go_left);
+        Bitmap expected(instances.size());
+        for (size_t j = 0; j < instances.size(); ++j) {
+          const auto bin = group.FindBin(instances[j], feature);
+          expected.Assign(j, bin.has_value() ? *bin <= split_bin
+                                             : default_left);
+          EXPECT_EQ(go_left.Get(j), expected.Get(j))
+              << "j=" << j << " n=" << instances.size();
+        }
+        EXPECT_TRUE(go_left == expected) << "n=" << instances.size();
+      }
+    }
+  }
+}
+
 TEST(ColumnGroupDeathTest, NonContiguousBlocksDie) {
   ColumnGroup group;
   group.AppendBlock(MakeBlock(0, {{{0, 1}}}));

@@ -390,20 +390,29 @@ TEST(HistBuilderTest, FillGoLeftMatchesPerRowFindBin) {
   Rng rng(909);
   const uint32_t n = 300, d = 10;
   const BinnedRowStore store = MakeRowStore(n, d, 0.3, &rng);
-  std::vector<InstanceId> instances;
+  std::vector<InstanceId> all;
   for (InstanceId i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.7)) instances.push_back(i);
+    if (rng.Bernoulli(0.7)) all.push_back(i);
   }
-  for (const bool default_left : {true, false}) {
-    const FeatureId feature = static_cast<FeatureId>(rng.Uniform(d));
-    const BinId split_bin = static_cast<BinId>(rng.Uniform(kBins));
-    Bitmap go_left(instances.size());
-    store.FillGoLeft(instances, feature, split_bin, default_left, &go_left);
-    for (size_t j = 0; j < instances.size(); ++j) {
-      const auto bin = store.FindBin(instances[j], feature);
-      const bool expected =
-          bin.has_value() ? (*bin <= split_bin) : default_left;
-      EXPECT_EQ(go_left.Get(j), expected) << "j=" << j;
+  // Prefixes around the 64-bit word boundaries, plus the whole list.
+  for (const size_t len : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                           size_t{65}, size_t{127}, size_t{128},
+                           size_t{129}, all.size()}) {
+    const std::span<const InstanceId> instances(all.data(), len);
+    for (const bool default_left : {true, false}) {
+      const FeatureId feature = static_cast<FeatureId>(rng.Uniform(d));
+      const BinId split_bin = static_cast<BinId>(rng.Uniform(kBins));
+      Bitmap go_left(len);
+      store.FillGoLeft(instances, feature, split_bin, default_left,
+                       &go_left);
+      Bitmap expected(len);
+      for (size_t j = 0; j < len; ++j) {
+        const auto bin = store.FindBin(instances[j], feature);
+        expected.Assign(j, bin.has_value() ? (*bin <= split_bin)
+                                           : default_left);
+        EXPECT_EQ(go_left.Get(j), expected.Get(j)) << "j=" << j;
+      }
+      EXPECT_TRUE(go_left == expected) << "len=" << len;
     }
   }
 }

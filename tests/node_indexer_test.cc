@@ -1,6 +1,7 @@
 #include "core/node_indexer.h"
 
 #include <algorithm>
+#include <functional>
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -96,6 +97,55 @@ TEST(RowPartitionTest, SplitKeepsRelativeOrderOnBothSides) {
   for (NodeId child : {1, 2}) {
     auto inst = p.Instances(child);
     EXPECT_TRUE(std::is_sorted(inst.begin(), inst.end()));
+  }
+}
+
+// The vertical quadrants' placement cursors (ColumnGroup::FillGoLeft,
+// BinnedColumnStore::FillGoLeft) are fast only if every node lists its
+// instances in strictly ascending id order. Split a full tree and a
+// subsampled one at random and check that order on every live node.
+TEST(RowPartitionTest, InstancesStayStrictlyAscendingUnderRandomSplits) {
+  constexpr uint32_t kLayers = 6;
+  const uint32_t n = 700;
+  Rng rng(77);
+  for (const bool subset : {false, true}) {
+    RowPartition p;
+    if (subset) {
+      p.InitSubset(rng.SampleWithoutReplacement(n, n / 3), kLayers);
+    } else {
+      p.Init(n, kLayers);
+    }
+    std::vector<NodeId> live = {0};
+    for (uint32_t depth = 0; depth + 1 < kLayers; ++depth) {
+      std::vector<NodeId> next;
+      for (NodeId node : live) {
+        if (rng.Bernoulli(0.25)) {  // stays a leaf
+          next.push_back(node);
+          continue;
+        }
+        const double p_left = rng.NextDouble();
+        Bitmap go_left(p.Count(node));
+        for (size_t j = 0; j < go_left.size(); ++j) {
+          go_left.Assign(j, rng.Bernoulli(p_left));
+        }
+        p.Split(node, go_left);
+        next.push_back(LeftChild(node));
+        next.push_back(RightChild(node));
+      }
+      live = std::move(next);
+      uint32_t total = 0;
+      for (NodeId node : live) {
+        ASSERT_TRUE(p.Has(node));
+        const auto inst = p.Instances(node);
+        total += static_cast<uint32_t>(inst.size());
+        EXPECT_TRUE(std::adjacent_find(inst.begin(), inst.end(),
+                                       std::greater_equal<InstanceId>()) ==
+                    inst.end())
+            << "node " << node << " at depth " << depth + 1
+            << (subset ? " (subset)" : "");
+      }
+      EXPECT_EQ(total, p.num_instances());
+    }
   }
 }
 
