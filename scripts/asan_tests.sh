@@ -9,8 +9,9 @@
 # including QD1's segmented reduce-scatter/all-gather AllReduceSum, where
 # peers read each rank's pool histograms in place while each rank writes its
 # reduced slice into its own. The build is Debug so VERO_DCHECK and the
-# codec layer's cross-rank byte-symmetry check (DebugCheckCodecSymmetry),
-# which compile out under NDEBUG, run too. obs_test and anatomy_test drive
+# cross-rank byte-symmetry check of AllToAllSum's codec layer
+# (DebugCheckCodecSymmetry, W > 1), which compile out under NDEBUG, run
+# too. obs_test and anatomy_test drive
 # the driver's attempt loop and its end-of-run report and counters.
 # libsvm_test runs the LIBSVM parser and Dataset::Validate, the input
 # boundary that rejects malformed and non-canonical rows. threading_test

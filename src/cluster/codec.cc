@@ -339,39 +339,4 @@ Status CodecDecode(std::span<const uint8_t> frame,
   return Status::OK();
 }
 
-void CodecEncodeBytes(std::span<const uint8_t> payload, const CodecSpec& spec,
-                      std::vector<uint8_t>* frame, CodecStats* stats) {
-  VERO_CHECK_EQ(payload.size() % sizeof(double), 0u);
-  std::vector<double> values(payload.size() / sizeof(double));
-  if (!values.empty()) {
-    std::memcpy(values.data(), payload.data(), payload.size());
-  }
-  CodecEncode(values, spec, frame, stats);
-}
-
-Status CodecDecodeBytes(std::span<const uint8_t> frame,
-                        std::vector<uint8_t>* payload) {
-  std::vector<double> values;
-  VERO_RETURN_IF_ERROR(CodecDecode(frame, &values));
-  payload->resize(values.size() * sizeof(double));
-  if (!values.empty()) {
-    std::memcpy(payload->data(), values.data(), payload->size());
-  }
-  return Status::OK();
-}
-
-Status CodecFrameRawSize(std::span<const uint8_t> frame, uint64_t* raw_bytes) {
-  ByteReader r(frame.data(), frame.size());
-  uint8_t magic = 0, mode = 0;
-  VERO_RETURN_IF_ERROR(r.ReadU8(&magic));
-  VERO_RETURN_IF_ERROR(r.ReadU8(&mode));
-  if (magic != kCodecMagic) {
-    return Status::Corruption("codec frame: bad magic");
-  }
-  uint64_t total = 0;
-  VERO_RETURN_IF_ERROR(r.ReadVarint64(&total));
-  *raw_bytes = total * sizeof(double);
-  return Status::OK();
-}
-
 }  // namespace vero

@@ -9,12 +9,13 @@
 
 namespace vero {
 
-/// Histogram-payload compression applied underneath the collectives (the
-/// codec layer of WorkerContext::AllReduceSum / AllGather / AllToAll /
-/// AllToAllSum, set via CollectiveOptions::codec). `kOff` skips the layer and stays
-/// bit-identical to seed; the two sparse modes are lossless (raw f64 bit patterns are preserved,
-/// including -0.0, denormals, and NaN payloads); `kQuantized` trades a
-/// documented per-block error bound for 16-bit values on the wire. See
+/// Histogram-payload compression applied underneath the histogram
+/// collectives (the codec layer of WorkerContext::AllReduceSum and
+/// AllToAllSum, set via CollectiveOptions::codec); the byte collectives never
+/// carry it. `kOff` skips the layer and stays bit-identical to seed; the two
+/// sparse modes are lossless (raw f64 bit patterns are preserved, including
+/// -0.0, denormals, and NaN payloads); `kQuantized` trades a documented
+/// per-block error bound for 16-bit values on the wire. See
 /// docs/wire_formats.md for the frame layout.
 enum class CollectiveCompression {
   kOff = 0,
@@ -52,12 +53,6 @@ struct CodecSpec {
   bool enabled() const { return mode != CollectiveCompression::kOff; }
 };
 
-/// True when decode(encode(x)) may differ from x (currently only
-/// kQuantized, and only for all-finite blocks).
-inline bool CodecIsLossy(const CodecSpec& spec) {
-  return spec.mode == CollectiveCompression::kQuantized;
-}
-
 /// Per-encode accounting, accumulated into the comm.<Op>.raw_bytes /
 /// compressed_bytes metric counters by the communicator.
 struct CodecStats {
@@ -79,19 +74,6 @@ void CodecEncode(std::span<const double> values, const CodecSpec& spec,
 /// out-of-range sparse indices, trailing garbage, and CRC mismatches — a
 /// corrupted frame never decodes to plausible data silently.
 Status CodecDecode(std::span<const uint8_t> frame, std::vector<double>* values);
-
-/// Byte-payload wrappers for the byte collectives (AllGather, AllToAll)
-/// when they ship packed-double buffers. payload.size() must be a multiple
-/// of 8.
-void CodecEncodeBytes(std::span<const uint8_t> payload, const CodecSpec& spec,
-                      std::vector<uint8_t>* frame, CodecStats* stats = nullptr);
-Status CodecDecodeBytes(std::span<const uint8_t> frame,
-                        std::vector<uint8_t>* payload);
-
-/// Cheap header peek: the raw (decoded) payload size a frame represents,
-/// without validating or decoding the body. Used to account the raw-byte
-/// equivalent of frames whose payload is dropped (deferred ranks).
-Status CodecFrameRawSize(std::span<const uint8_t> frame, uint64_t* raw_bytes);
 
 }  // namespace vero
 

@@ -290,10 +290,6 @@ void WorkerContext::DebugCheckCodecSymmetry(uint64_t sent, uint64_t received) {
   (void)received;
 #else
   const int w = world_size();
-  if (w == 1) {
-    VERO_CHECK_EQ(sent, received);
-    return;
-  }
   cluster_->instrument_slots_[rank_] =
       static_cast<double>(sent) - static_cast<double>(received);
   // Broken rendezvous group: the surrounding collective is about to fail
@@ -430,11 +426,11 @@ Status WorkerContext::Prepare(CollectiveOp op, FaultDecision* decision) {
 }
 
 Status WorkerContext::Rendezvous(bool* serial) {
-  *serial = false;
+  if (serial != nullptr) *serial = false;
   switch (cluster_->barrier_.ArriveAndWaitFor(
       cluster_->collective_timeout_seconds_)) {
     case BarrierWait::kSerial:
-      *serial = true;
+      if (serial != nullptr) *serial = true;
       return Status::OK();
     case BarrierWait::kFollower:
       return Status::OK();
@@ -538,10 +534,7 @@ Status WorkerContext::ApplyFaults(CollectiveOp op,
 Status WorkerContext::Barrier() {
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kBarrier, &decision));
-  if (world_size() > 1) {
-    bool serial = false;
-    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  }
+  if (world_size() > 1) VERO_RETURN_IF_ERROR(Rendezvous());
   return ApplyFaults(CollectiveOp::kBarrier, decision, 0, 0);
 }
 
@@ -625,12 +618,13 @@ void ForEachPartSegment(size_t begin, size_t end, size_t part_len, Fn&& fn) {
 
 }  // namespace
 
-// The four layered collectives share one spine: Prepare -> publish ->
-// rendezvous -> transfer -> Charge -> ApplyFaults (via FinishMitigated).
-// The codec layer encodes before publishing, decodes on arrival and calls
-// RecordCodec; the mitigation layer publishes a delay slot, plans who is
-// deferred or speculated (PlanMitigation) in one extra plan rendezvous,
-// skips deferred payloads and finishes through FinishMitigated. With both
+// The three layered collectives share one spine: Prepare -> publish ->
+// PlanRendezvous -> transfer -> FinishMitigated (Charge, then ApplyFaults).
+// The codec layer (AllReduceSum, AllToAllSum) encodes before publishing,
+// decodes on arrival and calls RecordCodec; the mitigation layer publishes
+// a delay slot, plans who is deferred or speculated (PlanMitigation) in one
+// extra plan rendezvous inside PlanRendezvous, skips the payloads
+// call.dropped() names and finishes through FinishMitigated. With both
 // layers off no frame is built, no plan state is read, and the rendezvous
 // count is the strict one.
 
@@ -650,7 +644,6 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllReduceSum, &decision));
   if (w == 1) return ApplyFaults(CollectiveOp::kAllReduceSum, decision, 0, 0);
-  const bool mitigated = opts.mitigation.enabled();
   const bool coded = opts.codec.enabled();
   const size_t n = parts.size() * part_len;
   CodecStats cstats;
@@ -680,14 +673,9 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
   }
   cluster_->mutable_ptrs_[rank_] = &published;
   cluster_->sizes_[rank_] = n;
-  bool serial = false;
   MitigatedCall call;
-  if (mitigated) {
-    cluster_->delay_slots_[rank_] = decision.delay_seconds;
-    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-    if (serial) cluster_->PlanMitigation(opts.mitigation);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(
+      PlanRendezvous(opts.mitigation, decision.delay_seconds, &call, outcome));
   const auto parts_of = [&](int r) {
     return *static_cast<const std::span<double* const>*>(
         cluster_->mutable_ptrs_[r]);
@@ -696,14 +684,11 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
     VERO_CHECK_EQ(cluster_->sizes_[r], n);
     VERO_CHECK_EQ(parts_of(r).size(), parts.size());
   }
+  // The dropped contribution, measured before the reduction overwrites it.
   double deferred_mass = 0.0;
-  if (mitigated) {
-    call = ReadMitigationPlan(outcome);
-    // The dropped contribution, measured before the reduction overwrites it.
-    if (call.my == RankClass::kDeferred) {
-      for (const double* part : parts) {
-        for (size_t j = 0; j < part_len; ++j) deferred_mass += part[j];
-      }
+  if (call.my == RankClass::kDeferred) {
+    for (const double* part : parts) {
+      for (size_t j = 0; j < part_len; ++j) deferred_mass += part[j];
     }
   }
 
@@ -716,13 +701,11 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
       SliceBegin(n, rank_), SliceEnd(n, rank_), part_len,
       [&](size_t p, size_t lo, size_t hi) {
         for (int r = 0; r < w; ++r) {
-          const bool deferred =
-              mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
-          sum_.sources[r] = deferred ? nullptr : parts_of(r)[p];
+          sum_.sources[r] = call.dropped(r) ? nullptr : parts_of(r)[p];
         }
         SumInRankOrder(sum_.sources, lo, hi, published[p]);
       });
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
 
   // All-gather: copy every other owner's reduced slice out of its parts
   // (and, under the codec, this rank's own slice out of its decoded frame).
@@ -746,7 +729,7 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
           static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r])->size();
     }
   }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   // Silent corruption lands in this rank's copy of the aggregate, after the
   // transport (and its CRC/retry machinery) delivered it clean — and after
   // the last rendezvous, so no peer is still copying this rank's slice.
@@ -761,20 +744,19 @@ Status WorkerContext::AllReduceSum(std::span<double* const> parts,
   const uint64_t raw_wire = 2 * (n * sizeof(double)) * (w - 1) / w;
   const uint64_t wire =
       coded ? 2 * (total_encoded / w) * (w - 1) / w : raw_wire;
-  Charge(CollectiveOp::kAllReduceSum, wire, wire);
   if (coded) {
     RecordCodec(CollectiveOp::kAllReduceSum, raw_wire, raw_wire, wire, wire,
                 cstats);
   }
   const uint64_t extra = call.serving_for >= 0 ? wire : 0;
   return FinishMitigated(CollectiveOp::kAllReduceSum, opts.mitigation,
-                         decision, call, extra, extra, wire, wire,
+                         decision, call, wire, wire, extra, extra,
                          deferred_mass);
 }
 
 Status WorkerContext::AllGather(const std::vector<uint8_t>& mine,
                                 std::vector<std::vector<uint8_t>>* all,
-                                const CollectiveOptions& opts,
+                                const MitigationOptions& mitigation,
                                 MitigationOutcome* outcome) {
   const int w = world_size();
   ResetOutcome(outcome, w);
@@ -785,68 +767,31 @@ Status WorkerContext::AllGather(const std::vector<uint8_t>& mine,
     (*all)[0] = mine;
     return ApplyFaults(CollectiveOp::kAllGather, decision, 0, 0);
   }
-  const bool mitigated = opts.mitigation.enabled();
-  const bool coded = opts.codec.enabled();
-  CodecStats cstats;
-  std::vector<uint8_t> frame;
-  if (coded) CodecEncodeBytes(mine, opts.codec, &frame, &cstats);
-  const std::vector<uint8_t>& outgoing = coded ? frame : mine;
-  cluster_->ptrs_[rank_] = &outgoing;
-  bool serial = false;
+  cluster_->ptrs_[rank_] = &mine;
   MitigatedCall call;
-  if (mitigated) {
-    cluster_->delay_slots_[rank_] = decision.delay_seconds;
-    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-    if (serial) cluster_->PlanMitigation(opts.mitigation);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (mitigated) call = ReadMitigationPlan(outcome);
-  uint64_t received = 0, raw_received = 0;
-  double deferred_mass = 0.0;
+  VERO_RETURN_IF_ERROR(
+      PlanRendezvous(mitigation, decision.delay_seconds, &call, outcome));
+  const auto payload_of = [&](int r) -> const std::vector<uint8_t>& {
+    return *static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
+  };
+  uint64_t received = 0;
   std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
-    const auto* src =
-        static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[r]);
-    if (r != rank_) {
-      received += src->size();
-      if (coded) {
-        // Raw-equivalent volume from the frame header, so a deferred
-        // rank's frame (never decoded) is accounted too.
-        uint64_t raw = 0;
-        VERO_CHECK_OK(CodecFrameRawSize(*src, &raw));
-        raw_received += raw;
-      }
-    }
-    if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) {
-      if (r == rank_) deferred_mass = static_cast<double>(mine.size());
-      continue;  // dropped on arrival, on every rank — slot stays empty
-    }
-    if (coded) {
-      // Every rank decodes every frame — its own included — so a lossy
-      // codec's reconstruction is replicated-deterministic cluster-wide.
-      VERO_CHECK_OK(CodecDecodeBytes(*src, &(*all)[r]));
-    } else {
-      (*all)[r] = *src;
-    }
+    if (r != rank_) received += payload_of(r).size();
+    if (call.dropped(r)) continue;  // dropped on arrival, on every rank
+    (*all)[r] = payload_of(r);
     if (r != rank_) remote.push_back(&(*all)[r]);
   }
   MaybeSilentCorrupt(decision, remote);
-  const uint64_t sent = outgoing.size() * (w - 1);
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<uint8_t>*>(
-        cluster_->ptrs_[call.serving_for]);
-    extra_sent = src->size() * (w - 1);
-  }
-  if (coded) DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllGather, sent, received);
-  if (coded) {
-    RecordCodec(CollectiveOp::kAllGather, mine.size() * (w - 1), raw_received,
-                sent, received, cstats);
-  }
-  return FinishMitigated(CollectiveOp::kAllGather, opts.mitigation, decision,
-                         call, extra_sent, 0, sent, received, deferred_mass);
+  const uint64_t sent = mine.size() * (w - 1);
+  const uint64_t extra_sent =
+      call.serving_for >= 0 ? payload_of(call.serving_for).size() * (w - 1)
+                            : 0;
+  const double deferred_mass =
+      call.my == RankClass::kDeferred ? static_cast<double>(mine.size()) : 0.0;
+  VERO_RETURN_IF_ERROR(Rendezvous());
+  return FinishMitigated(CollectiveOp::kAllGather, mitigation, decision, call,
+                         sent, received, extra_sent, 0, deferred_mass);
 }
 
 Status WorkerContext::Broadcast(std::vector<uint8_t>* data, int root) {
@@ -855,8 +800,7 @@ Status WorkerContext::Broadcast(std::vector<uint8_t>* data, int root) {
   const int w = world_size();
   if (w == 1) return ApplyFaults(CollectiveOp::kBroadcast, decision, 0, 0);
   if (rank_ == root) cluster_->ptrs_[root] = data;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   const auto* src =
       static_cast<const std::vector<uint8_t>*>(cluster_->ptrs_[root]);
   uint64_t sent = 0, received = 0;
@@ -867,7 +811,7 @@ Status WorkerContext::Broadcast(std::vector<uint8_t>* data, int root) {
     received = src->size();
     MaybeSilentCorrupt(decision, {data});
   }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   Charge(CollectiveOp::kBroadcast, sent, received);
   return ApplyFaults(CollectiveOp::kBroadcast, decision, sent, received);
 }
@@ -883,8 +827,7 @@ Status WorkerContext::Gather(const std::vector<uint8_t>& mine, int root,
     return ApplyFaults(CollectiveOp::kGather, decision, 0, 0);
   }
   cluster_->ptrs_[rank_] = &mine;
-  bool serial = false;
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   uint64_t sent = 0, received = 0;
   if (rank_ == root) {
     all->resize(w);
@@ -902,100 +845,39 @@ Status WorkerContext::Gather(const std::vector<uint8_t>& mine, int root,
   } else {
     sent = mine.size();
   }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   Charge(CollectiveOp::kGather, sent, received);
   return ApplyFaults(CollectiveOp::kGather, decision, sent, received);
 }
 
 Status WorkerContext::AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                               std::vector<std::vector<uint8_t>>* from_each,
-                               const CollectiveOptions& opts,
-                               MitigationOutcome* outcome) {
-  const int w = world_size();
-  ResetOutcome(outcome, w);
+                               std::vector<std::vector<uint8_t>>* from_each) {
   FaultDecision decision;
   VERO_RETURN_IF_ERROR(Prepare(CollectiveOp::kAllToAll, &decision));
+  const int w = world_size();
   VERO_CHECK_EQ(static_cast<int>(to_each.size()), w);
   from_each->assign(w, {});
   if (w == 1) {
     (*from_each)[0] = std::move(to_each[0]);
     return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
   }
-  const bool mitigated = opts.mitigation.enabled();
-  const bool coded = opts.codec.enabled();
-  CodecStats cstats;
-  std::vector<std::vector<uint8_t>> frames;
-  if (coded) {
-    frames.resize(w);
-    for (int r = 0; r < w; ++r) {
-      CodecEncodeBytes(to_each[r], opts.codec, &frames[r], &cstats);
-    }
-  }
-  const std::vector<std::vector<uint8_t>>& outgoing = coded ? frames : to_each;
-  cluster_->ptrs_[rank_] = &outgoing;
-  bool serial = false;
-  MitigatedCall call;
-  if (mitigated) {
-    cluster_->delay_slots_[rank_] = decision.delay_seconds;
-    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-    if (serial) cluster_->PlanMitigation(opts.mitigation);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  if (mitigated) call = ReadMitigationPlan(outcome);
-  uint64_t sent = 0, received = 0, raw_sent = 0, raw_received = 0;
-  double deferred_mass = 0.0;
+  cluster_->ptrs_[rank_] = &to_each;
+  VERO_RETURN_IF_ERROR(Rendezvous());
+  uint64_t sent = 0, received = 0;
   std::vector<std::vector<uint8_t>*> remote;
   for (int r = 0; r < w; ++r) {
-    const std::vector<uint8_t>& in =
-        (*static_cast<const std::vector<std::vector<uint8_t>>*>(
-            cluster_->ptrs_[r]))[rank_];
+    (*from_each)[r] = (*static_cast<const std::vector<std::vector<uint8_t>>*>(
+        cluster_->ptrs_[r]))[rank_];
     if (r != rank_) {
-      received += in.size();
-      if (coded) {
-        uint64_t raw = 0;
-        VERO_CHECK_OK(CodecFrameRawSize(in, &raw));
-        raw_received += raw;
-      }
-    }
-    // A deferred rank's buffers are dropped everywhere, self-slice included,
-    // so receivers that skip non-contributors stay replicated-deterministic.
-    if (mitigated && cluster_->mit_class_[r] == RankClass::kDeferred) continue;
-    if (coded) {
-      VERO_CHECK_OK(CodecDecodeBytes(in, &(*from_each)[r]));
-    } else {
-      (*from_each)[r] = in;
-    }
-    if (r != rank_) remote.push_back(&(*from_each)[r]);
-  }
-  for (int r = 0; r < w; ++r) {
-    if (r != rank_) {
-      sent += outgoing[r].size();
-      raw_sent += to_each[r].size();
+      sent += to_each[r].size();
+      received += (*from_each)[r].size();
+      remote.push_back(&(*from_each)[r]);
     }
   }
   MaybeSilentCorrupt(decision, remote);
-  if (call.my == RankClass::kDeferred) {
-    for (const auto& buf : to_each) {
-      deferred_mass += static_cast<double>(buf.size());
-    }
-  }
-  uint64_t extra_sent = 0;
-  if (call.serving_for >= 0) {
-    const auto* src = static_cast<const std::vector<std::vector<uint8_t>>*>(
-        cluster_->ptrs_[call.serving_for]);
-    for (int r = 0; r < w; ++r) {
-      if (r != call.serving_for) extra_sent += (*src)[r].size();
-    }
-  }
-  if (coded) DebugCheckCodecSymmetry(sent, received);
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(Rendezvous());
   Charge(CollectiveOp::kAllToAll, sent, received);
-  if (coded) {
-    RecordCodec(CollectiveOp::kAllToAll, raw_sent, raw_received, sent,
-                received, cstats);
-  }
-  return FinishMitigated(CollectiveOp::kAllToAll, opts.mitigation, decision,
-                         call, extra_sent, 0, sent, received, deferred_mass);
+  return ApplyFaults(CollectiveOp::kAllToAll, decision, sent, received);
 }
 
 Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
@@ -1025,7 +907,6 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
     }
     return ApplyFaults(CollectiveOp::kAllToAll, decision, 0, 0);
   }
-  const bool mitigated = opts.mitigation.enabled();
   const bool coded = opts.codec.enabled();
   CodecStats cstats;
   if (coded) {
@@ -1045,19 +926,10 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
     cluster_->ptrs_[rank_] = &mine;
   }
   cluster_->sizes_[rank_] = nodes;
-  bool serial = false;
   MitigatedCall call;
-  if (mitigated) {
-    cluster_->delay_slots_[rank_] = decision.delay_seconds;
-    VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-    if (serial) cluster_->PlanMitigation(opts.mitigation);
-  }
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  VERO_RETURN_IF_ERROR(
+      PlanRendezvous(opts.mitigation, decision.delay_seconds, &call, outcome));
   for (int r = 0; r < w; ++r) VERO_CHECK_EQ(cluster_->sizes_[r], nodes);
-  if (mitigated) call = ReadMitigationPlan(outcome);
-  const auto deferred = [&](int r) {
-    return mitigated && cluster_->mit_class_[r] == RankClass::kDeferred;
-  };
   using Frames = std::vector<std::vector<uint8_t>>;
   const auto frames_of = [&](int r) -> const Frames& {
     return *static_cast<const Frames*>(cluster_->ptrs_[r]);
@@ -1075,7 +947,7 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
     if (r != rank_) {
       received += coded ? frames_of(r)[rank_].size() : share_bytes;
     }
-    if (deferred(r)) continue;
+    if (call.dropped(r)) continue;
     if (coded) {
       std::vector<double>& copy = sum_.copies[r];
       VERO_CHECK_OK(CodecDecode(frames_of(r)[rank_], &copy));
@@ -1097,7 +969,7 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
   if (decision.silent_corrupt && share_bytes > 0) {
     std::vector<int> remote;
     for (int r = 0; r < w; ++r) {
-      if (r != rank_ && !deferred(r)) remote.push_back(r);
+      if (r != rank_ && !call.dropped(r)) remote.push_back(r);
     }
     if (!remote.empty()) {
       const std::vector<size_t> sizes(remote.size(), share_bytes);
@@ -1134,7 +1006,7 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
       (*visit)(/*sent=*/true, g, sum_.parts, len);
     }
     for (int r = 0; r < w; ++r) {
-      if (r == rank_ || deferred(r)) continue;
+      if (r == rank_ || call.dropped(r)) continue;
       for (size_t i = 0; i < nodes; ++i) {
         sum_.parts[i] = sum_.sources[i * w + r];
       }
@@ -1171,14 +1043,13 @@ Status WorkerContext::AllToAllSum(std::span<const double* const> mine,
   }
   if (coded) DebugCheckCodecSymmetry(sent, received);
   // Peers stop reading this rank's buffers and frames here.
-  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
-  Charge(CollectiveOp::kAllToAll, sent, received);
+  VERO_RETURN_IF_ERROR(Rendezvous());
   if (coded) {
     RecordCodec(CollectiveOp::kAllToAll, raw_sent, (w - 1) * share_bytes,
                 sent, received, cstats);
   }
   return FinishMitigated(CollectiveOp::kAllToAll, opts.mitigation, decision,
-                         call, extra_sent, 0, sent, received, deferred_mass);
+                         call, sent, received, extra_sent, 0, deferred_mass);
 }
 
 // ---- Straggler-mitigation layer -------------------------------------------
@@ -1195,44 +1066,50 @@ void Cluster::PlanMitigation(const MitigationOptions& opts) {
   }
 }
 
-WorkerContext::MitigatedCall WorkerContext::ReadMitigationPlan(
-    MitigationOutcome* outcome) const {
-  const int w = cluster_->num_workers_;
-  MitigatedCall call;
-  call.my = cluster_->mit_class_[rank_];
+Status WorkerContext::PlanRendezvous(const MitigationOptions& opts,
+                                     double delay, MitigatedCall* call,
+                                     MitigationOutcome* outcome) {
+  if (!opts.enabled()) return Rendezvous();
+  cluster_->delay_slots_[rank_] = delay;
+  bool serial = false;
+  VERO_RETURN_IF_ERROR(Rendezvous(&serial));
+  if (serial) cluster_->PlanMitigation(opts);
+  VERO_RETURN_IF_ERROR(Rendezvous());
+  const std::vector<RankClass>& classes = cluster_->mit_class_;
+  call->my = classes[rank_];
+  call->classes = classes.data();
   int deferred = 0, speculated = 0;
-  for (int r = 0; r < w; ++r) {
-    if (cluster_->mit_class_[r] == RankClass::kDeferred) ++deferred;
-    if (cluster_->mit_class_[r] == RankClass::kSpeculated) ++speculated;
-    if (cluster_->mit_backup_[r] == rank_) call.serving_for = r;
+  for (int r = 0; r < world_size(); ++r) {
+    if (classes[r] == RankClass::kDeferred) ++deferred;
+    if (classes[r] == RankClass::kSpeculated) ++speculated;
+    if (cluster_->mit_backup_[r] == rank_) call->serving_for = r;
   }
   // The deadline only gets paid when the round actually closed without
   // someone; a forced-sync or over-budget straggler makes the round strict
   // (its full delay subsumes the deadline on the critical path).
-  call.any_late = deferred > 0;
+  call->any_late = deferred > 0;
   if (outcome != nullptr) {
-    outcome->self_deferred = call.my == RankClass::kDeferred;
-    outcome->self_forced = call.my == RankClass::kForced;
-    outcome->self_speculated = call.my == RankClass::kSpeculated;
+    outcome->self_deferred = call->my == RankClass::kDeferred;
+    outcome->self_forced = call->my == RankClass::kForced;
+    outcome->self_speculated = call->my == RankClass::kSpeculated;
     outcome->deferred_ranks = deferred;
     outcome->speculated_ranks = speculated;
-    outcome->contributed.assign(w, 1);
-    for (int r = 0; r < w; ++r) {
-      if (cluster_->mit_class_[r] == RankClass::kDeferred) {
-        outcome->contributed[r] = 0;
-      }
+    for (int r = 0; r < world_size(); ++r) {
+      outcome->contributed[r] = call->dropped(r) ? 0 : 1;
     }
   }
-  return call;
+  return Status::OK();
 }
 
 Status WorkerContext::FinishMitigated(CollectiveOp op,
                                       const MitigationOptions& opts,
                                       FaultDecision decision,
                                       const MitigatedCall& call,
+                                      uint64_t sent, uint64_t received,
                                       uint64_t extra_sent,
-                                      uint64_t extra_received, uint64_t sent,
-                                      uint64_t received, double deferred_mass) {
+                                      uint64_t extra_received,
+                                      double deferred_mass) {
+  Charge(op, sent, received);
   if (!opts.enabled()) return ApplyFaults(op, decision, sent, received);
   ObsHandles* oh = nullptr;
   if constexpr (obs::kObsEnabled) {

@@ -54,9 +54,12 @@ class ClusterAbort : public std::exception {
       throw ::vero::ClusterAbort(std::move(_vero_comm_status));   \
   } while (0)
 
-/// Per-call layers of AllReduceSum / AllGather / AllToAll / AllToAllSum.
-/// Both default to off, which is the plain strict collective (bit-identical
-/// to seed, including the metric name set).
+/// Per-call layers of the histogram collectives, AllReduceSum and
+/// AllToAllSum, whose payloads are packed doubles; AllGather carries only
+/// the mitigation layer and the other byte collectives neither, so a
+/// serialized struct never passes through the codec. Both default to off,
+/// which is the plain strict collective (bit-identical to seed, including
+/// the metric name set).
 ///
 /// - `codec`: payloads are encoded (CodecEncode) before they cross the
 ///   simulated wire and decoded on arrival; the network model prices the
@@ -66,8 +69,7 @@ class ClusterAbort : public std::exception {
 ///
 /// Either layer reports the SAME CollectiveOp to the fault injector,
 /// metrics and traces, so one FaultPlan replays with identical occurrence
-/// matching (op-id lockstep) across every combination. Only apply the codec
-/// to packed-double payloads (histograms), never to serialized structs.
+/// matching (op-id lockstep) across every combination.
 struct CollectiveOptions {
   // The `= {}` lets call sites name one layer ({.mitigation = m}) without
   // tripping -Wmissing-field-initializers.
@@ -99,9 +101,10 @@ class WorkerContext {
   int world_size() const;
 
   // ---- Layered collectives ------------------------------------------------
-  // `outcome`, when given, is always filled: `contributed` is all-ones
-  // unless bounded-staleness mitigation deferred a rank (W=1 and strict
-  // calls never defer). Mitigation: ranks whose announced delay exceeds
+  // AllReduceSum and AllToAllSum take both layers, AllGather only
+  // mitigation. `outcome`, when given, is always filled: `contributed` is
+  // all-ones unless bounded-staleness mitigation deferred a rank (W=1 and
+  // strict calls never defer). Mitigation: ranks whose announced delay exceeds
   // deadline_seconds (at most max_stale_ranks, never past a rank's
   // staleness_bound streak) are dropped from the result on EVERY rank while
   // their delay is absorbed off the critical path and the on-time ranks pay
@@ -143,36 +146,6 @@ class WorkerContext {
   size_t SliceBegin(size_t n, int rank) const;
   size_t SliceEnd(size_t n, int rank) const;
 
-  /// Every worker contributes `mine`; all receive all contributions indexed
-  /// by rank. Accounting: each worker sends its buffer to W-1 peers. A
-  /// deferred rank's slot stays empty on every rank; with the codec on,
-  /// every rank decodes every frame (its own included) so lossy
-  /// reconstruction is replicated-deterministic.
-  Status AllGather(const std::vector<uint8_t>& mine,
-                   std::vector<std::vector<uint8_t>>* all,
-                   const CollectiveOptions& opts = {},
-                   MitigationOutcome* outcome = nullptr);
-
-  /// Root's `data` is copied to everyone. Accounting: root sends
-  /// bytes * (W-1); others receive bytes.
-  Status Broadcast(std::vector<uint8_t>* data, int root);
-
-  /// Every worker sends `mine` to root; root receives all (indexed by rank),
-  /// others get an empty vector.
-  Status Gather(const std::vector<uint8_t>& mine, int root,
-                std::vector<std::vector<uint8_t>>* all);
-
-  /// Personalized all-to-all: `to_each[r]` goes to worker r; returns
-  /// `from_each[s]` = buffer sent by worker s to this worker.
-  /// to_each must have world_size entries (self-entry is delivered free).
-  /// Every buffer sent BY a deferred rank is dropped cluster-wide (its
-  /// self-slice included), so receivers that skip non-contributors stay
-  /// replicated-deterministic.
-  Status AllToAll(std::vector<std::vector<uint8_t>> to_each,
-                  std::vector<std::vector<uint8_t>>* from_each,
-                  const CollectiveOptions& opts = {},
-                  MitigationOutcome* outcome = nullptr);
-
   /// Sees one share of an AllToAllSum while it crosses the wire: `len`
   /// doubles at each of `parts`, in node order. `sent` shares go from this
   /// rank to `peer` (as the receiver reconstructs them, so decoded under a
@@ -204,6 +177,31 @@ class WorkerContext {
                      const CollectiveOptions& opts = {},
                      MitigationOutcome* outcome = nullptr,
                      const SliceVisitor* visit = nullptr);
+
+  /// Every worker contributes `mine`; all receive all contributions indexed
+  /// by rank. Accounting: each worker sends its buffer to W-1 peers. A
+  /// deferred rank's slot stays empty on every rank.
+  Status AllGather(const std::vector<uint8_t>& mine,
+                   std::vector<std::vector<uint8_t>>* all,
+                   const MitigationOptions& mitigation = {},
+                   MitigationOutcome* outcome = nullptr);
+
+  // ---- Plain byte collectives ---------------------------------------------
+
+  /// Root's `data` is copied to everyone. Accounting: root sends
+  /// bytes * (W-1); others receive bytes.
+  Status Broadcast(std::vector<uint8_t>* data, int root);
+
+  /// Every worker sends `mine` to root; root receives all (indexed by rank),
+  /// others get an empty vector.
+  Status Gather(const std::vector<uint8_t>& mine, int root,
+                std::vector<std::vector<uint8_t>>* all);
+
+  /// Personalized all-to-all: `to_each[r]` goes to worker r; returns
+  /// `from_each[s]` = buffer sent by worker s to this worker.
+  /// to_each must have world_size entries (self-entry is delivered free).
+  Status AllToAll(std::vector<std::vector<uint8_t>> to_each,
+                  std::vector<std::vector<uint8_t>>* from_each);
 
   /// Pure synchronization (no bytes charged).
   Status Barrier();
@@ -279,20 +277,20 @@ class WorkerContext {
   /// Debug-build cluster-wide invariant: the bytes every sender Charge()d
   /// equal the bytes receivers were charged for, i.e. sum over ranks of
   /// (sent - received) is exactly zero for this op. Checked by the codec
-  /// layer of AllGather / AllToAll, where per-rank frames differ (the ring
-  /// all-reduce charges every rank sent == received by construction). Rides
-  /// the instrument channel (no bytes, invisible to the fault injector);
-  /// compiled out under NDEBUG.
+  /// layer of AllToAllSum (W > 1), where per-destination frames differ (the
+  /// ring all-reduce charges every rank sent == received by construction).
+  /// Rides the instrument channel (no bytes, invisible to the fault
+  /// injector); compiled out under NDEBUG.
   void DebugCheckCodecSymmetry(uint64_t sent, uint64_t received);
 
   /// Consults the fault injector (if any) at the top of a collective.
   /// Returns non-OK if this worker is already dead or crashes now.
   Status Prepare(CollectiveOp op, FaultDecision* decision);
 
-  /// One failure-aware barrier phase. On success sets *serial for exactly
-  /// one participant per cycle; on breakage/timeout returns kUnavailable /
-  /// kDeadlineExceeded.
-  Status Rendezvous(bool* serial);
+  /// One failure-aware barrier phase. On success sets *serial (when given)
+  /// for exactly one participant per cycle; on breakage/timeout returns
+  /// kUnavailable / kDeadlineExceeded.
+  Status Rendezvous(bool* serial = nullptr);
 
   /// Instrument-channel rendezvous: true on success, false when the group
   /// is broken (caller degrades to its local value).
@@ -322,9 +320,8 @@ class WorkerContext {
   void MaybeSilentCorrupt(const FaultDecision& decision,
                           const std::vector<std::vector<uint8_t>*>& received);
 
-  /// This rank's view of the serial participant's mitigation plan, read
-  /// from the cluster's shared plan state (valid between the rendezvous
-  /// that follows PlanMitigation and the final one). Also fills *outcome.
+  /// This rank's view of one layered call's mitigation plan. On a strict
+  /// call it is the default: on time, serving nobody, dropping nobody.
   struct MitigatedCall {
     RankClass my = RankClass::kOnTime;
     /// Rank this worker re-serves as a speculative backup, -1 if none.
@@ -332,21 +329,38 @@ class WorkerContext {
     /// True when any rank was late this call (bounded mode charges the
     /// on-time ranks the deadline only in that case).
     bool any_late = false;
-  };
-  MitigatedCall ReadMitigationPlan(MitigationOutcome* outcome) const;
+    /// The cluster's per-rank classes (valid until the op's last
+    /// rendezvous); null on a strict call.
+    const RankClass* classes = nullptr;
 
-  /// Epilogue of the layered collectives. With mitigation off it is plain
-  /// ApplyFaults (no staleness.* / speculation.* metrics are created).
-  /// Otherwise it routes this rank's injected delay to sim_seconds or
-  /// absorbed_delay_seconds per its RankClass, charges deadline waits and
-  /// speculative duplicate volume (mirrored into the per-op byte counters so
-  /// exact accounting holds), records the staleness.* / speculation.*
-  /// metrics, then finishes via ApplyFaults with the possibly-neutralized
-  /// decision.
+    /// True iff rank r's payload is dropped from this call's result, on
+    /// every rank.
+    bool dropped(int r) const {
+      return classes != nullptr && classes[r] == RankClass::kDeferred;
+    }
+  };
+
+  /// The plan step of the layered collectives: the rendezvous after which
+  /// every rank's published payload is readable. With mitigation on, this
+  /// rank first publishes its injected `delay` and one extra plan
+  /// rendezvous lets the serial participant run PlanMitigation; *call and
+  /// *outcome are then read from the shared plan. Strict calls rendezvous
+  /// once and leave *call at its default.
+  Status PlanRendezvous(const MitigationOptions& opts, double delay,
+                        MitigatedCall* call, MitigationOutcome* outcome);
+
+  /// Epilogue of the layered collectives: charges the op's `sent` /
+  /// `received`, then with mitigation off is plain ApplyFaults (no
+  /// staleness.* / speculation.* metrics are created). Otherwise it routes
+  /// this rank's injected delay to sim_seconds or absorbed_delay_seconds per
+  /// its RankClass, charges deadline waits and speculative duplicate volume
+  /// (mirrored into the per-op byte counters so exact accounting holds),
+  /// records the staleness.* / speculation.* metrics, then finishes via
+  /// ApplyFaults with the possibly-neutralized decision.
   Status FinishMitigated(CollectiveOp op, const MitigationOptions& opts,
                          FaultDecision decision, const MitigatedCall& call,
-                         uint64_t extra_sent, uint64_t extra_received,
                          uint64_t sent, uint64_t received,
+                         uint64_t extra_sent, uint64_t extra_received,
                          double deferred_mass);
 
   Cluster* cluster_;
@@ -507,9 +521,9 @@ class Cluster {
 
   // Mitigated-collective plan state: each rank publishes its injected delay
   // into delay_slots_, the serial participant fills mit_class_ / mit_backup_
-  // via PlanMitigation, everyone reads them back before the final
-  // rendezvous. stale_streaks_ tracks consecutive deferrals per rank and is
-  // only touched by mitigated calls (strict runs never see it).
+  // via PlanMitigation, everyone reads them (PlanRendezvous) before the
+  // final rendezvous. stale_streaks_ tracks consecutive deferrals per rank
+  // and is only touched by mitigated calls (strict runs never see it).
   std::vector<double> delay_slots_;
   std::vector<RankClass> mit_class_;
   std::vector<int> mit_backup_;

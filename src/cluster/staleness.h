@@ -8,9 +8,9 @@
 namespace vero {
 
 /// Straggler-mitigation policy of the collectives' mitigation layer
-/// (WorkerContext::AllReduceSum / AllGather / AllToAll / AllToAllSum, set
-/// via CollectiveOptions::mitigation). See docs/straggler_mitigation.md for
-/// semantics and accuracy caveats.
+/// (WorkerContext::AllReduceSum / AllToAllSum, set via
+/// CollectiveOptions::mitigation, and AllGather, which takes it directly).
+/// See docs/straggler_mitigation.md for semantics and accuracy caveats.
 enum class MitigationMode {
   /// Fully synchronous: the layer is off and the accounting is
   /// bit-identical to seed.

@@ -197,7 +197,7 @@ std::vector<SplitCandidate> DistTrainerBase::AllGatherBestSplits(
   std::vector<std::vector<uint8_t>> all;
   MitigationOutcome outcome;
   VERO_COMM_OK(ctx_.AllGather(SerializeSplits(local), &all,
-                              {.mitigation = options_.mitigation}, &outcome));
+                              options_.mitigation, &outcome));
   std::vector<SplitCandidate> best;
   for (int r = 0; r < ctx_.world_size(); ++r) {
     if (!outcome.contributed[r]) continue;

@@ -221,15 +221,6 @@ TEST(CodecFrameTest, EmptyAndWholePayloadBlocks) {
   EXPECT_TRUE(BitIdentical(values, decoded));
 }
 
-TEST(CodecFrameTest, FrameRawSizeHeaderPeek) {
-  const std::vector<double> values = MakeHistogram(640, 0.1, 11);
-  std::vector<uint8_t> frame;
-  CodecEncode(values, Spec(CollectiveCompression::kSparseDelta, 64), &frame);
-  uint64_t raw = 0;
-  ASSERT_TRUE(CodecFrameRawSize(frame, &raw).ok());
-  EXPECT_EQ(raw, values.size() * sizeof(double));
-}
-
 // ---------------------------------------------------------------------------
 // Corrupt / truncated frame rejection.
 // ---------------------------------------------------------------------------
@@ -316,44 +307,6 @@ TEST(CodecCollectiveTest, QuantizedAllReduceIsReplicatedDeterministic) {
   }
 }
 
-TEST(CodecCollectiveTest, AllGatherAndAllToAllLosslessMatchStrict) {
-  const int w = 3;
-  // Packed-double byte payloads, one per (sender, dest) pair.
-  auto payload = [](int s, int d) {
-    const std::vector<double> values = MakeHistogram(320, 0.1, 61 + 7 * s + d);
-    std::vector<uint8_t> bytes(values.size() * sizeof(double));
-    std::memcpy(bytes.data(), values.data(), bytes.size());
-    return bytes;
-  };
-
-  std::vector<std::vector<std::vector<uint8_t>>> strict_gather(w),
-      coded_gather(w), strict_a2a(w), coded_a2a(w);
-  Cluster sc(w);
-  sc.Run([&](WorkerContext& ctx) {
-    const int r = ctx.rank();
-    VERO_COMM_OK(ctx.AllGather(payload(r, r), &strict_gather[r]));
-    std::vector<std::vector<uint8_t>> to_each(w);
-    for (int d = 0; d < w; ++d) to_each[d] = payload(r, d);
-    VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &strict_a2a[r]));
-  });
-  Cluster cc(w);
-  const CodecSpec spec = Spec(CollectiveCompression::kSparseDelta, 64);
-  cc.Run([&](WorkerContext& ctx) {
-    const int r = ctx.rank();
-    VERO_COMM_OK(
-        ctx.AllGather(payload(r, r), &coded_gather[r], {.codec = spec}));
-    std::vector<std::vector<uint8_t>> to_each(w);
-    for (int d = 0; d < w; ++d) to_each[d] = payload(r, d);
-    VERO_COMM_OK(
-        ctx.AllToAll(std::move(to_each), &coded_a2a[r], {.codec = spec}));
-  });
-  for (int r = 0; r < w; ++r) {
-    EXPECT_EQ(strict_gather[r], coded_gather[r]) << "gather rank " << r;
-    EXPECT_EQ(strict_a2a[r], coded_a2a[r]) << "a2a rank " << r;
-  }
-  EXPECT_LT(cc.TotalStats().bytes_sent, sc.TotalStats().bytes_sent);
-}
-
 // One FaultPlan must replay identically across modes: the codec collectives
 // report the same CollectiveOp stream, so occurrence matching is unchanged —
 // a kCorrupt retry recharges the (smaller) encoded volume, a kDelay lands on
@@ -432,16 +385,17 @@ TEST(CodecCollectiveTest, ComposesWithBoundedStaleness) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer grid: op x codec x mitigation x W. Codec and mitigation are layers
-// of one collective, so every cell must report the same CollectiveOp stream
-// as the strict/off cell, lossless cells must deliver the same bytes (minus
-// deferred slots), and each layer's metrics appear only when it is on.
+// Layer grids: the summing ops x codec x mitigation x W, and AllGather (the
+// one byte op with a layer) x mitigation x W. Codec and mitigation are
+// layers of one collective, so every cell must report the same
+// CollectiveOp stream as the strict/off cell, lossless cells must deliver
+// the same bytes (minus deferred slots), and each layer's metrics appear
+// only when it is on.
 // ---------------------------------------------------------------------------
 
 enum class GridOp {
   kAllReduceSum,
   kAllGather,
-  kAllToAll,
   kAllToAllSum,
   kAllReduceSumParts
 };
@@ -495,7 +449,6 @@ CollectiveOp GridCollectiveOp(GridOp op) {
       return CollectiveOp::kAllReduceSum;
     case GridOp::kAllGather:
       return CollectiveOp::kAllGather;
-    case GridOp::kAllToAll:
     case GridOp::kAllToAllSum:
       return CollectiveOp::kAllToAll;
   }
@@ -547,15 +500,7 @@ Status IssueGridOp(WorkerContext& ctx, GridOp op, int call,
     case GridOp::kAllGather:
       return ctx.AllGather(
           GridBytes(GridValues(call, ctx.world_size(), r, 0)), slots,
-          {codec, mitigation}, outcome);
-    case GridOp::kAllToAll: {
-      std::vector<std::vector<uint8_t>> to_each(ctx.world_size());
-      for (int d = 0; d < ctx.world_size(); ++d) {
-        to_each[d] = GridBytes(GridValues(call, ctx.world_size(), r, d));
-      }
-      return ctx.AllToAll(std::move(to_each), slots, {codec, mitigation},
-                          outcome);
-    }
+          mitigation, outcome);
     case GridOp::kAllToAllSum: {
       const size_t units = GridLength(call, ctx.world_size());
       const size_t len =
@@ -775,17 +720,13 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
         }
         continue;
       }
+      // AllGather: no codec, so every contributed slot is the strict one.
       for (int s = 0; s < w; ++s) {
         if (!mask[s]) {
           EXPECT_TRUE(got[s].empty()) << "deferred slot " << s;
-        } else if (lossless) {
+        } else {
           EXPECT_EQ(got[s], want[s]) << "call " << call << " rank " << r
                                      << " slot " << s;
-        } else {
-          EXPECT_EQ(got[s].size(), want[s].size());
-          if (op == GridOp::kAllGather) {
-            EXPECT_EQ(got[s], run.slots[call][0][s]) << "replicated decode";
-          }
         }
       }
     }
@@ -812,8 +753,7 @@ TEST_P(CollectiveLayerGridTest, LayersKeepOpStreamAndPayloads) {
 
 std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
   static const char* const kOpNames[] = {"AllReduceSum", "AllGather",
-                                         "AllToAll", "AllToAllSum",
-                                         "AllReduceSumParts"};
+                                         "AllToAllSum", "AllReduceSumParts"};
   const auto [op, compression, mode, w] = info.param;
   std::string name = kOpNames[static_cast<int>(op)];
   name += "_";
@@ -830,8 +770,7 @@ std::string GridName(const ::testing::TestParamInfo<GridParam>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, CollectiveLayerGridTest,
     ::testing::Combine(
-        ::testing::Values(GridOp::kAllReduceSum, GridOp::kAllGather,
-                          GridOp::kAllToAll, GridOp::kAllToAllSum,
+        ::testing::Values(GridOp::kAllReduceSum, GridOp::kAllToAllSum,
                           GridOp::kAllReduceSumParts),
         ::testing::Values(CollectiveCompression::kOff,
                           CollectiveCompression::kSparseDelta,
@@ -842,9 +781,21 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2, 3, 4)),
     GridName);
 
+INSTANTIATE_TEST_SUITE_P(
+    GatherGrid, CollectiveLayerGridTest,
+    ::testing::Combine(::testing::Values(GridOp::kAllGather),
+                       ::testing::Values(CollectiveCompression::kOff),
+                       ::testing::Values(MitigationMode::kStrict,
+                                         MitigationMode::kBoundedStaleness,
+                                         MitigationMode::kSpeculative),
+                       ::testing::Values(1, 2, 3, 4)),
+    GridName);
+
 // A silent corruption of the summing exchange flips the word the byte
 // AllToAll flips in the same received shares, so the sum matches a
-// byte-AllToAll-then-sum reference bit for bit. As in
+// byte-AllToAll-then-sum reference bit for bit, with the codec off or
+// lossless (a lossless decode returns the raw bits, so the flip lands on
+// the same word). As in
 // SilentCorruptTest.Qd2AllToAllEscapesOffBlamesReceiverOn, the op itself
 // succeeds with a wrong sum, and the pairwise audit blames the receiver.
 TEST(AllToAllSumTest, SilentCorruptFlipsTheByteAllToAllWord) {
@@ -922,7 +873,7 @@ TEST(AllToAllSumTest, SilentCorruptFlipsTheByteAllToAllWord) {
           if (g != r) auditor.RecordShare(&sent, g, {&part, 1}, share.size());
         }
         std::vector<std::vector<uint8_t>> from_each;
-        VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each, opts));
+        VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each));
         for (int s = 0; s < kW; ++s) {
           std::vector<double> share(from_each[s].size() / sizeof(double));
           if (!share.empty()) {
@@ -943,10 +894,12 @@ TEST(AllToAllSumTest, SilentCorruptFlipsTheByteAllToAllWord) {
     return out;
   };
 
+  // The byte AllToAll carries no codec: one reference serves both cells.
+  const Run reference = run(/*summing=*/false, /*corrupt=*/true,
+                            CollectiveCompression::kOff);
   for (const CollectiveCompression compression :
        {CollectiveCompression::kOff, CollectiveCompression::kSparseDelta}) {
     const Run clean = run(/*summing=*/true, /*corrupt=*/false, compression);
-    const Run reference = run(/*summing=*/false, /*corrupt=*/true, compression);
     const Run summed = run(/*summing=*/true, /*corrupt=*/true, compression);
     EXPECT_EQ(summed.shares, reference.shares);
     EXPECT_EQ(summed.sums, reference.sums);

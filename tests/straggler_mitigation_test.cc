@@ -324,8 +324,7 @@ TEST(BoundedCollectiveTest, AllGatherBoundedDropsDeferredSlotEverywhere) {
         static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(
-        ctx.AllGather(mine, &all, {.mitigation = Bounded(0.01)}, &outcome));
+    VERO_COMM_OK(ctx.AllGather(mine, &all, Bounded(0.01), &outcome));
     EXPECT_EQ(outcome.contributed[2], 0);
     // The deferred slot is empty on EVERY rank, including rank 2 itself.
     EXPECT_TRUE(all[2].empty());
@@ -340,35 +339,10 @@ TEST(BoundedCollectiveTest, AllGatherBoundedDropsDeferredSlotEverywhere) {
   EXPECT_EQ(cluster.worker_stats(0).bytes_received, 20u + 30 + 40);
 }
 
-TEST(BoundedCollectiveTest, AllToAllBoundedDropsDeferredSenderEverywhere) {
-  Cluster cluster(3);
-  cluster.InstallFaultPlan(
-      FaultPlan().Delay(0, CollectiveOp::kAllToAll, 0, 0.5));
-  cluster.Run([&](WorkerContext& ctx) {
-    std::vector<std::vector<uint8_t>> to_each(3);
-    for (int r = 0; r < 3; ++r) {
-      to_each[r].assign(4, static_cast<uint8_t>(10 * ctx.rank() + r));
-    }
-    std::vector<std::vector<uint8_t>> from_each;
-    MitigationOutcome outcome;
-    VERO_COMM_OK(ctx.AllToAll(std::move(to_each), &from_each,
-                              {.mitigation = Bounded(0.01)}, &outcome));
-    EXPECT_EQ(outcome.contributed[0], 0);
-    // Everything sent BY rank 0 is dropped — its self-slice included — so
-    // skip-by-mask receivers agree on every rank.
-    EXPECT_TRUE(from_each[0].empty());
-    EXPECT_EQ(from_each[1].size(), 4u);
-    EXPECT_EQ(from_each[2].size(), 4u);
-    EXPECT_EQ(from_each[1][0], static_cast<uint8_t>(10 + ctx.rank()));
-  });
-  // Strict volume: each rank sends its two 4-byte peer slices.
-  EXPECT_EQ(cluster.worker_stats(0).bytes_sent, 8u);
-  EXPECT_EQ(cluster.worker_stats(1).bytes_received, 8u);
-}
-
-// The summing exchange drops a deferred sender like AllToAll does, is
-// charged like the AllToAll of the packed slices, and records the dropped
-// (g, h) value mass as AllReduceSum does, not payload bytes.
+// The summing exchange drops everything a deferred sender sent on every
+// rank, its self-share included, is charged like the AllToAll of the packed
+// slices, and records the dropped (g, h) value mass as AllReduceSum does,
+// not payload bytes.
 TEST(BoundedCollectiveTest, AllToAllSumDropsDeferredSenderAndRecordsValueMass) {
   constexpr size_t kUnits = 5;  // Slices of 1, 2 and 2 units.
   constexpr size_t kUnitLen = 2;
@@ -412,8 +386,7 @@ TEST(BoundedCollectiveTest, SpeculativeAllGatherChargesBackupReexecution) {
     const std::vector<uint8_t> mine(100, static_cast<uint8_t>(ctx.rank()));
     std::vector<std::vector<uint8_t>> all;
     MitigationOutcome outcome;
-    VERO_COMM_OK(
-        ctx.AllGather(mine, &all, {.mitigation = Speculative()}, &outcome));
+    VERO_COMM_OK(ctx.AllGather(mine, &all, Speculative(), &outcome));
     // Exact delivery: every slot filled.
     for (int r = 0; r < 4; ++r) EXPECT_EQ(all[r].size(), 100u);
   });
