@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels the paper's analysis
 // is built on: histogram construction under each store/index combination,
-// histogram subtraction, bitmap encoding vs 4-byte ids, quantile sketch
-// throughput, two-phase index lookups, and the collectives.
+// histogram subtraction, split finding, bitmap encoding vs 4-byte ids,
+// quantile sketch throughput, two-phase index lookups, and the collectives.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "cluster/communicator.h"
@@ -20,6 +21,7 @@
 #include "core/hist_builder.h"
 #include "core/histogram.h"
 #include "core/node_indexer.h"
+#include "core/split.h"
 #include "data/synthetic.h"
 #include "partition/column_group.h"
 #include "sketch/quantile_summary.h"
@@ -192,6 +194,49 @@ void BM_HistogramSubtraction(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * parent.MemoryBytes());
 }
 BENCHMARK(BM_HistogramSubtraction)->Arg(100)->Arg(1000)->Arg(10000);
+
+// Split finding on one RCV1-shaped node histogram (12 000 features x 20 bins)
+// at C classes. Dense fills every bin; sparse mimics a mid-layer node of the
+// RCV1 stand-in (~1 250 rows x 75 nonzeros over 12 000 features): about
+// eight entries per feature, in random bins.
+void BM_FindBest(benchmark::State& state) {
+  constexpr uint32_t kFeatures = 12000, kBins = 20;
+  const uint32_t dims = static_cast<uint32_t>(state.range(0));
+  const bool sparse = state.range(1) != 0;
+  Rng rng(13);
+  Histogram hist(kFeatures, kBins, dims);
+  std::vector<GradPair> entry(dims);
+  for (uint32_t f = 0; f < kFeatures; ++f) {
+    const uint32_t entries = sparse ? static_cast<uint32_t>(rng.Uniform(16))
+                                    : kBins;
+    for (uint32_t e = 0; e < entries; ++e) {
+      for (GradPair& s : entry) {
+        s = GradPair{rng.NextGaussian(), rng.UniformDouble(0.01, 0.25)};
+      }
+      hist.Add(f, sparse ? static_cast<uint32_t>(rng.Uniform(kBins)) : e,
+               entry.data());
+    }
+  }
+  // Node totals: the densest conceivable feature plus missing mass, so every
+  // feature leaves some on each side.
+  const GradStats node(dims, GradPair{10.0, 0.25 * kBins * 2.0});
+  std::vector<FeatureId> global_ids(kFeatures);
+  for (uint32_t f = 0; f < kFeatures; ++f) global_ids[f] = f;
+  std::vector<std::vector<float>> values(kFeatures);
+  for (auto& v : values) {
+    for (uint32_t b = 0; b < kBins; ++b) v.push_back(static_cast<float>(b));
+  }
+  const CandidateSplits splits(kBins, std::move(values));
+  const SplitFinder finder(1.0, 0.0, 0.0);
+  for (auto _ : state) {
+    const SplitCandidate best = finder.FindBest(hist, node, global_ids, splits);
+    benchmark::DoNotOptimize(best.gain);
+  }
+  state.SetItemsProcessed(state.iterations() * kFeatures);
+}
+BENCHMARK(BM_FindBest)
+    ->ArgNames({"dims", "sparse"})
+    ->ArgsProduct({{1, 3}, {0, 1}});
 
 void BM_BitmapEncodePlacement(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

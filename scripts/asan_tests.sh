@@ -25,7 +25,8 @@
 # word), the block cursor's unsigned range test in ColumnGroup::FillGoLeft,
 # the forward column search in BinnedColumnStore::FillGoLeft, and the
 # branch-free RowPartition::Split that writes every instance to both of its
-# cursors.
+# cursors. split_test runs SplitFinder::FindBest's scan, which walks raw
+# column pointers into the node histogram, against its bitwise oracle.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -38,7 +39,7 @@ TESTS=(
   straggler_mitigation_test codec_test communicator_test
   communicator_stress_test serve_test dist_trainer_test obs_test
   anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
-  bitmap_test column_group_test binned_test node_indexer_test
+  bitmap_test column_group_test binned_test node_indexer_test split_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

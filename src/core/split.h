@@ -26,10 +26,14 @@ struct SplitCandidate {
   GradStats left_stats;
   GradStats right_stats;
 
+  /// Gains closer than this are near-ties for IsBetterThan.
+  static constexpr double kTieTolerance = 1e-10;
+
   /// Deterministic total order used to pick the global best split: higher
   /// gain wins; near-ties (within `tol`) break toward the lower feature id,
   /// then the lower bin, so every quadrant and worker agrees on one winner.
-  bool IsBetterThan(const SplitCandidate& other, double tol = 1e-10) const;
+  bool IsBetterThan(const SplitCandidate& other,
+                    double tol = kTieTolerance) const;
 
   void SerializeTo(ByteWriter* writer) const;
   static Status Deserialize(ByteReader* reader, SplitCandidate* out);
@@ -63,6 +67,14 @@ class SplitFinder {
   double reg_gamma() const { return reg_gamma_; }
 
  private:
+  // FindBest's scan at a compile-time class count; kDims == 0 reads the
+  // class count from the histogram.
+  template <uint32_t kDims>
+  SplitCandidate Scan(const Histogram& hist, const GradStats& node_stats,
+                      const std::vector<FeatureId>& global_ids,
+                      const CandidateSplits& splits,
+                      const std::vector<bool>* feature_mask) const;
+
   double reg_lambda_;
   double reg_gamma_;
   double min_split_gain_;

@@ -127,7 +127,9 @@ TEST(AdvisorTest, MemoryBudgetDemotesOversizedQuadrants) {
   bool seen_infeasible = false;
   for (const QuadrantEstimate& e : ranking) {
     if (!e.fits_memory) seen_infeasible = true;
-    if (seen_infeasible) EXPECT_FALSE(e.fits_memory);
+    if (seen_infeasible) {
+      EXPECT_FALSE(e.fits_memory);
+    }
   }
   EXPECT_TRUE(IsVertical(ranking.front().quadrant));
 }

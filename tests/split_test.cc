@@ -296,6 +296,10 @@ enum class FeatureFill {
   kSmallIntegers,  // coarse values: many exact gain ties across bins
   kRandom,         // continuous values
   kDuplicate,      // copy of the previous feature: forced cross-feature tie
+  kSparse,         // mostly ±0.0 cells; sometimes bin 0 empty, sometimes
+                   // only the last bin set
+  kNearTie,        // the trial's shared column, nudged: gains less than
+                   // 1e-10 apart across features and across bins
   kNumFills,
 };
 
@@ -307,10 +311,11 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
   auto pick = [&rng](uint32_t n) {
     return static_cast<uint32_t>(rng() % n);
   };
-  int valid_results = 0, invalid_results = 0, skippable_features = 0;
+  int valid_results = 0, invalid_results = 0, skippable_features = 0,
+      empty_bin_features = 0;
   for (int trial = 0; trial < 3000; ++trial) {
     const uint32_t dims = (trial % 2 == 0) ? 1 : 3;
-    const uint32_t q = 2 + pick(7);
+    const uint32_t q = 2 + pick(19);
     const uint32_t num_local = 1 + pick(10);
     const uint32_t num_global = num_local + pick(6);
 
@@ -334,6 +339,15 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
     std::vector<FeatureId> global_ids(all_ids.begin(),
                                       all_ids.begin() + num_local);
 
+    // The column kNearTie features nudge: whole cells in some bins, cells
+    // of ~1e-12 in the others, so neighbouring prefix sums nearly agree.
+    std::vector<GradPair> tie_column(q * dims);
+    for (GradPair& cell : tie_column) {
+      cell = (pick(2) == 0)
+                 ? GradPair{uniform(-4.0, 4.0), uniform(0.0, 2.0)}
+                 : GradPair{uniform(-1e-12, 1e-12), 1e-12 * pick(2)};
+    }
+
     Histogram hist(num_local, q, dims);
     for (uint32_t f = 0; f < num_local; ++f) {
       auto fill = static_cast<FeatureFill>(
@@ -341,6 +355,15 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
       if (fill == FeatureFill::kDuplicate && f == 0) {
         fill = FeatureFill::kRandom;
       }
+      const uint32_t nbins = splits.NumBins(global_ids[f]);
+      // kSparse: bin 0 left empty, or only the last bin (meaningful or
+      // histogram) set.
+      const bool empty_bin0 = pick(3) == 0;
+      const int only_bin =
+          (pick(4) != 0) ? -1
+                         : static_cast<int>((nbins > 0 && pick(2) == 0)
+                                                ? nbins - 1
+                                                : q - 1);
       bool zero_h = true;
       for (uint32_t b = 0; b < q; ++b) {
         for (uint32_t k = 0; k < dims; ++k) {
@@ -368,6 +391,19 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
             case FeatureFill::kDuplicate:
               cell = hist.at(f - 1, b, k);
               break;
+            case FeatureFill::kSparse: {
+              const bool set = (only_bin >= 0)
+                                   ? static_cast<int>(b) == only_bin
+                                   : !(b == 0 && empty_bin0) && pick(4) == 0;
+              cell = set ? GradPair{uniform(-4.0, 4.0), uniform(0.0, 2.0)}
+                         : GradPair{(pick(2) == 0) ? 0.0 : -0.0,
+                                    (pick(2) == 0) ? 0.0 : -0.0};
+              break;
+            }
+            case FeatureFill::kNearTie:
+              cell = tie_column[b * dims + k];
+              cell.g += 4e-11 * (static_cast<double>(pick(5)) - 2.0);
+              break;
             case FeatureFill::kNumFills:
               break;
           }
@@ -375,6 +411,18 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
         }
       }
       if (zero_h) ++skippable_features;
+      // Interior bins [1, nbins - 2] that hold ±0.0 in every class are the
+      // ones the scan skips.
+      bool empty_interior = false;
+      for (uint32_t b = 1; b + 1 < nbins; ++b) {
+        bool empty = true;
+        for (uint32_t k = 0; k < dims; ++k) {
+          empty = empty && hist.at(f, b, k).g == 0.0 &&
+                  hist.at(f, b, k).h == 0.0;
+        }
+        empty_interior = empty_interior || empty;
+      }
+      if (empty_interior && !zero_h) ++empty_bin_features;
     }
 
     // Node totals: the first feature's present mass plus a random missing
@@ -424,11 +472,13 @@ TEST(SplitFinderTest, MatchesReferenceScanBitwise) {
     if (::testing::Test::HasFailure()) return;
     (want.valid ? valid_results : invalid_results) += 1;
   }
-  // The generator must actually exercise both outcomes and the zero-hessian
-  // features a sparsity-aware scan may skip.
+  // The generator must actually exercise both outcomes, the zero-hessian
+  // features a sparsity-aware scan may skip, and the empty bins it skips in
+  // the features it does scan.
   EXPECT_GT(valid_results, 500);
   EXPECT_GT(invalid_results, 50);
   EXPECT_GT(skippable_features, 1000);
+  EXPECT_GT(empty_bin_features, 1000);
 }
 
 }  // namespace
