@@ -252,33 +252,56 @@ void BM_BitmapEncodePlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapEncodePlacement)->Arg(100000)->Arg(1000000);
 
-// QD4 split owner's placement step on a Higgs-shaped shard: 300k dense rows
-// of 7 local features in 4 blocks, placing an ascending half of the rows
-// (one node's instances). Arg 0 is the per-row FindBin + Assign loop that
-// ColumnGroup::FillGoLeft replaced; arg 1 is FillGoLeft.
-void BM_FillGoLeftColumnGroup(benchmark::State& state) {
+// A Higgs-shaped QD4 shard: 300k rows of all 7 local features in 4 blocks,
+// binned with perfbench's q = 20, stored dense (bins only) or as the same
+// rows in the sparse form.
+constexpr uint32_t kHiggsBins = 20;
+
+ColumnGroup HiggsColumnGroup(bool dense) {
   constexpr uint32_t kRows = 300000, kLocal = 7, kBlocks = 4;
   Rng rng(19);
-  ColumnGroup group;
+  ColumnGroup group(kLocal);
   for (uint32_t b = 0; b < kBlocks; ++b) {
     ColumnGroupBlock block;
     block.row_offset = kRows / kBlocks * b;
     for (uint32_t r = 0; r < kRows / kBlocks; ++r) {
       for (uint32_t f = 0; f < kLocal; ++f) {
         block.features.push_back(f);
-        block.bins.push_back(static_cast<BinId>(rng.Uniform(256)));
+        block.bins.push_back(static_cast<BinId>(rng.Uniform(kHiggsBins)));
       }
       block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
     }
+    if (dense) {
+      block = ColumnGroupBlock::Dense(block.row_offset, kLocal,
+                                      std::move(block.bins));
+    }
     group.AppendBlock(std::move(block));
   }
-  std::vector<InstanceId> instances;
-  for (InstanceId i = 0; i < kRows; ++i) {
-    if (rng.Bernoulli(0.5)) instances.push_back(i);
+  return group;
+}
+
+// Ascending instances of `group` kept with probability `fraction` (one
+// frontier node's rows).
+std::vector<InstanceId> NodeRows(const ColumnGroup& group, double fraction,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<InstanceId> rows;
+  for (InstanceId i = 0; i < group.num_instances(); ++i) {
+    if (rng.Bernoulli(fraction)) rows.push_back(i);
   }
+  return rows;
+}
+
+// QD4 split owner's placement step on the Higgs-shaped shard, placing an
+// ascending half of the rows (one node's instances). Arg 0: 0 is the
+// per-row FindBin + Assign loop that ColumnGroup::FillGoLeft replaced, 1 is
+// FillGoLeft. Arg 1: dense (1) or sparse (0) blocks.
+void BM_FillGoLeftColumnGroup(benchmark::State& state) {
+  const ColumnGroup group = HiggsColumnGroup(state.range(1) != 0);
+  const std::vector<InstanceId> instances = NodeRows(group, 0.5, 23);
   const bool batched = state.range(0) != 0;
   const uint32_t feature = 3;
-  const BinId split_bin = 128;
+  const BinId split_bin = kHiggsBins / 2;
   Bitmap go_left(instances.size());
   for (auto _ : state) {
     if (batched) {
@@ -294,7 +317,28 @@ void BM_FillGoLeftColumnGroup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * instances.size());
 }
-BENCHMARK(BM_FillGoLeftColumnGroup)->Arg(0)->Arg(1);
+BENCHMARK(BM_FillGoLeftColumnGroup)->ArgsProduct({{0, 1}, {0, 1}});
+
+// QD4's histogram build on the Higgs-shaped shard: one serial layer task
+// over a node holding 1/Arg(1) of the rows (1: the root), with dense (Arg 0
+// = 1) or sparse blocks.
+void BM_HistBuilderColumnGroup(benchmark::State& state) {
+  const ColumnGroup group = HiggsColumnGroup(state.range(0) != 0);
+  const std::vector<InstanceId> rows =
+      NodeRows(group, 1.0 / static_cast<double>(state.range(1)), 29);
+  const GradientBuffer grads = MakeGrads(group.num_instances());
+  const uint32_t d = group.num_features();
+  Histogram hist(d, kHiggsBins, 1);
+  const HistogramBuilder::NodeRows task{&hist, rows};
+  HistogramBuilder builder(1);
+  for (auto _ : state) {
+    hist.Clear();
+    builder.BuildRowStoreLayer(group, grads, {&task, 1}, 0, d, d);
+    benchmark::DoNotOptimize(hist.raw_data());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size() * d);
+}
+BENCHMARK(BM_HistBuilderColumnGroup)->ArgsProduct({{0, 1}, {1, 8}});
 
 // The 4-byte-per-instance alternative the bitmap replaces (32x larger).
 void BM_Int32EncodePlacement(benchmark::State& state) {

@@ -27,6 +27,8 @@
 # branch-free RowPartition::Split that writes every instance to both of its
 # cursors. split_test runs SplitFinder::FindBest's scan, which walks raw
 # column pointers into the node histogram, against its bitwise oracle.
+# transform_property_test decodes dense column-group blocks (bins only,
+# indexed by r*w) and merges them across every worker count and encoding.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -40,6 +42,7 @@ TESTS=(
   communicator_stress_test serve_test dist_trainer_test obs_test
   anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
   bitmap_test column_group_test binned_test node_indexer_test split_test
+  transform_property_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

@@ -49,6 +49,13 @@ class BinnedRowStore {
             static_cast<size_t>(row_ptr_[i + 1] - row_ptr_[i])};
   }
 
+  /// Calls fn(i, RowFeatures(i), RowBins(i)) for every i of `rows`, in
+  /// order (the row-walk interface shared with ColumnGroup).
+  template <typename Fn>
+  void ForEachRow(std::span<const InstanceId> rows, Fn&& fn) const {
+    for (const InstanceId i : rows) fn(i, RowFeatures(i), RowBins(i));
+  }
+
   /// Bin of (instance, feature) via binary search within the row, or nullopt
   /// if the instance misses the feature.
   std::optional<BinId> FindBin(InstanceId i, FeatureId feature) const;

@@ -54,7 +54,7 @@ class HistogramBuilder {
   };
 
   /// Builds every task's histogram by scanning its rows of a row store
-  /// (BinnedRowStore or ColumnGroup: anything with RowFeatures/RowBins).
+  /// (BinnedRowStore or ColumnGroup: anything with ForEachRow).
   /// Row entries must be sorted by feature id. Only features in
   /// [feature_begin, feature_end) are accumulated, into histogram column
   /// f - feature_begin (the feature-parallel slice convention; pass 0 / D
@@ -130,9 +130,7 @@ void AccumulateRowsFull(const Store& store, const GradientBuffer& grads,
   if (hist->num_dims() == 1) {
     double* data = hist->raw_data();
     const size_t q = hist->num_bins();
-    for (const InstanceId i : rows) {
-      const auto features = store.RowFeatures(i);
-      const auto bins = store.RowBins(i);
+    store.ForEachRow(rows, [&](InstanceId i, auto features, auto bins) {
       const GradPair* grad = grads.row(i);
       const double g = grad->g;
       const double h = grad->h;
@@ -142,16 +140,14 @@ void AccumulateRowsFull(const Store& store, const GradientBuffer& grads,
         data[cell] += g;
         data[cell + 1] += h;
       }
-    }
+    });
   } else {
-    for (const InstanceId i : rows) {
-      const auto features = store.RowFeatures(i);
-      const auto bins = store.RowBins(i);
+    store.ForEachRow(rows, [&](InstanceId i, auto features, auto bins) {
       const GradPair* grad = grads.row(i);
       for (size_t k = 0; k < features.size(); ++k) {
         hist->Add(features[k], bins[k], grad);
       }
-    }
+    });
   }
 }
 
@@ -167,9 +163,7 @@ void AccumulateRowsWindow(const Store& store, const GradientBuffer& grads,
   const bool one_dim = hist->num_dims() == 1;
   double* data = hist->raw_data();
   const size_t q = hist->num_bins();
-  for (const InstanceId i : rows) {
-    const auto features = store.RowFeatures(i);
-    const auto bins = store.RowBins(i);
+  store.ForEachRow(rows, [&](InstanceId i, auto features, auto bins) {
     const GradPair* grad = grads.row(i);
     size_t k = 0;
     if (fb != 0) {
@@ -191,7 +185,7 @@ void AccumulateRowsWindow(const Store& store, const GradientBuffer& grads,
         hist->Add(features[k] - origin, bins[k], grad);
       }
     }
-  }
+  });
 }
 
 }  // namespace histdetail

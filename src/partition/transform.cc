@@ -329,8 +329,13 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
   obs::PhaseSpan decode_span(tb, "transform-decode", sim_clock);
 
   // Decode: one block per source worker, ordered by source rank so the
-  // blocks tile [0, N) in order (step 4's sort by original worker id).
-  const uint32_t my_feature_bytes = BytesForRange(dest_feature_count[rank]);
+  // blocks tile [0, N) in order (step 4's sort by original worker id). A
+  // block whose every row holds all of this worker's features is stored
+  // dense (bins only); rows arrive sorted by local feature id, so such a
+  // row's ids are exactly 0..w-1.
+  const uint32_t my_features = dest_feature_count[rank];
+  const uint32_t my_feature_bytes = BytesForRange(my_features);
+  result.data = ColumnGroup(my_features);
   for (int src = 0; src < w; ++src) {
     ByteReader reader(from_src[src]);
     uint32_t rows = 0;
@@ -347,24 +352,44 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
       ByteReader entries(payload);
       uint64_t total = 0;
       for (uint32_t len : lens) total += len;
-      block.features.reserve(total);
-      block.bins.reserve(total);
-      block.row_ptr.reserve(rows + 1);
-      for (uint32_t r = 0; r < rows; ++r) {
-        for (uint32_t k = 0; k < lens[r]; ++k) {
-          block.features.push_back(
-              static_cast<uint32_t>(ReadPacked(&entries, my_feature_bytes)));
-          block.bins.push_back(
-              static_cast<BinId>(ReadPacked(&entries, bin_bytes)));
+      const bool dense =
+          my_features > 0 &&
+          std::all_of(lens.begin(), lens.end(),
+                      [&](uint32_t len) { return len == my_features; });
+      if (dense) {
+        std::vector<BinId> bins(total);
+        BinId* out = bins.data();
+        for (uint32_t r = 0; r < rows; ++r) {
+          for (uint32_t k = 0; k < my_features; ++k) {
+            VERO_CHECK_EQ(ReadPacked(&entries, my_feature_bytes), k);
+            *out++ = static_cast<BinId>(ReadPacked(&entries, bin_bytes));
+          }
         }
-        block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
+        block = ColumnGroupBlock::Dense(block.row_offset, my_features,
+                                        std::move(bins));
+      } else {
+        block.features.reserve(total);
+        block.bins.reserve(total);
+        block.row_ptr.reserve(rows + 1);
+        for (uint32_t r = 0; r < rows; ++r) {
+          for (uint32_t k = 0; k < lens[r]; ++k) {
+            block.features.push_back(static_cast<uint32_t>(
+                ReadPacked(&entries, my_feature_bytes)));
+            block.bins.push_back(
+                static_cast<BinId>(ReadPacked(&entries, bin_bytes)));
+          }
+          block.row_ptr.push_back(
+              static_cast<uint32_t>(block.features.size()));
+        }
       }
     } else {
       const bool naive = options.encoding == TransformEncoding::kNaive;
+      bool dense = my_features > 0;
       for (uint32_t r = 0; r < rows; ++r) {
         uint32_t len = 0;
         VERO_CHECK_OK(reader.ReadU32(&len));
         VERO_CHECK_OK(reader.Skip(kPerRowObjectOverhead));
+        dense = dense && len == my_features;
         // Per-row staging vector: the small-object churn blockify avoids.
         std::vector<std::pair<uint32_t, BinId>> row;
         row.reserve(len);
@@ -392,6 +417,15 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
           block.bins.push_back(bin);
         }
         block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
+      }
+      if (dense) {
+        for (size_t e = 0; e < block.features.size(); e += my_features) {
+          for (uint32_t k = 0; k < my_features; ++k) {
+            VERO_CHECK_EQ(block.features[e + k], k);
+          }
+        }
+        block = ColumnGroupBlock::Dense(block.row_offset, my_features,
+                                        std::move(block.bins));
       }
     }
     result.data.AppendBlock(std::move(block));

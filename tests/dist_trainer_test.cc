@@ -12,12 +12,13 @@
 namespace vero {
 namespace {
 
-Dataset MakeData(uint32_t n, uint32_t d, uint32_t c, uint64_t seed) {
+Dataset MakeData(uint32_t n, uint32_t d, uint32_t c, uint64_t seed,
+                 double density = 0.3) {
   SyntheticConfig config;
   config.num_instances = n;
   config.num_features = d;
   config.num_classes = c;
-  config.density = 0.3;
+  config.density = density;
   config.seed = seed;
   return GenerateSynthetic(config);
 }
@@ -168,6 +169,32 @@ TEST(QuadrantEquivalenceTest, ThreadCountLeavesEveryQuadrantsModelUnchanged) {
           << QuadrantToString(q) << " classes=" << classes;
     }
   }
+}
+
+// Fully dense data: every QD4 worker stores its column group as dense
+// blocks (bins only). The model must not notice the layout.
+TEST(QuadrantEquivalenceTest, DenseDataKeepsQd4OnTheSameForest) {
+  const Dataset data = MakeData(900, 18, 2, 103, /*density=*/1.0);
+  const DistTrainOptions options = SmallOptions(4, 5);
+  std::map<Quadrant, GbdtModel> models;
+  for (Quadrant q : {Quadrant::kQD2, Quadrant::kQD3, Quadrant::kQD4}) {
+    Cluster cluster(3);
+    models[q] = TrainDistributed(cluster, data, q, options).model;
+  }
+  ExpectSameStructure(models[Quadrant::kQD2], models[Quadrant::kQD4],
+                      "QD2-vs-QD4-dense");
+  ExpectSameStructure(models[Quadrant::kQD3], models[Quadrant::kQD4],
+                      "QD3-vs-QD4-dense");
+  std::string text[2];
+  for (int i = 0; i < 2; ++i) {
+    DistTrainOptions threaded = options;
+    threaded.params.num_threads = i == 0 ? 1 : 3;
+    Cluster cluster(3);
+    text[i] = ModelToText(
+        TrainDistributed(cluster, data, Quadrant::kQD4, threaded).model);
+  }
+  EXPECT_EQ(text[0], text[1]);
+  EXPECT_EQ(text[0], ModelToText(models[Quadrant::kQD4]));
 }
 
 TEST(DistTrainTest, WorkerCountDoesNotBreakLearning) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -15,6 +17,7 @@
 #include "core/node_indexer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "partition/column_group.h"
 
 namespace vero {
 namespace {
@@ -192,6 +195,63 @@ TEST(HistBuilderTest, RowLayerWindowMatchesFullBuildSlice) {
   }
   for (uint32_t threads : {2u, 4u, 7u}) {
     EXPECT_TRUE(SameBits(serial, window(threads))) << "threads=" << threads;
+  }
+}
+
+// QD4's store: the full rows of `rows` as a ColumnGroup of dense blocks of
+// `block_rows` rows each.
+ColumnGroup DenseGroup(const BinnedRowStore& rows, uint32_t block_rows) {
+  const uint32_t d = rows.num_features();
+  ColumnGroup group(d);
+  for (InstanceId begin = 0; begin < rows.num_rows(); begin += block_rows) {
+    const InstanceId end = std::min(rows.num_rows(), begin + block_rows);
+    std::vector<BinId> bins;
+    for (InstanceId i = begin; i < end; ++i) {
+      const auto row = rows.RowBins(i);
+      EXPECT_EQ(row.size(), d);
+      bins.insert(bins.end(), row.begin(), row.end());
+    }
+    group.AppendBlock(ColumnGroupBlock::Dense(begin, d, std::move(bins)));
+  }
+  return group;
+}
+
+TEST(HistBuilderTest, DenseColumnGroupBuildsLikeRowStore) {
+  for (uint32_t dims : {1u, 3u}) {
+    Rng rng(505 + dims);
+    const uint32_t n = 600, d = 9;
+    const BinnedRowStore store = MakeRowStore(n, d, 1.0, &rng);
+    const ColumnGroup group = DenseGroup(store, 130);
+    ASSERT_EQ(group.num_blocks(), 5u);
+    ASSERT_TRUE(group.block(0).dense());
+    const GradientBuffer grads = MakeGrads(n, dims, &rng);
+    const auto nodes = AssignNodes(n, 2, &rng);
+
+    // Full width, and a window whose histogram column f - fb holds f.
+    for (const auto& [fb, fe] : {std::pair(0u, d), std::pair(2u, 7u)}) {
+      auto build = [&](const auto& s, uint32_t threads) {
+        std::vector<Histogram> hists;
+        for (int k = 0; k < 2; ++k) hists.emplace_back(fe - fb, kBins, dims);
+        std::vector<HistogramBuilder::NodeRows> tasks;
+        for (int k = 0; k < 2; ++k) {
+          tasks.push_back({&hists[k], std::span<const InstanceId>(nodes[k])});
+        }
+        HistogramBuilder builder(threads);
+        builder.BuildRowStoreLayer(
+            s, grads, std::span<const HistogramBuilder::NodeRows>(tasks), fb,
+            fe, d);
+        return hists;
+      };
+      for (uint32_t threads : {1u, 3u}) {
+        const std::vector<Histogram> want = build(store, threads);
+        const std::vector<Histogram> got = build(group, threads);
+        for (int k = 0; k < 2; ++k) {
+          EXPECT_TRUE(SameBits(want[k], got[k]))
+              << "dims=" << dims << " window=[" << fb << "," << fe
+              << ") threads=" << threads << " node=" << k;
+        }
+      }
+    }
   }
 }
 

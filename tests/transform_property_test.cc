@@ -1,7 +1,8 @@
 // Property sweep over the horizontal-to-vertical transformation: for every
 // combination of worker count, shape, grouping strategy, and wire encoding,
 // the transform must conserve entries, preserve bins exactly, cover every
-// feature exactly once, and deliver identical labels everywhere.
+// feature exactly once, and deliver identical labels everywhere. Fully
+// dense data must arrive as dense column-group blocks.
 
 #include <gtest/gtest.h>
 #include <tuple>
@@ -70,6 +71,12 @@ TEST_P(TransformPropertyTest, ConservesEveryEntryBinAndLabel) {
   for (int r = 0; r < w; ++r) {
     const VerticalShard& v = verticals[r];
     total_entries += v.data.num_entries();
+    // Full rows are stored dense (bins only), whatever the encoding.
+    if (density == 1.0 && !v.owned_features.empty()) {
+      for (size_t b = 0; b < v.data.num_blocks(); ++b) {
+        EXPECT_TRUE(v.data.block(b).dense()) << "W=" << w << " block " << b;
+      }
+    }
     for (InstanceId i = 0; i < data.num_instances(); ++i) {
       auto features = v.data.RowFeatures(i);
       auto bins = v.data.RowBins(i);
@@ -90,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(1, 3, 8),
         ::testing::Values(10u, 100u),
-        ::testing::Values(0.1, 0.8),
+        ::testing::Values(0.1, 0.8, 1.0),
         ::testing::Values(ColumnGroupingStrategy::kGreedyBalance,
                           ColumnGroupingStrategy::kRange),
         ::testing::Values(TransformEncoding::kNaive,
