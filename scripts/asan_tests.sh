@@ -29,6 +29,8 @@
 # column pointers into the node histogram, against its bitwise oracle.
 # transform_property_test decodes dense column-group blocks (bins only,
 # indexed by r*w) and merges them across every worker count and encoding.
+# model_io_test's bit-flip, truncation and trailing-bytes cases drive the
+# shared frame reader (ReadFrame) that every persisted record goes through.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -42,7 +44,7 @@ TESTS=(
   communicator_stress_test serve_test dist_trainer_test obs_test
   anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
   bitmap_test column_group_test binned_test node_indexer_test split_test
-  transform_property_test
+  transform_property_test model_io_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

@@ -24,11 +24,9 @@ message on the first violation.
 """
 
 import argparse
-import json
 import os
-import subprocess
-import sys
-import tempfile
+
+from checklib import load_json, require, run_gtest_emitter
 
 SCHEMA = "vero.anatomy.v1"
 BENCH_SCHEMA = "vero.anatomy_bench.v1"
@@ -41,24 +39,6 @@ CATEGORY_NAMES = {
     "wait.injected_stall", "wait.barrier_skew", "wasted",
 }
 SEGMENT_KINDS = {"setup", "tree", "recovery", "reshard"}
-
-
-def fail(msg):
-    print(f"check_anatomy: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def require(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: not parseable JSON: {e}")
 
 
 def check_anatomy(doc, where):
@@ -237,14 +217,7 @@ def check_file(path):
 
 def run_emitter(binary):
     """Runs the AnatomyEmit* tests into a fresh dir; returns the file path."""
-    out_dir = tempfile.mkdtemp(prefix="vero_anatomy_emit_")
-    env = dict(os.environ, VERO_OBS_EMIT_DIR=out_dir)
-    cmd = [binary, "--gtest_filter=AnatomyEmit*"]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        fail(f"emitter {' '.join(cmd)} exited {proc.returncode}")
+    out_dir = run_gtest_emitter(binary, "AnatomyEmit*", "VERO_OBS_EMIT_DIR")
     path = os.path.join(out_dir, "anatomy.json")
     require(os.path.exists(path), f"emitter produced no {path}")
     return path

@@ -33,12 +33,7 @@ Beyond schema shape, this checks the CollectiveCompression contract:
 Exits non-zero with a message on the first violation.
 """
 
-import argparse
-import json
-import os
-import subprocess
-import sys
-import tempfile
+from checklib import bench_main, fail, load_json
 
 SCHEMA = "vero.comm_bench.v1"
 MODES = ("off", "sparse", "sparse_delta", "quantized")
@@ -50,17 +45,8 @@ RUN_KEYS = ("label", "quadrant", "mode", "density", "workers",
             "blocks_sparse", "blocks_quantized", "model_digest", "goodput")
 
 
-def fail(message):
-    print(f"check_bench_comm: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def validate(path):
-    try:
-        with open(path, "rb") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"cannot parse {path}: {e}")
+    doc = load_json(path)
 
     if doc.get("schema") != SCHEMA:
         fail(f"schema is {doc.get('schema')!r}, want {SCHEMA!r}")
@@ -186,32 +172,6 @@ def validate(path):
           f"{len(cells)} cells, densities {densities})")
 
 
-def run_emitter(emitter):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "BENCH_comm.json")
-        env = dict(os.environ)
-        env.setdefault("VERO_SCALE", "0.05")
-        proc = subprocess.run([emitter, "--json", out],
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, env=env)
-        if proc.returncode != 0:
-            sys.stdout.buffer.write(proc.stdout)
-            fail(f"emitter exited with {proc.returncode}")
-        validate(out)
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--json", help="validate an emitted comm report")
-    parser.add_argument("--emitter", help="run comm_sweep --json")
-    args = parser.parse_args()
-    if bool(args.json) == bool(args.emitter):
-        parser.error("pass exactly one of --json / --emitter")
-    if args.json:
-        validate(args.json)
-    else:
-        run_emitter(args.emitter)
-
-
 if __name__ == "__main__":
-    main()
+    bench_main(validate, "BENCH_comm.json", ["--json"],
+               {"VERO_SCALE": "0.05"})

@@ -40,13 +40,9 @@ and the recovery-grid contract (rg-ci<interval>-<crash>-<resize> cells):
 Exits non-zero with a message on the first violation.
 """
 
-import argparse
-import json
-import os
 import re
-import subprocess
-import sys
-import tempfile
+
+from checklib import bench_main, fail, load_json
 
 SCHEMA = "vero.bench_report.v1"
 MODES = ("strict", "bounded", "speculative")
@@ -68,11 +64,6 @@ STALENESS_COUNTERS = (
 )
 
 
-def fail(message):
-    print(f"check_bench_faults: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def counter(run, name):
     entry = run.get("metrics", {}).get(name)
     if entry is None:
@@ -83,11 +74,7 @@ def counter(run, name):
 
 
 def validate(path):
-    try:
-        with open(path, "rb") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"cannot parse {path}: {e}")
+    doc = load_json(path)
 
     if doc.get("schema") != SCHEMA:
         fail(f"schema is {doc.get('schema')!r}, want {SCHEMA!r}")
@@ -258,34 +245,6 @@ def validate_recovery_grid(recovery_runs):
                          "checkpoints should never retrain less)")
 
 
-def run_emitter(emitter):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "BENCH_faults.json")
-        env = dict(os.environ)
-        # Tiny workload: the ctest entry checks the contract, not scale.
-        env.setdefault("VERO_SCALE", "0.05")
-        env.setdefault("VERO_BENCH_TREES", "2")
-        proc = subprocess.run([emitter, "--fault-grid", "--report", out],
-                              env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout)
-            sys.stderr.write(proc.stderr)
-            fail(f"emitter exited with {proc.returncode}")
-        validate(out)
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--json", help="validate an existing report")
-    parser.add_argument("--emitter", help="run fault_grid --fault-grid")
-    args = parser.parse_args()
-    if bool(args.json) == bool(args.emitter):
-        parser.error("pass exactly one of --json / --emitter")
-    if args.json:
-        validate(args.json)
-    else:
-        run_emitter(args.emitter)
-
-
 if __name__ == "__main__":
-    main()
+    bench_main(validate, "BENCH_faults.json", ["--fault-grid", "--report"],
+               {"VERO_SCALE": "0.05", "VERO_BENCH_TREES": "2"})

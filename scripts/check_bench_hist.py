@@ -16,12 +16,7 @@ The snapshot schema is documented in docs/performance.md. Exits non-zero
 with a message on the first violation.
 """
 
-import argparse
-import json
-import os
-import subprocess
-import sys
-import tempfile
+from checklib import bench_main, fail, load_json
 
 SCHEMA = "vero.hist_bench.v1"
 WORKLOAD_KEYS = {
@@ -46,17 +41,8 @@ REQUIRED_GRID = [
 ]
 
 
-def fail(message):
-    print(f"check_bench_hist: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def validate(path):
-    try:
-        with open(path, "rb") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"cannot parse {path}: {e}")
+    doc = load_json(path)
 
     if doc.get("schema") != SCHEMA:
         fail(f"schema is {doc.get('schema')!r}, want {SCHEMA!r}")
@@ -108,33 +94,6 @@ def validate(path):
           f"N={workload['instances']}, cpus={workload['cpus']})")
 
 
-def run_emitter(emitter):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "BENCH_histogram.json")
-        env = dict(os.environ)
-        # Tiny workload: the ctest entry checks the schema, not throughput.
-        env.setdefault("VERO_SCALE", "0.02")
-        proc = subprocess.run([emitter, "--hist-json", out], env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout)
-            sys.stderr.write(proc.stderr)
-            fail(f"emitter exited with {proc.returncode}")
-        validate(out)
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--json", help="validate an existing snapshot")
-    parser.add_argument("--emitter", help="run micro_kernels --hist-json")
-    args = parser.parse_args()
-    if bool(args.json) == bool(args.emitter):
-        parser.error("pass exactly one of --json / --emitter")
-    if args.json:
-        validate(args.json)
-    else:
-        run_emitter(args.emitter)
-
-
 if __name__ == "__main__":
-    main()
+    bench_main(validate, "BENCH_histogram.json", ["--hist-json"],
+               {"VERO_SCALE": "0.02"})

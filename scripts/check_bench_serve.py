@@ -28,12 +28,7 @@ Checked invariants (see docs/serving.md):
 Exits non-zero with a message on the first violation.
 """
 
-import argparse
-import json
-import os
-import subprocess
-import sys
-import tempfile
+from checklib import bench_main, fail, load_json
 
 SCHEMA = "vero.serve_bench.v1"
 WORKLOAD_KEYS = {"rows", "features", "depth", "density", "scale", "cpus"}
@@ -47,22 +42,13 @@ FULL_SCALE = 0.25
 SPEEDUP_BAR = 5.0
 
 
-def fail(message):
-    print(f"check_bench_serve: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
 def check_positive_number(value, label):
     if not isinstance(value, (int, float)) or value <= 0:
         fail(f"{label} must be a positive number")
 
 
 def validate(path):
-    try:
-        with open(path, "rb") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"cannot parse {path}: {e}")
+    doc = load_json(path)
 
     if doc.get("schema") != SCHEMA:
         fail(f"schema is {doc.get('schema')!r}, want {SCHEMA!r}")
@@ -170,34 +156,6 @@ def validate(path):
           f"rows={workload['rows']}, {mode})")
 
 
-def run_emitter(emitter):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "BENCH_serve.json")
-        env = dict(os.environ)
-        # Tiny workload: the ctest entry checks schema and determinism
-        # digests, not throughput.
-        env.setdefault("VERO_SCALE", "0.02")
-        proc = subprocess.run([emitter, "--json", out], env=env,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout)
-            sys.stderr.write(proc.stderr)
-            fail(f"emitter exited with {proc.returncode}")
-        validate(out)
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--json", help="validate an existing snapshot")
-    parser.add_argument("--emitter", help="run serve_sweep --json")
-    args = parser.parse_args()
-    if bool(args.json) == bool(args.emitter):
-        parser.error("pass exactly one of --json / --emitter")
-    if args.json:
-        validate(args.json)
-    else:
-        run_emitter(args.emitter)
-
-
 if __name__ == "__main__":
-    main()
+    bench_main(validate, "BENCH_serve.json", ["--json"],
+               {"VERO_SCALE": "0.02"})

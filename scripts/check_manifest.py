@@ -25,10 +25,9 @@ that a C++ round-trip test cannot. Exits non-zero on the first violation.
 import argparse
 import os
 import struct
-import subprocess
-import sys
-import tempfile
 import zlib
+
+from checklib import require, run_gtest_emitter
 
 MANIFEST_MAGIC = 0x56434B4D  # "VCKM"
 CHECKPOINT_MAGIC = 0x56434B50  # "VCKP"
@@ -39,16 +38,6 @@ KIND_FULL = 0
 KIND_DELTA = 1
 MANIFEST_NAME = "MANIFEST.vckm"
 LATEST_NAME = "latest.vckp"
-
-
-def fail(msg):
-    print(f"check_manifest: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def require(cond, msg):
-    if not cond:
-        fail(msg)
 
 
 class Reader:
@@ -222,19 +211,6 @@ def check_dir(dir_path):
             for e in entries]
 
 
-def run_emitter(binary):
-    """Runs ManifestEmit* into a fresh dir; returns the directory path."""
-    out_dir = tempfile.mkdtemp(prefix="vero_ckpt_emit_")
-    env = dict(os.environ, VERO_CKPT_EMIT_DIR=out_dir)
-    cmd = [binary, "--gtest_filter=ManifestEmit*"]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        fail(f"emitter {' '.join(cmd)} exited {proc.returncode}")
-    return out_dir
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("paths", nargs="*",
@@ -245,7 +221,8 @@ def main():
 
     if args.emitter:
         def emit_projection():
-            out_dir = run_emitter(args.emitter)
+            out_dir = run_gtest_emitter(args.emitter, "ManifestEmit*",
+                                        "VERO_CKPT_EMIT_DIR")
             proj = check_dir(out_dir)
             # The emitter also writes a delta-mode chain into "delta/" so
             # the v2 kind/base_trees columns get external validation.

@@ -20,11 +20,9 @@ message on the first violation.
 """
 
 import argparse
-import json
 import os
-import subprocess
-import sys
-import tempfile
+
+from checklib import load_json, require, run_gtest_emitter
 
 PHASE_NAMES = {
     "gradient", "hist-build", "find-split", "node-split", "margin-update",
@@ -39,24 +37,6 @@ CATEGORIES = {"phase", "collective", "driver"}
 
 REPORT_SCHEMA = "vero.run_report.v1"
 BENCH_SCHEMA = "vero.bench_report.v1"
-
-
-def fail(msg):
-    print(f"check_trace: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-
-def require(cond, msg):
-    if not cond:
-        fail(msg)
-
-
-def load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"{path}: not parseable JSON: {e}")
 
 
 def check_trace(path):
@@ -194,14 +174,7 @@ def check_report_file(path):
 
 def run_emitter(binary):
     """Runs the ObsEmit* tests into a fresh dir; returns (trace, report)."""
-    out_dir = tempfile.mkdtemp(prefix="vero_obs_emit_")
-    env = dict(os.environ, VERO_OBS_EMIT_DIR=out_dir)
-    cmd = [binary, "--gtest_filter=ObsEmit*"]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        fail(f"emitter {' '.join(cmd)} exited {proc.returncode}")
+    out_dir = run_gtest_emitter(binary, "ObsEmit*", "VERO_OBS_EMIT_DIR")
     trace = os.path.join(out_dir, "trace.json")
     report = os.path.join(out_dir, "report.json")
     require(os.path.exists(trace), f"emitter produced no {trace}")

@@ -1,80 +1,44 @@
 #include "core/model_io.h"
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
+#include <vector>
 
-#include "common/crc32.h"
-#include "common/serialize.h"
+#include "common/framed_file.h"
 
 namespace vero {
 namespace {
 
 constexpr uint32_t kMagic = 0x5645524fu;  // "VERO"
-// Version 2 appends a CRC-32 trailer over everything before it; version 1
-// (no trailer) is still readable.
+// Version 2 is framed with a CRC-32 trailer; version 1 (no trailer) is
+// still readable.
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kLegacyVersion = 1;
 
 }  // namespace
 
 Status SaveModel(const GbdtModel& model, const std::string& path) {
-  ByteWriter writer;
-  writer.WriteU32(kMagic);
-  writer.WriteU32(kVersion);
-  model.SerializeTo(&writer);
-  writer.WriteU32(Crc32(writer.data().data(), writer.size()));
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(writer.data().data()),
-            static_cast<std::streamsize>(writer.size()));
-  if (!out.good()) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return AtomicWriteFile(
+      path, WriteFrame(kMagic, kVersion,
+                       [&model](ByteWriter* w) { model.SerializeTo(w); }));
 }
 
 StatusOr<GbdtModel> LoadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  ByteReader reader(reinterpret_cast<const uint8_t*>(content.data()),
-                    content.size());
-  uint32_t magic = 0, version = 0;
-  if (!reader.ReadU32(&magic).ok() || !reader.ReadU32(&version).ok()) {
-    return Status::Corruption("model file too short: " + path);
-  }
-  if (magic != kMagic) return Status::Corruption("bad magic in " + path);
-  if (version != kVersion && version != kLegacyVersion) {
-    return Status::Corruption("unsupported model version");
-  }
-  size_t payload_end = content.size();
-  if (version == kVersion) {
-    if (content.size() < 12) {
-      return Status::Corruption("model file too short for CRC trailer");
-    }
-    payload_end = content.size() - sizeof(uint32_t);
-    ByteReader trailer(
-        reinterpret_cast<const uint8_t*>(content.data()) + payload_end,
-        sizeof(uint32_t));
-    uint32_t stored_crc = 0;
-    VERO_RETURN_IF_ERROR(trailer.ReadU32(&stored_crc));
-    if (Crc32(content.data(), payload_end) != stored_crc) {
-      return Status::Corruption("CRC mismatch in " + path);
-    }
-  }
+  std::vector<uint8_t> data;
+  VERO_RETURN_IF_ERROR(ReadFileBytes(path, &data));
   GbdtModel model;
-  Status s = GbdtModel::Deserialize(&reader, &model);
-  if (!s.ok()) {
-    // A short read means the file lied about its own length: corruption,
-    // not a range error.
-    if (s.code() == StatusCode::kOutOfRange) {
-      return Status::Corruption("truncated model file " + path);
-    }
-    return s;
-  }
-  if (reader.position() != payload_end) {
-    return Status::Corruption("trailing bytes in model file " + path);
+  const auto parse = [&model](ByteReader* r, uint32_t) {
+    return GbdtModel::Deserialize(r, &model);
+  };
+  const std::string what = "model file " + path;
+  // Version 1 predates the envelope's CRC trailer: magic, version, payload.
+  ByteReader legacy(data);
+  uint32_t magic = 0, version = 0;
+  if (legacy.ReadU32(&magic).ok() && legacy.ReadU32(&version).ok() &&
+      magic == kMagic && version == kLegacyVersion) {
+    VERO_RETURN_IF_ERROR(ReadFramePayload(&legacy, version, what, parse));
+  } else {
+    VERO_RETURN_IF_ERROR(ReadFrame(data, kMagic, {kVersion}, what, parse));
   }
   return model;
 }

@@ -81,7 +81,8 @@ class CsrMatrix {
 };
 
 /// Compressed Sparse Column matrix: each column is a feature stored as a run
-/// of (instance, value) pairs. This is the "column-store" of the paper.
+/// of (instance, value) pairs. This is the "column-store" of the paper. No
+/// trainer reads it: it is the transpose oracle of binned_test.
 class CscMatrix {
  public:
   CscMatrix() : col_ptr_(1, 0) {}

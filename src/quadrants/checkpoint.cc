@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/crc32.h"
-#include "common/serialize.h"
+#include "common/framed_file.h"
 #include "obs/metrics.h"
 
 namespace vero {
@@ -27,140 +26,74 @@ constexpr uint32_t kManifestVersion = 2;
 }  // namespace
 
 std::vector<uint8_t> SerializeCheckpoint(const TrainCheckpoint& checkpoint) {
-  ByteWriter writer;
-  writer.WriteU32(kCheckpointMagic);
-  writer.WriteU32(kCheckpointVersion);
-  writer.WriteU32(checkpoint.trees_done);
-  writer.WriteU8(checkpoint.has_splits ? 1 : 0);
-  checkpoint.model.SerializeTo(&writer);
-  if (checkpoint.has_splits) checkpoint.splits.SerializeTo(&writer);
-  writer.WriteU32(Crc32(writer.data().data(), writer.size()));
-  return writer.TakeData();
+  return WriteFrame(kCheckpointMagic, kCheckpointVersion, [&](ByteWriter* w) {
+    w->WriteU32(checkpoint.trees_done);
+    w->WriteU8(checkpoint.has_splits ? 1 : 0);
+    checkpoint.model.SerializeTo(w);
+    if (checkpoint.has_splits) checkpoint.splits.SerializeTo(w);
+  });
 }
 
 Status DeserializeCheckpoint(const std::vector<uint8_t>& data,
                              TrainCheckpoint* out) {
-  if (data.size() < 4 * sizeof(uint32_t) + 1) {
-    return Status::Corruption("checkpoint buffer too short");
-  }
-  const size_t payload_end = data.size() - sizeof(uint32_t);
-  {
-    ByteReader trailer(data.data() + payload_end, sizeof(uint32_t));
-    uint32_t stored_crc = 0;
-    VERO_RETURN_IF_ERROR(trailer.ReadU32(&stored_crc));
-    if (Crc32(data.data(), payload_end) != stored_crc) {
-      return Status::Corruption("checkpoint CRC mismatch");
-    }
-  }
-  ByteReader reader(data.data(), payload_end);
-  uint32_t magic = 0, version = 0;
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kCheckpointMagic) {
-    return Status::Corruption("bad checkpoint magic");
-  }
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kCheckpointVersion) {
-    return Status::Corruption("unsupported checkpoint version");
-  }
   TrainCheckpoint checkpoint;
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&checkpoint.trees_done));
-  uint8_t has_splits = 0;
-  VERO_RETURN_IF_ERROR(reader.ReadU8(&has_splits));
-  if (has_splits > 1) {
-    return Status::Corruption("bad has_splits flag in checkpoint");
-  }
-  checkpoint.has_splits = has_splits != 0;
-  Status s = GbdtModel::Deserialize(&reader, &checkpoint.model);
-  if (!s.ok()) {
-    return s.code() == StatusCode::kOutOfRange
-               ? Status::Corruption("truncated checkpoint model")
-               : s;
-  }
-  if (checkpoint.has_splits) {
-    s = CandidateSplits::Deserialize(&reader, &checkpoint.splits);
-    if (!s.ok()) {
-      return s.code() == StatusCode::kOutOfRange
-                 ? Status::Corruption("truncated checkpoint splits")
-                 : s;
-    }
-  }
-  if (reader.position() != payload_end) {
-    return Status::Corruption("trailing bytes in checkpoint");
-  }
+  VERO_RETURN_IF_ERROR(ReadFrame(
+      data, kCheckpointMagic, {kCheckpointVersion}, "checkpoint",
+      [&checkpoint](ByteReader* r, uint32_t) -> Status {
+        VERO_RETURN_IF_ERROR(r->ReadU32(&checkpoint.trees_done));
+        uint8_t has_splits = 0;
+        VERO_RETURN_IF_ERROR(r->ReadU8(&has_splits));
+        if (has_splits > 1) {
+          return Status::Corruption("bad has_splits flag in checkpoint");
+        }
+        checkpoint.has_splits = has_splits != 0;
+        VERO_RETURN_IF_ERROR(GbdtModel::Deserialize(r, &checkpoint.model));
+        return checkpoint.has_splits
+                   ? CandidateSplits::Deserialize(r, &checkpoint.splits)
+                   : Status::OK();
+      }));
   *out = std::move(checkpoint);
   return Status::OK();
 }
 
 std::vector<uint8_t> SerializeDeltaCheckpoint(const DeltaCheckpoint& delta) {
-  ByteWriter writer;
-  writer.WriteU32(kDeltaMagic);
-  writer.WriteU32(kDeltaVersion);
-  writer.WriteU32(delta.trees_done);
-  writer.WriteU32(delta.base_trees);
-  writer.WriteU32(static_cast<uint32_t>(delta.trees.size()));
-  for (const Tree& tree : delta.trees) tree.SerializeTo(&writer);
-  writer.WriteU32(Crc32(writer.data().data(), writer.size()));
-  return writer.TakeData();
+  return WriteFrame(kDeltaMagic, kDeltaVersion, [&](ByteWriter* w) {
+    w->WriteU32(delta.trees_done);
+    w->WriteU32(delta.base_trees);
+    w->WriteU32(static_cast<uint32_t>(delta.trees.size()));
+    for (const Tree& tree : delta.trees) tree.SerializeTo(w);
+  });
 }
 
 Status DeserializeDeltaCheckpoint(const std::vector<uint8_t>& data,
                                   DeltaCheckpoint* out) {
-  if (data.size() < 6 * sizeof(uint32_t)) {
-    return Status::Corruption("delta checkpoint buffer too short");
-  }
-  const size_t payload_end = data.size() - sizeof(uint32_t);
-  {
-    ByteReader trailer(data.data() + payload_end, sizeof(uint32_t));
-    uint32_t stored_crc = 0;
-    VERO_RETURN_IF_ERROR(trailer.ReadU32(&stored_crc));
-    if (Crc32(data.data(), payload_end) != stored_crc) {
-      return Status::Corruption("delta checkpoint CRC mismatch");
-    }
-  }
-  ByteReader reader(data.data(), payload_end);
-  uint32_t magic = 0, version = 0;
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kDeltaMagic) {
-    return Status::Corruption("bad delta checkpoint magic");
-  }
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != kDeltaVersion) {
-    return Status::Corruption("unsupported delta checkpoint version");
-  }
   DeltaCheckpoint delta;
-  uint32_t count = 0;
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&delta.trees_done));
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&delta.base_trees));
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&count));
-  if (delta.base_trees >= delta.trees_done ||
-      count != delta.trees_done - delta.base_trees) {
-    return Status::Corruption("inconsistent delta checkpoint tree counts");
-  }
-  delta.trees.reserve(std::min<uint32_t>(count, 1024));
-  for (uint32_t i = 0; i < count; ++i) {
-    Tree tree;
-    Status s = Tree::Deserialize(&reader, &tree);
-    if (!s.ok()) {
-      return s.code() == StatusCode::kOutOfRange
-                 ? Status::Corruption("truncated delta checkpoint tree")
-                 : s;
-    }
-    delta.trees.push_back(std::move(tree));
-  }
-  if (reader.position() != payload_end) {
-    return Status::Corruption("trailing bytes in delta checkpoint");
-  }
+  VERO_RETURN_IF_ERROR(ReadFrame(
+      data, kDeltaMagic, {kDeltaVersion}, "delta checkpoint",
+      [&delta](ByteReader* r, uint32_t) -> Status {
+        uint32_t count = 0;
+        VERO_RETURN_IF_ERROR(r->ReadU32(&delta.trees_done));
+        VERO_RETURN_IF_ERROR(r->ReadU32(&delta.base_trees));
+        VERO_RETURN_IF_ERROR(r->ReadU32(&count));
+        if (delta.base_trees >= delta.trees_done ||
+            count != delta.trees_done - delta.base_trees) {
+          return Status::Corruption("inconsistent delta tree counts");
+        }
+        delta.trees.reserve(std::min<uint32_t>(count, 1024));
+        for (uint32_t i = 0; i < count; ++i) {
+          Tree tree;
+          VERO_RETURN_IF_ERROR(Tree::Deserialize(r, &tree));
+          delta.trees.push_back(std::move(tree));
+        }
+        return Status::OK();
+      }));
   *out = std::move(delta);
   return Status::OK();
 }
 
 StatusOr<TrainCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  std::vector<uint8_t> data(content.begin(), content.end());
+  std::vector<uint8_t> data;
+  VERO_RETURN_IF_ERROR(ReadFileBytes(path, &data));
   TrainCheckpoint checkpoint;
   VERO_RETURN_IF_ERROR(DeserializeCheckpoint(data, &checkpoint));
   return checkpoint;
@@ -171,37 +104,6 @@ StatusOr<TrainCheckpoint> LoadCheckpoint(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  out->assign(content.begin(), content.end());
-  return Status::OK();
-}
-
-/// Write-to-temp + atomic rename; a crash mid-write leaves the destination
-/// untouched (or a stray .tmp sibling that later commits simply overwrite).
-Status AtomicWriteFile(const std::string& path,
-                       const std::vector<uint8_t>& data) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    if (!out.good()) return Status::IOError("write failed for " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IOError("rename " + tmp + " -> " + path + ": " +
-                           ec.message());
-  }
-  return Status::OK();
-}
 
 std::string ChainFileName(uint32_t index) {
   char buf[32];
@@ -227,75 +129,50 @@ int64_t ChainFileIndex(const std::string& name) {
 }  // namespace
 
 std::vector<uint8_t> SerializeManifest(const CheckpointManifest& manifest) {
-  ByteWriter writer;
-  writer.WriteU32(kManifestMagic);
-  writer.WriteU32(kManifestVersion);
-  writer.WriteU32(static_cast<uint32_t>(manifest.entries.size()));
-  for (const ManifestEntry& e : manifest.entries) {
-    writer.WriteString(e.file);
-    writer.WriteU32(e.trees_done);
-    writer.WriteU64(e.bytes);
-    writer.WriteU32(e.crc32);
-    writer.WriteU8(e.kind);
-    writer.WriteU32(e.base_trees);
-  }
-  writer.WriteU32(Crc32(writer.data().data(), writer.size()));
-  return writer.TakeData();
+  return WriteFrame(kManifestMagic, kManifestVersion, [&](ByteWriter* w) {
+    w->WriteU32(static_cast<uint32_t>(manifest.entries.size()));
+    for (const ManifestEntry& e : manifest.entries) {
+      w->WriteString(e.file);
+      w->WriteU32(e.trees_done);
+      w->WriteU64(e.bytes);
+      w->WriteU32(e.crc32);
+      w->WriteU8(e.kind);
+      w->WriteU32(e.base_trees);
+    }
+  });
 }
 
 Status DeserializeManifest(const std::vector<uint8_t>& data,
                            CheckpointManifest* out) {
-  if (data.size() < 4 * sizeof(uint32_t)) {
-    return Status::Corruption("manifest buffer too short");
-  }
-  const size_t payload_end = data.size() - sizeof(uint32_t);
-  {
-    ByteReader trailer(data.data() + payload_end, sizeof(uint32_t));
-    uint32_t stored_crc = 0;
-    VERO_RETURN_IF_ERROR(trailer.ReadU32(&stored_crc));
-    if (Crc32(data.data(), payload_end) != stored_crc) {
-      return Status::Corruption("manifest CRC mismatch");
-    }
-  }
-  ByteReader reader(data.data(), payload_end);
-  uint32_t magic = 0, version = 0, count = 0;
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&magic));
-  if (magic != kManifestMagic) return Status::Corruption("bad manifest magic");
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&version));
-  if (version != 1 && version != kManifestVersion) {
-    return Status::Corruption("unsupported manifest version");
-  }
-  VERO_RETURN_IF_ERROR(reader.ReadU32(&count));
   CheckpointManifest manifest;
-  manifest.entries.reserve(std::min<uint32_t>(count, 1024));
-  for (uint32_t i = 0; i < count; ++i) {
-    ManifestEntry e;
-    Status s = reader.ReadString(&e.file);
-    if (s.ok()) s = reader.ReadU32(&e.trees_done);
-    if (s.ok()) s = reader.ReadU64(&e.bytes);
-    if (s.ok()) s = reader.ReadU32(&e.crc32);
-    if (version >= 2) {
-      // v1 entries are implicitly full (kind/base default-initialized).
-      if (s.ok()) s = reader.ReadU8(&e.kind);
-      if (s.ok()) s = reader.ReadU32(&e.base_trees);
-      if (s.ok() && e.kind > kManifestEntryDelta) {
-        return Status::Corruption("bad manifest entry kind");
-      }
-      if (s.ok() && e.kind == kManifestEntryDelta &&
-          e.base_trees >= e.trees_done) {
-        return Status::Corruption("bad manifest delta base");
-      }
-    }
-    if (!s.ok()) {
-      return s.code() == StatusCode::kOutOfRange
-                 ? Status::Corruption("truncated manifest entry")
-                 : s;
-    }
-    manifest.entries.push_back(std::move(e));
-  }
-  if (reader.position() != payload_end) {
-    return Status::Corruption("trailing bytes in manifest");
-  }
+  VERO_RETURN_IF_ERROR(ReadFrame(
+      data, kManifestMagic, {1, kManifestVersion}, "manifest",
+      [&manifest](ByteReader* r, uint32_t version) -> Status {
+        uint32_t count = 0;
+        VERO_RETURN_IF_ERROR(r->ReadU32(&count));
+        manifest.entries.reserve(std::min<uint32_t>(count, 1024));
+        for (uint32_t i = 0; i < count; ++i) {
+          ManifestEntry e;
+          VERO_RETURN_IF_ERROR(r->ReadString(&e.file));
+          VERO_RETURN_IF_ERROR(r->ReadU32(&e.trees_done));
+          VERO_RETURN_IF_ERROR(r->ReadU64(&e.bytes));
+          VERO_RETURN_IF_ERROR(r->ReadU32(&e.crc32));
+          // v1 entries are implicitly full (kind/base default-initialized).
+          if (version >= 2) {
+            VERO_RETURN_IF_ERROR(r->ReadU8(&e.kind));
+            VERO_RETURN_IF_ERROR(r->ReadU32(&e.base_trees));
+            if (e.kind > kManifestEntryDelta) {
+              return Status::Corruption("bad manifest entry kind");
+            }
+            if (e.kind == kManifestEntryDelta &&
+                e.base_trees >= e.trees_done) {
+              return Status::Corruption("bad manifest delta base");
+            }
+          }
+          manifest.entries.push_back(std::move(e));
+        }
+        return Status::OK();
+      }));
   *out = std::move(manifest);
   return Status::OK();
 }
@@ -315,37 +192,13 @@ StatusOr<CheckpointManifest> LoadManifest(const std::string& path) {
 
 namespace {
 
-/// A chain file parsed by magic: either a self-contained full checkpoint or
-/// a delta entry that still needs its base.
-struct ParsedChainFile {
-  bool is_delta = false;
-  TrainCheckpoint full;
-  DeltaCheckpoint delta;
-  uint32_t trees_done() const {
-    return is_delta ? delta.trees_done : full.trees_done;
-  }
-};
-
-Status ParseChainBytes(const std::vector<uint8_t>& data,
-                       ParsedChainFile* out) {
-  if (DeserializeCheckpoint(data, &out->full).ok()) {
-    out->is_delta = false;
-    return Status::OK();
-  }
-  if (DeserializeDeltaCheckpoint(data, &out->delta).ok()) {
-    out->is_delta = true;
-    return Status::OK();
-  }
-  return Status::Corruption("unparseable chain file");
-}
-
 /// Resolves entry `idx` of a parsed chain (newest last) to a full
 /// checkpoint, recursively restoring a delta's base: the nearest earlier
 /// entry whose tree count matches. Damaged or missing links fail the
 /// resolution (the caller then falls back to an older entry).
-bool ResolveParsedEntry(const std::vector<ParsedChainFile>& chain, size_t idx,
+bool ResolveParsedEntry(const std::vector<ChainSnapshot>& chain, size_t idx,
                         TrainCheckpoint* out) {
-  const ParsedChainFile& entry = chain[idx];
+  const ChainSnapshot& entry = chain[idx];
   if (!entry.is_delta) {
     *out = entry.full;
     return true;
@@ -364,76 +217,88 @@ bool ResolveParsedEntry(const std::vector<ParsedChainFile>& chain, size_t idx,
   return false;
 }
 
-}  // namespace
-
-StatusOr<TrainCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
-  bool had_candidate = false;
-
-  // Manifest path: newest entry first, size + whole-file CRC cross-checked
-  // before the (also CRC-framed) payload is parsed. Entries are read into a
-  // parsed chain (bad files become holes) and resolved newest-first so a
-  // delta whose base chain is damaged falls back to the next older
-  // restorable entry.
-  StatusOr<CheckpointManifest> manifest =
-      LoadManifest(dir + "/" + kManifestFileName);
-  if (manifest.ok()) {
-    const std::vector<ManifestEntry>& entries = manifest.value().entries;
-    std::vector<ParsedChainFile> parsed;
-    std::vector<bool> valid;
-    for (const ManifestEntry& e : entries) {
-      had_candidate = true;
-      ParsedChainFile file;
-      bool ok = false;
-      std::vector<uint8_t> data;
-      if (ReadFileBytes(dir + "/" + e.file, &data).ok() &&
-          data.size() == e.bytes &&
-          Crc32(data.data(), data.size()) == e.crc32 &&
-          ParseChainBytes(data, &file).ok() &&
-          file.is_delta == (e.kind == kManifestEntryDelta) &&
-          file.trees_done() == e.trees_done) {
-        ok = true;
-      }
-      parsed.push_back(std::move(file));
-      valid.push_back(ok);
-    }
-    // Collapse to the valid subset (holes drop out; delta bases are matched
-    // by tree count, so survivors still link up when their base survived).
-    std::vector<ParsedChainFile> chain;
-    for (size_t i = 0; i < parsed.size(); ++i) {
-      if (valid[i]) chain.push_back(std::move(parsed[i]));
-    }
-    for (size_t i = chain.size(); i-- > 0;) {
-      TrainCheckpoint restored;
-      if (ResolveParsedEntry(chain, i, &restored)) return restored;
-    }
+/// Reads chain file `e.file` of `dir` into `out`. A file the manifest lists
+/// (`listed`) must also match its entry's size and whole-file CRC (checked
+/// before parsing), kind and tree count.
+bool ReadChainFile(const std::string& dir, const ManifestEntry& e, bool listed,
+                   ChainSnapshot* out) {
+  std::vector<uint8_t> data;
+  if (!ReadFileBytes(dir + "/" + e.file, &data).ok()) return false;
+  if (listed && (data.size() != e.bytes ||
+                 Crc32(data.data(), data.size()) != e.crc32)) {
+    return false;
   }
-
-  // Fallback: the manifest is damaged/missing or every listed entry was
-  // bad. Scan the directory for chain files (in index order, newest last),
-  // link deltas to bases by tree count, then try the latest.vckp alias.
-  std::vector<std::pair<int64_t, std::string>> names;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    const int64_t index = ChainFileIndex(name);
-    if (index >= 0) names.emplace_back(index, name);
+  // Parsed by magic: a full checkpoint or a delta that still needs its base.
+  uint32_t magic = 0;
+  if (data.size() >= sizeof(magic)) {
+    std::memcpy(&magic, data.data(), sizeof(magic));
   }
-  std::sort(names.begin(), names.end());
-  std::vector<ParsedChainFile> chain;
-  for (const auto& [index, name] : names) {
-    had_candidate = true;
-    std::vector<uint8_t> data;
-    if (!ReadFileBytes(dir + "/" + name, &data).ok()) continue;
-    ParsedChainFile file;
-    if (!ParseChainBytes(data, &file).ok()) continue;
-    chain.push_back(std::move(file));
+  out->is_delta = magic == kDeltaMagic;
+  const Status parsed = out->is_delta
+                            ? DeserializeDeltaCheckpoint(data, &out->delta)
+                            : DeserializeCheckpoint(data, &out->full);
+  if (!parsed.ok()) return false;
+  return !listed || (out->is_delta == (e.kind == kManifestEntryDelta) &&
+                     out->trees_done() == e.trees_done);
+}
+
+/// Reads the chain `files` (oldest first) and restores the newest entry
+/// whose delta chain resolves. Bad files drop out as holes; delta bases are
+/// matched by tree count, so survivors still link up when their base
+/// survived.
+std::optional<TrainCheckpoint> RestoreNewest(
+    const std::string& dir, const std::vector<ManifestEntry>& files,
+    bool listed) {
+  std::vector<ChainSnapshot> chain;
+  for (const ManifestEntry& e : files) {
+    ChainSnapshot file;
+    if (ReadChainFile(dir, e, listed, &file)) chain.push_back(std::move(file));
   }
   for (size_t i = chain.size(); i-- > 0;) {
     TrainCheckpoint restored;
     if (ResolveParsedEntry(chain, i, &restored)) return restored;
   }
+  return std::nullopt;
+}
+
+/// Every ckpt-NNNNNN.vckp in `dir` (only `file` set), oldest first: the
+/// fixed-width index sorts by name.
+std::vector<ManifestEntry> ScanChainFiles(const std::string& dir) {
+  std::vector<ManifestEntry> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && ChainFileIndex(name) >= 0) {
+      files.push_back({std::move(name)});
+    }
+  }
+  std::sort(files.begin(), files.end(),
+            [](const ManifestEntry& a, const ManifestEntry& b) {
+              return a.file < b.file;
+            });
+  return files;
+}
+
+}  // namespace
+
+StatusOr<TrainCheckpoint> LoadLatestCheckpoint(const std::string& dir) {
+  // The manifest's entries first; if it is damaged or missing, or none of
+  // its entries restores, the chain files a directory scan finds.
+  StatusOr<CheckpointManifest> manifest =
+      LoadManifest(dir + "/" + kManifestFileName);
+  bool had_candidate = manifest.ok() && !manifest.value().entries.empty();
+  std::optional<TrainCheckpoint> restored;
+  if (manifest.ok()) {
+    restored = RestoreNewest(dir, manifest.value().entries, /*listed=*/true);
+  }
+  if (!restored) {
+    const std::vector<ManifestEntry> scanned = ScanChainFiles(dir);
+    had_candidate |= !scanned.empty();
+    restored = RestoreNewest(dir, scanned, /*listed=*/false);
+  }
+  if (restored) return *std::move(restored);
   const std::string alias = dir + "/latest.vckp";
+  std::error_code ec;
   if (std::filesystem::exists(alias, ec)) {
     had_candidate = true;
     StatusOr<TrainCheckpoint> loaded = LoadCheckpoint(alias);
@@ -482,11 +347,9 @@ void CheckpointWriter::SweepStaleTmpFiles() {
        std::filesystem::directory_iterator(options_.dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    constexpr const char* kTmpSuffix = ".tmp";
-    if (name.size() <= 4 || name.compare(name.size() - 4, 4, kTmpSuffix) != 0) {
-      continue;
-    }
-    const std::string stem = name.substr(0, name.size() - 4);
+    if (!name.ends_with(kAtomicWriteTmpSuffix)) continue;
+    const std::string stem =
+        name.substr(0, name.size() - std::strlen(kAtomicWriteTmpSuffix));
     if (ChainFileIndex(stem) < 0 && stem != "latest.vckp" &&
         stem != kManifestFileName) {
       continue;
@@ -512,7 +375,7 @@ CheckpointWriter::~CheckpointWriter() {
 
 void CheckpointWriter::Submit(const GbdtModel& model, uint32_t trees_done,
                               const CandidateSplits* splits) {
-  PendingSnapshot snapshot;
+  ChainSnapshot snapshot;
   // A delta is possible when a base is in the pipeline, the tree count
   // advanced past it, and the model's tree vector indexes rounds directly
   // (one tree per round; anything else forces a safe full snapshot).
@@ -602,7 +465,7 @@ void CheckpointWriter::RecordError(Status status) {
 
 void CheckpointWriter::WriterLoop() {
   for (;;) {
-    PendingSnapshot snapshot;
+    ChainSnapshot snapshot;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return pending_.has_value() || stop_; });
@@ -620,7 +483,7 @@ void CheckpointWriter::WriterLoop() {
   }
 }
 
-void CheckpointWriter::CommitSnapshot(PendingSnapshot snapshot) {
+void CheckpointWriter::CommitSnapshot(ChainSnapshot snapshot) {
   const auto wall_begin = std::chrono::steady_clock::now();
   const std::vector<uint8_t> data =
       snapshot.is_delta ? SerializeDeltaCheckpoint(snapshot.delta)

@@ -27,8 +27,8 @@ class HistogramMetric;
 /// against. Margins are not stored — they are recomputed from the model,
 /// which keeps checkpoints small (trees, not N x dims doubles).
 ///
-/// Wire format (same framing discipline as model_io): magic "VCKP",
-/// version, payload, CRC-32 trailer over everything before the trailer.
+/// Persisted as a framed record (common/framed_file.h): magic "VCKP",
+/// version 1.
 struct TrainCheckpoint {
   uint32_t trees_done = 0;
   GbdtModel model;
@@ -56,9 +56,9 @@ StatusOr<TrainCheckpoint> LoadCheckpoint(const std::string& path);
 // ---------------------------------------------------------------------------
 
 /// Delta chain entry payload: only the trees appended since `base_trees`,
-/// with no split table (the chain's full ancestor carries it). Framed like
-/// a full checkpoint (magic "VCKD", version, payload, CRC-32 trailer) so
-/// the loader can tell the two apart by magic alone.
+/// with no split table (the chain's full ancestor carries it). A framed
+/// record with magic "VCKD", so the loader tells it from a full checkpoint
+/// by magic alone.
 struct DeltaCheckpoint {
   uint32_t trees_done = 0;
   /// trees_done of the chain entry this delta extends; the full forest is
@@ -70,6 +70,18 @@ struct DeltaCheckpoint {
 std::vector<uint8_t> SerializeDeltaCheckpoint(const DeltaCheckpoint& delta);
 Status DeserializeDeltaCheckpoint(const std::vector<uint8_t>& data,
                                   DeltaCheckpoint* out);
+
+/// One chain entry, as CheckpointWriter submits it and as recovery parses
+/// it back: a self-contained full checkpoint or a delta carrying only the
+/// trees appended since the previous entry.
+struct ChainSnapshot {
+  bool is_delta = false;
+  TrainCheckpoint full;   ///< Valid when !is_delta.
+  DeltaCheckpoint delta;  ///< Valid when is_delta.
+  uint32_t trees_done() const {
+    return is_delta ? delta.trees_done : full.trees_done;
+  }
+};
 
 /// Manifest entry kinds (`ManifestEntry::kind`).
 inline constexpr uint8_t kManifestEntryFull = 0;
@@ -91,10 +103,9 @@ struct ManifestEntry {
   uint32_t base_trees = 0;
 };
 
-/// Index of the on-disk chain, oldest entry first. Serialized with the same
-/// framing discipline as checkpoints (magic "VCKM", version, CRC trailer)
-/// and committed via write-to-temp + atomic rename, so a crash mid-write
-/// leaves either the old or the new manifest, never a torn one.
+/// Index of the on-disk chain, oldest entry first. A framed record (magic
+/// "VCKM", versions 1 and 2) committed via AtomicWriteFile, so a crash
+/// mid-write leaves either the old or the new manifest, never a torn one.
 struct CheckpointManifest {
   std::vector<ManifestEntry> entries;
 };
@@ -218,18 +229,6 @@ class CheckpointWriter {
   const CheckpointOptions& options() const { return options_; }
 
  private:
-  /// One snapshot in the Submit -> commit pipeline: a self-contained full
-  /// checkpoint or a delta carrying only the trees appended since the
-  /// previous pipeline entry.
-  struct PendingSnapshot {
-    bool is_delta = false;
-    TrainCheckpoint full;   ///< Valid when !is_delta.
-    DeltaCheckpoint delta;  ///< Valid when is_delta.
-    uint32_t trees_done() const {
-      return is_delta ? delta.trees_done : full.trees_done;
-    }
-  };
-
   /// Sentinel for submit_base_trees_: no snapshot in the pipeline yet, the
   /// next submission must be full.
   static constexpr uint32_t kNoBase = 0xffffffffu;
@@ -238,7 +237,7 @@ class CheckpointWriter {
   /// Serializes and commits one snapshot (chain file + manifest + alias +
   /// GC), then publishes it as Latest(). Runs inline (sync) or on the
   /// background thread (async).
-  void CommitSnapshot(PendingSnapshot snapshot);
+  void CommitSnapshot(ChainSnapshot snapshot);
   void RecordError(Status status);
   /// Sweeps orphaned *.tmp siblings of our own file names left by a crash
   /// between write and rename (constructor only, before the worker starts).
@@ -249,7 +248,7 @@ class CheckpointWriter {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::optional<PendingSnapshot> pending_;
+  std::optional<ChainSnapshot> pending_;
   bool writing_ = false;
   bool stop_ = false;
   std::optional<TrainCheckpoint> latest_;

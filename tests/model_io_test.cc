@@ -2,10 +2,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <iterator>
 #include <vector>
+
+#include "common/crc32.h"
 
 namespace vero {
 namespace {
@@ -77,6 +80,43 @@ void WriteFileBytes(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+// Saves go through a temp file and a rename: when the temp file cannot be
+// created (here `<path>.tmp` is a directory), the save fails and the model
+// already at `path` is left as it was.
+TEST(ModelIoTest, FailedSaveKeepsThePreviousFile) {
+  const std::string path = ::testing::TempDir() + "/atomic_model.bin";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  const GbdtModel model = MakeModel();
+  ASSERT_TRUE(SaveModel(model, path).ok());
+  const std::vector<uint8_t> before = ReadFileBytes(path);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+
+  GbdtModel other(Task::kRegression, 1, 0.1);
+  EXPECT_EQ(SaveModel(other, path).code(), StatusCode::kIOError);
+  EXPECT_EQ(ReadFileBytes(path), before);
+  const auto loaded = LoadModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(ModelToText(*loaded), ModelToText(model));
+  std::filesystem::remove_all(tmp);
+  std::remove(path.c_str());
+}
+
+// Pins the "VERO" v2 bytes of a fixed model: 145 bytes whose CRC-32
+// trailer (over everything before it) is 0x15dbf970. Any change to the
+// envelope or the model payload layout moves one of them.
+TEST(ModelIoTest, FileBytesArePinned) {
+  const std::string path = ::testing::TempDir() + "/pinned_model.bin";
+  ASSERT_TRUE(SaveModel(MakeModel(), path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size(), 145u);
+  uint32_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 4, sizeof(trailer));
+  EXPECT_EQ(trailer, 0x15dbf970u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size() - 4), 0x15dbf970u);
+  std::remove(path.c_str());
 }
 
 // Fuzz-style hardening check: a single bit flip anywhere in the file —
