@@ -355,9 +355,11 @@ void BM_Int32EncodePlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_Int32EncodePlacement)->Arg(100000)->Arg(1000000);
 
+// One feature's stream; 75000 values is one feature of a Higgs shard (300k
+// rows over four workers).
 void BM_QuantileSketchAdd(benchmark::State& state) {
   Rng rng(5);
-  std::vector<float> values(100000);
+  std::vector<float> values(static_cast<size_t>(state.range(0)));
   for (auto& v : values) v = static_cast<float>(rng.NextGaussian());
   for (auto _ : state) {
     QuantileSketch sketch(256);
@@ -366,7 +368,27 @@ void BM_QuantileSketchAdd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_QuantileSketchAdd);
+BENCHMARK(BM_QuantileSketchAdd)->Arg(75000)->Arg(100000);
+
+// Binning a Higgs-shaped shard (75k rows, 28 dense features, q = 20) in
+// row-major order, the transform encode's access pattern.
+void BM_BinForValue(benchmark::State& state) {
+  static const Dataset* data = new Dataset(GenerateFromProfile(
+      FindProfile("Higgs"), 75000.0 / FindProfile("Higgs").scaled_instances));
+  static const CandidateSplits* splits =
+      new CandidateSplits(ProposeCandidateSplits(*data, 20));
+  const auto& features = data->matrix().features();
+  const auto& values = data->matrix().values();
+  for (auto _ : state) {
+    uint64_t sum = 0;
+    for (size_t k = 0; k < features.size(); ++k) {
+      sum += splits->BinForValue(features[k], values[k]);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * features.size());
+}
+BENCHMARK(BM_BinForValue);
 
 void BM_QuantileSummaryMerge(benchmark::State& state) {
   Rng rng(7);

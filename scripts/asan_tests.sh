@@ -31,6 +31,10 @@
 # indexed by r*w) and merges them across every worker count and encoding.
 # model_io_test's bit-flip, truncation and trailing-bytes cases drive the
 # shared frame reader (ReadFrame) that every persisted record goes through.
+# quantile_summary_test, candidate_splits_test and transform_test cover the
+# set-up path: the sketch flush's radix sort (raw digit-indexed scatter into
+# per-thread scratch), the branch-free BinForValue (pointer steps into the
+# split table) and the transform encode's fixed-width entry writes.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail
@@ -44,7 +48,8 @@ TESTS=(
   communicator_stress_test serve_test dist_trainer_test obs_test
   anatomy_test libsvm_test threading_test hist_builder_test edge_cases_test
   bitmap_test column_group_test binned_test node_indexer_test split_test
-  transform_property_test model_io_test
+  transform_property_test model_io_test quantile_summary_test
+  candidate_splits_test transform_test
 )
 
 cmake -B "$BUILD_DIR" -DVERO_SANITIZE=address,undefined \

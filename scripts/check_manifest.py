@@ -5,9 +5,10 @@ Two modes:
 
   check_manifest.py CHECKPOINT_DIR
       Validate an existing rotated checkpoint directory: parse MANIFEST.vckm
-      against the documented wire format (magic "VCKM", version 1, entry
+      against the documented wire format (magic "VCKM", versions 1-3, entry
       table, CRC-32 trailer), then cross-check every listed chain file's
-      existence, size, and whole-file CRC, plus the latest.vckp alias.
+      existence, size, and CRC (v3: the file's own CRC trailer; v1/v2: the
+      CRC of the whole file), plus the latest.vckp alias.
 
   check_manifest.py --emitter PATH/TO/checkpoint_rotation_test
       Drive the checkpoint_rotation_test gtest binary twice
@@ -33,7 +34,9 @@ MANIFEST_MAGIC = 0x56434B4D  # "VCKM"
 CHECKPOINT_MAGIC = 0x56434B50  # "VCKP"
 DELTA_MAGIC = 0x56434B44  # "VCKD"
 VERSION = 1
-MANIFEST_VERSIONS = (1, 2)  # v2 adds per-entry kind + base_trees.
+# v2 adds per-entry kind + base_trees; v3 records each chain file's CRC
+# trailer instead of a CRC over the whole file.
+MANIFEST_VERSIONS = (1, 2, 3)
 KIND_FULL = 0
 KIND_DELTA = 1
 MANIFEST_NAME = "MANIFEST.vckm"
@@ -74,7 +77,7 @@ class Reader:
 
 
 def parse_manifest(path):
-    """Parses MANIFEST.vckm; returns the entry list (oldest first)."""
+    """Parses MANIFEST.vckm; returns (version, entry list oldest first)."""
     with open(path, "rb") as f:
         data = f.read()
     r = Reader(data, path)
@@ -107,7 +110,7 @@ def parse_manifest(path):
     require(trailer == computed,
             f"{path}: CRC trailer {trailer:#010x} != computed "
             f"{computed:#010x}")
-    return entries
+    return version, entries
 
 
 def check_chain_file(path, expected_kind):
@@ -146,7 +149,7 @@ def check_dir(dir_path):
     require(os.path.isdir(dir_path), f"{dir_path}: not a directory")
     manifest_path = os.path.join(dir_path, MANIFEST_NAME)
     require(os.path.exists(manifest_path), f"missing {manifest_path}")
-    entries = parse_manifest(manifest_path)
+    version, entries = parse_manifest(manifest_path)
     require(len(entries) > 0, f"{manifest_path}: empty manifest")
 
     prev_index = -1
@@ -183,9 +186,15 @@ def check_dir(dir_path):
         data, header = check_chain_file(path, entry["kind"])
         require(len(data) == entry["bytes"],
                 f"{where}: size {len(data)} != manifest {entry['bytes']}")
-        whole_crc = zlib.crc32(data) & 0xFFFFFFFF
-        require(whole_crc == entry["crc32"],
-                f"{where}: whole-file CRC {whole_crc:#010x} != manifest "
+        if version >= 3:
+            # The trailer itself was checked against the content above.
+            (file_crc,) = struct.unpack_from("<I", data, len(data) - 4)
+            crc_name = "CRC trailer"
+        else:
+            file_crc = zlib.crc32(data) & 0xFFFFFFFF
+            crc_name = "whole-file CRC"
+        require(file_crc == entry["crc32"],
+                f"{where}: {crc_name} {file_crc:#010x} != manifest "
                 f"{entry['crc32']:#010x}")
         require(header["trees_done"] == entry["trees_done"],
                 f"{where}: file trees_done {header['trees_done']} != "

@@ -18,11 +18,7 @@ BinnedRowStore BinnedRowStore::FromCsr(const CsrMatrix& matrix,
     auto features = matrix.RowFeatures(i);
     auto values = matrix.RowValues(i);
     for (size_t k = 0; k < features.size(); ++k) {
-      const FeatureId f = features[k];
-      const BinId bin = (splits.NumBins(f) == 0)
-                            ? BinId{0}
-                            : splits.BinForValue(f, values[k]);
-      store.PushEntry(f, bin);
+      store.PushEntry(features[k], splits.BinForValue(features[k], values[k]));
     }
   }
   return store;
@@ -57,10 +53,7 @@ BinnedColumnStore BinnedColumnStore::FromCsr(const CsrMatrix& matrix,
       [&](InstanceId i) {
         return std::pair(matrix.RowFeatures(i), matrix.RowValues(i));
       },
-      [&](FeatureId f, float value) {
-        return splits.NumBins(f) == 0 ? BinId{0}
-                                      : splits.BinForValue(f, value);
-      });
+      [&](FeatureId f, float value) { return splits.BinForValue(f, value); });
 }
 
 std::optional<BinId> BinnedColumnStore::FindBin(FeatureId f,

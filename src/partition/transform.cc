@@ -1,6 +1,7 @@
 #include "partition/transform.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -25,10 +26,15 @@ uint32_t BytesForRange(uint64_t n) {
   return (bits + 7) / 8;
 }
 
-void WritePacked(ByteWriter* writer, uint64_t value, uint32_t width) {
-  for (uint32_t b = 0; b < width; ++b) {
-    writer->WriteU8(static_cast<uint8_t>(value >> (8 * b)));
-  }
+// Appends one column-group entry: the local feature id in `id_width` bytes,
+// then the bin in `bin_width` bytes, each little-endian like ByteWriter's
+// fixed-width writes, in one append.
+void WriteEntry(ByteWriter* writer, uint64_t id, uint32_t id_width,
+                uint64_t bin, uint32_t bin_width) {
+  uint8_t bytes[2 * sizeof(uint64_t)];
+  std::memcpy(bytes, &id, sizeof(id));
+  std::memcpy(bytes + id_width, &bin, sizeof(bin));
+  writer->WriteRaw(bytes, id_width + bin_width);
 }
 
 uint64_t ReadPacked(ByteReader* reader, uint32_t width) {
@@ -118,7 +124,7 @@ CandidateSplits BuildDistributedCandidateSplits(
       VERO_CHECK_EQ(static_cast<int>(f % w), rank);
       QuantileSummary summary;
       VERO_CHECK_OK(QuantileSummary::Deserialize(&reader, &summary));
-      merged[f] = merged[f].Merge(summary);
+      merged[f] = merged[f].Merge(std::move(summary));
     }
   }
 
@@ -126,7 +132,7 @@ CandidateSplits BuildDistributedCandidateSplits(
   ByteWriter owned_writer;
   for (uint32_t f = rank; f < d; f += w) {
     if (merged[f].empty()) continue;
-    merged[f] = merged[f].Prune(sketch_entries);
+    merged[f] = std::move(merged[f]).Prune(sketch_entries);
     const std::vector<float> splits = merged[f].ProposeSplits(q);
     owned_writer.WriteU32(f);
     owned_writer.WriteU64(
@@ -241,6 +247,10 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
     if (result.feature_owner[f] == rank) result.owned_features.push_back(f);
   }
   const uint32_t bin_bytes = BytesForRange(options.num_candidate_splits);
+  std::vector<uint32_t> id_bytes(w);
+  for (int g = 0; g < w; ++g) {
+    id_bytes[g] = BytesForRange(dest_feature_count[g]);
+  }
 
   // Step 3b: re-encode local rows into per-destination column groups.
   const CsrMatrix& m = shard.matrix();
@@ -253,7 +263,6 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
     if (options.encoding == TransformEncoding::kBlockified) {
       // Three flat arrays per destination: row lengths, features, bins.
       std::vector<std::vector<uint32_t>> lens(w);
-      std::vector<std::vector<uint8_t>> payload(w);
       for (int g = 0; g < w; ++g) lens[g].assign(rows, 0);
       std::vector<ByteWriter> entry_writers(w);
       for (InstanceId i = 0; i < rows; ++i) {
@@ -262,12 +271,8 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
         for (size_t k = 0; k < row_features.size(); ++k) {
           const FeatureId f = row_features[k];
           const int g = result.feature_owner[f];
-          const uint32_t fbytes = BytesForRange(dest_feature_count[g]);
-          const BinId bin = result.splits.NumBins(f) == 0
-                                ? BinId{0}
-                                : result.splits.BinForValue(f, row_values[k]);
-          WritePacked(&entry_writers[g], local_id_of[f], fbytes);
-          WritePacked(&entry_writers[g], bin, bin_bytes);
+          WriteEntry(&entry_writers[g], local_id_of[f], id_bytes[g],
+                     result.splits.BinForValue(f, row_values[k]), bin_bytes);
           ++lens[g][i];
         }
       }
@@ -298,13 +303,9 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
             writers[g].WriteU32(f);
             writers[g].WriteF64(row_values[k]);
           } else {
-            const uint32_t fbytes = BytesForRange(dest_feature_count[g]);
-            const BinId bin =
-                result.splits.NumBins(f) == 0
-                    ? BinId{0}
-                    : result.splits.BinForValue(f, row_values[k]);
-            WritePacked(&writers[g], local_id_of[f], fbytes);
-            WritePacked(&writers[g], bin, bin_bytes);
+            WriteEntry(&writers[g], local_id_of[f], id_bytes[g],
+                       result.splits.BinForValue(f, row_values[k]),
+                       bin_bytes);
           }
         }
       }
@@ -399,11 +400,9 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
             double v = 0.0;
             VERO_CHECK_OK(reader.ReadU32(&f));
             VERO_CHECK_OK(reader.ReadF64(&v));
-            const BinId bin =
-                result.splits.NumBins(f) == 0
-                    ? BinId{0}
-                    : result.splits.BinForValue(f, static_cast<float>(v));
-            row.emplace_back(local_id_of[f], bin);
+            row.emplace_back(
+                local_id_of[f],
+                result.splits.BinForValue(f, static_cast<float>(v)));
           } else {
             const uint32_t lf =
                 static_cast<uint32_t>(ReadPacked(&reader, my_feature_bytes));

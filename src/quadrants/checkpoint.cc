@@ -19,9 +19,20 @@ constexpr uint32_t kCheckpointVersion = 1;
 constexpr uint32_t kDeltaMagic = 0x56434b44u;        // "VCKD"
 constexpr uint32_t kDeltaVersion = 1;
 constexpr uint32_t kManifestMagic = 0x56434b4du;     // "VCKM"
-// v2 added per-entry kind + base_trees for delta chains; v1 manifests (all
-// entries implicitly full) are still accepted on read.
-constexpr uint32_t kManifestVersion = 2;
+// v2 added per-entry kind + base_trees for delta chains; v3 stores each chain
+// file's CRC trailer instead of a CRC over the whole file (which, trailer
+// included, is the same residue for every intact file). v1 manifests (all
+// entries implicitly full) and v2 manifests are still accepted on read.
+constexpr uint32_t kManifestVersion = 3;
+
+// A framed record's CRC-32 trailer: the CRC of every byte before it.
+// Requires at least 4 bytes.
+uint32_t FrameTrailer(const std::vector<uint8_t>& data) {
+  uint32_t trailer = 0;
+  std::memcpy(&trailer, data.data() + data.size() - sizeof(trailer),
+              sizeof(trailer));
+  return trailer;
+}
 
 }  // namespace
 
@@ -146,7 +157,7 @@ Status DeserializeManifest(const std::vector<uint8_t>& data,
                            CheckpointManifest* out) {
   CheckpointManifest manifest;
   VERO_RETURN_IF_ERROR(ReadFrame(
-      data, kManifestMagic, {1, kManifestVersion}, "manifest",
+      data, kManifestMagic, {1, 2, kManifestVersion}, "manifest",
       [&manifest](ByteReader* r, uint32_t version) -> Status {
         uint32_t count = 0;
         VERO_RETURN_IF_ERROR(r->ReadU32(&count));
@@ -157,6 +168,7 @@ Status DeserializeManifest(const std::vector<uint8_t>& data,
           VERO_RETURN_IF_ERROR(r->ReadU32(&e.trees_done));
           VERO_RETURN_IF_ERROR(r->ReadU64(&e.bytes));
           VERO_RETURN_IF_ERROR(r->ReadU32(&e.crc32));
+          e.whole_file_crc = version < 3;
           // v1 entries are implicitly full (kind/base default-initialized).
           if (version >= 2) {
             VERO_RETURN_IF_ERROR(r->ReadU8(&e.kind));
@@ -217,15 +229,22 @@ bool ResolveParsedEntry(const std::vector<ChainSnapshot>& chain, size_t idx,
   return false;
 }
 
+/// Whether chain file `data` carries the CRC its manifest entry records: the
+/// file's trailer for v3 entries (parsing then checks the trailer against
+/// the content), the CRC of the whole file for v1/v2 entries.
+bool MatchesEntryCrc(const std::vector<uint8_t>& data, const ManifestEntry& e) {
+  if (e.whole_file_crc) return Crc32(data.data(), data.size()) == e.crc32;
+  return data.size() >= sizeof(uint32_t) && FrameTrailer(data) == e.crc32;
+}
+
 /// Reads chain file `e.file` of `dir` into `out`. A file the manifest lists
-/// (`listed`) must also match its entry's size and whole-file CRC (checked
-/// before parsing), kind and tree count.
+/// (`listed`) must also match its entry's size and CRC (checked before
+/// parsing), kind and tree count.
 bool ReadChainFile(const std::string& dir, const ManifestEntry& e, bool listed,
                    ChainSnapshot* out) {
   std::vector<uint8_t> data;
   if (!ReadFileBytes(dir + "/" + e.file, &data).ok()) return false;
-  if (listed && (data.size() != e.bytes ||
-                 Crc32(data.data(), data.size()) != e.crc32)) {
+  if (listed && (data.size() != e.bytes || !MatchesEntryCrc(data, e))) {
     return false;
   }
   // Parsed by magic: a full checkpoint or a delta that still needs its base.
@@ -502,7 +521,7 @@ void CheckpointWriter::CommitSnapshot(ChainSnapshot snapshot) {
       entry.file = name;
       entry.trees_done = snapshot.trees_done();
       entry.bytes = data.size();
-      entry.crc32 = Crc32(data.data(), data.size());
+      entry.crc32 = FrameTrailer(data);
       entry.kind =
           snapshot.is_delta ? kManifestEntryDelta : kManifestEntryFull;
       entry.base_trees = snapshot.is_delta ? snapshot.delta.base_trees : 0;

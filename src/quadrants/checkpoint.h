@@ -88,8 +88,9 @@ inline constexpr uint8_t kManifestEntryFull = 0;
 inline constexpr uint8_t kManifestEntryDelta = 1;
 
 /// One committed checkpoint of the rotated chain, as recorded in the
-/// manifest. `crc32` covers the entire chain file (including the file's own
-/// CRC trailer), so the manifest can detect file damage without parsing.
+/// manifest. `crc32` is the chain file's CRC-32 trailer (the CRC of every
+/// byte before it), so the manifest names the file's content: a different
+/// valid file of the same size, kind and tree count does not match it.
 struct ManifestEntry {
   std::string file;  ///< Basename within the checkpoint dir.
   uint32_t trees_done = 0;
@@ -101,10 +102,13 @@ struct ManifestEntry {
   /// For delta entries: trees_done of the entry this delta builds on
   /// (always the immediately preceding manifest entry). 0 for full entries.
   uint32_t base_trees = 0;
+  /// Set for entries read from a v1/v2 manifest, whose `crc32` is the CRC of
+  /// the whole chain file, trailer included. Not written.
+  bool whole_file_crc = false;
 };
 
 /// Index of the on-disk chain, oldest entry first. A framed record (magic
-/// "VCKM", versions 1 and 2) committed via AtomicWriteFile, so a crash
+/// "VCKM", versions 1 to 3) committed via AtomicWriteFile, so a crash
 /// mid-write leaves either the old or the new manifest, never a torn one.
 struct CheckpointManifest {
   std::vector<ManifestEntry> entries;

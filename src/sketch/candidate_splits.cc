@@ -1,19 +1,9 @@
 #include "sketch/candidate_splits.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "sketch/quantile_summary.h"
 
 namespace vero {
-
-BinId CandidateSplits::BinForValue(FeatureId f, float v) const {
-  const std::vector<float>& s = splits_[f];
-  VERO_DCHECK(!s.empty());
-  const auto it = std::lower_bound(s.begin(), s.end(), v);
-  if (it == s.end()) return static_cast<BinId>(s.size() - 1);
-  return static_cast<BinId>(it - s.begin());
-}
 
 uint64_t CandidateSplits::TotalBins() const {
   uint64_t total = 0;
@@ -68,9 +58,7 @@ std::vector<BinId> BinValues(const CsrMatrix& matrix,
   const auto& values = matrix.values();
   std::vector<BinId> bins(features.size());
   for (size_t k = 0; k < features.size(); ++k) {
-    const FeatureId f = features[k];
-    bins[k] = (splits.NumBins(f) == 0) ? BinId{0}
-                                       : splits.BinForValue(f, values[k]);
+    bins[k] = splits.BinForValue(features[k], values[k]);
   }
   return bins;
 }

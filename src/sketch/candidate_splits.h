@@ -1,6 +1,7 @@
 #ifndef VERO_SKETCH_CANDIDATE_SPLITS_H_
 #define VERO_SKETCH_CANDIDATE_SPLITS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -35,8 +36,23 @@ class CandidateSplits {
   }
 
   /// Bin of value v for feature f: first split >= v, clamped to the last
-  /// bin (values above the observed max land in the top bin).
-  BinId BinForValue(FeatureId f, float v) const;
+  /// bin (values above the observed max land in the top bin); bin 0 for a
+  /// feature with no splits. Same result as std::lower_bound, but branch
+  /// free: the loop's trip count depends only on the table's size, and each
+  /// step is a conditional add.
+  BinId BinForValue(FeatureId f, float v) const {
+    const std::vector<float>& s = splits_[f];
+    if (s.empty()) return 0;
+    const float* base = s.data();
+    size_t n = s.size();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base += (base[half] < v) ? half : 0;
+      n -= half;
+    }
+    const size_t bin = static_cast<size_t>(base - s.data()) + (*base < v);
+    return static_cast<BinId>(std::min(bin, s.size() - 1));
+  }
 
   /// The raw split value represented by (feature, bin).
   float SplitValue(FeatureId f, BinId bin) const { return splits_[f][bin]; }
@@ -63,7 +79,7 @@ CandidateSplits ProposeCandidateSplits(const Dataset& dataset, uint32_t q,
                                        size_t sketch_entries = 256);
 
 /// Quantizes a CSR matrix into per-entry bin ids, parallel to
-/// matrix.features(). Values for features with no splits map to bin 0.
+/// matrix.features().
 std::vector<BinId> BinValues(const CsrMatrix& matrix,
                              const CandidateSplits& splits);
 

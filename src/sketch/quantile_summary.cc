@@ -1,55 +1,137 @@
 #include "sketch/quantile_summary.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace vero {
+
+namespace {
+
+// Batches below this size sort their keys with std::sort; the radix sort's
+// three counting passes do not pay off on so few values.
+constexpr size_t kRadixSortMinSize = 256;
+
+// Order-preserving key: unsigned order on keys is the float order on
+// finite values. -0.0 maps to +0.0's key first, so a run of zeros is one
+// key and is stored as +0.0 whatever the input's signs.
+uint32_t OrderedKey(float value) {
+  const uint32_t u = std::bit_cast<uint32_t>(value == 0.0f ? 0.0f : value);
+  return u ^ ((0u - (u >> 31)) | 0x80000000u);
+}
+
+float KeyValue(uint32_t key) {
+  return std::bit_cast<float>(key ^ (((key >> 31) - 1u) | 0x80000000u));
+}
+
+// Stable LSD radix sort of `keys` in three passes of 11, 11 and 10 bits;
+// `tmp` is scratch of the same length. A pass whose digit is the same for
+// every key is skipped (it would be the identity).
+void RadixSortKeys(std::span<uint32_t> keys, std::span<uint32_t> tmp) {
+  constexpr int kShift[3] = {0, 11, 22};
+  constexpr uint32_t kMask = (1u << 11) - 1;
+  uint32_t counts[3][kMask + 1] = {};
+  for (const uint32_t k : keys) {
+    ++counts[0][k & kMask];
+    ++counts[1][(k >> 11) & kMask];
+    ++counts[2][k >> 22];
+  }
+  uint32_t* src = keys.data();
+  uint32_t* dst = tmp.data();
+  const size_t n = keys.size();
+  for (int pass = 0; pass < 3; ++pass) {
+    const int shift = kShift[pass];
+    uint32_t* offsets = counts[pass];
+    if (offsets[(src[0] >> shift) & kMask] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t d = 0; d <= kMask; ++d) {
+      const uint32_t c = offsets[d];
+      offsets[d] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t k = src[i];
+      dst[offsets[(k >> shift) & kMask]++] = k;
+    }
+    std::swap(src, dst);
+  }
+  if (src != keys.data()) std::copy(src, src + n, keys.data());
+}
+
+// Writes the ascending order keys of `values` into `keys`; `tmp` is radix
+// scratch. Both keep their capacity.
+void SortedKeys(std::span<const float> values, std::vector<uint32_t>* keys,
+                std::vector<uint32_t>* tmp) {
+  keys->resize(values.size());
+  std::transform(values.begin(), values.end(), keys->begin(), OrderedKey);
+  if (values.size() < kRadixSortMinSize) {
+    std::sort(keys->begin(), keys->end());
+    return;
+  }
+  tmp->resize(values.size());
+  RadixSortKeys(*keys, *tmp);
+}
+
+}  // namespace
 
 QuantileSummary::QuantileSummary(std::vector<SummaryEntry> entries)
     : entries_(std::move(entries)) {
   total_weight_ = entries_.empty() ? 0.0 : entries_.back().rmax;
 }
 
-QuantileSummary QuantileSummary::FromValues(std::vector<float> values) {
-  std::vector<std::pair<float, float>> weighted;
-  weighted.reserve(values.size());
-  for (float v : values) weighted.emplace_back(v, 1.0f);
-  return FromWeightedValues(std::move(weighted));
+QuantileSummary QuantileSummary::FromValues(const std::vector<float>& values) {
+  std::vector<uint32_t> keys, tmp;
+  SortedKeys(values, &keys, &tmp);
+  QuantileSummary out;
+  FromSortedKeys(keys, &out);
+  return out;
 }
 
-QuantileSummary QuantileSummary::FromWeightedValues(
-    std::vector<std::pair<float, float>> weighted) {
-  std::sort(weighted.begin(), weighted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<SummaryEntry> entries;
+void QuantileSummary::FromSortedKeys(std::span<const uint32_t> keys,
+                                     QuantileSummary* out) {
+  std::vector<SummaryEntry>& entries = out->entries_;
+  entries.clear();
   double cum = 0.0;
   size_t i = 0;
-  while (i < weighted.size()) {
-    const float v = weighted[i].first;
-    double w = 0.0;
-    while (i < weighted.size() && weighted[i].first == v) {
-      w += weighted[i].second;
-      ++i;
-    }
+  while (i < keys.size()) {
+    const uint32_t key = keys[i];
+    size_t j = i + 1;
+    while (j < keys.size() && keys[j] == key) ++j;
     SummaryEntry e;
-    e.value = v;
+    e.value = KeyValue(key);
     e.rmin = cum;
-    e.w = w;
-    cum += w;
+    e.w = static_cast<double>(j - i);
+    cum += e.w;
     e.rmax = cum;
     entries.push_back(e);
+    i = j;
   }
-  return QuantileSummary(std::move(entries));
+  out->total_weight_ = cum;
 }
 
 QuantileSummary QuantileSummary::Merge(const QuantileSummary& other) const {
   if (empty()) return other;
   if (other.empty()) return *this;
-  const auto& a = entries_;
-  const auto& b = other.entries_;
-  std::vector<SummaryEntry> out;
+  QuantileSummary out;
+  MergeInto(*this, other, &out);
+  return out;
+}
+
+QuantileSummary QuantileSummary::Merge(QuantileSummary&& other) const {
+  if (empty()) return std::move(other);
+  return Merge(std::as_const(other));
+}
+
+void QuantileSummary::MergeInto(const QuantileSummary& first,
+                                const QuantileSummary& second,
+                                QuantileSummary* result) {
+  const auto& a = first.entries_;
+  const auto& b = second.entries_;
+  std::vector<SummaryEntry>& out = result->entries_;
+  out.clear();
   out.reserve(a.size() + b.size());
 
   size_t i = 0, j = 0;
@@ -63,7 +145,7 @@ QuantileSummary QuantileSummary::Merge(const QuantileSummary& other) const {
       const SummaryEntry& x = a[i++];
       const double b_below = (j == 0) ? 0.0 : b[j - 1].RMinNext();
       const double b_above_floor =
-          (j == b.size()) ? other.total_weight_ : b[j].RMaxPrev();
+          (j == b.size()) ? second.total_weight_ : b[j].RMaxPrev();
       e.value = x.value;
       e.w = x.w;
       e.rmin = x.rmin + b_below;
@@ -72,7 +154,7 @@ QuantileSummary QuantileSummary::Merge(const QuantileSummary& other) const {
       const SummaryEntry& x = b[j++];
       const double a_below = (i == 0) ? 0.0 : a[i - 1].RMinNext();
       const double a_above_floor =
-          (i == a.size()) ? total_weight_ : a[i].RMaxPrev();
+          (i == a.size()) ? first.total_weight_ : a[i].RMaxPrev();
       e.value = x.value;
       e.w = x.w;
       e.rmin = x.rmin + a_below;
@@ -88,12 +170,30 @@ QuantileSummary QuantileSummary::Merge(const QuantileSummary& other) const {
     }
     out.push_back(e);
   }
-  return QuantileSummary(std::move(out));
+  result->total_weight_ = out.empty() ? 0.0 : out.back().rmax;
 }
 
-QuantileSummary QuantileSummary::Prune(size_t max_entries) const {
-  if (entries_.size() <= max_entries || max_entries < 2) return *this;
-  std::vector<SummaryEntry> out;
+QuantileSummary QuantileSummary::Prune(size_t max_entries) const& {
+  if (FitsIn(max_entries)) return *this;
+  QuantileSummary out;
+  PruneInto(max_entries, &out);
+  return out;
+}
+
+QuantileSummary QuantileSummary::Prune(size_t max_entries) && {
+  if (FitsIn(max_entries)) return std::move(*this);
+  return std::as_const(*this).Prune(max_entries);
+}
+
+void QuantileSummary::PruneInto(size_t max_entries,
+                                QuantileSummary* result) const {
+  std::vector<SummaryEntry>& out = result->entries_;
+  if (FitsIn(max_entries)) {
+    out.assign(entries_.begin(), entries_.end());
+    result->total_weight_ = total_weight_;
+    return;
+  }
+  out.clear();
   out.reserve(max_entries);
   out.push_back(entries_.front());
   const size_t interior = max_entries - 2;
@@ -127,7 +227,7 @@ QuantileSummary QuantileSummary::Prune(size_t max_entries) const {
     }
   }
   if (entries_.size() > 1) out.push_back(entries_.back());
-  return QuantileSummary(std::move(out));
+  result->total_weight_ = out.back().rmax;
 }
 
 double QuantileSummary::Query(double rank) const {
@@ -226,20 +326,24 @@ QuantileSketch::QuantileSketch(size_t max_entries, size_t buffer_size)
   // most features of a sparse dataset see few values.
 }
 
-void QuantileSketch::Add(float value) { AddWeighted(value, 1.0f); }
-
-void QuantileSketch::AddWeighted(float value, float weight) {
-  buffer_.emplace_back(value, weight);
-  total_weight_ += weight;
-  if (buffer_.size() >= buffer_size_) Flush();
-}
-
 void QuantileSketch::Flush() {
   if (buffer_.empty()) return;
-  QuantileSummary batch =
-      QuantileSummary::FromWeightedValues(std::move(buffer_));
+  // Per-thread scratch shared by every sketch a thread flushes, so a
+  // dataset's thousands of per-feature sketches hold no sort buffers.
+  struct Scratch {
+    std::vector<uint32_t> keys, tmp;
+    QuantileSummary batch, merged;
+  };
+  thread_local Scratch scratch;
+  SortedKeys(buffer_, &scratch.keys, &scratch.tmp);
   buffer_.clear();
-  summary_ = summary_.Merge(batch).Prune(max_entries_);
+  QuantileSummary::FromSortedKeys(scratch.keys, &scratch.batch);
+  if (summary_.empty()) {
+    scratch.batch.PruneInto(max_entries_, &summary_);
+  } else {
+    QuantileSummary::MergeInto(summary_, scratch.batch, &scratch.merged);
+    scratch.merged.PruneInto(max_entries_, &summary_);
+  }
 }
 
 const QuantileSummary& QuantileSketch::Finalize() {

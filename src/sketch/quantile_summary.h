@@ -2,6 +2,7 @@
 #define VERO_SKETCH_QUANTILE_SUMMARY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/serialize.h"
@@ -40,19 +41,21 @@ class QuantileSummary {
  public:
   QuantileSummary() = default;
 
-  /// Builds an exact summary from unsorted, unweighted values.
-  static QuantileSummary FromValues(std::vector<float> values);
+  /// Builds an exact summary from unsorted, unweighted values. Values that
+  /// compare equal share one entry; a run of zeros (-0.0 and +0.0 alike) is
+  /// stored as +0.0.
+  static QuantileSummary FromValues(const std::vector<float>& values);
 
-  /// Builds an exact summary from unsorted (value, weight) pairs.
-  static QuantileSummary FromWeightedValues(
-      std::vector<std::pair<float, float>> weighted);
-
-  /// Exact combination of two summaries (rank bounds add).
+  /// Exact combination of two summaries (rank bounds add). The rvalue
+  /// overload moves `other` out when this summary is empty.
   QuantileSummary Merge(const QuantileSummary& other) const;
+  QuantileSummary Merge(QuantileSummary&& other) const;
 
   /// Reduces to at most `max_entries` entries, keeping extremes; adds at most
-  /// total_weight/(max_entries-1) rank error.
-  QuantileSummary Prune(size_t max_entries) const;
+  /// total_weight/(max_entries-1) rank error. The rvalue overload moves this
+  /// summary out when it already fits.
+  QuantileSummary Prune(size_t max_entries) const&;
+  QuantileSummary Prune(size_t max_entries) &&;
 
   /// Value whose estimated rank ((rmin+rmax)/2) is closest to `rank`.
   /// Requires a non-empty summary.
@@ -77,7 +80,23 @@ class QuantileSummary {
   static Status Deserialize(ByteReader* reader, QuantileSummary* out);
 
  private:
+  friend class QuantileSketch;
+
   explicit QuantileSummary(std::vector<SummaryEntry> entries);
+
+  // The builders below write into `out`'s storage (cleared, capacity kept),
+  // so the sketch's flush allocates nothing once its scratch has grown.
+  // `out` must not alias an input.
+
+  /// Exact summary of ascending order keys (see OrderedKey in the .cc).
+  static void FromSortedKeys(std::span<const uint32_t> keys,
+                             QuantileSummary* out);
+  static void MergeInto(const QuantileSummary& a, const QuantileSummary& b,
+                        QuantileSummary* out);
+  void PruneInto(size_t max_entries, QuantileSummary* out) const;
+  bool FitsIn(size_t max_entries) const {
+    return entries_.size() <= max_entries || max_entries < 2;
+  }
 
   std::vector<SummaryEntry> entries_;  // sorted by value, distinct.
   double total_weight_ = 0.0;
@@ -85,30 +104,30 @@ class QuantileSummary {
 
 /// Streaming sketch: buffers incoming values and folds them into a pruned
 /// summary once the buffer fills, keeping memory bounded regardless of
-/// stream length.
+/// stream length. Every value has weight 1.
 class QuantileSketch {
  public:
   /// `max_entries` bounds the retained summary size (rank error ~ W/b);
   /// `buffer_size` controls the batching granularity.
   explicit QuantileSketch(size_t max_entries = 256, size_t buffer_size = 4096);
 
-  void Add(float value);
-  void AddWeighted(float value, float weight);
+  void Add(float value) {
+    buffer_.push_back(value);
+    if (buffer_.size() >= buffer_size_) Flush();
+  }
 
   /// Folds any buffered values and returns the current summary.
   const QuantileSummary& Finalize();
 
-  /// Total weight added so far.
-  double total_weight() const { return total_weight_; }
-
  private:
+  /// Sorts the buffer (radix sort on order keys), folds its exact summary
+  /// into summary_ and prunes; keeps the buffer's capacity.
   void Flush();
 
   size_t max_entries_;
   size_t buffer_size_;
-  std::vector<std::pair<float, float>> buffer_;
+  std::vector<float> buffer_;
   QuantileSummary summary_;
-  double total_weight_ = 0.0;
 };
 
 }  // namespace vero

@@ -1,7 +1,10 @@
 #include "sketch/candidate_splits.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <gtest/gtest.h>
+#include <set>
 
 #include "common/random.h"
 #include "common/serialize.h"
@@ -57,6 +60,40 @@ TEST(CandidateSplitsTest, BinForValueIsLowerBound) {
   EXPECT_EQ(splits.BinForValue(0, 8.0f), 3);
   // Values above the max clamp to the top bin.
   EXPECT_EQ(splits.BinForValue(0, 100.0f), 3);
+}
+
+TEST(CandidateSplitsTest, BinForValueMatchesLowerBound) {
+  // The branch-free search against std::lower_bound clamped to the last
+  // bin, for every table size a feature can have at q <= 32.
+  Rng rng(17);
+  EXPECT_EQ(CandidateSplits(4, {{}}).BinForValue(0, 1.0f), 0);
+  for (size_t size = 1; size <= 32; ++size) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::set<float> distinct;
+      if (trial % 2 == 1) distinct.insert(0.0f);
+      while (distinct.size() < size) {
+        distinct.insert(static_cast<float>(rng.UniformDouble(-2.0, 2.0)));
+      }
+      const std::vector<float> table(distinct.begin(), distinct.end());
+      const CandidateSplits splits(static_cast<uint32_t>(size), {table});
+      std::vector<float> probes = {-FLT_MAX, FLT_MAX, -0.0f, 0.0f,
+                                   table.front() - 1.0f, table.back() + 1.0f};
+      for (float s : table) {
+        probes.push_back(s);
+        probes.push_back(std::nextafter(s, -FLT_MAX));
+        probes.push_back(std::nextafter(s, FLT_MAX));
+      }
+      for (int k = 0; k < 20; ++k) {
+        probes.push_back(static_cast<float>(rng.UniformDouble(-3.0, 3.0)));
+      }
+      for (float v : probes) {
+        const size_t lower = static_cast<size_t>(
+            std::lower_bound(table.begin(), table.end(), v) - table.begin());
+        EXPECT_EQ(splits.BinForValue(0, v), std::min(lower, size - 1))
+            << "size " << size << " value " << v;
+      }
+    }
+  }
 }
 
 TEST(CandidateSplitsTest, BinningPropertyHolds) {

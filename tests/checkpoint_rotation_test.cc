@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/framed_file.h"
 #include "quadrants/checkpoint.h"
 #include "sketch/candidate_splits.h"
 
@@ -29,13 +31,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-GbdtModel ModelWithTrees(uint32_t n) {
+GbdtModel ModelWithTrees(uint32_t n, float leaf = 0.5f) {
   GbdtModel model(Task::kBinary, 2, 0.3);
   for (uint32_t i = 0; i < n; ++i) {
     Tree t(3, 1);
     t.SetSplit(0, i % 7, 1.5f + static_cast<float>(i), 2, false, 3.0);
-    t.SetLeaf(1, {-0.5f});
-    t.SetLeaf(2, {0.5f});
+    t.SetLeaf(1, {-leaf});
+    t.SetLeaf(2, {leaf});
     model.AddTree(std::move(t));
   }
   return model;
@@ -263,8 +265,8 @@ TEST(LoadLatestTest, CrcDamagedNewestFallsBackToNewestValid) {
   FillChain(dir, 3, /*keep_last_n=*/3);
 
   // Flip one payload byte of the newest chain file (and the alias, which
-  // duplicates it): the manifest's whole-file CRC cross-check must reject
-  // it and restore the second-newest instead.
+  // duplicates it): the CRC checks must reject it and restore the
+  // second-newest instead.
   for (const char* name : {"ckpt-000002.vckp", "latest.vckp"}) {
     const std::string path = dir + "/" + name;
     std::vector<uint8_t> bytes = ReadFile(path);
@@ -276,6 +278,72 @@ TEST(LoadLatestTest, CrcDamagedNewestFallsBackToNewestValid) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->trees_done, 2u);
   EXPECT_EQ(loaded->model.num_trees(), 2u);
+}
+
+// Replaces the newest chain file (and its alias) with a different valid
+// checkpoint of the same size, kind and tree count.
+void SwapInLookalikeNewest(const std::string& dir) {
+  const std::vector<uint8_t> original = ReadFile(dir + "/ckpt-000002.vckp");
+  TrainCheckpoint lookalike;
+  ASSERT_TRUE(DeserializeCheckpoint(original, &lookalike).ok());
+  lookalike.model = ModelWithTrees(lookalike.trees_done, 0.25f);
+  const std::vector<uint8_t> swapped = SerializeCheckpoint(lookalike);
+  ASSERT_EQ(swapped.size(), original.size());
+  ASSERT_NE(swapped, original);
+  WriteFile(dir + "/ckpt-000002.vckp", swapped);
+  WriteFile(dir + "/latest.vckp", swapped);
+}
+
+TEST(LoadLatestTest, SwappedLookalikeChainFileIsRejected) {
+  // The v3 manifest records each file's CRC trailer, which names its
+  // content; a whole-file CRC (trailer included) would be the same residue
+  // for both files and accept the swap.
+  const std::string dir = FreshDir("load_swapped_lookalike");
+  FillChain(dir, 3, /*keep_last_n=*/3);
+  SwapInLookalikeNewest(dir);
+  const auto loaded = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->trees_done, 2u);
+}
+
+TEST(LoadLatestTest, Version2ManifestStillRestores) {
+  // A v2 manifest (whole-file CRCs) written by an older build: its intact
+  // chain restores, and its entries keep the whole-file comparison.
+  const std::string dir = FreshDir("load_v2_manifest");
+  FillChain(dir, 3, /*keep_last_n=*/3);
+  const auto manifest = LoadManifest(dir + "/" + kManifestFileName);
+  ASSERT_TRUE(manifest.ok());
+  const std::vector<uint8_t> v2 = WriteFrame(
+      0x56434b4du, 2, [&](ByteWriter* w) {
+        w->WriteU32(static_cast<uint32_t>(manifest->entries.size()));
+        for (const ManifestEntry& e : manifest->entries) {
+          const std::vector<uint8_t> file = ReadFile(dir + "/" + e.file);
+          w->WriteString(e.file);
+          w->WriteU32(e.trees_done);
+          w->WriteU64(e.bytes);
+          w->WriteU32(Crc32(file.data(), file.size()));
+          w->WriteU8(e.kind);
+          w->WriteU32(e.base_trees);
+        }
+      });
+  WriteFile(dir + "/" + kManifestFileName, v2);
+  CheckpointManifest parsed;
+  ASSERT_TRUE(DeserializeManifest(v2, &parsed).ok());
+  ASSERT_EQ(parsed.entries.size(), 3u);
+  EXPECT_TRUE(parsed.entries[0].whole_file_crc);
+  const auto loaded = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->trees_done, 3u);
+
+  // A damaged newest file still fails the v2 whole-file comparison.
+  for (const char* name : {"ckpt-000002.vckp", "latest.vckp"}) {
+    std::vector<uint8_t> bytes = ReadFile(dir + "/" + name);
+    bytes[12] ^= 0x40;
+    WriteFile(dir + "/" + name, bytes);
+  }
+  const auto fallback = LoadLatestCheckpoint(dir);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->trees_done, 2u);
 }
 
 TEST(LoadLatestTest, AllCandidatesDamagedIsCorruptionNeverCrash) {

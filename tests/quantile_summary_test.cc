@@ -1,8 +1,11 @@
 #include "sketch/quantile_summary.h"
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "common/random.h"
 #include "common/serialize.h"
@@ -31,9 +34,8 @@ TEST(QuantileSummaryTest, EmptySummary) {
   EXPECT_TRUE(s.Merge(QuantileSummary()).empty());
 }
 
-TEST(QuantileSummaryTest, WeightedValues) {
-  QuantileSummary s =
-      QuantileSummary::FromWeightedValues({{1.0f, 3.0f}, {2.0f, 1.0f}});
+TEST(QuantileSummaryTest, RepeatedValues) {
+  QuantileSummary s = QuantileSummary::FromValues({1, 1, 1, 2});
   EXPECT_DOUBLE_EQ(s.total_weight(), 4.0);
   EXPECT_DOUBLE_EQ(s.entries()[0].w, 3.0);
   ASSERT_TRUE(s.CheckInvariants().ok());
@@ -205,6 +207,167 @@ TEST(QuantileSketchTest, MergedShardsMatchSingleStream) {
                 0.25)
         << "quantile " << q;
   }
+}
+
+// Exact summary of `values` by comparison sort: the reference the radix
+// flush must reproduce bit for bit. A run of zeros is stored as +0.0.
+QuantileSummary ReferenceSummary(std::vector<float> values) {
+  std::sort(values.begin(), values.end());
+  ByteWriter writer;
+  std::vector<SummaryEntry> entries;
+  double cum = 0.0;
+  for (size_t i = 0; i < values.size();) {
+    size_t j = i;
+    while (j < values.size() && values[j] == values[i]) ++j;
+    SummaryEntry e;
+    e.value = values[i] == 0.0f ? 0.0f : values[i];
+    e.rmin = cum;
+    e.w = static_cast<double>(j - i);
+    cum += e.w;
+    e.rmax = cum;
+    entries.push_back(e);
+    i = j;
+  }
+  writer.WriteU64(entries.size());
+  for (const SummaryEntry& e : entries) {
+    writer.WriteF64(e.value);
+    writer.WriteF64(e.rmin);
+    writer.WriteF64(e.rmax);
+    writer.WriteF64(e.w);
+  }
+  ByteReader reader(writer.data());
+  QuantileSummary out;
+  EXPECT_TRUE(QuantileSummary::Deserialize(&reader, &out).ok());
+  return out;
+}
+
+// Bitwise equality, so -0.0 and +0.0 differ.
+void ExpectSameBits(const QuantileSummary& got, const QuantileSummary& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.num_entries(), want.num_entries()) << where;
+  for (size_t i = 0; i < got.num_entries(); ++i) {
+    const SummaryEntry& a = got.entries()[i];
+    const SummaryEntry& b = want.entries()[i];
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.value), std::bit_cast<uint64_t>(b.value))
+        << where << " entry " << i << ": " << a.value << " vs " << b.value;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.rmin), std::bit_cast<uint64_t>(b.rmin))
+        << where << " entry " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.rmax), std::bit_cast<uint64_t>(b.rmax))
+        << where << " entry " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.w), std::bit_cast<uint64_t>(b.w))
+        << where << " entry " << i;
+  }
+  EXPECT_EQ(got.total_weight(), want.total_weight()) << where;
+}
+
+// Finite test values of five shapes: uniform, heavy duplicates with both
+// zeros, IEEE edge values (denormals, FLT_MIN, ±FLT_MAX), only zeros, and
+// random bit patterns that exercise every radix digit.
+float SampleValue(int shape, Rng& rng) {
+  static const float kEdges[] = {
+      0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      3 * std::numeric_limits<float>::denorm_min(),
+      -7 * std::numeric_limits<float>::denorm_min(), FLT_MIN, -FLT_MIN,
+      FLT_MAX, -FLT_MAX, 1.0f, -1.0f};
+  switch (shape) {
+    case 0:
+      return static_cast<float>(rng.UniformDouble(-1.0, 1.0));
+    case 1: {
+      const float v = static_cast<float>(rng.Uniform(7)) - 3.0f;
+      return (v == 0.0f && rng.Uniform(2) == 0) ? -0.0f : v;
+    }
+    case 2:
+      return rng.Uniform(3) == 0
+                 ? static_cast<float>(rng.NextGaussian())
+                 : kEdges[rng.Uniform(sizeof(kEdges) / sizeof(kEdges[0]))];
+    case 3:
+      return rng.Uniform(2) == 0 ? -0.0f : 0.0f;
+    default: {
+      float v = 0.0f;
+      do {
+        v = std::bit_cast<float>(static_cast<uint32_t>(rng.Next()));
+      } while (!std::isfinite(v));
+      return v;
+    }
+  }
+}
+
+TEST(QuantileSummaryTest, RadixBuildMatchesComparisonSortReference) {
+  Rng rng(2024);
+  for (size_t n : {1, 2, 3, 100, 255, 256, 257, 1000, 4095, 4096, 9000}) {
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<float> values(n);
+      for (float& v : values) v = SampleValue(shape, rng);
+      const std::string where =
+          "n=" + std::to_string(n) + " shape=" + std::to_string(shape);
+      const QuantileSummary got = QuantileSummary::FromValues(values);
+      ExpectSameBits(got, ReferenceSummary(values), where);
+      ASSERT_TRUE(got.CheckInvariants().ok()) << where;
+    }
+  }
+}
+
+TEST(QuantileSketchTest, FlushesMatchComparisonSortReference) {
+  // The sketch against the fold it implements: per full buffer, the exact
+  // batch summary merged into the running summary and pruned.
+  Rng rng(99);
+  for (size_t buffer : {16, 255, 256, 300, 4096}) {
+    for (size_t max_entries : {8, 64, 256}) {
+      for (int shape = 0; shape < 5; ++shape) {
+        QuantileSketch sketch(max_entries, buffer);
+        QuantileSummary reference;
+        std::vector<float> batch;
+        const size_t n = 3 * buffer + 17;
+        for (size_t i = 0; i < n; ++i) {
+          const float v = SampleValue(shape, rng);
+          sketch.Add(v);
+          batch.push_back(v);
+          if (batch.size() == buffer || i + 1 == n) {
+            reference =
+                reference.Merge(ReferenceSummary(batch)).Prune(max_entries);
+            batch.clear();
+          }
+        }
+        ExpectSameBits(sketch.Finalize(), reference,
+                       "buffer=" + std::to_string(buffer) + " max=" +
+                           std::to_string(max_entries) +
+                           " shape=" + std::to_string(shape));
+      }
+    }
+  }
+}
+
+TEST(QuantileSummaryTest, RunOfZerosIsStoredAsPositiveZero) {
+  const QuantileSummary s =
+      QuantileSummary::FromValues({-0.0f, 0.0f, -0.0f, 1.0f, -1.0f});
+  ASSERT_EQ(s.num_entries(), 3u);
+  EXPECT_EQ(s.entries()[1].value, 0.0);
+  EXPECT_FALSE(std::signbit(s.entries()[1].value));
+  EXPECT_DOUBLE_EQ(s.entries()[1].w, 3.0);
+
+  // Only negative zeros, through the sketch's radix path.
+  QuantileSketch sketch(16, 512);
+  for (int i = 0; i < 1000; ++i) sketch.Add(-0.0f);
+  const QuantileSummary& summary = sketch.Finalize();
+  ASSERT_EQ(summary.num_entries(), 1u);
+  EXPECT_FALSE(std::signbit(summary.entries()[0].value));
+  EXPECT_DOUBLE_EQ(summary.total_weight(), 1000.0);
+  const std::vector<float> splits = summary.ProposeSplits(4);
+  ASSERT_EQ(splits.size(), 1u);
+  EXPECT_FALSE(std::signbit(splits[0]));
+}
+
+TEST(QuantileSummaryTest, PruneAndMergeOfRvaluesMatchCopies) {
+  std::vector<float> values;
+  for (int i = 0; i < 500; ++i) values.push_back(static_cast<float>(i % 97));
+  const QuantileSummary a = QuantileSummary::FromValues(values);
+  const QuantileSummary b = QuantileSummary::FromValues({3, 5, 1000});
+  ExpectSameBits(QuantileSummary(a).Prune(200), a, "prune fits");
+  ExpectSameBits(QuantileSummary(a).Prune(20), a.Prune(20), "prune");
+  ExpectSameBits(QuantileSummary().Merge(QuantileSummary(b)), b,
+                 "merge into empty");
+  ExpectSameBits(a.Merge(QuantileSummary(b)), a.Merge(b), "merge");
 }
 
 }  // namespace

@@ -29,6 +29,30 @@ GbdtParams SmallParams() {
   return params;
 }
 
+TEST(TrainerTest, NegativeZeroInputTrainsTheSameModelAsPositiveZero) {
+  // The sketch stores a run of zeros as +0.0, so a split at zero reads the
+  // same whichever zero the input holds, and so does the model text.
+  auto make = [](float zero) {
+    CsrMatrix m;
+    m.set_num_cols(2);
+    std::vector<float> labels;
+    const float cycle[4] = {-1.0f, zero, 1.0f, 2.0f};
+    for (int i = 0; i < 400; ++i) {
+      m.StartRow();
+      m.PushEntry(0, cycle[i % 4]);
+      m.PushEntry(1, static_cast<float>(i % 7));
+      labels.push_back(i % 4 <= 1 ? 0.0f : 1.0f);
+    }
+    return Dataset(std::move(m), std::move(labels), Task::kBinary, 2);
+  };
+  GbdtParams params = SmallParams();
+  params.num_trees = 2;
+  auto negative = Trainer(params).Train(make(-0.0f));
+  auto positive = Trainer(params).Train(make(0.0f));
+  ASSERT_TRUE(negative.ok() && positive.ok());
+  EXPECT_EQ(ModelToText(*negative), ModelToText(*positive));
+}
+
 TEST(TrainerTest, RejectsBadParams) {
   GbdtParams params;
   params.num_trees = 0;
