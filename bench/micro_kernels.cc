@@ -370,25 +370,31 @@ void BM_QuantileSketchAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantileSketchAdd)->Arg(75000)->Arg(100000);
 
-// Binning a Higgs-shaped shard (75k rows, 28 dense features, q = 20) in
-// row-major order, the transform encode's access pattern.
+// Binning a Higgs-shaped shard (75k rows, 28 dense features) in row-major
+// order, the transform encode's access pattern, against tables of up to q
+// splits: q = 8 is below BinForValue's counted window and only halves,
+// q = 20 is counted in one window, 256 and 4096 halve first. The sketch
+// keeps 2q entries so large tables fill up.
 void BM_BinForValue(benchmark::State& state) {
   static const Dataset* data = new Dataset(GenerateFromProfile(
       FindProfile("Higgs"), 75000.0 / FindProfile("Higgs").scaled_instances));
-  static const CandidateSplits* splits =
-      new CandidateSplits(ProposeCandidateSplits(*data, 20));
+  const uint32_t q = static_cast<uint32_t>(state.range(0));
+  const CandidateSplits splits = ProposeCandidateSplits(
+      *data, q, std::max<size_t>(256, 2 * size_t{q}));
   const auto& features = data->matrix().features();
   const auto& values = data->matrix().values();
   for (auto _ : state) {
     uint64_t sum = 0;
     for (size_t k = 0; k < features.size(); ++k) {
-      sum += splits->BinForValue(features[k], values[k]);
+      sum += splits.BinForValue(features[k], values[k]);
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * features.size());
+  state.counters["splits"] = static_cast<double>(splits.TotalBins()) /
+                             splits.num_features();
 }
-BENCHMARK(BM_BinForValue);
+BENCHMARK(BM_BinForValue)->Arg(8)->Arg(20)->Arg(256)->Arg(4096);
 
 void BM_QuantileSummaryMerge(benchmark::State& state) {
   Rng rng(7);

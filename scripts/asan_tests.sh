@@ -33,8 +33,10 @@
 # shared frame reader (ReadFrame) that every persisted record goes through.
 # quantile_summary_test, candidate_splits_test and transform_test cover the
 # set-up path: the sketch flush's radix sort (raw digit-indexed scatter into
-# per-thread scratch), the branch-free BinForValue (pointer steps into the
-# split table) and the transform encode's fixed-width entry writes.
+# per-thread scratch), the branch-free BinForValue (pointer steps and a
+# 16-split count window in the split table), the transform encode's stores
+# through per-destination cursors into exact-size messages, and the block
+# decoder's fixed-width loads, fed every truncation of a valid message.
 #
 #   scripts/asan_tests.sh [build-dir]
 set -euo pipefail

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -26,25 +28,67 @@ uint32_t BytesForRange(uint64_t n) {
   return (bits + 7) / 8;
 }
 
-// Appends one column-group entry: the local feature id in `id_width` bytes,
-// then the bin in `bin_width` bytes, each little-endian like ByteWriter's
-// fixed-width writes, in one append.
-void WriteEntry(ByteWriter* writer, uint64_t id, uint32_t id_width,
-                uint64_t bin, uint32_t bin_width) {
-  uint8_t bytes[2 * sizeof(uint64_t)];
-  std::memcpy(bytes, &id, sizeof(id));
-  std::memcpy(bytes + id_width, &bin, sizeof(bin));
-  writer->WriteRaw(bytes, id_width + bin_width);
+// Column-group entry fields are little-endian like ByteWriter's fixed-width
+// writes and 1-4 bytes wide (BytesForRange of a u32 count). The width is
+// the same for every entry of a block, so the switch predicts perfectly.
+void StoreField(uint8_t* dst, uint32_t value, uint32_t width) {
+  switch (width) {
+    case 1:
+      *dst = static_cast<uint8_t>(value);
+      return;
+    case 2:
+      std::memcpy(dst, &value, 2);
+      return;
+    case 3:
+      std::memcpy(dst, &value, 3);
+      return;
+    default:
+      std::memcpy(dst, &value, 4);
+  }
 }
 
-uint64_t ReadPacked(ByteReader* reader, uint32_t width) {
-  uint64_t value = 0;
-  for (uint32_t b = 0; b < width; ++b) {
-    uint8_t byte = 0;
-    VERO_CHECK_OK(reader->ReadU8(&byte));
-    value |= static_cast<uint64_t>(byte) << (8 * b);
+uint32_t LoadField(const uint8_t* src, uint32_t width) {
+  uint32_t value = 0;
+  switch (width) {
+    case 1:
+      return *src;
+    case 2:
+      std::memcpy(&value, src, 2);
+      return value;
+    case 3:
+      std::memcpy(&value, src, 3);
+      return value;
+    default:
+      std::memcpy(&value, src, 4);
+      return value;
   }
-  return value;
+}
+
+// Calls fn(id_width, bin_width) with each width as a compile-time constant
+// when both are 1 or 2 bytes (groups of up to 65536 features, tables of up
+// to 65536 splits), so the decode loops run on fixed-width loads; other
+// widths pass as plain values.
+template <typename Fn>
+auto WithFieldWidths(uint32_t id_width, uint32_t bin_width, Fn&& fn) {
+  using One = std::integral_constant<uint32_t, 1>;
+  using Two = std::integral_constant<uint32_t, 2>;
+  if (id_width == 1) {
+    if (bin_width == 1) return fn(One{}, One{});
+    if (bin_width == 2) return fn(One{}, Two{});
+  } else if (id_width == 2) {
+    if (bin_width == 1) return fn(Two{}, One{});
+    if (bin_width == 2) return fn(Two{}, Two{});
+  }
+  return fn(id_width, bin_width);
+}
+
+// Stores one (local feature id, bin) entry at `dst`; returns the byte after
+// it.
+uint8_t* StoreEntry(uint8_t* dst, uint32_t id, uint32_t id_width,
+                    uint32_t bin, uint32_t bin_width) {
+  StoreField(dst, id, id_width);
+  StoreField(dst + id_width, bin, bin_width);
+  return dst + id_width + bin_width;
 }
 
 }  // namespace
@@ -183,6 +227,127 @@ CandidateSplits BuildDistributedCandidateSplits(
   return splits;
 }
 
+Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,
+                             uint32_t rows, uint32_t num_features,
+                             uint32_t num_candidate_splits,
+                             ColumnGroupBlock* block) {
+  auto corrupt = [](const std::string& why) {
+    return Status::Corruption("blockified column group: " + why);
+  };
+  ByteReader reader(message);
+  uint32_t header_rows = 0;
+  uint64_t num_lens = 0;
+  if (!reader.ReadU32(&header_rows).ok() || !reader.ReadU64(&num_lens).ok()) {
+    return corrupt("short header");
+  }
+  if (header_rows != rows) {
+    return corrupt("header holds " + std::to_string(header_rows) +
+                   " rows, want " + std::to_string(rows));
+  }
+  if (num_lens != rows) {
+    return corrupt(std::to_string(num_lens) + " row lengths for " +
+                   std::to_string(rows) + " rows");
+  }
+  const uint8_t* lens = reader.current();
+  uint64_t payload_size = 0;
+  if (!reader.Skip(size_t{rows} * sizeof(uint32_t)).ok() ||
+      !reader.ReadU64(&payload_size).ok()) {
+    return corrupt("short header");
+  }
+  auto len_of = [lens](uint32_t r) {
+    uint32_t len = 0;
+    std::memcpy(&len, lens + size_t{r} * sizeof(len), sizeof(len));
+    return len;
+  };
+  uint64_t entries = 0;
+  bool full = num_features > 0;
+  for (uint32_t r = 0; r < rows; ++r) {
+    const uint32_t len = len_of(r);
+    entries += len;
+    full = full && len == num_features;
+  }
+  const uint32_t id_bytes = BytesForRange(num_features);
+  const uint32_t bin_bytes = BytesForRange(num_candidate_splits);
+  const uint32_t entry_bytes = id_bytes + bin_bytes;
+  if (payload_size != entries * entry_bytes) {
+    return corrupt("payload of " + std::to_string(payload_size) +
+                   " bytes for " + std::to_string(entries) + " entries of " +
+                   std::to_string(entry_bytes) + " bytes");
+  }
+  if (reader.remaining() != payload_size) {
+    return corrupt("payload of " + std::to_string(payload_size) +
+                   " bytes, message holds " +
+                   std::to_string(reader.remaining()));
+  }
+  const uint8_t* p = reader.current();
+  // The histogram builders index features[k] * q + bins[k], so an id at or
+  // past the group's width or a bin at or past q would land outside the
+  // histogram. One flag per block for each.
+  struct Flags {
+    bool ids;
+    bool bins;
+  };
+  const std::string bin_too_high =
+      "a bin is not below " + std::to_string(num_candidate_splits);
+  if (full) {
+    // Every row holds ids 0..w-1 in order.
+    std::vector<BinId> bins(entries);
+    const Flags bad = WithFieldWidths(
+        id_bytes, bin_bytes, [&](auto id_width, auto bin_width) {
+          const uint32_t step = id_width + bin_width;
+          uint32_t ids = 0;
+          bool high = false;
+          BinId* out = bins.data();
+          for (uint32_t r = 0; r < rows; ++r) {
+            for (uint32_t k = 0; k < num_features; ++k, p += step) {
+              ids |= LoadField(p, id_width) ^ k;
+              const uint32_t bin = LoadField(p + id_width, bin_width);
+              high |= bin >= num_candidate_splits;
+              *out++ = static_cast<BinId>(bin);
+            }
+          }
+          return Flags{ids != 0, high};
+        });
+    if (bad.ids) return corrupt("a full row's ids are not 0..w-1");
+    if (bad.bins) return corrupt(bin_too_high);
+    *block = ColumnGroupBlock::Dense(block->row_offset, num_features,
+                                     std::move(bins));
+    return Status::OK();
+  }
+  block->dense_width = 0;
+  block->row_ptr.resize(size_t{rows} + 1);
+  block->features.resize(entries);
+  block->bins.resize(entries);
+  const Flags bad = WithFieldWidths(
+      id_bytes, bin_bytes, [&](auto id_width, auto bin_width) {
+        const uint32_t step = id_width + bin_width;
+        uint32_t* row_ptr = block->row_ptr.data();
+        uint32_t* features = block->features.data();
+        BinId* bins = block->bins.data();
+        bool wide = false;
+        bool high = false;
+        uint32_t e = 0;
+        row_ptr[0] = 0;
+        for (uint32_t r = 0; r < rows; ++r) {
+          for (const uint32_t end = e + len_of(r); e < end; ++e, p += step) {
+            features[e] = LoadField(p, id_width);
+            wide |= features[e] >= num_features;
+            const uint32_t bin = LoadField(p + id_width, bin_width);
+            high |= bin >= num_candidate_splits;
+            bins[e] = static_cast<BinId>(bin);
+          }
+          row_ptr[r + 1] = e;
+        }
+        return Flags{wide, high};
+      });
+  if (bad.ids) {
+    return corrupt("a local feature id is not below " +
+                   std::to_string(num_features));
+  }
+  if (bad.bins) return corrupt(bin_too_high);
+  return Status::OK();
+}
+
 VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
                                    const TransformOptions& options) {
   const int w = ctx.world_size();
@@ -254,59 +419,78 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
 
   // Step 3b: re-encode local rows into per-destination column groups.
   const CsrMatrix& m = shard.matrix();
+  const uint32_t rows = shard.num_instances();
   std::vector<std::vector<uint8_t>> to_dest(w);
-  {
+  if (options.encoding == TransformEncoding::kBlockified) {
+    // Pass 1: entries per destination and row; owner lookups only.
+    std::vector<std::vector<uint32_t>> lens(w, std::vector<uint32_t>(rows, 0));
+    for (InstanceId i = 0; i < rows; ++i) {
+      for (FeatureId f : m.RowFeatures(i)) ++lens[result.feature_owner[f]][i];
+    }
+    // Each message is sized once: u32 rows, the row lengths, then the
+    // u64-prefixed entry array, which pass 2 fills through a cursor.
+    std::vector<uint8_t*> cursor(w);
+    for (int g = 0; g < w; ++g) {
+      uint64_t entries = 0;
+      for (uint32_t len : lens[g]) entries += len;
+      const uint64_t payload = entries * (id_bytes[g] + bin_bytes);
+      ByteWriter writer;
+      writer.Reserve(sizeof(uint32_t) + 2 * sizeof(uint64_t) +
+                     size_t{rows} * sizeof(uint32_t) + payload);
+      writer.WriteU32(rows);
+      writer.WriteVector(lens[g]);
+      writer.WriteU64(payload);
+      to_dest[g] = writer.TakeData();
+      const size_t header = to_dest[g].size();
+      to_dest[g].resize(header + payload);
+      cursor[g] = to_dest[g].data() + header;
+    }
+    // Pass 2: bin each entry and store it in its destination's message.
+    for (InstanceId i = 0; i < rows; ++i) {
+      auto row_features = m.RowFeatures(i);
+      auto row_values = m.RowValues(i);
+      for (size_t k = 0; k < row_features.size(); ++k) {
+        const FeatureId f = row_features[k];
+        const int g = result.feature_owner[f];
+        cursor[g] = StoreEntry(cursor[g], local_id_of[f], id_bytes[g],
+                               result.splits.BinForValue(f, row_values[k]),
+                               bin_bytes);
+      }
+    }
+    for (int g = 0; g < w; ++g) {
+      VERO_DCHECK(cursor[g] == to_dest[g].data() + to_dest[g].size());
+    }
+  } else {
+    // One framed message per row per destination.
+    const bool naive = options.encoding == TransformEncoding::kNaive;
     std::vector<ByteWriter> writers(w);
-    const uint32_t rows = shard.num_instances();
     for (int g = 0; g < w; ++g) writers[g].WriteU32(rows);
-
-    if (options.encoding == TransformEncoding::kBlockified) {
-      // Three flat arrays per destination: row lengths, features, bins.
-      std::vector<std::vector<uint32_t>> lens(w);
-      for (int g = 0; g < w; ++g) lens[g].assign(rows, 0);
-      std::vector<ByteWriter> entry_writers(w);
-      for (InstanceId i = 0; i < rows; ++i) {
-        auto row_features = m.RowFeatures(i);
-        auto row_values = m.RowValues(i);
-        for (size_t k = 0; k < row_features.size(); ++k) {
-          const FeatureId f = row_features[k];
-          const int g = result.feature_owner[f];
-          WriteEntry(&entry_writers[g], local_id_of[f], id_bytes[g],
-                     result.splits.BinForValue(f, row_values[k]), bin_bytes);
-          ++lens[g][i];
-        }
-      }
+    for (InstanceId i = 0; i < rows; ++i) {
+      auto row_features = m.RowFeatures(i);
+      auto row_values = m.RowValues(i);
+      // Per-row length prefix for each destination, written lazily: count
+      // entries per destination first.
+      std::vector<uint32_t> counts(w, 0);
+      for (FeatureId f : row_features) ++counts[result.feature_owner[f]];
       for (int g = 0; g < w; ++g) {
-        writers[g].WriteVector(lens[g]);
-        writers[g].WriteVector(entry_writers[g].TakeData());
-      }
-    } else {
-      // One framed message per row per destination.
-      const bool naive = options.encoding == TransformEncoding::kNaive;
-      for (InstanceId i = 0; i < rows; ++i) {
-        auto row_features = m.RowFeatures(i);
-        auto row_values = m.RowValues(i);
-        // Per-row length prefix for each destination, written lazily: count
-        // entries per destination first.
-        std::vector<uint32_t> counts(w, 0);
-        for (FeatureId f : row_features) ++counts[result.feature_owner[f]];
-        for (int g = 0; g < w; ++g) {
-          writers[g].WriteU32(counts[g]);
-          for (uint32_t pad = 0; pad < kPerRowObjectOverhead; ++pad) {
-            writers[g].WriteU8(0);
-          }
+        writers[g].WriteU32(counts[g]);
+        for (uint32_t pad = 0; pad < kPerRowObjectOverhead; ++pad) {
+          writers[g].WriteU8(0);
         }
-        for (size_t k = 0; k < row_features.size(); ++k) {
-          const FeatureId f = row_features[k];
-          const int g = result.feature_owner[f];
-          if (naive) {
-            writers[g].WriteU32(f);
-            writers[g].WriteF64(row_values[k]);
-          } else {
-            WriteEntry(&writers[g], local_id_of[f], id_bytes[g],
-                       result.splits.BinForValue(f, row_values[k]),
-                       bin_bytes);
-          }
+      }
+      for (size_t k = 0; k < row_features.size(); ++k) {
+        const FeatureId f = row_features[k];
+        const int g = result.feature_owner[f];
+        if (naive) {
+          writers[g].WriteU32(f);
+          writers[g].WriteF64(row_values[k]);
+        } else {
+          uint8_t entry[2 * sizeof(uint32_t)];
+          const uint8_t* end =
+              StoreEntry(entry, local_id_of[f], id_bytes[g],
+                         result.splits.BinForValue(f, row_values[k]),
+                         bin_bytes);
+          writers[g].WriteRaw(entry, static_cast<size_t>(end - entry));
         }
       }
     }
@@ -335,97 +519,67 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
   // dense (bins only); rows arrive sorted by local feature id, so such a
   // row's ids are exactly 0..w-1.
   const uint32_t my_features = dest_feature_count[rank];
-  const uint32_t my_feature_bytes = BytesForRange(my_features);
+  const uint32_t entry_bytes = id_bytes[rank] + bin_bytes;
   result.data = ColumnGroup(my_features);
   for (int src = 0; src < w; ++src) {
+    ColumnGroupBlock block;
+    block.row_offset = row_offsets[src];
+    if (options.encoding == TransformEncoding::kBlockified) {
+      const Status status =
+          DecodeBlockifiedGroup(from_src[src], shard_rows[src], my_features,
+                                options.num_candidate_splits, &block);
+      VERO_CHECK(status.ok()) << "column group from rank " << src << ": "
+                              << status.ToString();
+      result.data.AppendBlock(std::move(block));
+      continue;
+    }
     ByteReader reader(from_src[src]);
     uint32_t rows = 0;
     VERO_CHECK_OK(reader.ReadU32(&rows));
     VERO_CHECK_EQ(rows, shard_rows[src]);
-    ColumnGroupBlock block;
-    block.row_offset = row_offsets[src];
-
-    if (options.encoding == TransformEncoding::kBlockified) {
-      std::vector<uint32_t> lens;
-      VERO_CHECK_OK(reader.ReadVector(&lens));
-      std::vector<uint8_t> payload;
-      VERO_CHECK_OK(reader.ReadVector(&payload));
-      ByteReader entries(payload);
-      uint64_t total = 0;
-      for (uint32_t len : lens) total += len;
-      const bool dense =
-          my_features > 0 &&
-          std::all_of(lens.begin(), lens.end(),
-                      [&](uint32_t len) { return len == my_features; });
-      if (dense) {
-        std::vector<BinId> bins(total);
-        BinId* out = bins.data();
-        for (uint32_t r = 0; r < rows; ++r) {
-          for (uint32_t k = 0; k < my_features; ++k) {
-            VERO_CHECK_EQ(ReadPacked(&entries, my_feature_bytes), k);
-            *out++ = static_cast<BinId>(ReadPacked(&entries, bin_bytes));
-          }
-        }
-        block = ColumnGroupBlock::Dense(block.row_offset, my_features,
-                                        std::move(bins));
-      } else {
-        block.features.reserve(total);
-        block.bins.reserve(total);
-        block.row_ptr.reserve(rows + 1);
-        for (uint32_t r = 0; r < rows; ++r) {
-          for (uint32_t k = 0; k < lens[r]; ++k) {
-            block.features.push_back(static_cast<uint32_t>(
-                ReadPacked(&entries, my_feature_bytes)));
-            block.bins.push_back(
-                static_cast<BinId>(ReadPacked(&entries, bin_bytes)));
-          }
-          block.row_ptr.push_back(
-              static_cast<uint32_t>(block.features.size()));
-        }
-      }
-    } else {
-      const bool naive = options.encoding == TransformEncoding::kNaive;
-      bool dense = my_features > 0;
-      for (uint32_t r = 0; r < rows; ++r) {
-        uint32_t len = 0;
-        VERO_CHECK_OK(reader.ReadU32(&len));
-        VERO_CHECK_OK(reader.Skip(kPerRowObjectOverhead));
-        dense = dense && len == my_features;
-        // Per-row staging vector: the small-object churn blockify avoids.
-        std::vector<std::pair<uint32_t, BinId>> row;
-        row.reserve(len);
+    const bool naive = options.encoding == TransformEncoding::kNaive;
+    bool dense = my_features > 0;
+    for (uint32_t r = 0; r < rows; ++r) {
+      uint32_t len = 0;
+      VERO_CHECK_OK(reader.ReadU32(&len));
+      VERO_CHECK_OK(reader.Skip(kPerRowObjectOverhead));
+      dense = dense && len == my_features;
+      // Per-row staging vector: the small-object churn blockify avoids.
+      std::vector<std::pair<uint32_t, BinId>> row;
+      row.reserve(len);
+      if (naive) {
         for (uint32_t k = 0; k < len; ++k) {
-          if (naive) {
-            uint32_t f = 0;
-            double v = 0.0;
-            VERO_CHECK_OK(reader.ReadU32(&f));
-            VERO_CHECK_OK(reader.ReadF64(&v));
-            row.emplace_back(
-                local_id_of[f],
-                result.splits.BinForValue(f, static_cast<float>(v)));
-          } else {
-            const uint32_t lf =
-                static_cast<uint32_t>(ReadPacked(&reader, my_feature_bytes));
-            const BinId bin =
-                static_cast<BinId>(ReadPacked(&reader, bin_bytes));
-            row.emplace_back(lf, bin);
-          }
+          uint32_t f = 0;
+          double v = 0.0;
+          VERO_CHECK_OK(reader.ReadU32(&f));
+          VERO_CHECK_OK(reader.ReadF64(&v));
+          row.emplace_back(local_id_of[f],
+                           result.splits.BinForValue(f, static_cast<float>(v)));
         }
-        for (const auto& [lf, bin] : row) {
-          block.features.push_back(lf);
-          block.bins.push_back(bin);
+      } else {
+        // One bounds check per row, then fixed-width loads.
+        const uint8_t* p = reader.current();
+        VERO_CHECK_OK(reader.Skip(size_t{len} * entry_bytes));
+        for (uint32_t k = 0; k < len; ++k, p += entry_bytes) {
+          row.emplace_back(
+              LoadField(p, id_bytes[rank]),
+              static_cast<BinId>(LoadField(p + id_bytes[rank], bin_bytes)));
         }
-        block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
       }
-      if (dense) {
-        for (size_t e = 0; e < block.features.size(); e += my_features) {
-          for (uint32_t k = 0; k < my_features; ++k) {
-            VERO_CHECK_EQ(block.features[e + k], k);
-          }
-        }
-        block = ColumnGroupBlock::Dense(block.row_offset, my_features,
-                                        std::move(block.bins));
+      for (const auto& [lf, bin] : row) {
+        block.features.push_back(lf);
+        block.bins.push_back(bin);
       }
+      block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
+    }
+    if (dense) {
+      for (size_t e = 0; e < block.features.size(); e += my_features) {
+        for (uint32_t k = 0; k < my_features; ++k) {
+          VERO_CHECK_EQ(block.features[e + k], k);
+        }
+      }
+      block = ColumnGroupBlock::Dense(block.row_offset, my_features,
+                                      std::move(block.bins));
     }
     result.data.AppendBlock(std::move(block));
   }

@@ -102,6 +102,21 @@ CandidateSplits BuildDistributedCandidateSplits(
 VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
                                    const TransformOptions& options);
 
+/// Decodes one source's blockified column-group message (the repartition
+/// of step 4; byte layout in docs/wire_formats.md) of `rows` rows over
+/// `num_features` local features, binned against a `num_candidate_splits`
+/// table, into `block` (whose row_offset the caller sets). A block whose
+/// every row holds all the features is returned dense. Returns Corruption
+/// naming the cause, and reads no byte outside `message`, for a short
+/// header, a row count or row-length count other than `rows`, a payload
+/// length that disagrees with the row lengths or the message, a full row
+/// whose ids are not 0..w-1, an id >= num_features, or a bin >=
+/// num_candidate_splits.
+Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,
+                             uint32_t rows, uint32_t num_features,
+                             uint32_t num_candidate_splits,
+                             ColumnGroupBlock* block);
+
 /// Helper: the contiguous row range [begin, end) of `rank`'s horizontal
 /// shard for an N-instance dataset over W workers.
 std::pair<uint32_t, uint32_t> HorizontalRange(uint32_t num_instances,

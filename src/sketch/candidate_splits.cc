@@ -1,5 +1,8 @@
 #include "sketch/candidate_splits.h"
 
+#include <cmath>
+#include <string>
+
 #include "common/logging.h"
 #include "sketch/quantile_summary.h"
 
@@ -22,9 +25,32 @@ Status CandidateSplits::Deserialize(ByteReader* reader, CandidateSplits* out) {
   uint32_t num_features = 0;
   VERO_RETURN_IF_ERROR(reader->ReadU32(&max_bins));
   VERO_RETURN_IF_ERROR(reader->ReadU32(&num_features));
+  // Each feature's table carries at least its u64 length prefix.
+  if (num_features > reader->remaining() / sizeof(uint64_t)) {
+    return Status::Corruption("split table: " + std::to_string(num_features) +
+                              " features exceed the buffer");
+  }
   std::vector<std::vector<float>> splits(num_features);
-  for (auto& s : splits) {
+  for (uint32_t f = 0; f < num_features; ++f) {
+    std::vector<float>& s = splits[f];
     VERO_RETURN_IF_ERROR(reader->ReadVector(&s));
+    auto corrupt = [f](const std::string& why) {
+      return Status::Corruption("split table, feature " + std::to_string(f) +
+                                ": " + why);
+    };
+    if (s.size() > max_bins) {
+      return corrupt(std::to_string(s.size()) + " splits exceed max_bins " +
+                     std::to_string(max_bins));
+    }
+    for (size_t k = 0; k < s.size(); ++k) {
+      if (!std::isfinite(s[k])) {
+        return corrupt("split " + std::to_string(k) + " is not finite");
+      }
+      if (k > 0 && !(s[k - 1] < s[k])) {
+        return corrupt("splits not strictly ascending at " +
+                       std::to_string(k));
+      }
+    }
   }
   *out = CandidateSplits(max_bins, std::move(splits));
   return Status::OK();

@@ -4,7 +4,9 @@
 #include <cfloat>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/random.h"
 #include "common/serialize.h"
@@ -63,21 +65,37 @@ TEST(CandidateSplitsTest, BinForValueIsLowerBound) {
 }
 
 TEST(CandidateSplitsTest, BinForValueMatchesLowerBound) {
-  // The branch-free search against std::lower_bound clamped to the last
-  // bin, for every table size a feature can have at q <= 32.
+  // BinForValue against std::lower_bound clamped to the last bin. Sizes
+  // 1-40 cover every counted window and the first halving steps; 256 and
+  // 4096 take the halving down from large tables. Tables hold ordinary
+  // values, a zero of either sign, or denormals.
   Rng rng(17);
   EXPECT_EQ(CandidateSplits(4, {{}}).BinForValue(0, 1.0f), 0);
-  for (size_t size = 1; size <= 32; ++size) {
+  const float kDenormals[] = {FLT_TRUE_MIN, -FLT_TRUE_MIN, 1e-40f, -1e-40f,
+                              FLT_MIN / 2};
+  std::vector<size_t> sizes = {256, 4096};
+  for (size_t size = 1; size <= 40; ++size) sizes.push_back(size);
+  for (size_t size : sizes) {
     for (int trial = 0; trial < 4; ++trial) {
       std::set<float> distinct;
-      if (trial % 2 == 1) distinct.insert(0.0f);
+      if (trial == 1) distinct.insert(0.0f);
+      if (trial == 2) distinct.insert(-0.0f);
+      if (trial == 3) {
+        for (float d : kDenormals) {
+          if (distinct.size() < size) distinct.insert(d);
+        }
+      }
       while (distinct.size() < size) {
         distinct.insert(static_cast<float>(rng.UniformDouble(-2.0, 2.0)));
       }
       const std::vector<float> table(distinct.begin(), distinct.end());
       const CandidateSplits splits(static_cast<uint32_t>(size), {table});
       std::vector<float> probes = {-FLT_MAX, FLT_MAX, -0.0f, 0.0f,
-                                   table.front() - 1.0f, table.back() + 1.0f};
+                                   table.front() - 1.0f,
+                                   std::nextafter(table.front(), -FLT_MAX),
+                                   std::nextafter(table.back(), FLT_MAX),
+                                   table.back() + 1.0f};
+      for (float d : kDenormals) probes.push_back(d);
       for (float s : table) {
         probes.push_back(s);
         probes.push_back(std::nextafter(s, -FLT_MAX));
@@ -89,8 +107,8 @@ TEST(CandidateSplitsTest, BinForValueMatchesLowerBound) {
       for (float v : probes) {
         const size_t lower = static_cast<size_t>(
             std::lower_bound(table.begin(), table.end(), v) - table.begin());
-        EXPECT_EQ(splits.BinForValue(0, v), std::min(lower, size - 1))
-            << "size " << size << " value " << v;
+        ASSERT_EQ(splits.BinForValue(0, v), std::min(lower, size - 1))
+            << "size " << size << " trial " << trial << " value " << v;
       }
     }
   }
@@ -131,6 +149,48 @@ TEST(CandidateSplitsTest, SerializeRoundTrip) {
   CandidateSplits loaded;
   ASSERT_TRUE(CandidateSplits::Deserialize(&r, &loaded).ok());
   EXPECT_TRUE(loaded == splits);
+}
+
+// Serializes `table` unchecked and reads it back.
+Status LoadTable(uint32_t max_bins, std::vector<std::vector<float>> table) {
+  ByteWriter w;
+  CandidateSplits(max_bins, std::move(table)).SerializeTo(&w);
+  ByteReader r(w.data());
+  CandidateSplits loaded;
+  return CandidateSplits::Deserialize(&r, &loaded);
+}
+
+TEST(CandidateSplitsTest, DeserializeRejectsNonCanonicalTables) {
+  EXPECT_TRUE(LoadTable(3, {{1.0f, 2.0f, 3.0f}, {}, {-0.0f}}).ok());
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const struct {
+    uint32_t max_bins;
+    std::vector<std::vector<float>> table;
+    const char* cause;
+  } cases[] = {
+      {4, {{1.0f, 2.0f}, {3.0f, 2.0f}}, "feature 1: splits not strictly"},
+      {4, {{}, {}, {1.0f, 1.0f}}, "feature 2: splits not strictly"},
+      {4, {{-0.0f, 0.0f}}, "feature 0: splits not strictly"},
+      {4, {{1.0f, nan}}, "feature 0: split 1 is not finite"},
+      {4, {{inf}}, "feature 0: split 0 is not finite"},
+      {4, {{1.0f}, {-inf, 1.0f}}, "feature 1: split 0 is not finite"},
+      {2, {{1.0f, 2.0f}, {1.0f, 2.0f, 3.0f}}, "feature 1: 3 splits exceed"},
+  };
+  for (const auto& c : cases) {
+    const Status status = LoadTable(c.max_bins, c.table);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << c.cause;
+    EXPECT_NE(status.message().find(c.cause), std::string::npos)
+        << status.ToString();
+  }
+  // A feature count the buffer cannot hold fails before allocating.
+  ByteWriter w;
+  w.WriteU32(4);
+  w.WriteU32(0xFFFFFFFFu);
+  ByteReader r(w.data());
+  CandidateSplits loaded;
+  EXPECT_EQ(CandidateSplits::Deserialize(&r, &loaded).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CandidateSplitsTest, UnseenFeatureHasNoBins) {

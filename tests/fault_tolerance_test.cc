@@ -106,6 +106,29 @@ TEST(CheckpointTest, CorruptionIsDetectedNeverFatal) {
   }
 }
 
+TEST(CheckpointTest, OutOfOrderSplitTableFailsToLoad) {
+  // A well-framed checkpoint whose split table was rewritten out of order:
+  // the CRC holds, so only the table's own check can reject it.
+  TrainCheckpoint ck;
+  ck.trees_done = 1;
+  ck.model = MakeTinyModel();
+  ck.has_splits = true;
+  ck.splits = CandidateSplits(16, {{0.5f, 1.5f}, {}, {3.0f, 2.0f, 4.0f}});
+  const std::string path = ::testing::TempDir() + "/ck_unsorted.vckp";
+  {
+    const std::vector<uint8_t> bytes = SerializeCheckpoint(ck);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto loaded = LoadCheckpoint(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("feature 2"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointTest, FileRoundTripAndMissingFile) {
   const std::string path = ::testing::TempDir() + "/ck_roundtrip.vckp";
   TrainCheckpoint ck;

@@ -3,6 +3,8 @@
 #include <array>
 #include <gtest/gtest.h>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "common/crc32.h"
 #include "core/binned.h"
@@ -246,6 +248,142 @@ TEST(TransformTest, SingleWorkerTransformKeepsEverything) {
     EXPECT_EQ(v.data.num_entries(), data.num_nonzeros());
     EXPECT_EQ(v.labels, data.labels());
   });
+}
+
+// A blockified message as HorizontalToVertical sends it: u32 rows, the
+// u64-prefixed row lengths, then the u64-prefixed entry array. Groups of up
+// to 256 features and tables of up to 256 splits store each (local id, bin)
+// entry in two bytes.
+std::vector<uint8_t> BlockMessage(
+    const std::vector<uint32_t>& lens,
+    const std::vector<std::pair<uint8_t, uint8_t>>& entries) {
+  ByteWriter writer;
+  writer.WriteU32(static_cast<uint32_t>(lens.size()));
+  writer.WriteVector(lens);
+  writer.WriteU64(2 * entries.size());
+  for (const auto& [id, bin] : entries) {
+    writer.WriteU8(id);
+    writer.WriteU8(bin);
+  }
+  return writer.TakeData();
+}
+
+// Two full rows of three features, and a sparse block of three rows.
+std::vector<uint8_t> DenseMessage() {
+  return BlockMessage({3, 3}, {{0, 4}, {1, 5}, {2, 6}, {0, 7}, {1, 8}, {2, 9}});
+}
+std::vector<uint8_t> SparseMessage() {
+  return BlockMessage({2, 0, 1}, {{0, 5}, {2, 7}, {1, 9}});
+}
+
+// Header bytes before the entries: u32 rows, u64 count, lens, u64 size.
+size_t HeaderBytes(uint32_t rows) { return 4 + 8 + 4 * size_t{rows} + 8; }
+
+Status Decode(const std::vector<uint8_t>& message, uint32_t rows,
+              ColumnGroupBlock* block) {
+  return DecodeBlockifiedGroup(message, rows, /*num_features=*/3,
+                               /*num_candidate_splits=*/20, block);
+}
+
+TEST(BlockDecodeTest, DecodesDenseAndSparseBlocks) {
+  ColumnGroupBlock dense;
+  dense.row_offset = 40;
+  ASSERT_TRUE(Decode(DenseMessage(), 2, &dense).ok());
+  EXPECT_EQ(dense.row_offset, 40u);
+  EXPECT_EQ(dense.dense_width, 3u);
+  EXPECT_EQ(dense.bins, (std::vector<BinId>{4, 5, 6, 7, 8, 9}));
+
+  ColumnGroupBlock sparse;
+  ASSERT_TRUE(Decode(SparseMessage(), 3, &sparse).ok());
+  EXPECT_EQ(sparse.dense_width, 0u);
+  EXPECT_EQ(sparse.row_ptr, (std::vector<uint32_t>{0, 2, 2, 3}));
+  EXPECT_EQ(sparse.features, (std::vector<uint32_t>{0, 2, 1}));
+  EXPECT_EQ(sparse.bins, (std::vector<BinId>{5, 7, 9}));
+
+  // Two-byte ids and bins: 300 features, 1000 splits.
+  ByteWriter writer;
+  writer.WriteU32(1);
+  writer.WriteVector(std::vector<uint32_t>{1});
+  writer.WriteU64(4);
+  writer.WriteU16(299);
+  writer.WriteU16(999);
+  ColumnGroupBlock wide;
+  ASSERT_TRUE(DecodeBlockifiedGroup(writer.data(), 1, 300, 1000, &wide).ok());
+  EXPECT_EQ(wide.features, (std::vector<uint32_t>{299}));
+  EXPECT_EQ(wide.bins, (std::vector<BinId>{999}));
+}
+
+TEST(BlockDecodeTest, NamesEachCorruption) {
+  ColumnGroupBlock block;
+  auto expect_corruption = [&](const std::vector<uint8_t>& message,
+                               uint32_t rows, const std::string& cause) {
+    const Status status = Decode(message, rows, &block);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << cause;
+    EXPECT_NE(status.message().find(cause), std::string::npos)
+        << status.ToString();
+  };
+  const std::vector<uint8_t> dense = DenseMessage();
+  expect_corruption({dense.begin(), dense.begin() + 5}, 2, "short header");
+  expect_corruption(dense, 3, "header holds 2 rows, want 3");
+
+  std::vector<uint8_t> lens_count = dense;
+  lens_count[4] = 3;  // the lens vector's u64 count
+  expect_corruption(lens_count, 2, "3 row lengths for 2 rows");
+
+  std::vector<uint8_t> payload_size = dense;
+  payload_size[HeaderBytes(2) - 8] = 10;
+  expect_corruption(payload_size, 2, "payload of 10 bytes for 6 entries");
+
+  std::vector<uint8_t> trailing = dense;
+  trailing.push_back(0);
+  expect_corruption(trailing, 2, "payload of 12 bytes, message holds 13");
+
+  expect_corruption(
+      BlockMessage({3, 3}, {{0, 4}, {2, 5}, {1, 6}, {0, 7}, {1, 8}, {2, 9}}),
+      2, "ids are not 0..w-1");
+  // A sparse id of 3 in a three-feature group would index past the
+  // histogram's features.
+  expect_corruption(BlockMessage({2, 1}, {{0, 5}, {1, 7}, {3, 9}}), 2,
+                    "a local feature id is not below 3");
+  // So would a bin of 20 against a 20-split table, dense or sparse.
+  expect_corruption(
+      BlockMessage({3, 3}, {{0, 4}, {1, 5}, {2, 6}, {0, 7}, {1, 8}, {2, 20}}),
+      2, "a bin is not below 20");
+  expect_corruption(BlockMessage({2, 1}, {{0, 5}, {1, 20}, {2, 9}}), 2,
+                    "a bin is not below 20");
+}
+
+TEST(BlockDecodeTest, EveryTruncationAndFieldFlipIsCorruption) {
+  // Each message lives in a buffer of its exact size, so under ASan a read
+  // past it fails the test.
+  for (const bool dense : {true, false}) {
+    const std::vector<uint8_t> good = dense ? DenseMessage() : SparseMessage();
+    const uint32_t rows = dense ? 2 : 3;
+    ColumnGroupBlock block;
+    ASSERT_TRUE(Decode(good, rows, &block).ok());
+    for (size_t len = 0; len < good.size(); ++len) {
+      const std::vector<uint8_t> bad(good.begin(), good.begin() + len);
+      EXPECT_EQ(Decode(bad, rows, &block).code(), StatusCode::kCorruption)
+          << "dense " << dense << " len " << len;
+    }
+    // Every header bit (row count, lens count, row lengths, payload size),
+    // every id bit that leaves 0..w-1 in a sparse block or breaks a full
+    // row's order, and every bin bit that lifts a bin (4..9 here) to 20 or
+    // more.
+    const size_t header = HeaderBytes(rows);
+    for (size_t offset = 0; offset < good.size(); ++offset) {
+      const bool entry = offset >= header;
+      const bool id_byte = entry && (offset - header) % 2 == 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if (id_byte && !dense && bit < 2) continue;  // 0..2 may stay < 3
+        if (entry && !id_byte && bit < 4) continue;  // may stay below 20
+        std::vector<uint8_t> bad = good;
+        bad[offset] ^= static_cast<uint8_t>(1u << bit);
+        EXPECT_EQ(Decode(bad, rows, &block).code(), StatusCode::kCorruption)
+            << "dense " << dense << " offset " << offset << " bit " << bit;
+      }
+    }
+  }
 }
 
 // Digest of everything a transform produces on every rank: the split
