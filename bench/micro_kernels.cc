@@ -23,7 +23,6 @@
 #include "core/node_indexer.h"
 #include "core/split.h"
 #include "data/synthetic.h"
-#include "partition/column_group.h"
 #include "sketch/quantile_summary.h"
 
 namespace vero {
@@ -67,8 +66,10 @@ std::vector<InstanceId> AllRows(uint32_t n) {
   return rows;
 }
 
-// Shared-builder row-layer kernel across the dims x threads grid: the code
-// path every row-store trainer (QD2/QD4/feature-parallel) bottoms out in.
+// Shared-builder row-layer kernel across the dims x threads grid on a sparse
+// store (one block from FromCsr): the code path every row-store trainer
+// (QD2/QD4/feature-parallel/Trainer) bottoms out in. Dense against sparse
+// blocks is BM_HistBuilderRowStore.
 void BM_HistBuilderRowLayer(benchmark::State& state) {
   const uint32_t dims = static_cast<uint32_t>(state.range(0));
   const uint32_t threads = static_cast<uint32_t>(state.range(1));
@@ -113,30 +114,6 @@ void BM_HistBuilderColumnSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * data.num_nonzeros());
 }
 BENCHMARK(BM_HistBuilderColumnSweep)->ArgsProduct({{1, 3}, {1, 4}});
-
-// Row-store histogram build with the node-to-instance index (QD2/QD4 hot
-// loop).
-void BM_HistogramBuildRowStore(benchmark::State& state) {
-  const Dataset& data = SharedData();
-  const BinnedRowStore store =
-      BinnedRowStore::FromCsr(data.matrix(), SharedSplits());
-  const GradientBuffer grads = MakeGrads(data.num_instances());
-  Histogram hist(data.num_features(), 20, 1);
-  for (auto _ : state) {
-    hist.Clear();
-    for (InstanceId i = 0; i < data.num_instances(); ++i) {
-      auto features = store.RowFeatures(i);
-      auto bins = store.RowBins(i);
-      const GradPair* g = grads.row(i);
-      for (size_t k = 0; k < features.size(); ++k) {
-        hist.Add(features[k], bins[k], g);
-      }
-    }
-    benchmark::DoNotOptimize(hist.raw_data());
-  }
-  state.SetItemsProcessed(state.iterations() * data.num_nonzeros());
-}
-BENCHMARK(BM_HistogramBuildRowStore);
 
 // Column-store histogram build with the instance-to-node index (QD1 loop).
 void BM_HistogramBuildColumnStore(benchmark::State& state) {
@@ -257,12 +234,12 @@ BENCHMARK(BM_BitmapEncodePlacement)->Arg(100000)->Arg(1000000);
 // rows in the sparse form.
 constexpr uint32_t kHiggsBins = 20;
 
-ColumnGroup HiggsColumnGroup(bool dense) {
+BinnedRowStore HiggsShard(bool dense) {
   constexpr uint32_t kRows = 300000, kLocal = 7, kBlocks = 4;
   Rng rng(19);
-  ColumnGroup group(kLocal);
+  BinnedRowStore store(kLocal);
   for (uint32_t b = 0; b < kBlocks; ++b) {
-    ColumnGroupBlock block;
+    BinnedRowStore::Block block;
     block.row_offset = kRows / kBlocks * b;
     for (uint32_t r = 0; r < kRows / kBlocks; ++r) {
       for (uint32_t f = 0; f < kLocal; ++f) {
@@ -272,43 +249,43 @@ ColumnGroup HiggsColumnGroup(bool dense) {
       block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
     }
     if (dense) {
-      block = ColumnGroupBlock::Dense(block.row_offset, kLocal,
-                                      std::move(block.bins));
+      block = BinnedRowStore::Block::Dense(block.row_offset, kLocal,
+                                           std::move(block.bins));
     }
-    group.AppendBlock(std::move(block));
+    store.AppendBlock(std::move(block));
   }
-  return group;
+  return store;
 }
 
-// Ascending instances of `group` kept with probability `fraction` (one
+// Ascending instances of `store` kept with probability `fraction` (one
 // frontier node's rows).
-std::vector<InstanceId> NodeRows(const ColumnGroup& group, double fraction,
+std::vector<InstanceId> NodeRows(const BinnedRowStore& store, double fraction,
                                  uint64_t seed) {
   Rng rng(seed);
   std::vector<InstanceId> rows;
-  for (InstanceId i = 0; i < group.num_instances(); ++i) {
+  for (InstanceId i = 0; i < store.num_rows(); ++i) {
     if (rng.Bernoulli(fraction)) rows.push_back(i);
   }
   return rows;
 }
 
-// QD4 split owner's placement step on the Higgs-shaped shard, placing an
+// A split owner's placement step on the Higgs-shaped shard, placing an
 // ascending half of the rows (one node's instances). Arg 0: 0 is the
-// per-row FindBin + Assign loop that ColumnGroup::FillGoLeft replaced, 1 is
-// FillGoLeft. Arg 1: dense (1) or sparse (0) blocks.
-void BM_FillGoLeftColumnGroup(benchmark::State& state) {
-  const ColumnGroup group = HiggsColumnGroup(state.range(1) != 0);
-  const std::vector<InstanceId> instances = NodeRows(group, 0.5, 23);
+// per-row FindBin + Assign loop that BinnedRowStore::FillGoLeft replaced, 1
+// is FillGoLeft. Arg 1: dense (1) or sparse (0) blocks.
+void BM_FillGoLeftRowStore(benchmark::State& state) {
+  const BinnedRowStore store = HiggsShard(state.range(1) != 0);
+  const std::vector<InstanceId> instances = NodeRows(store, 0.5, 23);
   const bool batched = state.range(0) != 0;
   const uint32_t feature = 3;
   const BinId split_bin = kHiggsBins / 2;
   Bitmap go_left(instances.size());
   for (auto _ : state) {
     if (batched) {
-      group.FillGoLeft(instances, feature, split_bin, false, &go_left);
+      store.FillGoLeft(instances, feature, split_bin, false, &go_left);
     } else {
       for (size_t j = 0; j < instances.size(); ++j) {
-        const auto bin = group.FindBin(instances[j], feature);
+        const auto bin = store.FindBin(instances[j], feature);
         go_left.Assign(j, bin.has_value() ? *bin <= split_bin : false);
       }
     }
@@ -317,28 +294,47 @@ void BM_FillGoLeftColumnGroup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * instances.size());
 }
-BENCHMARK(BM_FillGoLeftColumnGroup)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_FillGoLeftRowStore)
+    ->ArgNames({"batched", "dense"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
-// QD4's histogram build on the Higgs-shaped shard: one serial layer task
-// over a node holding 1/Arg(1) of the rows (1: the root), with dense (Arg 0
-// = 1) or sparse blocks.
-void BM_HistBuilderColumnGroup(benchmark::State& state) {
-  const ColumnGroup group = HiggsColumnGroup(state.range(0) != 0);
+// The row-store histogram build on the Higgs-shaped shard: one serial layer
+// task over a node holding 1/Arg(1) of the rows (1: the root), with dense
+// (Arg 0 = 1) or sparse blocks. The dims x threads grid on sparse rows is
+// BM_HistBuilderRowLayer.
+void BM_HistBuilderRowStore(benchmark::State& state) {
+  const BinnedRowStore store = HiggsShard(state.range(0) != 0);
   const std::vector<InstanceId> rows =
-      NodeRows(group, 1.0 / static_cast<double>(state.range(1)), 29);
-  const GradientBuffer grads = MakeGrads(group.num_instances());
-  const uint32_t d = group.num_features();
+      NodeRows(store, 1.0 / static_cast<double>(state.range(1)), 29);
+  const GradientBuffer grads = MakeGrads(store.num_rows());
+  const uint32_t d = store.num_features();
   Histogram hist(d, kHiggsBins, 1);
   const HistogramBuilder::NodeRows task{&hist, rows};
   HistogramBuilder builder(1);
   for (auto _ : state) {
     hist.Clear();
-    builder.BuildRowStoreLayer(group, grads, {&task, 1}, 0, d, d);
+    builder.BuildRowStoreLayer(store, grads, {&task, 1}, 0, d, d);
     benchmark::DoNotOptimize(hist.raw_data());
   }
   state.SetItemsProcessed(state.iterations() * rows.size() * d);
 }
-BENCHMARK(BM_HistBuilderColumnGroup)->ArgsProduct({{0, 1}, {1, 8}});
+BENCHMARK(BM_HistBuilderRowStore)
+    ->ArgNames({"dense", "one_in"})
+    ->ArgsProduct({{0, 1}, {1, 8}});
+
+// Random single-row lookups through the two-phase index (binary-search the
+// block, then index the row) on the Higgs-shaped shard's 4 blocks, dense
+// (Arg 0 = 1) or sparse.
+void BM_TwoPhaseIndexLookup(benchmark::State& state) {
+  const BinnedRowStore store = HiggsShard(state.range(0) != 0);
+  const uint32_t n = store.num_rows();
+  Rng rng(13);
+  for (auto _ : state) {
+    const InstanceId i = static_cast<InstanceId>(rng.Uniform(n));
+    benchmark::DoNotOptimize(store.RowBins(i).data());
+  }
+}
+BENCHMARK(BM_TwoPhaseIndexLookup)->ArgName("dense")->Arg(0)->Arg(1);
 
 // The 4-byte-per-instance alternative the bitmap replaces (32x larger).
 void BM_Int32EncodePlacement(benchmark::State& state) {
@@ -409,38 +405,6 @@ void BM_QuantileSummaryMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantileSummaryMerge);
-
-void BM_TwoPhaseIndexLookup(benchmark::State& state) {
-  // Build a 5-block column group and measure random row lookups.
-  const Dataset& data = SharedData();
-  const BinnedRowStore store =
-      BinnedRowStore::FromCsr(data.matrix(), SharedSplits());
-  ColumnGroup group;
-  const uint32_t n = data.num_instances();
-  InstanceId offset = 0;
-  for (int b = 0; b < 5; ++b) {
-    const InstanceId end = n * (b + 1) / 5;
-    ColumnGroupBlock block;
-    block.row_offset = offset;
-    for (InstanceId i = offset; i < end; ++i) {
-      auto features = store.RowFeatures(i);
-      auto bins = store.RowBins(i);
-      for (size_t k = 0; k < features.size(); ++k) {
-        block.features.push_back(features[k]);
-        block.bins.push_back(bins[k]);
-      }
-      block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
-    }
-    group.AppendBlock(std::move(block));
-    offset = end;
-  }
-  Rng rng(13);
-  for (auto _ : state) {
-    const InstanceId i = static_cast<InstanceId>(rng.Uniform(n));
-    benchmark::DoNotOptimize(group.RowFeatures(i).size());
-  }
-}
-BENCHMARK(BM_TwoPhaseIndexLookup);
 
 void BM_RowPartitionSplit(benchmark::State& state) {
   const uint32_t n = 100000;

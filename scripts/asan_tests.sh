@@ -19,14 +19,18 @@
 # threads read per-call state that lives on the calling thread's stack.
 # edge_cases_test runs QD2 with more workers than features: peers read each
 # other's pool histograms in place during the layer exchange (AllToAllSum),
-# and some ranks own an empty feature slice. bitmap_test, column_group_test,
-# binned_test and node_indexer_test cover batched split placement: the
-# word-at-a-time Bitmap::Fill (shifts by up to 63 bits, the partial tail
-# word), the block cursor's unsigned range test in ColumnGroup::FillGoLeft,
-# the forward column search in BinnedColumnStore::FillGoLeft, and the
+# and some ranks own an empty feature slice. bitmap_test, column_group_test
+# (the row store's tests), binned_test and node_indexer_test cover batched
+# split placement: the word-at-a-time Bitmap::Fill (shifts by up to 63 bits,
+# the partial tail word), the block cursor's unsigned range test in
+# BinnedRowStore::FillGoLeft, the forward column search in
+# BinnedColumnStore::FillGoLeft, and the
 # branch-free RowPartition::Split that writes every instance to both of its
 # cursors. split_test runs SplitFinder::FindBest's scan, which walks raw
 # column pointers into the node histogram, against its bitwise oracle.
+# column_group_test also cuts BinnedRowStore::FromCsr's blocks from the
+# matrix's row pointers, and with binned_test walks the row store with its
+# block cursor into columns (BinnedColumnStore::FromRows).
 # transform_property_test decodes dense column-group blocks (bins only,
 # indexed by r*w) and merges them across every worker count and encoding.
 # model_io_test's bit-flip, truncation and trailing-bytes cases drive the

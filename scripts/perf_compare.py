@@ -29,6 +29,12 @@ with a bound in
 BENCHMARK.json is flagged `past_bound` when the change's median is worse
 than the parent's by more than that fraction.
 
+Each run's record keeps the 1-minute load average (/proc/loadavg) read
+just before it started, as `<side>_load`. Another process on the host
+moves every metric, so the printed table marks with `*` each pair one of
+whose runs started with that load above the host's CPU count less one;
+records made before the field existed carry no mark.
+
 Each cell stores the BENCHMARK.json metric list (unit, direction, bound)
 it ran under. `check` recomputes every summary of FILE from its stored
 per-pair values and that list, and fails if any median, quartile, win
@@ -168,6 +174,21 @@ def unpack(rev, tree, work_dir, side):
     return src
 
 
+def load_average():
+    """The 1-minute load average, or None where /proc/loadavg is absent."""
+    try:
+        with open("/proc/loadavg") as f:
+            return float(f.read().split()[0])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def busy(pair, cpus):
+    """Whether a run of the pair started with a load above cpus - 1."""
+    return any((pair.get(f"{side}_load") or 0.0) > cpus - 1
+               for side in SIDES)
+
+
 def run_once(src, target, workload, seed, seconds, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
@@ -186,9 +207,10 @@ def fmt(x):
     return "-" if x is None else f"{x:.4g}"
 
 
-def print_cell(cell, spec):
+def print_cell(cell, spec, cpus):
     print(f"\n### {cell['workload']}, seed {cell['seed']}, trace "
           f"{cell['trace']} ({len(cell['pairs'])} pairs)\n")
+    marks = ["*" if busy(pr, cpus) else "" for pr in cell["pairs"]]
     print("| metric | parent | change | median | change better | verdict "
           "| pairs (parent/change) |")
     print("|---|---|---|---|---|---|---|")
@@ -201,11 +223,14 @@ def print_cell(cell, spec):
         delta = "-" if s["delta_pct"] is None else f"{s['delta_pct']:+.1f}%"
         flag = " PAST BOUND" if s["past_bound"] else ""
         pairs = " ".join(f"{fmt(pr['parent'][name])}/{fmt(pr['change'][name])}"
-                         for pr in cell["pairs"])
+                         f"{mark}" for pr, mark in zip(cell["pairs"], marks))
         print(f"| `{name}` ({unit}) | {fmt(p[1])} [{fmt(p[0])}, {fmt(p[2])}] "
               f"| {fmt(c[1])} [{fmt(c[0])}, {fmt(c[2])}] | {delta} "
               f"| {s['wins']}/{len(cell['pairs'])} | {s['verdict']}{flag} "
               f"| {pairs} |")
+    if any(marks):
+        print(f"\n`*`: a run of the pair started with the 1-minute load "
+              f"average above {cpus - 1} on a {cpus}-CPU host.")
 
 
 def cmd_run(args):
@@ -236,6 +261,7 @@ def cmd_run(args):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0]}
                 for side in order:
+                    pair[f"{side}_load"] = load_average()
                     values, failed, attempted = run_once(
                         srcs[side], targets[side], workload, seed, seconds,
                         args.trace)
@@ -254,7 +280,7 @@ def cmd_run(args):
                 with open(args.out, "w") as f:
                     json.dump(doc, f, indent=1)
                     f.write("\n")
-            print_cell(cell, spec)
+            print_cell(cell, spec, doc["cpus"])
     flagged = [(c["workload"], c["seed"], name)
                for c in doc["cells"] for name, s in c["summary"].items()
                if s["past_bound"]]
@@ -289,6 +315,11 @@ def cmd_check(args):
                 failed, attempted = pair[f"{side}_failed"]
                 if not 0 <= failed <= attempted:
                     fail(f"{where}: pair {k} {side} failed count out of range")
+                load = pair.get(f"{side}_load")
+                if load is not None and not (
+                        isinstance(load, (int, float)) and load >= 0):
+                    fail(f"{where}: pair {k} {side} load {load!r} is not a "
+                         f"load average")
             want_first = SIDES[k % 2]
             if pair.get("first") != want_first:
                 fail(f"{where}: pair {k} ran {pair.get('first')} first, "
@@ -302,7 +333,7 @@ def cmd_check(args):
             if cell.get("summary", {}).get(name) != want:
                 fail(f"{where}: stored summary of {name} differs from its "
                      f"pairs: {cell.get('summary', {}).get(name)} vs {want}")
-        print_cell(cell, spec)
+        print_cell(cell, spec, doc.get("cpus") or 1)
     return 0
 
 

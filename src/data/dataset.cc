@@ -76,8 +76,10 @@ Status Dataset::Validate() const {
             "non-finite value " + std::to_string(values[k]) + " at row " +
             std::to_string(i) + ", feature " + std::to_string(features[k]));
       }
-      // Binning (BinnedRowStore::FromCsr, FindBin) assumes each row's
-      // feature ids are sorted and unique.
+      // The row store assumes each row's feature ids are sorted and
+      // unique: FindBin and FillGoLeft binary-search a row, and
+      // BinnedRowStore::FromCsr stores a matrix with rows x cols entries
+      // as one dense block whose every row is 0..d-1.
       if (k > 0 && features[k] <= features[k - 1]) {
         return Status::Corruption(
             "feature ids not strictly increasing at row " +

@@ -230,7 +230,7 @@ CandidateSplits BuildDistributedCandidateSplits(
 Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,
                              uint32_t rows, uint32_t num_features,
                              uint32_t num_candidate_splits,
-                             ColumnGroupBlock* block) {
+                             BinnedRowStore::Block* block) {
   auto corrupt = [](const std::string& why) {
     return Status::Corruption("blockified column group: " + why);
   };
@@ -310,8 +310,8 @@ Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,
         });
     if (bad.ids) return corrupt("a full row's ids are not 0..w-1");
     if (bad.bins) return corrupt(bin_too_high);
-    *block = ColumnGroupBlock::Dense(block->row_offset, num_features,
-                                     std::move(bins));
+    *block = BinnedRowStore::Block::Dense(block->row_offset, num_features,
+                                         std::move(bins));
     return Status::OK();
   }
   block->dense_width = 0;
@@ -520,9 +520,9 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
   // row's ids are exactly 0..w-1.
   const uint32_t my_features = dest_feature_count[rank];
   const uint32_t entry_bytes = id_bytes[rank] + bin_bytes;
-  result.data = ColumnGroup(my_features);
+  result.data = BinnedRowStore(my_features);
   for (int src = 0; src < w; ++src) {
-    ColumnGroupBlock block;
+    BinnedRowStore::Block block;
     block.row_offset = row_offsets[src];
     if (options.encoding == TransformEncoding::kBlockified) {
       const Status status =
@@ -578,8 +578,8 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
           VERO_CHECK_EQ(block.features[e + k], k);
         }
       }
-      block = ColumnGroupBlock::Dense(block.row_offset, my_features,
-                                      std::move(block.bins));
+      block = BinnedRowStore::Block::Dense(block.row_offset, my_features,
+                                           std::move(block.bins));
     }
     result.data.AppendBlock(std::move(block));
   }

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "cluster/communicator.h"
+#include "core/binned.h"
 #include "data/dataset.h"
-#include "partition/column_group.h"
 #include "partition/column_grouping.h"
 #include "sketch/candidate_splits.h"
 
@@ -76,8 +76,9 @@ struct VerticalShard {
   /// Global ids of the features owned here, ascending; local feature id ==
   /// index into this vector.
   std::vector<FeatureId> owned_features;
-  /// Row-stored blocks over (all instances) x (owned features).
-  ColumnGroup data;
+  /// Row-stored blocks over (all instances) x (owned features), with local
+  /// feature ids.
+  BinnedRowStore data;
   /// All instance labels (broadcast in step 5).
   std::vector<float> labels;
   uint32_t num_instances = 0;
@@ -115,7 +116,7 @@ VerticalShard HorizontalToVertical(WorkerContext& ctx, const Dataset& shard,
 Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,
                              uint32_t rows, uint32_t num_features,
                              uint32_t num_candidate_splits,
-                             ColumnGroupBlock* block);
+                             BinnedRowStore::Block* block);
 
 /// Helper: the contiguous row range [begin, end) of `rank`'s horizontal
 /// shard for an N-instance dataset over W workers.

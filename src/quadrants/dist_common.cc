@@ -235,6 +235,26 @@ void DistTrainerBase::SplitRowStore(const BinnedRowStore& store,
   ReduceChildCounts(counts, child_counts);
 }
 
+void DistTrainerBase::BuildRowLayer(const BinnedRowStore& store,
+                                    const RowPartition& partition,
+                                    const std::vector<BuildTask>& tasks,
+                                    uint32_t feature_begin,
+                                    uint32_t feature_end,
+                                    uint32_t store_num_features) {
+  const uint32_t q = options_.params.num_candidate_splits;
+  std::vector<HistogramBuilder::NodeRows> build;
+  build.reserve(tasks.size());
+  for (const BuildTask& task : tasks) {
+    build.push_back(
+        {pool_.Acquire(task.build_node, HistFeatureCount(), q, dims_),
+         partition.Instances(task.build_node)});
+  }
+  builder_.BuildRowStoreLayer(
+      store, grads_, std::span<const HistogramBuilder::NodeRows>(build),
+      feature_begin, feature_end, store_num_features);
+  ApplySubtractions(tasks);
+}
+
 void DistTrainerBase::UpdateMargins(const Tree& tree) {
   const double lr = options_.params.learning_rate;
   for (NodeId node = 0; node < static_cast<NodeId>(tree.max_nodes());

@@ -359,24 +359,11 @@ class DistTrainerBase {
   /// pass over features [feature_begin, feature_end), then fill the
   /// subtraction siblings. `store_num_features` is the store's feature-id
   /// range (see HistogramBuilder::BuildRowStoreLayer).
-  template <typename Store>
-  void BuildRowLayer(const Store& store, const RowPartition& partition,
+  void BuildRowLayer(const BinnedRowStore& store,
+                     const RowPartition& partition,
                      const std::vector<BuildTask>& tasks,
                      uint32_t feature_begin, uint32_t feature_end,
-                     uint32_t store_num_features) {
-    const uint32_t q = options_.params.num_candidate_splits;
-    std::vector<HistogramBuilder::NodeRows> build;
-    build.reserve(tasks.size());
-    for (const BuildTask& task : tasks) {
-      build.push_back(
-          {pool_.Acquire(task.build_node, HistFeatureCount(), q, dims_),
-           partition.Instances(task.build_node)});
-    }
-    builder_.BuildRowStoreLayer(
-        store, grads_, std::span<const HistogramBuilder::NodeRows>(build),
-        feature_begin, feature_end, store_num_features);
-    ApplySubtractions(tasks);
-  }
+                     uint32_t store_num_features);
 
   // ---- Integrity auditing (see docs/fault_tolerance.md) -------------------
 

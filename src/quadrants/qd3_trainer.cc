@@ -9,9 +9,7 @@ Qd3Trainer::Qd3Trainer(WorkerContext& ctx, const DistTrainOptions& options,
                        const VerticalShard& shard,
                        HistogramBuilder::ColumnScan scan)
     : VerticalTrainerBase(ctx, options, task, num_classes, shard),
-      store_(BinnedColumnStore::FromRows(
-          shard.data, shard.num_instances,
-          static_cast<uint32_t>(shard.owned_features.size()))),
+      store_(BinnedColumnStore::FromRows(shard.data)),
       scan_(scan) {}
 
 uint64_t Qd3Trainer::DataBytes() const {

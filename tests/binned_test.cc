@@ -9,63 +9,13 @@
 namespace vero {
 namespace {
 
-Dataset MakeData() {
+Dataset MakeData(double density = 0.4) {
   SyntheticConfig config;
   config.num_instances = 300;
   config.num_features = 15;
-  config.density = 0.4;
+  config.density = density;
   config.seed = 21;
   return GenerateSynthetic(config);
-}
-
-TEST(BinnedRowStoreTest, FromCsrPreservesStructure) {
-  const Dataset d = MakeData();
-  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
-  const BinnedRowStore store = BinnedRowStore::FromCsr(d.matrix(), splits);
-  EXPECT_EQ(store.num_rows(), d.num_instances());
-  EXPECT_EQ(store.num_features(), d.num_features());
-  EXPECT_EQ(store.num_entries(), d.num_nonzeros());
-  for (InstanceId i = 0; i < d.num_instances(); ++i) {
-    auto orig = d.matrix().RowFeatures(i);
-    auto binned = store.RowFeatures(i);
-    ASSERT_EQ(orig.size(), binned.size());
-    for (size_t k = 0; k < orig.size(); ++k) EXPECT_EQ(orig[k], binned[k]);
-  }
-}
-
-TEST(BinnedRowStoreTest, BinsMatchDirectBinning) {
-  const Dataset d = MakeData();
-  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
-  const BinnedRowStore store = BinnedRowStore::FromCsr(d.matrix(), splits);
-  const std::vector<BinId> expected = BinValues(d.matrix(), splits);
-  size_t k = 0;
-  for (InstanceId i = 0; i < d.num_instances(); ++i) {
-    for (BinId b : store.RowBins(i)) {
-      EXPECT_EQ(b, expected[k]);
-      ++k;
-    }
-  }
-}
-
-TEST(BinnedRowStoreTest, FindBinLocatesPresentFeatures) {
-  const Dataset d = MakeData();
-  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
-  const BinnedRowStore store = BinnedRowStore::FromCsr(d.matrix(), splits);
-  for (InstanceId i = 0; i < 50; ++i) {
-    auto features = store.RowFeatures(i);
-    auto bins = store.RowBins(i);
-    for (size_t k = 0; k < features.size(); ++k) {
-      const auto found = store.FindBin(i, features[k]);
-      ASSERT_TRUE(found.has_value());
-      EXPECT_EQ(*found, bins[k]);
-    }
-    // A feature not in the row must return nullopt.
-    for (FeatureId f = 0; f < d.num_features(); ++f) {
-      const bool present =
-          std::find(features.begin(), features.end(), f) != features.end();
-      EXPECT_EQ(store.FindBin(i, f).has_value(), present);
-    }
-  }
 }
 
 TEST(BinnedColumnStoreTest, FromCsrTransposes) {
@@ -102,35 +52,44 @@ TEST(BinnedColumnStoreTest, RowAndColumnStoresAgreeOnEveryBin) {
   }
 }
 
+// From a sparse row store and from a dense one.
 TEST(BinnedColumnStoreTest, FromRowsMatchesFromCsr) {
-  const Dataset d = MakeData();
-  const CandidateSplits splits = ProposeCandidateSplits(d, 8);
-  const BinnedColumnStore want =
-      BinnedColumnStore::FromCsr(d.matrix(), splits);
-  const BinnedColumnStore got = BinnedColumnStore::FromRows(
-      BinnedRowStore::FromCsr(d.matrix(), splits), d.num_instances(),
-      d.num_features());
-  ASSERT_EQ(got.num_rows(), want.num_rows());
-  ASSERT_EQ(got.num_features(), want.num_features());
-  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
-  for (FeatureId f = 0; f < d.num_features(); ++f) {
-    auto got_rows = got.ColumnRows(f);
-    auto want_rows = want.ColumnRows(f);
-    auto got_bins = got.ColumnBins(f);
-    auto want_bins = want.ColumnBins(f);
-    EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(),
-                           want_rows.begin(), want_rows.end()));
-    EXPECT_TRUE(std::equal(got_bins.begin(), got_bins.end(),
-                           want_bins.begin(), want_bins.end()));
+  for (const double density : {0.4, 1.0}) {
+    const Dataset d = MakeData(density);
+    const CandidateSplits splits = ProposeCandidateSplits(d, 8);
+    const BinnedColumnStore want =
+        BinnedColumnStore::FromCsr(d.matrix(), splits);
+    const BinnedColumnStore got = BinnedColumnStore::FromRows(
+        BinnedRowStore::FromCsr(d.matrix(), splits));
+    ASSERT_EQ(got.num_rows(), want.num_rows());
+    ASSERT_EQ(got.num_features(), want.num_features());
+    EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+    for (FeatureId f = 0; f < d.num_features(); ++f) {
+      auto got_rows = got.ColumnRows(f);
+      auto want_rows = want.ColumnRows(f);
+      auto got_bins = got.ColumnBins(f);
+      auto want_bins = want.ColumnBins(f);
+      EXPECT_TRUE(std::equal(got_rows.begin(), got_rows.end(),
+                             want_rows.begin(), want_rows.end()));
+      EXPECT_TRUE(std::equal(got_bins.begin(), got_bins.end(),
+                             want_bins.begin(), want_bins.end()));
+    }
   }
 }
 
-TEST(BinnedColumnStoreTest, FindBinMissAndIncremental) {
-  BinnedColumnStore store;
-  store.set_num_rows(10);
-  store.StartColumn();
-  store.PushEntry(2, 1);
-  store.PushEntry(7, 3);
+TEST(BinnedColumnStoreTest, FindBinMiss) {
+  // Ten rows; feature 0 is present in rows 2 (bin 1) and 7 (bin 3) only.
+  BinnedRowStore::Block block;
+  for (InstanceId i = 0; i < 10; ++i) {
+    if (i == 2 || i == 7) {
+      block.features.push_back(0);
+      block.bins.push_back(i == 2 ? 1 : 3);
+    }
+    block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
+  }
+  BinnedRowStore rows(1);
+  rows.AppendBlock(std::move(block));
+  const BinnedColumnStore store = BinnedColumnStore::FromRows(rows);
   EXPECT_FALSE(store.FindBin(0, 3).has_value());
   ASSERT_TRUE(store.FindBin(0, 7).has_value());
   EXPECT_EQ(*store.FindBin(0, 7), 3);

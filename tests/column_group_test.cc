@@ -1,20 +1,30 @@
-#include "partition/column_group.h"
+// Tests of the one row store, BinnedRowStore: its blocks, two-phase index
+// and block cursor, the dense and sparse block forms of QD4's column groups,
+// and FromCsr, which builds the store of QD2, feature-parallel and the
+// reference trainer.
+#include "core/binned.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/gradients.h"
+#include "core/hist_builder.h"
+#include "core/histogram.h"
+#include "data/synthetic.h"
 
 namespace vero {
 namespace {
 
-ColumnGroupBlock MakeBlock(InstanceId offset,
-                           const std::vector<std::vector<std::pair<uint32_t, BinId>>>& rows) {
-  ColumnGroupBlock block;
+BinnedRowStore::Block MakeBlock(
+    InstanceId offset,
+    const std::vector<std::vector<std::pair<uint32_t, BinId>>>& rows) {
+  BinnedRowStore::Block block;
   block.row_offset = offset;
   for (const auto& row : rows) {
     for (const auto& [f, b] : row) {
@@ -26,45 +36,238 @@ ColumnGroupBlock MakeBlock(InstanceId offset,
   return block;
 }
 
-TEST(ColumnGroupTest, SingleBlockAccess) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}, {2, 3}}, {}, {{1, 4}}}));
-  EXPECT_EQ(group.num_instances(), 3u);
-  EXPECT_EQ(group.num_blocks(), 1u);
-  EXPECT_EQ(group.num_entries(), 3u);
-  auto f0 = group.RowFeatures(0);
+// FromCsr inputs over 300 rows x 15 features: a sparse matrix (40% of the
+// entries) and a fully present one.
+Dataset CsrData(double density) {
+  SyntheticConfig config;
+  config.num_instances = 300;
+  config.num_features = 15;
+  config.density = density;
+  config.seed = 21;
+  return GenerateSynthetic(config);
+}
+
+std::vector<InstanceId> AllRows(uint32_t n) {
+  std::vector<InstanceId> rows(n);
+  for (InstanceId i = 0; i < n; ++i) rows[i] = i;
+  return rows;
+}
+
+TEST(BinnedRowStoreTest, SingleBlockAccess) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}, {2, 3}}, {}, {{1, 4}}}));
+  EXPECT_EQ(store.num_rows(), 3u);
+  EXPECT_EQ(store.num_blocks(), 1u);
+  EXPECT_EQ(store.num_entries(), 3u);
+  auto f0 = store.RowFeatures(0);
   ASSERT_EQ(f0.size(), 2u);
   EXPECT_EQ(f0[1], 2u);
-  EXPECT_EQ(group.RowBins(0)[1], 3);
-  EXPECT_EQ(group.RowFeatures(1).size(), 0u);
-  EXPECT_EQ(group.RowFeatures(2)[0], 1u);
+  EXPECT_EQ(store.RowBins(0)[1], 3);
+  EXPECT_EQ(store.RowFeatures(1).size(), 0u);
+  EXPECT_EQ(store.RowFeatures(2)[0], 1u);
 }
 
-TEST(ColumnGroupTest, TwoPhaseIndexAcrossBlocks) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}}, {{1, 2}}}));
-  group.AppendBlock(MakeBlock(2, {{{2, 3}}}));
-  group.AppendBlock(MakeBlock(3, {{{3, 4}}, {{4, 5}}}));
-  EXPECT_EQ(group.num_instances(), 5u);
-  EXPECT_EQ(group.num_blocks(), 3u);
+TEST(BinnedRowStoreTest, TwoPhaseIndexAcrossBlocks) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}}, {{1, 2}}}));
+  store.AppendBlock(MakeBlock(2, {{{2, 3}}}));
+  store.AppendBlock(MakeBlock(3, {{{3, 4}}, {{4, 5}}}));
+  EXPECT_EQ(store.num_rows(), 5u);
+  EXPECT_EQ(store.num_blocks(), 3u);
   // Phase 1 must find the right block for each global instance id.
-  EXPECT_EQ(group.RowFeatures(1)[0], 1u);
-  EXPECT_EQ(group.RowFeatures(2)[0], 2u);
-  EXPECT_EQ(group.RowFeatures(3)[0], 3u);
-  EXPECT_EQ(group.RowFeatures(4)[0], 4u);
+  EXPECT_EQ(store.RowFeatures(1)[0], 1u);
+  EXPECT_EQ(store.RowFeatures(2)[0], 2u);
+  EXPECT_EQ(store.RowFeatures(3)[0], 3u);
+  EXPECT_EQ(store.RowFeatures(4)[0], 4u);
 }
 
-TEST(ColumnGroupTest, FindBin) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{1, 7}, {5, 9}}}));
-  ASSERT_TRUE(group.FindBin(0, 5).has_value());
-  EXPECT_EQ(*group.FindBin(0, 5), 9);
-  EXPECT_FALSE(group.FindBin(0, 3).has_value());
+TEST(BinnedRowStoreTest, FindBin) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{1, 7}, {5, 9}}}));
+  ASSERT_TRUE(store.FindBin(0, 5).has_value());
+  EXPECT_EQ(*store.FindBin(0, 5), 9);
+  EXPECT_FALSE(store.FindBin(0, 3).has_value());
+
+  // FromCsr's stores: a present feature is found with its bin, an absent
+  // one is not.
+  for (const double density : {0.4, 1.0}) {
+    const Dataset d = CsrData(density);
+    const BinnedRowStore csr =
+        BinnedRowStore::FromCsr(d.matrix(), ProposeCandidateSplits(d, 8));
+    for (InstanceId i = 0; i < d.num_instances(); ++i) {
+      const auto features = csr.RowFeatures(i);
+      const auto bins = csr.RowBins(i);
+      for (size_t k = 0; k < features.size(); ++k) {
+        EXPECT_EQ(csr.FindBin(i, features[k]), std::optional<BinId>(bins[k]));
+      }
+      for (FeatureId f = 0; f <= d.num_features(); ++f) {
+        const bool present =
+            std::find(features.begin(), features.end(), f) != features.end();
+        EXPECT_EQ(csr.FindBin(i, f).has_value(), present)
+            << "density " << density << " row " << i << " feature " << f;
+      }
+    }
+  }
 }
 
-TEST(ColumnGroupTest, MergeBlocksPreservesEveryRow) {
+TEST(BinnedRowStoreTest, FromCsrMatchesTheMatrix) {
+  for (const double density : {0.4, 1.0}) {
+    const Dataset d = CsrData(density);
+    const CandidateSplits splits = ProposeCandidateSplits(d, 8);
+    const BinnedRowStore store = BinnedRowStore::FromCsr(d.matrix(), splits);
+    EXPECT_EQ(store.num_rows(), d.num_instances());
+    EXPECT_EQ(store.num_features(), d.num_features());
+    EXPECT_EQ(store.num_entries(), d.num_nonzeros());
+    ASSERT_EQ(store.num_blocks(), 1u);
+    EXPECT_EQ(store.block(0).dense(), density == 1.0);
+    const uint64_t nnz = d.num_nonzeros();
+    if (density < 1.0) {
+      // Exact-size u32 row pointers, ids and bins, one block offset, and no
+      // 0..d-1 array.
+      EXPECT_EQ(store.MemoryBytes(),
+                (d.num_instances() + 1) * sizeof(uint32_t) +
+                    nnz * (sizeof(FeatureId) + sizeof(BinId)) +
+                    sizeof(InstanceId));
+    } else {
+      EXPECT_EQ(store.MemoryBytes(),
+                nnz * sizeof(BinId) + d.num_features() * sizeof(FeatureId) +
+                    sizeof(InstanceId));
+    }
+    // Rows keep the matrix's feature ids; each value is binned as the
+    // splits bin it directly.
+    const std::vector<BinId> expected = BinValues(d.matrix(), splits);
+    size_t k = 0;
+    for (InstanceId i = 0; i < d.num_instances(); ++i) {
+      const auto want = d.matrix().RowFeatures(i);
+      const auto got = store.RowFeatures(i);
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end()))
+          << "density " << density << " row " << i;
+      for (const BinId b : store.RowBins(i)) {
+        ASSERT_LT(k, expected.size());
+        EXPECT_EQ(b, expected[k++]);
+      }
+    }
+    EXPECT_EQ(k, expected.size());
+  }
+}
+
+TEST(BinnedRowStoreTest, FromCsrOfEmptyShapes) {
+  const CandidateSplits splits;
+  // No rows, and rows over no features: one empty-rowed sparse block each.
+  const BinnedRowStore none = BinnedRowStore::FromCsr(CsrMatrix(), splits);
+  EXPECT_EQ(none.num_rows(), 0u);
+  EXPECT_EQ(none.num_blocks(), 1u);
+  const BinnedRowStore no_features =
+      BinnedRowStore::FromCsr(CsrMatrix(0, {0, 0, 0}, {}, {}), splits);
+  EXPECT_EQ(no_features.num_rows(), 2u);
+  ASSERT_EQ(no_features.num_blocks(), 1u);
+  EXPECT_FALSE(no_features.block(0).dense());
+  EXPECT_TRUE(no_features.RowFeatures(1).empty());
+  EXPECT_FALSE(no_features.FindBin(1, 0).has_value());
+}
+
+bool SameBits(const Histogram& a, const Histogram& b) {
+  return a.raw_size() == b.raw_size() &&
+         std::memcmp(a.raw_data(), b.raw_data(),
+                     a.raw_size() * sizeof(double)) == 0;
+}
+
+// A fully present CSR is stored as one dense block, and the same CSR less
+// one entry as a sparse block. Apart from that entry both read alike, bit
+// for bit: rows, FindBin, FillGoLeft, and the row-layer histograms, full
+// width and over a feature-parallel window.
+TEST(BinnedRowStoreTest, FromCsrDenseAndSparseFormsAgree) {
+  const Dataset data = CsrData(1.0);
+  const CsrMatrix& full = data.matrix();
+  const CandidateSplits splits = ProposeCandidateSplits(data, 8);
+  constexpr InstanceId kRow = 7;
+  constexpr FeatureId kFeature = 4;
+  std::vector<uint64_t> row_ptr = full.row_ptr();
+  std::vector<FeatureId> features = full.features();
+  std::vector<float> values = full.values();
+  features.erase(features.begin() + row_ptr[kRow] + kFeature);
+  values.erase(values.begin() + row_ptr[kRow] + kFeature);
+  for (size_t i = kRow + 1; i < row_ptr.size(); ++i) --row_ptr[i];
+  const CsrMatrix missing(full.num_cols(), std::move(row_ptr),
+                          std::move(features), std::move(values));
+
+  const BinnedRowStore dense = BinnedRowStore::FromCsr(full, splits);
+  const BinnedRowStore sparse = BinnedRowStore::FromCsr(missing, splits);
+  ASSERT_EQ(dense.num_blocks(), 1u);
+  ASSERT_EQ(sparse.num_blocks(), 1u);
+  EXPECT_TRUE(dense.block(0).dense());
+  EXPECT_FALSE(sparse.block(0).dense());
+  const uint32_t n = dense.num_rows();
+  const uint32_t d = dense.num_features();
+  ASSERT_EQ(sparse.num_rows(), n);
+  ASSERT_EQ(sparse.num_features(), d);
+  EXPECT_EQ(sparse.num_entries() + 1, dense.num_entries());
+
+  for (InstanceId i = 0; i < n; ++i) {
+    const auto dense_features = dense.RowFeatures(i);
+    const auto dense_bins = dense.RowBins(i);
+    std::vector<FeatureId> want_features(dense_features.begin(),
+                                         dense_features.end());
+    std::vector<BinId> want_bins(dense_bins.begin(), dense_bins.end());
+    if (i == kRow) {
+      want_features.erase(want_features.begin() + kFeature);
+      want_bins.erase(want_bins.begin() + kFeature);
+    }
+    const auto got_features = sparse.RowFeatures(i);
+    const auto got_bins = sparse.RowBins(i);
+    EXPECT_TRUE(std::equal(want_features.begin(), want_features.end(),
+                           got_features.begin(), got_features.end()))
+        << "row " << i;
+    EXPECT_TRUE(std::equal(want_bins.begin(), want_bins.end(),
+                           got_bins.begin(), got_bins.end()))
+        << "row " << i;
+    for (FeatureId f = 0; f <= d; ++f) {
+      const std::optional<BinId> want =
+          i == kRow && f == kFeature ? std::nullopt : dense.FindBin(i, f);
+      EXPECT_EQ(sparse.FindBin(i, f), want) << "row " << i << " feature " << f;
+    }
+  }
+
+  // Only the dropped entry's bit may differ: it takes default_left.
+  const std::vector<InstanceId> all = AllRows(n);
+  for (FeatureId f = 0; f <= d; ++f) {
+    for (const bool default_left : {true, false}) {
+      Bitmap want(n), got(n);
+      dense.FillGoLeft(all, f, 3, default_left, &want);
+      sparse.FillGoLeft(all, f, 3, default_left, &got);
+      if (f == kFeature) want.Assign(kRow, default_left);
+      EXPECT_TRUE(got == want) << "feature " << f;
+    }
+  }
+
+  // Histograms over every row but kRow.
+  std::vector<InstanceId> others;
+  for (const InstanceId i : all) {
+    if (i != kRow) others.push_back(i);
+  }
+  Rng rng(67);
+  GradientBuffer grads(n, 1);
+  for (InstanceId i = 0; i < n; ++i) {
+    grads.at(i, 0) = {rng.NextGaussian(), rng.NextDouble() + 0.1};
+  }
+  for (const auto& [fb, fe] : {std::pair(0u, d), std::pair(3u, 11u)}) {
+    for (const uint32_t threads : {1u, 3u}) {
+      auto build = [&](const BinnedRowStore& store) {
+        Histogram hist(fe - fb, 8, 1);
+        const HistogramBuilder::NodeRows task{&hist, others};
+        HistogramBuilder builder(threads);
+        builder.BuildRowStoreLayer(store, grads, {&task, 1}, fb, fe, d);
+        return hist;
+      };
+      EXPECT_TRUE(SameBits(build(dense), build(sparse)))
+          << "window [" << fb << "," << fe << ") threads " << threads;
+    }
+  }
+}
+
+TEST(BinnedRowStoreTest, MergeBlocksPreservesEveryRow) {
   Rng rng(3);
-  ColumnGroup group;
+  BinnedRowStore store;
   std::vector<std::vector<std::pair<uint32_t, BinId>>> all_rows;
   InstanceId offset = 0;
   for (int b = 0; b < 8; ++b) {
@@ -81,16 +284,16 @@ TEST(ColumnGroupTest, MergeBlocksPreservesEveryRow) {
       rows.push_back(row);
       all_rows.push_back(row);
     }
-    group.AppendBlock(MakeBlock(offset, rows));
+    store.AppendBlock(MakeBlock(offset, rows));
     offset += nrows;
   }
-  ASSERT_EQ(group.num_blocks(), 8u);
-  group.MergeBlocks(3);
-  EXPECT_LE(group.num_blocks(), 3u);
-  ASSERT_EQ(group.num_instances(), all_rows.size());
+  ASSERT_EQ(store.num_blocks(), 8u);
+  store.MergeBlocks(3);
+  EXPECT_LE(store.num_blocks(), 3u);
+  ASSERT_EQ(store.num_rows(), all_rows.size());
   for (InstanceId i = 0; i < all_rows.size(); ++i) {
-    auto features = group.RowFeatures(i);
-    auto bins = group.RowBins(i);
+    auto features = store.RowFeatures(i);
+    auto bins = store.RowBins(i);
     ASSERT_EQ(features.size(), all_rows[i].size()) << "row " << i;
     for (size_t k = 0; k < features.size(); ++k) {
       EXPECT_EQ(features[k], all_rows[i][k].first);
@@ -99,26 +302,26 @@ TEST(ColumnGroupTest, MergeBlocksPreservesEveryRow) {
   }
 }
 
-TEST(ColumnGroupTest, MergeToSingleBlock) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}}}));
-  group.AppendBlock(MakeBlock(1, {{{1, 2}}}));
-  group.MergeBlocks(1);
-  EXPECT_EQ(group.num_blocks(), 1u);
-  EXPECT_EQ(group.RowFeatures(1)[0], 1u);
+TEST(BinnedRowStoreTest, MergeToSingleBlock) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}}}));
+  store.AppendBlock(MakeBlock(1, {{{1, 2}}}));
+  store.MergeBlocks(1);
+  EXPECT_EQ(store.num_blocks(), 1u);
+  EXPECT_EQ(store.RowFeatures(1)[0], 1u);
 }
 
-TEST(ColumnGroupTest, MergeNoopWhenFewBlocks) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}}}));
-  group.MergeBlocks(5);
-  EXPECT_EQ(group.num_blocks(), 1u);
+TEST(BinnedRowStoreTest, MergeNoopWhenFewBlocks) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}}}));
+  store.MergeBlocks(5);
+  EXPECT_EQ(store.num_blocks(), 1u);
 }
 
-TEST(ColumnGroupTest, MemoryBytesPositive) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}}}));
-  EXPECT_GT(group.MemoryBytes(), 0u);
+TEST(BinnedRowStoreTest, MemoryBytesPositive) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}}}));
+  EXPECT_GT(store.MemoryBytes(), 0u);
 }
 
 // Index lists of the given lengths drawn from `pool` (sorted ascending):
@@ -139,11 +342,40 @@ std::vector<std::vector<InstanceId>> PlacementLists(
   return lists;
 }
 
-TEST(ColumnGroupTest, FillGoLeftMatchesFindBin) {
+// FillGoLeft over every list PlacementLists draws from `pool` matches a
+// per-row FindBin, for a random feature below `num_features` and split bin
+// below `num_bins`.
+void ExpectFillGoLeftMatchesFindBin(const BinnedRowStore& store,
+                                    const std::vector<InstanceId>& pool,
+                                    uint32_t num_features, uint32_t num_bins,
+                                    Rng* rng) {
+  for (const std::vector<InstanceId>& instances : PlacementLists(pool, rng)) {
+    for (const bool default_left : {true, false}) {
+      const FeatureId feature =
+          static_cast<FeatureId>(rng->Uniform(num_features));
+      const BinId split_bin = static_cast<BinId>(rng->Uniform(num_bins));
+      // Stale set bits must be overwritten, not OR-ed into.
+      Bitmap go_left(instances.size());
+      for (size_t j = 0; j < instances.size(); ++j) go_left.Set(j);
+      store.FillGoLeft(instances, feature, split_bin, default_left, &go_left);
+      Bitmap expected(instances.size());
+      for (size_t j = 0; j < instances.size(); ++j) {
+        const auto bin = store.FindBin(instances[j], feature);
+        expected.Assign(j, bin.has_value() ? *bin <= split_bin
+                                           : default_left);
+        EXPECT_EQ(go_left.Get(j), expected.Get(j))
+            << "j=" << j << " n=" << instances.size();
+      }
+      EXPECT_TRUE(go_left == expected) << "n=" << instances.size();
+    }
+  }
+}
+
+TEST(BinnedRowStoreTest, FillGoLeftMatchesFindBin) {
   constexpr uint32_t kFeatures = 7;
   Rng rng(41);
   // Uneven blocks, one of them empty; rows may be empty or miss features.
-  ColumnGroup group;
+  BinnedRowStore store;
   std::vector<std::vector<InstanceId>> block_rows;
   InstanceId offset = 0;
   for (uint32_t nrows : {37u, 0u, 90u, 5u, 120u, 64u}) {
@@ -158,39 +390,25 @@ TEST(ColumnGroupTest, FillGoLeftMatchesFindBin) {
         }
       }
     }
-    group.AppendBlock(MakeBlock(offset, rows));
+    store.AppendBlock(MakeBlock(offset, rows));
     offset += nrows;
   }
 
   // Pools: every row, and only the rows of blocks 0 and 4 (so ascending
   // lists jump over whole blocks).
-  std::vector<InstanceId> all_rows(group.num_instances());
-  for (InstanceId i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
   std::vector<InstanceId> skipping = block_rows[0];
   skipping.insert(skipping.end(), block_rows[4].begin(), block_rows[4].end());
+  for (const auto& pool : {AllRows(store.num_rows()), skipping}) {
+    ExpectFillGoLeftMatchesFindBin(store, pool, kFeatures, 16, &rng);
+  }
 
-  for (const auto* pool : {&all_rows, &skipping}) {
-    for (const std::vector<InstanceId>& instances :
-         PlacementLists(*pool, &rng)) {
-      for (const bool default_left : {true, false}) {
-        const uint32_t feature = static_cast<uint32_t>(rng.Uniform(kFeatures));
-        const BinId split_bin = static_cast<BinId>(rng.Uniform(16));
-        // Stale set bits must be overwritten, not OR-ed into.
-        Bitmap go_left(instances.size());
-        for (size_t j = 0; j < instances.size(); ++j) go_left.Set(j);
-        group.FillGoLeft(instances, feature, split_bin, default_left,
-                         &go_left);
-        Bitmap expected(instances.size());
-        for (size_t j = 0; j < instances.size(); ++j) {
-          const auto bin = group.FindBin(instances[j], feature);
-          expected.Assign(j, bin.has_value() ? *bin <= split_bin
-                                             : default_left);
-          EXPECT_EQ(go_left.Get(j), expected.Get(j))
-              << "j=" << j << " n=" << instances.size();
-        }
-        EXPECT_TRUE(go_left == expected) << "n=" << instances.size();
-      }
-    }
+  // FromCsr's sparse and dense stores over global feature ids.
+  for (const double density : {0.4, 1.0}) {
+    const Dataset d = CsrData(density);
+    const BinnedRowStore csr =
+        BinnedRowStore::FromCsr(d.matrix(), ProposeCandidateSplits(d, 8));
+    ExpectFillGoLeftMatchesFindBin(csr, AllRows(d.num_instances()),
+                                   d.num_features(), 8, &rng);
   }
 }
 
@@ -218,7 +436,7 @@ std::vector<Rows> RandomBlockRows(const std::vector<uint32_t>& sizes,
 }
 
 // The dense form of full rows: bins only, w per row.
-ColumnGroupBlock MakeDenseBlock(InstanceId offset, uint32_t width,
+BinnedRowStore::Block MakeDenseBlock(InstanceId offset, uint32_t width,
                                 const Rows& rows) {
   std::vector<BinId> bins;
   bins.reserve(rows.size() * width);
@@ -226,15 +444,15 @@ ColumnGroupBlock MakeDenseBlock(InstanceId offset, uint32_t width,
     EXPECT_EQ(row.size(), width);
     for (const auto& [f, b] : row) bins.push_back(b);
   }
-  return ColumnGroupBlock::Dense(offset, width, std::move(bins));
+  return BinnedRowStore::Block::Dense(offset, width, std::move(bins));
 }
 
-// The same rows as an all-sparse group and as a group storing every full
+// The same rows as an all-sparse store and as a store keeping every full
 // block dense.
-std::pair<ColumnGroup, ColumnGroup> SparseAndDense(
+std::pair<BinnedRowStore, BinnedRowStore> SparseAndDense(
     const std::vector<Rows>& blocks, const std::vector<bool>& full,
     uint32_t width) {
-  ColumnGroup sparse(width), dense(width);
+  BinnedRowStore sparse(width), dense(width);
   InstanceId offset = 0;
   for (size_t b = 0; b < blocks.size(); ++b) {
     sparse.AppendBlock(MakeBlock(offset, blocks[b]));
@@ -267,12 +485,12 @@ std::vector<std::vector<InstanceId>> CursorOrders(uint32_t n, Rng* rng) {
 }
 
 // Every read of `got` must match `want` on every instance and order.
-void ExpectSameRows(const ColumnGroup& want, const ColumnGroup& got,
+void ExpectSameRows(const BinnedRowStore& want, const BinnedRowStore& got,
                     Rng* rng) {
-  ASSERT_EQ(got.num_instances(), want.num_instances());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
   ASSERT_EQ(got.num_entries(), want.num_entries());
   const uint32_t w = want.num_features();
-  for (InstanceId i = 0; i < want.num_instances(); ++i) {
+  for (InstanceId i = 0; i < want.num_rows(); ++i) {
     const auto wf = want.RowFeatures(i), gf = got.RowFeatures(i);
     const auto wb = want.RowBins(i), gb = got.RowBins(i);
     ASSERT_TRUE(std::equal(wf.begin(), wf.end(), gf.begin(), gf.end()))
@@ -285,7 +503,7 @@ void ExpectSameRows(const ColumnGroup& want, const ColumnGroup& got,
     }
   }
   for (const std::vector<InstanceId>& order :
-       CursorOrders(want.num_instances(), rng)) {
+       CursorOrders(want.num_rows(), rng)) {
     // ForEachRow visits `order` in order with RowFeatures/RowBins spans.
     size_t j = 0;
     got.ForEachRow(order, [&](InstanceId i, auto features, auto bins) {
@@ -315,7 +533,7 @@ void ExpectSameRows(const ColumnGroup& want, const ColumnGroup& got,
   }
 }
 
-TEST(ColumnGroupTest, DenseBlocksReadLikeSparseBlocks) {
+TEST(BinnedRowStoreTest, DenseBlocksReadLikeSparseBlocks) {
   constexpr uint32_t kWidth = 5;
   Rng rng(53);
   const std::vector<uint32_t> sizes = {37, 0, 90, 5, 64};
@@ -333,19 +551,19 @@ TEST(ColumnGroupTest, DenseBlocksReadLikeSparseBlocks) {
   }
 }
 
-TEST(ColumnGroupTest, DenseRowFeaturesAreTheSharedIota) {
-  ColumnGroup group(3);
-  group.AppendBlock(ColumnGroupBlock::Dense(0, 3, {1, 2, 3, 4, 5, 6}));
-  EXPECT_EQ(group.num_instances(), 2u);
-  EXPECT_EQ(group.num_entries(), 6u);
-  EXPECT_EQ(group.RowFeatures(0).data(), group.RowFeatures(1).data());
-  EXPECT_EQ(group.RowFeatures(1)[2], 2u);
-  EXPECT_EQ(group.RowBins(1)[0], 4);
-  EXPECT_EQ(group.FindBin(1, 2), std::optional<BinId>(6));
-  EXPECT_FALSE(group.FindBin(1, 3).has_value());
+TEST(BinnedRowStoreTest, DenseRowFeaturesAreTheSharedIota) {
+  BinnedRowStore store(3);
+  store.AppendBlock(BinnedRowStore::Block::Dense(0, 3, {1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(store.num_rows(), 2u);
+  EXPECT_EQ(store.num_entries(), 6u);
+  EXPECT_EQ(store.RowFeatures(0).data(), store.RowFeatures(1).data());
+  EXPECT_EQ(store.RowFeatures(1)[2], 2u);
+  EXPECT_EQ(store.RowBins(1)[0], 4);
+  EXPECT_EQ(store.FindBin(1, 2), std::optional<BinId>(6));
+  EXPECT_FALSE(store.FindBin(1, 3).has_value());
 }
 
-TEST(ColumnGroupTest, MergeKeepsDenseRunsDenseAndExpandsMixedOnes) {
+TEST(BinnedRowStoreTest, MergeKeepsDenseRunsDenseAndExpandsMixedOnes) {
   constexpr uint32_t kWidth = 4;
   Rng rng(59);
   const std::vector<uint32_t> sizes = {20, 33, 0, 17, 41, 9};
@@ -368,7 +586,7 @@ TEST(ColumnGroupTest, MergeKeepsDenseRunsDenseAndExpandsMixedOnes) {
   ExpectSameRows(sparse, dense, &rng);
 }
 
-TEST(ColumnGroupTest, DenseBlocksHoldOnlyTheirBins) {
+TEST(BinnedRowStoreTest, DenseBlocksHoldOnlyTheirBins) {
   constexpr uint32_t kWidth = 7;
   Rng rng(61);
   const std::vector<uint32_t> sizes = {300, 200};
@@ -390,16 +608,16 @@ TEST(ColumnGroupTest, DenseBlocksHoldOnlyTheirBins) {
                                      sizeof(InstanceId));
 }
 
-TEST(ColumnGroupDeathTest, DenseBlockMustSpanTheGroup) {
-  ColumnGroup group(3);
-  EXPECT_DEATH(group.AppendBlock(ColumnGroupBlock::Dense(0, 2, {1, 2})),
-               "every local feature");
+TEST(BinnedRowStoreDeathTest, DenseBlockMustSpanTheStore) {
+  BinnedRowStore store(3);
+  EXPECT_DEATH(store.AppendBlock(BinnedRowStore::Block::Dense(0, 2, {1, 2})),
+               "every feature");
 }
 
-TEST(ColumnGroupDeathTest, NonContiguousBlocksDie) {
-  ColumnGroup group;
-  group.AppendBlock(MakeBlock(0, {{{0, 1}}}));
-  EXPECT_DEATH(group.AppendBlock(MakeBlock(5, {{{0, 1}}})), "contiguous");
+TEST(BinnedRowStoreDeathTest, NonContiguousBlocksDie) {
+  BinnedRowStore store;
+  store.AppendBlock(MakeBlock(0, {{{0, 1}}}));
+  EXPECT_DEATH(store.AppendBlock(MakeBlock(5, {{{0, 1}}})), "contiguous");
 }
 
 }  // namespace

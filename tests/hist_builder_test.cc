@@ -17,42 +17,26 @@
 #include "core/node_indexer.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
-#include "partition/column_group.h"
 
 namespace vero {
 namespace {
 
 constexpr uint32_t kBins = 16;
 
-// Sparse row store with rows sorted by feature id (the FromCsr invariant).
+// One sparse block of rows sorted by feature id (the FromCsr invariant).
 BinnedRowStore MakeRowStore(uint32_t n, uint32_t d, double density, Rng* rng) {
-  BinnedRowStore store;
-  store.set_num_features(d);
+  BinnedRowStore::Block block;
   for (uint32_t i = 0; i < n; ++i) {
-    store.StartRow();
     for (uint32_t f = 0; f < d; ++f) {
       if (rng->Bernoulli(density)) {
-        store.PushEntry(f, static_cast<BinId>(rng->Uniform(kBins)));
+        block.features.push_back(f);
+        block.bins.push_back(static_cast<BinId>(rng->Uniform(kBins)));
       }
     }
+    block.row_ptr.push_back(static_cast<uint32_t>(block.features.size()));
   }
-  return store;
-}
-
-// Pivot of a row store into per-feature columns (instance ids ascend).
-BinnedColumnStore Pivot(const BinnedRowStore& rows) {
-  BinnedColumnStore store;
-  store.set_num_rows(rows.num_rows());
-  for (uint32_t f = 0; f < rows.num_features(); ++f) {
-    store.StartColumn();
-    for (InstanceId i = 0; i < rows.num_rows(); ++i) {
-      const auto features = rows.RowFeatures(i);
-      const auto bins = rows.RowBins(i);
-      for (size_t k = 0; k < features.size(); ++k) {
-        if (features[k] == f) store.PushEntry(i, bins[k]);
-      }
-    }
-  }
+  BinnedRowStore store(d);
+  store.AppendBlock(std::move(block));
   return store;
 }
 
@@ -198,11 +182,11 @@ TEST(HistBuilderTest, RowLayerWindowMatchesFullBuildSlice) {
   }
 }
 
-// QD4's store: the full rows of `rows` as a ColumnGroup of dense blocks of
-// `block_rows` rows each.
-ColumnGroup DenseGroup(const BinnedRowStore& rows, uint32_t block_rows) {
+// The full rows of `rows` as dense blocks of `block_rows` rows each (the
+// form of a Higgs-shaped QD4 shard).
+BinnedRowStore DenseStore(const BinnedRowStore& rows, uint32_t block_rows) {
   const uint32_t d = rows.num_features();
-  ColumnGroup group(d);
+  BinnedRowStore dense(d);
   for (InstanceId begin = 0; begin < rows.num_rows(); begin += block_rows) {
     const InstanceId end = std::min(rows.num_rows(), begin + block_rows);
     std::vector<BinId> bins;
@@ -211,25 +195,26 @@ ColumnGroup DenseGroup(const BinnedRowStore& rows, uint32_t block_rows) {
       EXPECT_EQ(row.size(), d);
       bins.insert(bins.end(), row.begin(), row.end());
     }
-    group.AppendBlock(ColumnGroupBlock::Dense(begin, d, std::move(bins)));
+    dense.AppendBlock(
+        BinnedRowStore::Block::Dense(begin, d, std::move(bins)));
   }
-  return group;
+  return dense;
 }
 
-TEST(HistBuilderTest, DenseColumnGroupBuildsLikeRowStore) {
+TEST(HistBuilderTest, DenseBlocksBuildLikeSparseBlocks) {
   for (uint32_t dims : {1u, 3u}) {
     Rng rng(505 + dims);
     const uint32_t n = 600, d = 9;
     const BinnedRowStore store = MakeRowStore(n, d, 1.0, &rng);
-    const ColumnGroup group = DenseGroup(store, 130);
-    ASSERT_EQ(group.num_blocks(), 5u);
-    ASSERT_TRUE(group.block(0).dense());
+    const BinnedRowStore dense = DenseStore(store, 130);
+    ASSERT_EQ(dense.num_blocks(), 5u);
+    ASSERT_TRUE(dense.block(0).dense());
     const GradientBuffer grads = MakeGrads(n, dims, &rng);
     const auto nodes = AssignNodes(n, 2, &rng);
 
     // Full width, and a window whose histogram column f - fb holds f.
     for (const auto& [fb, fe] : {std::pair(0u, d), std::pair(2u, 7u)}) {
-      auto build = [&](const auto& s, uint32_t threads) {
+      auto build = [&](const BinnedRowStore& s, uint32_t threads) {
         std::vector<Histogram> hists;
         for (int k = 0; k < 2; ++k) hists.emplace_back(fe - fb, kBins, dims);
         std::vector<HistogramBuilder::NodeRows> tasks;
@@ -244,7 +229,7 @@ TEST(HistBuilderTest, DenseColumnGroupBuildsLikeRowStore) {
       };
       for (uint32_t threads : {1u, 3u}) {
         const std::vector<Histogram> want = build(store, threads);
-        const std::vector<Histogram> got = build(group, threads);
+        const std::vector<Histogram> got = build(dense, threads);
         for (int k = 0; k < 2; ++k) {
           EXPECT_TRUE(SameBits(want[k], got[k]))
               << "dims=" << dims << " window=[" << fb << "," << fe
@@ -260,7 +245,7 @@ TEST(HistBuilderTest, ColumnSweepMatchesNaiveAndIsParallelStable) {
     Rng rng(404 + dims);
     const uint32_t n = 600, d = 15;
     const BinnedRowStore rows = MakeRowStore(n, d, 0.3, &rng);
-    const BinnedColumnStore store = Pivot(rows);
+    const BinnedColumnStore store = BinnedColumnStore::FromRows(rows);
     const GradientBuffer grads = MakeGrads(n, dims, &rng);
 
     // Frontier nodes 1 and 2; node 0 entries stay unattributed (nullptr).
@@ -309,7 +294,7 @@ TEST(HistBuilderTest, ColumnLayerPoliciesAgreeBitForBit) {
   Rng rng(505);
   const uint32_t n = 500, d = 12;
   const BinnedRowStore rows = MakeRowStore(n, d, 0.4, &rng);
-  const BinnedColumnStore store = Pivot(rows);
+  const BinnedColumnStore store = BinnedColumnStore::FromRows(rows);
   const GradientBuffer grads = MakeGrads(n, 1, &rng);
 
   // One split of the root: partition + instance-to-node kept in sync, the

@@ -100,7 +100,7 @@ TEST(RowPartitionTest, SplitKeepsRelativeOrderOnBothSides) {
   }
 }
 
-// The vertical quadrants' placement cursors (ColumnGroup::FillGoLeft,
+// The vertical quadrants' placement cursors (BinnedRowStore::FillGoLeft,
 // BinnedColumnStore::FillGoLeft) are fast only if every node lists its
 // instances in strictly ascending id order. Split a full tree and a
 // subsampled one at random and check that order on every live node.

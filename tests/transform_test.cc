@@ -280,20 +280,20 @@ std::vector<uint8_t> SparseMessage() {
 size_t HeaderBytes(uint32_t rows) { return 4 + 8 + 4 * size_t{rows} + 8; }
 
 Status Decode(const std::vector<uint8_t>& message, uint32_t rows,
-              ColumnGroupBlock* block) {
+              BinnedRowStore::Block* block) {
   return DecodeBlockifiedGroup(message, rows, /*num_features=*/3,
                                /*num_candidate_splits=*/20, block);
 }
 
 TEST(BlockDecodeTest, DecodesDenseAndSparseBlocks) {
-  ColumnGroupBlock dense;
+  BinnedRowStore::Block dense;
   dense.row_offset = 40;
   ASSERT_TRUE(Decode(DenseMessage(), 2, &dense).ok());
   EXPECT_EQ(dense.row_offset, 40u);
   EXPECT_EQ(dense.dense_width, 3u);
   EXPECT_EQ(dense.bins, (std::vector<BinId>{4, 5, 6, 7, 8, 9}));
 
-  ColumnGroupBlock sparse;
+  BinnedRowStore::Block sparse;
   ASSERT_TRUE(Decode(SparseMessage(), 3, &sparse).ok());
   EXPECT_EQ(sparse.dense_width, 0u);
   EXPECT_EQ(sparse.row_ptr, (std::vector<uint32_t>{0, 2, 2, 3}));
@@ -307,14 +307,14 @@ TEST(BlockDecodeTest, DecodesDenseAndSparseBlocks) {
   writer.WriteU64(4);
   writer.WriteU16(299);
   writer.WriteU16(999);
-  ColumnGroupBlock wide;
+  BinnedRowStore::Block wide;
   ASSERT_TRUE(DecodeBlockifiedGroup(writer.data(), 1, 300, 1000, &wide).ok());
   EXPECT_EQ(wide.features, (std::vector<uint32_t>{299}));
   EXPECT_EQ(wide.bins, (std::vector<BinId>{999}));
 }
 
 TEST(BlockDecodeTest, NamesEachCorruption) {
-  ColumnGroupBlock block;
+  BinnedRowStore::Block block;
   auto expect_corruption = [&](const std::vector<uint8_t>& message,
                                uint32_t rows, const std::string& cause) {
     const Status status = Decode(message, rows, &block);
@@ -359,7 +359,7 @@ TEST(BlockDecodeTest, EveryTruncationAndFieldFlipIsCorruption) {
   for (const bool dense : {true, false}) {
     const std::vector<uint8_t> good = dense ? DenseMessage() : SparseMessage();
     const uint32_t rows = dense ? 2 : 3;
-    ColumnGroupBlock block;
+    BinnedRowStore::Block block;
     ASSERT_TRUE(Decode(good, rows, &block).ok());
     for (size_t len = 0; len < good.size(); ++len) {
       const std::vector<uint8_t> bad(good.begin(), good.begin() + len);
@@ -407,7 +407,7 @@ uint32_t TransformDigest(const std::vector<VerticalShard>& verticals) {
     add_vector(v.owned_features);
     add(&v.stats.repartition_bytes_sent, sizeof(uint64_t));
     for (size_t b = 0; b < v.data.num_blocks(); ++b) {
-      const ColumnGroupBlock& block = v.data.block(b);
+      const BinnedRowStore::Block& block = v.data.block(b);
       add(&block.row_offset, sizeof(block.row_offset));
       add(&block.dense_width, sizeof(block.dense_width));
       add_vector(block.row_ptr);
