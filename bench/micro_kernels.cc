@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels the paper's analysis
 // is built on: histogram construction under each store/index combination,
 // histogram subtraction, split finding, bitmap encoding vs 4-byte ids,
-// quantile sketch throughput, two-phase index lookups, and the collectives.
+// per-shard quantile summaries, two-phase index lookups, and the collectives.
 
 #include <benchmark/benchmark.h>
 
@@ -351,20 +351,43 @@ void BM_Int32EncodePlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_Int32EncodePlacement)->Arg(100000)->Arg(1000000);
 
-// One feature's stream; 75000 values is one feature of a Higgs shard (300k
-// rows over four workers).
-void BM_QuantileSketchAdd(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<float> values(static_cast<size_t>(state.range(0)));
-  for (auto& v : values) v = static_cast<float>(rng.NextGaussian());
+// Step 1a-1b of the transform on one worker's shard of four: every
+// feature's summary built in one grouped pass and written into its owner's
+// message, sized once as the transform sizes it. Arg 0 is an RCV1 shard (5000 rows x 12000 features, about 75
+// values a row, so about 31 a feature), arg 1 a Higgs shard (75000 rows x
+// 28 dense features, three batches and a tail each).
+void BM_ShardSummaries(benchmark::State& state) {
+  static const Dataset* shards[2] = {
+      new Dataset(GenerateFromProfile(
+          FindProfile("RCV1"), 5000.0 / FindProfile("RCV1").scaled_instances)),
+      new Dataset(GenerateFromProfile(
+          FindProfile("Higgs"),
+          75000.0 / FindProfile("Higgs").scaled_instances))};
+  const Dataset& shard = *shards[state.range(0)];
+  const CsrMatrix& m = shard.matrix();
+  constexpr int kWorkers = 4;
   for (auto _ : state) {
-    QuantileSketch sketch(256);
-    for (float v : values) sketch.Add(v);
-    benchmark::DoNotOptimize(sketch.Finalize().num_entries());
+    ShardSummaryBuilder summaries(m.features(), m.values(), m.num_cols(), 256);
+    size_t bound[kWorkers] = {};
+    for (uint32_t f = 0; f < m.num_cols(); ++f) {
+      bound[f % kWorkers] += 12 + summaries.MaxEntries(f) * sizeof(SummaryEntry);
+    }
+    ByteWriter writers[kWorkers];
+    for (int g = 0; g < kWorkers; ++g) writers[g].Reserve(bound[g]);
+    for (uint32_t f = 0; f < m.num_cols(); ++f) {
+      if (summaries.count(f) == 0) continue;
+      writers[f % kWorkers].WriteU32(f);
+      summaries.Summarize(f).SerializeTo(&writers[f % kWorkers]);
+    }
+    for (const ByteWriter& writer : writers) {
+      benchmark::DoNotOptimize(writer.data().data());
+    }
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * values.size());
+  state.SetLabel(state.range(0) == 0 ? "rcv1" : "higgs");
+  state.SetItemsProcessed(state.iterations() * m.num_nonzeros());
 }
-BENCHMARK(BM_QuantileSketchAdd)->Arg(75000)->Arg(100000);
+BENCHMARK(BM_ShardSummaries)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Binning a Higgs-shaped shard (75k rows, 28 dense features) in row-major
 // order, the transform encode's access pattern, against tables of up to q

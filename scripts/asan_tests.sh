@@ -14,7 +14,8 @@
 # too. obs_test and anatomy_test drive
 # the driver's attempt loop and its end-of-run report and counters.
 # libsvm_test runs the LIBSVM parser and Dataset::Validate, the input
-# boundary that rejects malformed and non-canonical rows. threading_test
+# boundary that rejects malformed and non-canonical rows, over every
+# truncation and byte substitution of two small files. threading_test
 # and hist_builder_test drive the shared ParallelFor pool, whose helper
 # threads read per-call state that lives on the calling thread's stack.
 # edge_cases_test runs QD2 with more workers than features: peers read each
@@ -36,10 +37,14 @@
 # model_io_test's bit-flip, truncation and trailing-bytes cases drive the
 # shared frame reader (ReadFrame) that every persisted record goes through.
 # quantile_summary_test, candidate_splits_test and transform_test cover the
-# set-up path: the sketch flush's radix sort (raw digit-indexed scatter into
-# per-thread scratch), the branch-free BinForValue (pointer steps and a
-# 16-split count window in the split table), the transform encode's stores
-# through per-destination cursors into exact-size messages, and the block
+# set-up path: the per-shard summary builder (a scatter through
+# per-feature cursors, batches radix-sorted in place with raw
+# digit-indexed stores), the summary decode (a count checked before
+# anything is sized from it, entries copied in one block) and the sketch
+# and split record readers, fed every truncation and field flip of valid
+# messages, the branch-free BinForValue (pointer steps and a 16-split
+# count window in the split table), the transform encode's stores through
+# per-destination cursors into exact-size messages, and the block
 # decoder's fixed-width loads, fed every truncation of a valid message.
 #
 #   scripts/asan_tests.sh [build-dir]

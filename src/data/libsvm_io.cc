@@ -123,11 +123,15 @@ StatusOr<Dataset> ParseLibsvm(const std::string& content,
   }
   if (options.task == Task::kBinary) num_classes = 2;
   if (options.task == Task::kRegression) num_classes = 1;
+  if (options.task == Task::kMultiClass && num_classes < 3) {
+    return Status::InvalidArgument(
+        "multi-class data needs at least 3 classes, got " +
+        std::to_string(num_classes) +
+        (options.num_classes == 0 ? " from its largest label" : ""));
+  }
 
   Dataset dataset(std::move(matrix), std::move(labels), options.task,
-                  std::max(num_classes, options.task == Task::kRegression
-                                            ? 1u
-                                            : 2u));
+                  num_classes);
   VERO_RETURN_IF_ERROR(dataset.Validate());
   return dataset;
 }

@@ -127,61 +127,79 @@ CandidateSplits BuildDistributedCandidateSplits(
   obs::PhaseSpan sketch_span(ctx.trace_buffer(), "sketch-build",
                              &ctx.stats().sim_seconds);
 
-  // Step 1a: local per-feature sketches from this worker's rows.
-  std::vector<QuantileSketch> sketches(d, QuantileSketch(sketch_entries));
-  const CsrMatrix& m = shard.matrix();
-  const auto& features = m.features();
-  const auto& values = m.values();
-  for (size_t k = 0; k < features.size(); ++k) {
-    sketches[features[k]].Add(values[k]);
-  }
-
-  // Step 1b: repartition sketches so feature f's local sketches meet on
-  // worker f % W.
+  // Step 1a: every feature's summary of this worker's rows, built in one
+  // grouped pass. Step 1b: repartition them so feature f's summaries meet
+  // on worker f % W.
   std::vector<std::vector<uint8_t>> to_dest(w);
   {
-    std::vector<ByteWriter> writers(w);
+    const CsrMatrix& m = shard.matrix();
+    ShardSummaryBuilder summaries(m.features(), m.values(), d,
+                                  sketch_entries);
+    // Each message is sized once: a u32 id, the u64 entry count and the
+    // entries per summary.
+    std::vector<size_t> bound(w, 0);
     for (uint32_t f = 0; f < d; ++f) {
-      const QuantileSummary& summary = sketches[f].Finalize();
-      if (summary.empty()) continue;
+      if (summaries.count(f) == 0) continue;
+      bound[f % w] += sizeof(uint32_t) + sizeof(uint64_t) +
+                      summaries.MaxEntries(f) * sizeof(SummaryEntry);
+    }
+    std::vector<ByteWriter> writers(w);
+    for (int g = 0; g < w; ++g) writers[g].Reserve(bound[g]);
+    for (uint32_t f = 0; f < d; ++f) {
+      if (summaries.count(f) == 0) continue;
       ByteWriter& writer = writers[f % w];
       writer.WriteU32(f);
-      summary.SerializeTo(&writer);
+      summaries.Summarize(f).SerializeTo(&writer);
     }
     for (int g = 0; g < w; ++g) to_dest[g] = writers[g].TakeData();
   }
-  sketches.clear();
-  sketches.shrink_to_fit();
 
   cpu.Stop();
   std::vector<std::vector<uint8_t>> from_src;
   VERO_COMM_OK(ctx.AllToAll(std::move(to_dest), &from_src));
   cpu.Resume();
 
-  // Step 1c: merge local sketches of each owned feature into global ones.
-  std::vector<QuantileSummary> merged(d);
-  for (int src = 0; src < w; ++src) {
-    ByteReader reader(from_src[src]);
-    while (!reader.AtEnd()) {
-      uint32_t f = 0;
-      VERO_CHECK_OK(reader.ReadU32(&f));
-      VERO_CHECK_EQ(static_cast<int>(f % w), rank);
-      QuantileSummary summary;
-      VERO_CHECK_OK(QuantileSummary::Deserialize(&reader, &summary));
-      merged[f] = merged[f].Merge(std::move(summary));
-    }
-  }
+  // Step 1c: merge each owned feature's summaries in source order. Each
+  // source's records ascend by feature, so one look-ahead record per source
+  // meets them in step; all scratch is reused across features.
+  std::vector<ByteReader> readers;
+  readers.reserve(w);
+  for (int src = 0; src < w; ++src) readers.emplace_back(from_src[src]);
+  std::vector<uint32_t> next(w, d);  // d: the source has no record left
+  std::vector<QuantileSummary> pending(w);
+  auto advance = [&](int src) {
+    const uint32_t min_feature = next[src] == d ? 0 : next[src] + 1;
+    next[src] = d;
+    if (readers[src].AtEnd()) return;
+    const Status status = ReadSketchRecord(&readers[src], d, w, rank,
+                                           min_feature, &next[src],
+                                           &pending[src]);
+    VERO_CHECK(status.ok()) << "sketch summaries from rank " << src << ": "
+                            << status.ToString();
+  };
+  for (int src = 0; src < w; ++src) advance(src);
 
   // Step 2a: candidate splits for owned features.
   ByteWriter owned_writer;
+  QuantileSummary merged, scratch, pruned;
   for (uint32_t f = rank; f < d; f += w) {
-    if (merged[f].empty()) continue;
-    merged[f] = std::move(merged[f]).Prune(sketch_entries);
-    const std::vector<float> splits = merged[f].ProposeSplits(q);
+    bool seen = false;
+    for (int src = 0; src < w; ++src) {
+      if (next[src] != f) continue;
+      if (!seen) {
+        std::swap(merged, pending[src]);
+      } else {
+        QuantileSummary::MergeInto(merged, pending[src], &scratch);
+        std::swap(merged, scratch);
+      }
+      seen = true;
+      advance(src);
+    }
+    if (!seen) continue;
+    merged.PruneInto(sketch_entries, &pruned);
     owned_writer.WriteU32(f);
-    owned_writer.WriteU64(
-        static_cast<uint64_t>(merged[f].total_weight() + 0.5));
-    owned_writer.WriteVector(splits);
+    owned_writer.WriteU64(static_cast<uint64_t>(pruned.total_weight() + 0.5));
+    owned_writer.WriteVector(pruned.ProposeSplits(q));
   }
 
   // Step 2b: master collects and broadcasts the full split table (plus the
@@ -195,15 +213,20 @@ CandidateSplits BuildDistributedCandidateSplits(
   if (rank == 0) {
     std::vector<std::vector<float>> all_splits(d);
     std::vector<uint64_t> counts(d, 0);
-    for (const auto& buf : gathered) {
-      ByteReader reader(buf);
+    for (int src = 0; src < w; ++src) {
+      ByteReader reader(gathered[src]);
+      uint32_t min_feature = 0;
       while (!reader.AtEnd()) {
         uint32_t f = 0;
         uint64_t count = 0;
-        VERO_CHECK_OK(reader.ReadU32(&f));
-        VERO_CHECK_OK(reader.ReadU64(&count));
-        VERO_CHECK_OK(reader.ReadVector(&all_splits[f]));
+        std::vector<float> feature_splits;
+        const Status status = ReadSplitRecord(&reader, d, w, src, min_feature,
+                                              &f, &count, &feature_splits);
+        VERO_CHECK(status.ok()) << "split table from rank " << src << ": "
+                                << status.ToString();
+        all_splits[f] = std::move(feature_splits);
         counts[f] = count;
+        min_feature = f + 1;
       }
     }
     CandidateSplits splits(q, std::move(all_splits));
@@ -225,6 +248,65 @@ CandidateSplits BuildDistributedCandidateSplits(
   cpu.Stop();
   if (sketch_seconds != nullptr) *sketch_seconds = cpu.Seconds();
   return splits;
+}
+
+namespace {
+
+// Checks a feature id read from a step-1b or step-2a record that `owner`
+// sent or should own.
+Status CheckRecordFeature(uint32_t f, uint32_t num_features, int world_size,
+                          int owner, uint32_t min_feature) {
+  const std::string id = "feature id " + std::to_string(f);
+  if (f >= num_features) {
+    return Status::Corruption(id + " is not below " +
+                              std::to_string(num_features));
+  }
+  if (static_cast<int>(f % world_size) != owner) {
+    return Status::Corruption(id + " is not owned by rank " +
+                              std::to_string(owner));
+  }
+  if (f < min_feature) {
+    return Status::Corruption(id + " does not ascend");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ReadSketchRecord(ByteReader* reader, uint32_t num_features,
+                        int world_size, int rank, uint32_t min_feature,
+                        uint32_t* feature, QuantileSummary* summary) {
+  uint32_t f = 0;
+  if (!reader->ReadU32(&f).ok()) {
+    return Status::Corruption("sketch record: short feature id");
+  }
+  VERO_RETURN_IF_ERROR(
+      CheckRecordFeature(f, num_features, world_size, rank, min_feature));
+  const Status status = QuantileSummary::Deserialize(reader, summary);
+  if (!status.ok()) {
+    return Status::Corruption("feature " + std::to_string(f) + ": " +
+                              status.message());
+  }
+  *feature = f;
+  return Status::OK();
+}
+
+Status ReadSplitRecord(ByteReader* reader, uint32_t num_features,
+                       int world_size, int src, uint32_t min_feature,
+                       uint32_t* feature, uint64_t* count,
+                       std::vector<float>* splits) {
+  uint32_t f = 0;
+  if (!reader->ReadU32(&f).ok()) {
+    return Status::Corruption("split record: short feature id");
+  }
+  VERO_RETURN_IF_ERROR(
+      CheckRecordFeature(f, num_features, world_size, src, min_feature));
+  if (!reader->ReadU64(count).ok() || !reader->ReadVector(splits).ok()) {
+    return Status::Corruption("feature " + std::to_string(f) +
+                              ": split record runs past the message");
+  }
+  *feature = f;
+  return Status::OK();
 }
 
 Status DecodeBlockifiedGroup(const std::vector<uint8_t>& message,

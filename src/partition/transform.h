@@ -5,10 +5,13 @@
 #include <vector>
 
 #include "cluster/communicator.h"
+#include "common/serialize.h"
+#include "common/status.h"
 #include "core/binned.h"
 #include "data/dataset.h"
 #include "partition/column_grouping.h"
 #include "sketch/candidate_splits.h"
+#include "sketch/quantile_summary.h"
 
 namespace vero {
 
@@ -88,14 +91,36 @@ struct VerticalShard {
 };
 
 /// Steps 1-2 of the transformation, shared with horizontal trainers: builds
-/// local per-feature quantile sketches, repartitions + merges them, proposes
-/// candidate splits, and leaves the full CandidateSplits on every worker.
-/// `feature_counts` (optional) receives the global nonzero count per feature
-/// (the load-balance signal of §4.2.3). SPMD: call from every worker.
+/// every feature's quantile summary of the local shard in one grouped pass,
+/// repartitions + merges them, proposes candidate splits, and leaves the
+/// full CandidateSplits on every worker. `feature_counts` (optional)
+/// receives the global nonzero count per feature (the load-balance signal
+/// of §4.2.3). SPMD: call from every worker.
 CandidateSplits BuildDistributedCandidateSplits(
     WorkerContext& ctx, const Dataset& shard, uint32_t q,
     uint32_t sketch_entries, std::vector<uint64_t>* feature_counts,
     double* sketch_seconds = nullptr);
+
+/// Reads one record of a source's step-1b message (a u32 feature id and the
+/// summary QuantileSummary::SerializeTo wrote; layout in
+/// docs/wire_formats.md) into `feature` and `summary` (storage reused).
+/// Returns Corruption naming the cause, and reads no byte outside the
+/// reader's span, for a short id, an id >= num_features, not owned by
+/// `rank` (f % world_size), or below `min_feature` (records ascend), and
+/// for whatever QuantileSummary::Deserialize rejects.
+Status ReadSketchRecord(ByteReader* reader, uint32_t num_features,
+                        int world_size, int rank, uint32_t min_feature,
+                        uint32_t* feature, QuantileSummary* summary);
+
+/// Reads one record of rank `src`'s step-2a message (a u32 feature id, its
+/// u64 value count and its u64-prefixed f32 splits), with ReadSketchRecord's
+/// feature-id checks against `src`, and Corruption for a record that runs
+/// past the message. The splits themselves are checked when the broadcast
+/// table is read (CandidateSplits::Deserialize).
+Status ReadSplitRecord(ByteReader* reader, uint32_t num_features,
+                       int world_size, int src, uint32_t min_feature,
+                       uint32_t* feature, uint64_t* count,
+                       std::vector<float>* splits);
 
 /// The full 5-step horizontal-to-vertical transformation (§4.2.1). Each
 /// worker passes its horizontal shard (a contiguous row range, rank order)

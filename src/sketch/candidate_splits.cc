@@ -60,20 +60,13 @@ CandidateSplits ProposeCandidateSplits(const Dataset& dataset, uint32_t q,
                                        size_t sketch_entries) {
   VERO_CHECK_GT(q, 0u);
   const CsrMatrix& m = dataset.matrix();
-  std::vector<QuantileSketch> sketches;
-  sketches.reserve(m.num_cols());
-  for (uint32_t f = 0; f < m.num_cols(); ++f) {
-    sketches.emplace_back(sketch_entries);
-  }
-  const auto& features = m.features();
-  const auto& values = m.values();
-  for (size_t k = 0; k < features.size(); ++k) {
-    sketches[features[k]].Add(values[k]);
-  }
+  ShardSummaryBuilder summaries(m.features(), m.values(), m.num_cols(),
+                                sketch_entries);
   std::vector<std::vector<float>> splits(m.num_cols());
   for (uint32_t f = 0; f < m.num_cols(); ++f) {
-    const QuantileSummary& summary = sketches[f].Finalize();
-    if (!summary.empty()) splits[f] = summary.ProposeSplits(q);
+    if (summaries.count(f) > 0) {
+      splits[f] = summaries.Summarize(f).ProposeSplits(q);
+    }
   }
   return CandidateSplits(q, std::move(splits));
 }

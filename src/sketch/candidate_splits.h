@@ -96,9 +96,9 @@ class CandidateSplits {
   std::vector<std::vector<float>> splits_;
 };
 
-/// Builds exact per-feature candidate splits from a full dataset via
-/// streaming sketches (single-node path; the distributed path builds local
-/// sketches and merges them — see partition/transform).
+/// Builds per-feature candidate splits from a full dataset through one
+/// ShardSummaryBuilder (single-node path; the distributed path builds each
+/// shard's summaries and merges them — see partition/transform).
 CandidateSplits ProposeCandidateSplits(const Dataset& dataset, uint32_t q,
                                        size_t sketch_entries = 256);
 

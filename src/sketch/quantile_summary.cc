@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -61,30 +62,23 @@ void RadixSortKeys(std::span<uint32_t> keys, std::span<uint32_t> tmp) {
   if (src != keys.data()) std::copy(src, src + n, keys.data());
 }
 
-// Writes the ascending order keys of `values` into `keys`; `tmp` is radix
-// scratch. Both keep their capacity.
-void SortedKeys(std::span<const float> values, std::vector<uint32_t>* keys,
-                std::vector<uint32_t>* tmp) {
-  keys->resize(values.size());
-  std::transform(values.begin(), values.end(), keys->begin(), OrderedKey);
-  if (values.size() < kRadixSortMinSize) {
-    std::sort(keys->begin(), keys->end());
+// Sorts `keys` in place: std::sort below kRadixSortMinSize, the radix sort
+// (with `tmp` as scratch, capacity kept) from there.
+void SortKeys(std::span<uint32_t> keys, std::vector<uint32_t>* tmp) {
+  if (keys.size() < kRadixSortMinSize) {
+    std::sort(keys.begin(), keys.end());
     return;
   }
-  tmp->resize(values.size());
-  RadixSortKeys(*keys, *tmp);
+  tmp->resize(keys.size());
+  RadixSortKeys(keys, std::span<uint32_t>(*tmp).first(keys.size()));
 }
 
 }  // namespace
 
-QuantileSummary::QuantileSummary(std::vector<SummaryEntry> entries)
-    : entries_(std::move(entries)) {
-  total_weight_ = entries_.empty() ? 0.0 : entries_.back().rmax;
-}
-
 QuantileSummary QuantileSummary::FromValues(const std::vector<float>& values) {
-  std::vector<uint32_t> keys, tmp;
-  SortedKeys(values, &keys, &tmp);
+  std::vector<uint32_t> keys(values.size()), tmp;
+  std::transform(values.begin(), values.end(), keys.begin(), OrderedKey);
+  SortKeys(keys, &tmp);
   QuantileSummary out;
   FromSortedKeys(keys, &out);
   return out;
@@ -94,6 +88,7 @@ void QuantileSummary::FromSortedKeys(std::span<const uint32_t> keys,
                                      QuantileSummary* out) {
   std::vector<SummaryEntry>& entries = out->entries_;
   entries.clear();
+  entries.reserve(keys.size());
   double cum = 0.0;
   size_t i = 0;
   while (i < keys.size()) {
@@ -118,11 +113,6 @@ QuantileSummary QuantileSummary::Merge(const QuantileSummary& other) const {
   QuantileSummary out;
   MergeInto(*this, other, &out);
   return out;
-}
-
-QuantileSummary QuantileSummary::Merge(QuantileSummary&& other) const {
-  if (empty()) return std::move(other);
-  return Merge(std::as_const(other));
 }
 
 void QuantileSummary::MergeInto(const QuantileSummary& first,
@@ -173,16 +163,11 @@ void QuantileSummary::MergeInto(const QuantileSummary& first,
   result->total_weight_ = out.empty() ? 0.0 : out.back().rmax;
 }
 
-QuantileSummary QuantileSummary::Prune(size_t max_entries) const& {
+QuantileSummary QuantileSummary::Prune(size_t max_entries) const {
   if (FitsIn(max_entries)) return *this;
   QuantileSummary out;
   PruneInto(max_entries, &out);
   return out;
-}
-
-QuantileSummary QuantileSummary::Prune(size_t max_entries) && {
-  if (FitsIn(max_entries)) return std::move(*this);
-  return std::as_const(*this).Prune(max_entries);
 }
 
 void QuantileSummary::PruneInto(size_t max_entries,
@@ -251,9 +236,36 @@ std::vector<float> QuantileSummary::ProposeSplits(uint32_t q) const {
   std::vector<float> splits;
   if (empty() || q == 0) return splits;
   splits.reserve(q);
+  // Query's entry for each ascending rank, by one forward walk. Midpoints
+  // never decrease, so |mid - rank| falls up to `above`, the first entry
+  // whose midpoint is at or above the rank, and rises from there. Query
+  // keeps the first of equal distances: `above`, or the first entry of the
+  // run of equal distances that ends just below it, whichever is nearer.
+  const size_t n = entries_.size();
+  auto mid = [this](size_t i) {
+    return 0.5 * (entries_[i].rmin + entries_[i].rmax);
+  };
+  size_t above = 0;
   for (uint32_t k = 1; k <= q; ++k) {
     const double rank = total_weight_ * static_cast<double>(k) / q;
-    const float v = static_cast<float>(Query(rank));
+    size_t pick = 0;  // Query's entry for rank <= 0
+    if (rank > 0 && rank >= total_weight_) {
+      pick = n - 1;
+    } else if (rank > 0) {
+      while (above < n && mid(above) < rank) ++above;
+      pick = above;
+      if (above > 0) {
+        size_t below = above - 1;
+        const double below_err = std::abs(mid(below) - rank);
+        while (below > 0 && std::abs(mid(below - 1) - rank) == below_err) {
+          --below;
+        }
+        if (above == n || below_err <= std::abs(mid(above) - rank)) {
+          pick = below;
+        }
+      }
+    }
+    const float v = static_cast<float>(entries_[pick].value);
     if (splits.empty() || v > splits.back()) splits.push_back(v);
   }
   // Guarantee the last split covers the maximum so binning is total.
@@ -279,75 +291,110 @@ double QuantileSummary::max_value() const {
 }
 
 Status QuantileSummary::CheckInvariants() const {
-  double prev_value = -1e300;
-  for (const auto& e : entries_) {
-    if (e.value <= prev_value) {
-      return Status::Corruption("summary values not strictly increasing");
+  // Every comparison is written so that a NaN fails it.
+  constexpr double kMaxWeight = 9007199254740992.0;  // 2^53
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const SummaryEntry& e = entries_[i];
+    auto broken = [i](const char* why) {
+      return Status::Corruption("summary entry " + std::to_string(i) + ": " +
+                                why);
+    };
+    if (!std::isfinite(e.value)) return broken("value is not finite");
+    if (!(e.rmin >= 0 && e.w >= 0 && e.rmin + e.w <= e.rmax &&
+          e.rmax <= kMaxWeight)) {
+      return broken("rank bounds broken: want 0 <= rmin, 0 <= w, "
+                    "rmin + w <= rmax <= 2^53");
     }
-    prev_value = e.value;
-    if (e.w < 0 || e.rmin < 0 || e.rmin + e.w > e.rmax + 1e-9) {
-      return Status::Corruption("summary rank bounds violated");
+    if (i == 0) {
+      if (!(e.rmin == 0 && e.rmax == e.w)) {
+        return broken("first entry's ranks are not exact");
+      }
+      continue;
     }
-    if (e.rmax > total_weight_ + 1e-9) {
-      return Status::Corruption("rmax exceeds total weight");
+    const SummaryEntry& prev = entries_[i - 1];
+    if (!(prev.value < e.value)) {
+      return broken("values not strictly ascending");
+    }
+    if (!(prev.rmin + prev.w <= e.rmin && prev.rmax <= e.rmax - e.w)) {
+      return broken("rank bounds broken: ranks fall from the previous entry");
+    }
+  }
+  if (!entries_.empty()) {
+    const SummaryEntry& last = entries_.back();
+    if (!(last.rmin + last.w == last.rmax)) {
+      return Status::Corruption("summary entry " +
+                                std::to_string(entries_.size() - 1) +
+                                ": last entry's ranks are not exact");
     }
   }
   return Status::OK();
 }
 
 void QuantileSummary::SerializeTo(ByteWriter* writer) const {
+  // The wire's field order is the struct's, with no padding between.
+  static_assert(sizeof(SummaryEntry) == 4 * sizeof(double));
   writer->WriteU64(entries_.size());
-  for (const auto& e : entries_) {
-    writer->WriteF64(e.value);
-    writer->WriteF64(e.rmin);
-    writer->WriteF64(e.rmax);
-    writer->WriteF64(e.w);
-  }
+  writer->WriteRaw(entries_.data(), entries_.size() * sizeof(SummaryEntry));
 }
 
 Status QuantileSummary::Deserialize(ByteReader* reader, QuantileSummary* out) {
   uint64_t n = 0;
-  VERO_RETURN_IF_ERROR(reader->ReadU64(&n));
-  std::vector<SummaryEntry> entries(n);
-  for (auto& e : entries) {
-    VERO_RETURN_IF_ERROR(reader->ReadF64(&e.value));
-    VERO_RETURN_IF_ERROR(reader->ReadF64(&e.rmin));
-    VERO_RETURN_IF_ERROR(reader->ReadF64(&e.rmax));
-    VERO_RETURN_IF_ERROR(reader->ReadF64(&e.w));
+  if (!reader->ReadU64(&n).ok()) {
+    return Status::Corruption("summary: short entry count");
   }
-  *out = QuantileSummary(std::move(entries));
-  return Status::OK();
+  if (n > reader->remaining() / sizeof(SummaryEntry)) {
+    return Status::Corruption("summary: " + std::to_string(n) +
+                              " entries exceed the " +
+                              std::to_string(reader->remaining()) +
+                              " bytes left");
+  }
+  out->entries_.resize(n);
+  out->total_weight_ = 0.0;
+  if (n > 0) {
+    VERO_RETURN_IF_ERROR(
+        reader->ReadRaw(out->entries_.data(), n * sizeof(SummaryEntry)));
+    out->total_weight_ = out->entries_.back().rmax;
+  }
+  return out->CheckInvariants();
 }
 
-QuantileSketch::QuantileSketch(size_t max_entries, size_t buffer_size)
+ShardSummaryBuilder::ShardSummaryBuilder(std::span<const uint32_t> features,
+                                         std::span<const float> values,
+                                         uint32_t num_features,
+                                         size_t max_entries)
     : max_entries_(std::max<size_t>(max_entries, 4)),
-      buffer_size_(std::max<size_t>(buffer_size, 16)) {
-  // The buffer grows lazily: datasets allocate one sketch per feature, and
-  // most features of a sparse dataset see few values.
-}
-
-void QuantileSketch::Flush() {
-  if (buffer_.empty()) return;
-  // Per-thread scratch shared by every sketch a thread flushes, so a
-  // dataset's thousands of per-feature sketches hold no sort buffers.
-  struct Scratch {
-    std::vector<uint32_t> keys, tmp;
-    QuantileSummary batch, merged;
-  };
-  thread_local Scratch scratch;
-  SortedKeys(buffer_, &scratch.keys, &scratch.tmp);
-  buffer_.clear();
-  QuantileSummary::FromSortedKeys(scratch.keys, &scratch.batch);
-  if (summary_.empty()) {
-    scratch.batch.PruneInto(max_entries_, &summary_);
-  } else {
-    QuantileSummary::MergeInto(summary_, scratch.batch, &scratch.merged);
-    scratch.merged.PruneInto(max_entries_, &summary_);
+      offsets_(size_t{num_features} + 1, 0),
+      keys_(std::make_unique_for_overwrite<uint32_t[]>(features.size())) {
+  VERO_CHECK_EQ(features.size(), values.size());
+  for (const uint32_t f : features) {
+    VERO_DCHECK(f < num_features);
+    ++offsets_[f + 1];
+  }
+  for (uint32_t f = 0; f < num_features; ++f) offsets_[f + 1] += offsets_[f];
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (size_t k = 0; k < features.size(); ++k) {
+    keys_[cursor[features[k]]++] = OrderedKey(values[k]);
   }
 }
 
-const QuantileSummary& QuantileSketch::Finalize() {
-  Flush();
+const QuantileSummary& ShardSummaryBuilder::Summarize(uint32_t f) {
+  const std::span<uint32_t> run(keys_.get() + offsets_[f], count(f));
+  summary_.entries_.clear();
+  summary_.total_weight_ = 0.0;
+  for (size_t begin = 0; begin < run.size(); begin += kBatchSize) {
+    const std::span<uint32_t> batch =
+        run.subspan(begin, std::min(kBatchSize, run.size() - begin));
+    SortKeys(batch, &tmp_);
+    QuantileSummary::FromSortedKeys(batch, &batch_);
+    if (begin == 0 && batch_.FitsIn(max_entries_)) {
+      std::swap(summary_, batch_);  // what PruneInto would copy
+    } else if (begin == 0) {
+      batch_.PruneInto(max_entries_, &summary_);
+    } else {
+      QuantileSummary::MergeInto(summary_, batch_, &merged_);
+      merged_.PruneInto(max_entries_, &summary_);
+    }
+  }
   return summary_;
 }
 

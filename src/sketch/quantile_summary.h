@@ -1,7 +1,9 @@
 #ifndef VERO_SKETCH_QUANTILE_SUMMARY_H_
 #define VERO_SKETCH_QUANTILE_SUMMARY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,23 +48,22 @@ class QuantileSummary {
   /// stored as +0.0.
   static QuantileSummary FromValues(const std::vector<float>& values);
 
-  /// Exact combination of two summaries (rank bounds add). The rvalue
-  /// overload moves `other` out when this summary is empty.
+  /// Exact combination of two summaries (rank bounds add).
   QuantileSummary Merge(const QuantileSummary& other) const;
-  QuantileSummary Merge(QuantileSummary&& other) const;
 
   /// Reduces to at most `max_entries` entries, keeping extremes; adds at most
-  /// total_weight/(max_entries-1) rank error. The rvalue overload moves this
-  /// summary out when it already fits.
-  QuantileSummary Prune(size_t max_entries) const&;
-  QuantileSummary Prune(size_t max_entries) &&;
+  /// total_weight/(max_entries-1) rank error.
+  QuantileSummary Prune(size_t max_entries) const;
 
-  /// Value whose estimated rank ((rmin+rmax)/2) is closest to `rank`.
-  /// Requires a non-empty summary.
+  /// Value whose estimated rank ((rmin+rmax)/2) is closest to `rank`, the
+  /// first such entry on a tie. Requires a non-empty summary.
   double Query(double rank) const;
 
   /// Proposes up to `q` split values at quantiles 1/q .. q/q; deduplicated
   /// and ending at the maximum value so every observed value falls in a bin.
+  /// Each quantile's value is Query's, found by one forward walk over the
+  /// entries; requires midpoint ranks that never decrease along the
+  /// entries, which every summary CheckInvariants accepts has.
   std::vector<float> ProposeSplits(uint32_t q) const;
 
   double total_weight() const { return total_weight_; }
@@ -72,28 +73,40 @@ class QuantileSummary {
   double min_value() const;
   double max_value() const;
 
-  /// Checks rank-bound invariants; used by tests and debug paths.
+  /// Checks what every summary built here satisfies, exactly (weights are
+  /// counts, so rank arithmetic is exact): values finite and strictly
+  /// ascending; per entry 0 <= rmin, 0 <= w, rmin + w <= rmax <= 2^53;
+  /// between neighbours rmin + w <= next rmin and rmax <= next rmax - next
+  /// w (so midpoint ranks never decrease); and exact extremes, the first
+  /// entry with rmin 0 and rmax w, the last with rmin + w == rmax. Returns
+  /// Corruption naming the entry and the broken bound.
   Status CheckInvariants() const;
 
-  /// Wire format used when repartitioning sketches across workers.
+  /// Wire format used when repartitioning sketches across workers: a u64
+  /// entry count, then each entry's four f64 fields, written in one block.
   void SerializeTo(ByteWriter* writer) const;
+  /// Reads a summary written by SerializeTo into `out`'s storage (capacity
+  /// kept). Returns Corruption, reading no byte past the entries, for a
+  /// short count, a count past the bytes left, or entries CheckInvariants
+  /// rejects.
   static Status Deserialize(ByteReader* reader, QuantileSummary* out);
 
- private:
-  friend class QuantileSketch;
-
-  explicit QuantileSummary(std::vector<SummaryEntry> entries);
-
   // The builders below write into `out`'s storage (cleared, capacity kept),
-  // so the sketch's flush allocates nothing once its scratch has grown.
+  // so folds and merges allocate nothing once their scratch has grown.
   // `out` must not alias an input.
+
+  /// Exact merge of two summaries (Merge without the allocation).
+  static void MergeInto(const QuantileSummary& a, const QuantileSummary& b,
+                        QuantileSummary* out);
+  /// Prune without the allocation: a copy when this summary fits.
+  void PruneInto(size_t max_entries, QuantileSummary* out) const;
+
+ private:
+  friend class ShardSummaryBuilder;
 
   /// Exact summary of ascending order keys (see OrderedKey in the .cc).
   static void FromSortedKeys(std::span<const uint32_t> keys,
                              QuantileSummary* out);
-  static void MergeInto(const QuantileSummary& a, const QuantileSummary& b,
-                        QuantileSummary* out);
-  void PruneInto(size_t max_entries, QuantileSummary* out) const;
   bool FitsIn(size_t max_entries) const {
     return entries_.size() <= max_entries || max_entries < 2;
   }
@@ -102,32 +115,44 @@ class QuantileSummary {
   double total_weight_ = 0.0;
 };
 
-/// Streaming sketch: buffers incoming values and folds them into a pruned
-/// summary once the buffer fills, keeping memory bounded regardless of
-/// stream length. Every value has weight 1.
-class QuantileSketch {
+/// Every feature's quantile summary over one shard, built in one grouped
+/// pass (DESIGN.md §2). The constructor counts the values of each feature
+/// and scatters their order keys into one array, so each feature's values
+/// lie contiguous and in row order. Summarize folds a feature's run in
+/// fixed batches of kBatchSize values: each batch is sorted in place, its
+/// exact summary merged into the running one, and the result pruned to
+/// `max_entries`, the fold of a streaming sketch fed the feature's values
+/// in row order. Every value has weight 1.
+class ShardSummaryBuilder {
  public:
-  /// `max_entries` bounds the retained summary size (rank error ~ W/b);
-  /// `buffer_size` controls the batching granularity.
-  explicit QuantileSketch(size_t max_entries = 256, size_t buffer_size = 4096);
+  static constexpr size_t kBatchSize = 4096;
 
-  void Add(float value) {
-    buffer_.push_back(value);
-    if (buffer_.size() >= buffer_size_) Flush();
+  /// Groups `values` by `features` (parallel arrays, ids below
+  /// `num_features`). `max_entries` bounds each summary; a value below 4
+  /// counts as 4.
+  ShardSummaryBuilder(std::span<const uint32_t> features,
+                      std::span<const float> values, uint32_t num_features,
+                      size_t max_entries);
+
+  /// Number of values of feature f.
+  size_t count(uint32_t f) const { return offsets_[f + 1] - offsets_[f]; }
+  /// Upper bound on the entries of feature f's summary, so a caller can size
+  /// the message it serializes the summaries into once.
+  size_t MaxEntries(uint32_t f) const {
+    return std::min(count(f), max_entries_);
   }
 
-  /// Folds any buffered values and returns the current summary.
-  const QuantileSummary& Finalize();
+  /// Folds feature f's values into its summary, empty when count(f) is 0.
+  /// The summary stays valid until the next call. Sorts f's batches in
+  /// place, so call it once per feature.
+  const QuantileSummary& Summarize(uint32_t f);
 
  private:
-  /// Sorts the buffer (radix sort on order keys), folds its exact summary
-  /// into summary_ and prunes; keeps the buffer's capacity.
-  void Flush();
-
   size_t max_entries_;
-  size_t buffer_size_;
-  std::vector<float> buffer_;
-  QuantileSummary summary_;
+  std::vector<size_t> offsets_;  // feature f's keys: [offsets_[f], [f + 1])
+  std::unique_ptr<uint32_t[]> keys_;  // every key is written before a read
+  std::vector<uint32_t> tmp_;  // radix scratch, one batch long
+  QuantileSummary batch_, merged_, summary_;
 };
 
 }  // namespace vero

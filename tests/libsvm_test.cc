@@ -1,6 +1,7 @@
 #include "data/libsvm_io.h"
 
 #include <cstdio>
+#include <string>
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -46,6 +47,24 @@ TEST(LibsvmTest, MultiClassInfersClassCount) {
   auto d = ParseLibsvm("0 1:1\n4 1:2\n2 1:3\n", options);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->num_classes(), 5u);
+}
+
+// A multi-class file whose labels stop at 1 used to reach the Dataset
+// constructor's check (at least 3 classes) and abort the process.
+TEST(LibsvmTest, RejectsMultiClassWithFewerThanThreeClasses) {
+  LibsvmReadOptions options;
+  options.task = Task::kMultiClass;
+  for (const std::string& content : {std::string("0 1:1\n1 1:2\n"),
+                                     std::string("")}) {
+    auto d = ParseLibsvm(content, options);
+    ASSERT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(d.status().message().find("needs at least 3 classes"),
+              std::string::npos)
+        << d.status().ToString();
+  }
+  options.num_classes = 2;
+  EXPECT_EQ(ParseLibsvm("0 1:1\n", options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LibsvmTest, ExplicitFeatureCountWins) {
@@ -141,6 +160,55 @@ TEST(LibsvmTest, LimitsAdmitEveryDatasetProfile) {
       EXPECT_LE(p.num_classes, kMaxLibsvmClasses) << p.name;
     }
   }
+}
+
+// Every truncation and every single-byte substitution of a small binary
+// and a small multi-class file either parses into a dataset Validate
+// accepts or fails with a named status; none may crash (the test also runs
+// under ASan and UBSan).
+TEST(LibsvmTest, EveryTruncationAndByteSubstitutionIsHandled) {
+  struct Case {
+    Task task;
+    std::string content;
+  };
+  const Case cases[] = {
+      {Task::kBinary, "1 1:0.5 3:1.25e2\n-1 2:-2.0\n0 1:0.1 2:2e-3 3:0.3\n"},
+      {Task::kMultiClass, "0 1:1 4:-0.5\n4 2:2.5e1\n2 1:3 3:9\n1 4:1e-1\n"},
+  };
+  const char kSubstitutes[] = {':', ' ', '\n', '-', '9', 'e', '\0', '\xff'};
+  size_t parsed = 0;
+  size_t rejected = 0;
+  for (const Case& c : cases) {
+    LibsvmReadOptions options;
+    options.task = c.task;
+    auto check = [&](const std::string& content, const std::string& where) {
+      const StatusOr<Dataset> d = ParseLibsvm(content, options);
+      if (d.ok()) {
+        const Status valid = d->Validate();
+        EXPECT_TRUE(valid.ok()) << where << ": " << valid.ToString();
+        ++parsed;
+      } else {
+        EXPECT_FALSE(d.status().message().empty()) << where;
+        ++rejected;
+      }
+    };
+    ASSERT_TRUE(ParseLibsvm(c.content, options).ok());
+    for (size_t len = 0; len < c.content.size(); ++len) {
+      check(c.content.substr(0, len), "len " + std::to_string(len));
+    }
+    for (size_t i = 0; i < c.content.size(); ++i) {
+      for (const char sub : kSubstitutes) {
+        if (c.content[i] == sub) continue;
+        std::string content = c.content;
+        content[i] = sub;
+        check(content, "byte " + std::to_string(i) + " = " +
+                           std::to_string(static_cast<uint8_t>(sub)));
+      }
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(LibsvmTest, HandlesCarriageReturns) {

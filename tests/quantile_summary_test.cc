@@ -6,12 +6,22 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/serialize.h"
 
 namespace vero {
 namespace {
+
+// One feature's summary through a single-feature ShardSummaryBuilder.
+QuantileSummary BuildSummary(const std::vector<float>& values,
+                             size_t max_entries) {
+  const std::vector<uint32_t> features(values.size(), 0);
+  ShardSummaryBuilder builder(features, values, 1, max_entries);
+  return builder.Summarize(0);
+}
 
 TEST(QuantileSummaryTest, ExactFromValues) {
   QuantileSummary s = QuantileSummary::FromValues({3.0f, 1.0f, 2.0f, 1.0f});
@@ -148,16 +158,13 @@ TEST_P(SketchErrorTest, QuantileErrorBounded) {
     }
     values.push_back(static_cast<float>(v));
   }
-  QuantileSketch sketch(max_entries, 1024);
-  for (float v : values) sketch.Add(v);
-  const QuantileSummary& summary =
-      const_cast<QuantileSketch&>(sketch).Finalize();
+  const QuantileSummary summary = BuildSummary(values, max_entries);
   ASSERT_TRUE(summary.CheckInvariants().ok());
   EXPECT_DOUBLE_EQ(summary.total_weight(), n);
 
   std::vector<float> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  // Allow a few buffer-merge rounds' worth of slack on top of 1/(b-1).
+  // Allow a few batch-merge rounds' worth of slack on top of 1/(b-1).
   const double tolerance = 8.0 * n / static_cast<double>(max_entries - 1);
   for (double q = 0.1; q < 1.0; q += 0.1) {
     const double rank = q * n;
@@ -180,31 +187,26 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{64}, size_t{256},
                                          size_t{1024})));
 
-TEST(QuantileSketchTest, MergedShardsMatchSingleStream) {
-  // The distributed pipeline builds per-worker sketches and merges them;
+TEST(ShardSummaryBuilderTest, MergedShardsMatchSingleStream) {
+  // The distributed pipeline builds per-worker summaries and merges them;
   // the merged result must approximate the same quantiles.
   Rng rng(77);
   std::vector<float> values;
   for (int i = 0; i < 10000; ++i) {
     values.push_back(static_cast<float>(rng.NextGaussian()));
   }
-  QuantileSketch shard_a(256), shard_b(256), shard_c(256);
-  for (size_t i = 0; i < values.size(); ++i) {
-    (i % 3 == 0 ? shard_a : i % 3 == 1 ? shard_b : shard_c).Add(values[i]);
-  }
-  QuantileSummary merged = shard_a.Finalize()
-                               .Merge(shard_b.Finalize())
-                               .Merge(shard_c.Finalize())
+  std::vector<float> shards[3];
+  for (size_t i = 0; i < values.size(); ++i) shards[i % 3].push_back(values[i]);
+  QuantileSummary merged = BuildSummary(shards[0], 256)
+                               .Merge(BuildSummary(shards[1], 256))
+                               .Merge(BuildSummary(shards[2], 256))
                                .Prune(256);
   ASSERT_TRUE(merged.CheckInvariants().ok());
   EXPECT_DOUBLE_EQ(merged.total_weight(), 10000.0);
 
-  QuantileSketch single(256);
-  for (float v : values) single.Add(v);
-  const QuantileSummary& single_summary = single.Finalize();
+  const QuantileSummary single = BuildSummary(values, 256);
   for (double q = 0.1; q < 1.0; q += 0.2) {
-    EXPECT_NEAR(merged.Query(q * 10000), single_summary.Query(q * 10000),
-                0.25)
+    EXPECT_NEAR(merged.Query(q * 10000), single.Query(q * 10000), 0.25)
         << "quantile " << q;
   }
 }
@@ -308,32 +310,39 @@ TEST(QuantileSummaryTest, RadixBuildMatchesComparisonSortReference) {
   }
 }
 
-TEST(QuantileSketchTest, FlushesMatchComparisonSortReference) {
-  // The sketch against the fold it implements: per full buffer, the exact
-  // batch summary merged into the running summary and pruned.
+TEST(ShardSummaryBuilderTest, BatchesMatchComparisonSortReference) {
+  // The builder against the fold it implements: per batch of kBatchSize
+  // values in row order, the exact batch summary merged into the running
+  // summary and pruned. Feature 1's run crosses three batch boundaries;
+  // feature 0's values are interleaved with it.
+  constexpr size_t kBatch = ShardSummaryBuilder::kBatchSize;
   Rng rng(99);
-  for (size_t buffer : {16, 255, 256, 300, 4096}) {
-    for (size_t max_entries : {8, 64, 256}) {
-      for (int shape = 0; shape < 5; ++shape) {
-        QuantileSketch sketch(max_entries, buffer);
-        QuantileSummary reference;
-        std::vector<float> batch;
-        const size_t n = 3 * buffer + 17;
-        for (size_t i = 0; i < n; ++i) {
-          const float v = SampleValue(shape, rng);
-          sketch.Add(v);
-          batch.push_back(v);
-          if (batch.size() == buffer || i + 1 == n) {
-            reference =
-                reference.Merge(ReferenceSummary(batch)).Prune(max_entries);
-            batch.clear();
-          }
+  for (size_t max_entries : {8, 64, 256}) {
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<uint32_t> features;
+      std::vector<float> values;
+      QuantileSummary reference;
+      std::vector<float> batch;
+      const size_t n = 3 * kBatch + 17;
+      for (size_t i = 0; i < n; ++i) {
+        if (i % 5 == 0) {
+          features.push_back(0);
+          values.push_back(SampleValue(shape, rng));
         }
-        ExpectSameBits(sketch.Finalize(), reference,
-                       "buffer=" + std::to_string(buffer) + " max=" +
-                           std::to_string(max_entries) +
-                           " shape=" + std::to_string(shape));
+        const float v = SampleValue(shape, rng);
+        features.push_back(1);
+        values.push_back(v);
+        batch.push_back(v);
+        if (batch.size() == kBatch || i + 1 == n) {
+          reference =
+              reference.Merge(ReferenceSummary(batch)).Prune(max_entries);
+          batch.clear();
+        }
       }
+      ShardSummaryBuilder builder(features, values, 2, max_entries);
+      ExpectSameBits(builder.Summarize(1), reference,
+                     "max=" + std::to_string(max_entries) +
+                         " shape=" + std::to_string(shape));
     }
   }
 }
@@ -346,10 +355,9 @@ TEST(QuantileSummaryTest, RunOfZerosIsStoredAsPositiveZero) {
   EXPECT_FALSE(std::signbit(s.entries()[1].value));
   EXPECT_DOUBLE_EQ(s.entries()[1].w, 3.0);
 
-  // Only negative zeros, through the sketch's radix path.
-  QuantileSketch sketch(16, 512);
-  for (int i = 0; i < 1000; ++i) sketch.Add(-0.0f);
-  const QuantileSummary& summary = sketch.Finalize();
+  // Only negative zeros, through the builder's radix path.
+  const QuantileSummary summary =
+      BuildSummary(std::vector<float>(1000, -0.0f), 16);
   ASSERT_EQ(summary.num_entries(), 1u);
   EXPECT_FALSE(std::signbit(summary.entries()[0].value));
   EXPECT_DOUBLE_EQ(summary.total_weight(), 1000.0);
@@ -358,16 +366,223 @@ TEST(QuantileSummaryTest, RunOfZerosIsStoredAsPositiveZero) {
   EXPECT_FALSE(std::signbit(splits[0]));
 }
 
-TEST(QuantileSummaryTest, PruneAndMergeOfRvaluesMatchCopies) {
-  std::vector<float> values;
-  for (int i = 0; i < 500; ++i) values.push_back(static_cast<float>(i % 97));
-  const QuantileSummary a = QuantileSummary::FromValues(values);
-  const QuantileSummary b = QuantileSummary::FromValues({3, 5, 1000});
-  ExpectSameBits(QuantileSummary(a).Prune(200), a, "prune fits");
-  ExpectSameBits(QuantileSummary(a).Prune(20), a.Prune(20), "prune");
-  ExpectSameBits(QuantileSummary().Merge(QuantileSummary(b)), b,
-                 "merge into empty");
-  ExpectSameBits(a.Merge(QuantileSummary(b)), a.Merge(b), "merge");
+// The per-feature streaming sketch the builder replaced, kept verbatim as
+// its oracle (FromValues is the flush's key sort and FromSortedKeys): values
+// buffered in arrival order, each full buffer's exact summary merged into
+// the running one and pruned, the partial buffer folded at Finalize.
+class StreamingSketch {
+ public:
+  explicit StreamingSketch(size_t max_entries = 256,
+                           size_t buffer_size = 4096)
+      : max_entries_(std::max<size_t>(max_entries, 4)),
+        buffer_size_(std::max<size_t>(buffer_size, 16)) {}
+
+  void Add(float value) {
+    buffer_.push_back(value);
+    if (buffer_.size() >= buffer_size_) Flush();
+  }
+
+  const QuantileSummary& Finalize() {
+    Flush();
+    return summary_;
+  }
+
+ private:
+  void Flush() {
+    if (buffer_.empty()) return;
+    const QuantileSummary batch = QuantileSummary::FromValues(buffer_);
+    buffer_.clear();
+    if (summary_.empty()) {
+      batch.PruneInto(max_entries_, &summary_);
+    } else {
+      QuantileSummary::MergeInto(summary_, batch, &merged_);
+      merged_.PruneInto(max_entries_, &summary_);
+    }
+  }
+
+  size_t max_entries_;
+  size_t buffer_size_;
+  std::vector<float> buffer_;
+  QuantileSummary summary_, merged_;
+};
+
+// The sketch exchange's summary bytes as the streaming sketch's sender wrote
+// them: the entry count, then four WriteF64 calls per entry.
+std::vector<uint8_t> EntryByEntryBytes(const QuantileSummary& summary) {
+  ByteWriter writer;
+  writer.WriteU64(summary.num_entries());
+  for (const SummaryEntry& e : summary.entries()) {
+    writer.WriteF64(e.value);
+    writer.WriteF64(e.rmin);
+    writer.WriteF64(e.rmax);
+    writer.WriteF64(e.w);
+  }
+  return writer.TakeData();
+}
+
+TEST(ShardSummaryBuilderTest, MatchesStreamingSketchBitForBit) {
+  // One feature per run length, at and around the radix cut (256) and the
+  // batch size (4096); rows visit the features in a shuffled order, so
+  // every run is spread over the stream. The shapes bring duplicates, both
+  // zeros, denormals, +-FLT_MAX and random bit patterns.
+  const std::vector<size_t> kRuns = {0,    1,    255,  256,
+                                     4095, 4096, 4097, 3 * 4096 + 5};
+  const uint32_t d = static_cast<uint32_t>(kRuns.size());
+  Rng rng(31);
+  for (size_t max_entries : {2, 8, 256}) {
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<uint32_t> features;
+      for (uint32_t f = 0; f < d; ++f) features.insert(features.end(), kRuns[f], f);
+      rng.Shuffle(&features);
+      std::vector<float> values(features.size());
+      std::vector<StreamingSketch> sketches(d, StreamingSketch(max_entries));
+      for (size_t k = 0; k < features.size(); ++k) {
+        values[k] = SampleValue(shape, rng);
+        sketches[features[k]].Add(values[k]);
+      }
+      ShardSummaryBuilder builder(features, values, d, max_entries);
+      for (uint32_t f = 0; f < d; ++f) {
+        const std::string where = "max=" + std::to_string(max_entries) +
+                                  " shape=" + std::to_string(shape) +
+                                  " run=" + std::to_string(kRuns[f]);
+        ASSERT_EQ(builder.count(f), kRuns[f]) << where;
+        const QuantileSummary& got = builder.Summarize(f);
+        const QuantileSummary& want = sketches[f].Finalize();
+        ExpectSameBits(got, want, where);
+        ByteWriter writer;
+        got.SerializeTo(&writer);
+        EXPECT_EQ(writer.data(), EntryByEntryBytes(want)) << where;
+        // What the builder sends, a receiver accepts.
+        ByteReader reader(writer.data());
+        QuantileSummary decoded;
+        ASSERT_TRUE(QuantileSummary::Deserialize(&reader, &decoded).ok())
+            << where;
+        ExpectSameBits(decoded, want, where + " decoded");
+      }
+    }
+  }
+}
+
+// The q full Query scans ProposeSplits' forward walk replaced.
+std::vector<float> QueryLoopSplits(const QuantileSummary& s, uint32_t q) {
+  std::vector<float> splits;
+  if (s.empty() || q == 0) return splits;
+  for (uint32_t k = 1; k <= q; ++k) {
+    const double rank = s.total_weight() * static_cast<double>(k) / q;
+    const float v = static_cast<float>(s.Query(rank));
+    if (splits.empty() || v > splits.back()) splits.push_back(v);
+  }
+  const float max_v = static_cast<float>(s.max_value());
+  if (splits.empty() || splits.back() < max_v) {
+    if (!splits.empty() && splits.size() >= q) {
+      splits.back() = max_v;
+    } else {
+      splits.push_back(max_v);
+    }
+  }
+  return splits;
+}
+
+TEST(QuantileSummaryTest, ProposeSplitsMatchesQueryLoop) {
+  // Exact summaries of random and heavily tied values, their prunes, and
+  // merges of pruned shards (inexact ranks), against every q shape: fewer
+  // splits than entries, more, and q = 1.
+  Rng rng(404);
+  std::vector<QuantileSummary> summaries;
+  for (size_t n : {1, 2, 5, 100, 1000, 20000}) {
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<float> values(n);
+      for (float& v : values) v = SampleValue(shape, rng);
+      const QuantileSummary exact = QuantileSummary::FromValues(values);
+      summaries.push_back(exact);
+      for (size_t b : {4, 16, 256}) summaries.push_back(exact.Prune(b));
+      std::vector<float> other(n / 2 + 1);
+      for (float& v : other) v = SampleValue(shape, rng);
+      summaries.push_back(
+          exact.Prune(64).Merge(BuildSummary(other, 32)).Prune(48));
+    }
+  }
+  for (const QuantileSummary& s : summaries) {
+    ASSERT_TRUE(s.CheckInvariants().ok());
+    for (uint32_t q : {1, 2, 3, 4, 7, 20, 64, 255, 256, 1000}) {
+      const std::vector<float> got = s.ProposeSplits(q);
+      const std::vector<float> want = QueryLoopSplits(s, q);
+      ASSERT_EQ(got.size(), want.size())
+          << "entries " << s.num_entries() << " q " << q;
+      for (size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(got[k]),
+                  std::bit_cast<uint32_t>(want[k]))
+            << "entries " << s.num_entries() << " q " << q << " split " << k;
+      }
+    }
+  }
+}
+
+// Bytes of a summary whose entries are given field by field.
+std::vector<uint8_t> SummaryBytes(const std::vector<SummaryEntry>& entries) {
+  ByteWriter writer;
+  writer.WriteU64(entries.size());
+  for (const SummaryEntry& e : entries) {
+    writer.WriteF64(e.value);
+    writer.WriteF64(e.rmin);
+    writer.WriteF64(e.rmax);
+    writer.WriteF64(e.w);
+  }
+  return writer.TakeData();
+}
+
+TEST(QuantileSummaryTest, DeserializeNamesEachCorruption) {
+  auto expect_corruption = [](const std::vector<uint8_t>& bytes,
+                              const std::string& cause) {
+    ByteReader reader(bytes);
+    QuantileSummary out;
+    const Status status = QuantileSummary::Deserialize(&reader, &out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << cause;
+    EXPECT_NE(status.message().find(cause), std::string::npos)
+        << status.ToString();
+  };
+  // {value, rmin, rmax, w}: 1 twice, then 2 and 3 once.
+  const std::vector<SummaryEntry> good = {
+      {1.0, 0, 2, 2}, {2.0, 2, 3, 1}, {3.0, 3, 4, 1}};
+  {
+    const std::vector<uint8_t> bytes = SummaryBytes(good);
+    ByteReader reader(bytes);
+    QuantileSummary out;
+    ASSERT_TRUE(QuantileSummary::Deserialize(&reader, &out).ok());
+    EXPECT_EQ(out.total_weight(), 4.0);
+  }
+  expect_corruption({1, 0, 0}, "short entry count");
+  // A count of 2^60 is rejected before anything is allocated for it.
+  std::vector<uint8_t> huge = SummaryBytes(good);
+  huge[7] = 0x10;
+  expect_corruption(huge, "entries exceed the 96 bytes left");
+  std::vector<uint8_t> short_entries = SummaryBytes(good);
+  short_entries.pop_back();
+  expect_corruption(short_entries, "3 entries exceed the 95 bytes left");
+
+  auto broken = [&good](size_t i, auto edit) {
+    std::vector<SummaryEntry> entries = good;
+    edit(entries[i]);
+    return SummaryBytes(entries);
+  };
+  expect_corruption(broken(1, [](SummaryEntry& e) { e.value = NAN; }),
+                    "entry 1: value is not finite");
+  expect_corruption(broken(2, [](SummaryEntry& e) { e.value = INFINITY; }),
+                    "entry 2: value is not finite");
+  expect_corruption(broken(1, [](SummaryEntry& e) { e.value = 1.0; }),
+                    "entry 1: values not strictly ascending");
+  expect_corruption(broken(1, [](SummaryEntry& e) { e.rmin = -1; }),
+                    "entry 1: rank bounds broken");
+  expect_corruption(broken(1, [](SummaryEntry& e) { e.rmax = NAN; }),
+                    "entry 1: rank bounds broken");
+  expect_corruption(broken(2, [](SummaryEntry& e) { e.rmax = 1e300; }),
+                    "entry 2: rank bounds broken");
+  expect_corruption(broken(1, [](SummaryEntry& e) { e.rmin = 1; }),
+                    "entry 1: rank bounds broken: ranks fall");
+  expect_corruption(broken(0, [](SummaryEntry& e) { e.rmax = 2.5; }),
+                    "entry 0: first entry's ranks are not exact");
+  expect_corruption(broken(2, [](SummaryEntry& e) { e.rmax = 5; }),
+                    "entry 2: last entry's ranks are not exact");
 }
 
 }  // namespace

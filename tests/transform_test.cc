@@ -1,6 +1,7 @@
 #include "partition/transform.h"
 
 #include <array>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <map>
 #include <string>
@@ -384,6 +385,178 @@ TEST(BlockDecodeTest, EveryTruncationAndFieldFlipIsCorruption) {
       }
     }
   }
+}
+
+// Step 1b's message to rank 1 of four workers over 16 features: feature 1
+// (four distinct values, each of weight 1) and feature 5 (1.125 twice, then
+// 1.875). Every value lies in [1, 2) and every rank below 8, so bit 62 of
+// any f64 field lifts it to inf or NaN, or drops it below the rank it
+// must keep.
+std::vector<uint8_t> SketchMessage() {
+  ByteWriter writer;
+  writer.WriteU32(1);
+  QuantileSummary::FromValues({1.25f, 1.5f, 1.625f, 1.75f})
+      .SerializeTo(&writer);
+  writer.WriteU32(5);
+  QuantileSummary::FromValues({1.125f, 1.875f, 1.125f}).SerializeTo(&writer);
+  return writer.TakeData();
+}
+
+// Reads every record of a step-1b message as rank 1 of 4 over 16 features.
+Status ReadSketchMessage(const std::vector<uint8_t>& message,
+                         std::vector<uint32_t>* features) {
+  ByteReader reader(message.data(), message.size());
+  features->clear();
+  uint32_t min_feature = 0;
+  QuantileSummary summary;
+  while (!reader.AtEnd()) {
+    uint32_t f = 0;
+    VERO_RETURN_IF_ERROR(
+        ReadSketchRecord(&reader, 16, 4, 1, min_feature, &f, &summary));
+    features->push_back(f);
+    min_feature = f + 1;
+  }
+  return Status::OK();
+}
+
+TEST(SketchRecordTest, NamesEachCorruption) {
+  const std::vector<uint8_t> good = SketchMessage();
+  std::vector<uint32_t> features;
+  ASSERT_TRUE(ReadSketchMessage(good, &features).ok());
+  EXPECT_EQ(features, (std::vector<uint32_t>{1, 5}));
+  auto expect_corruption = [&](std::vector<uint8_t> message,
+                               const std::string& cause) {
+    const Status status = ReadSketchMessage(message, &features);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << cause;
+    EXPECT_NE(status.message().find(cause), std::string::npos)
+        << status.ToString();
+  };
+  const size_t second = 4 + 8 + 4 * 32;  // offset of feature 5's id
+  auto with_id = [&](size_t offset, uint32_t id) {
+    std::vector<uint8_t> message = good;
+    std::memcpy(message.data() + offset, &id, sizeof(id));
+    return message;
+  };
+  // Bit 31 of an id keeps f % 4 == 1 and must not index past the table.
+  expect_corruption(with_id(0, 1u | 1u << 31),
+                    "feature id 2147483649 is not below 16");
+  expect_corruption(with_id(0, 2), "feature id 2 is not owned by rank 1");
+  expect_corruption(with_id(second, 1), "feature id 1 does not ascend");
+  expect_corruption({good.begin(), good.begin() + 3},
+                    "sketch record: short feature id");
+  expect_corruption({good.begin(), good.begin() + second - 1},
+                    "feature 1: summary: 4 entries exceed the 127 bytes left");
+  std::vector<uint8_t> nan_value = good;
+  nan_value[4 + 8 + 32 + 7] ^= 0x40;  // bit 62 of entry 1's value
+  expect_corruption(nan_value, "feature 1: summary entry 1: value is not");
+}
+
+TEST(SketchRecordTest, EveryTruncationAndFieldFlipIsCorruption) {
+  // Each message lives in a buffer of its exact size, so under ASan a read
+  // past it fails the test.
+  const std::vector<uint8_t> good = SketchMessage();
+  const size_t second = 4 + 8 + 4 * 32;
+  std::vector<uint32_t> features;
+  for (size_t len = 0; len < good.size(); ++len) {
+    const std::vector<uint8_t> bad(good.begin(), good.begin() + len);
+    const Status status = ReadSketchMessage(bad, &features);
+    if (len == 0 || len == second) {
+      EXPECT_TRUE(status.ok()) << "record boundary " << len;
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << "len " << len;
+    }
+  }
+  // Every id bit but 2 and 3 (which keep 1 and 5 owned, ascending and below
+  // 16), every entry-count bit, and bit 62 of every f64 field.
+  for (const size_t record : {size_t{0}, second}) {
+    const size_t entries = record == 0 ? 4 : 2;
+    std::vector<std::pair<size_t, int>> flips;
+    for (int bit = 0; bit < 32; ++bit) {
+      if (bit != 2 && bit != 3) flips.emplace_back(record, bit);
+    }
+    for (int bit = 0; bit < 64; ++bit) flips.emplace_back(record + 4, bit);
+    for (size_t field = 0; field < 4 * entries; ++field) {
+      flips.emplace_back(record + 12 + 8 * field, 62);
+    }
+    for (const auto& [offset, bit] : flips) {
+      std::vector<uint8_t> bad = good;
+      bad[offset + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_EQ(ReadSketchMessage(bad, &features).code(),
+                StatusCode::kCorruption)
+          << "offset " << offset << " bit " << bit;
+    }
+  }
+}
+
+// Step 2a's message from rank 1 of four workers over 16 features.
+std::vector<uint8_t> SplitMessage() {
+  ByteWriter writer;
+  writer.WriteU32(1);
+  writer.WriteU64(4);
+  writer.WriteVector(std::vector<float>{1.5f, 1.75f});
+  writer.WriteU32(5);
+  writer.WriteU64(3);
+  writer.WriteVector(std::vector<float>{1.875f});
+  return writer.TakeData();
+}
+
+Status ReadSplitMessage(const std::vector<uint8_t>& message,
+                        std::vector<uint32_t>* features) {
+  ByteReader reader(message.data(), message.size());
+  features->clear();
+  uint32_t min_feature = 0;
+  while (!reader.AtEnd()) {
+    uint32_t f = 0;
+    uint64_t count = 0;
+    std::vector<float> splits;
+    VERO_RETURN_IF_ERROR(ReadSplitRecord(&reader, 16, 4, 1, min_feature, &f,
+                                         &count, &splits));
+    features->push_back(f);
+    min_feature = f + 1;
+  }
+  return Status::OK();
+}
+
+TEST(SplitRecordTest, EveryTruncationAndIdFlipIsCorruption) {
+  const std::vector<uint8_t> good = SplitMessage();
+  const size_t second = 4 + 8 + 8 + 2 * 4;
+  std::vector<uint32_t> features;
+  ASSERT_TRUE(ReadSplitMessage(good, &features).ok());
+  EXPECT_EQ(features, (std::vector<uint32_t>{1, 5}));
+  for (size_t len = 0; len < good.size(); ++len) {
+    const std::vector<uint8_t> bad(good.begin(), good.begin() + len);
+    const Status status = ReadSplitMessage(bad, &features);
+    if (len == 0 || len == second) {
+      EXPECT_TRUE(status.ok()) << "record boundary " << len;
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << "len " << len;
+    }
+  }
+  // Every id bit but 2 and 3, and every split-count bit from 8 up.
+  for (const size_t record : {size_t{0}, second}) {
+    for (int bit = 0; bit < 32; ++bit) {
+      if (bit == 2 || bit == 3) continue;
+      std::vector<uint8_t> bad = good;
+      bad[record + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_EQ(ReadSplitMessage(bad, &features).code(),
+                StatusCode::kCorruption)
+          << "record " << record << " id bit " << bit;
+    }
+    for (int bit = 8; bit < 64; ++bit) {
+      std::vector<uint8_t> bad = good;
+      bad[record + 12 + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_EQ(ReadSplitMessage(bad, &features).code(),
+                StatusCode::kCorruption)
+          << "record " << record << " count bit " << bit;
+    }
+  }
+  // The master names a stray id before indexing its tables with it.
+  std::vector<uint8_t> stray = good;
+  stray[3] ^= 0x80;
+  const Status status = ReadSplitMessage(stray, &features);
+  EXPECT_NE(status.message().find("feature id 2147483649 is not below 16"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // Digest of everything a transform produces on every rank: the split
